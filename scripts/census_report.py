@@ -2,7 +2,8 @@
 
 stdout carries the canonical census lines (one conjugacy class per block:
 order, duality verdicts, generators); the structural summary of the
-stabilizer itself goes to stderr.
+stabilizer itself, and how many classes each kind of evidence settled, go
+to stderr.
 """
 
 import argparse
@@ -55,6 +56,8 @@ def main() -> int:
         f"({elapsed:.1f}s)",
         file=sys.stderr,
     )
+    tally = ", ".join(f"{kind} {n}" for kind, n in census.evidence_tally.items())
+    print(f"conjugacy evidence: {tally}", file=sys.stderr)
     return 0
 
 

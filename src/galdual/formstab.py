@@ -24,6 +24,7 @@ from typing import Optional
 
 from galdual.exactmat import ModMatrix
 from galdual.groupengine import (
+    _IDENT,
     _f2_closure,
     _f2_small_generating_set,
     _nullspace_mod,
@@ -39,8 +40,6 @@ from galdual.groupengine import (
     representations_equivalent,
 )
 from galdual.paramgroups import glued_polarization, product_principal_polarization
-
-_IDENT = 0x8421  # packed identity: bits 0, 5, 10, 15
 
 
 @dataclass(frozen=True)
@@ -377,7 +376,9 @@ class SubgroupClassRecord:
 
     ``representative`` is a frozenset of packed elements; ``class_size`` is
     the number of distinct conjugates (the normalizer's index).  The two
-    booleans stay None until contragredient_census fills them.
+    booleans stay None until contragredient_census fills them, together
+    with ``conjugacy_evidence``, the kind of proof that settled
+    ``image_conjugate_to_dual`` (one of EVIDENCE_KINDS).
     """
 
     representative: frozenset
@@ -385,6 +386,7 @@ class SubgroupClassRecord:
     class_size: int
     self_dual_as_rep: Optional[bool] = None
     image_conjugate_to_dual: Optional[bool] = None
+    conjugacy_evidence: Optional[str] = None
 
 
 def _is_prime(m: int) -> bool:
@@ -480,11 +482,82 @@ def contragredient_subgroup(h: frozenset) -> frozenset:
     return frozenset(f2_transpose(f2_inv(x)) for x in h)
 
 
+# Kinds of evidence for image_conjugate_to_dual, cheapest first.
+EVIDENCE_KINDS = ("witness", "invariant", "scan")
+
+
 @dataclass(frozen=True)
 class CensusResult:
     records: tuple
     not_rep_equivalent: int
     not_subgroup_conjugate: int
+
+    @property
+    def evidence_tally(self) -> dict:
+        """How many classes each kind of evidence settled, in EVIDENCE_KINDS order."""
+        return {
+            kind: sum(r.conjugacy_evidence == kind for r in self.records)
+            for kind in EVIDENCE_KINDS
+        }
+
+
+@functools.cache
+def _f2_subspaces() -> tuple:
+    """Every proper nonzero subspace W of F_2^4 as (dim, mask, basis).
+
+    Column vectors are 4-bit ints (bit i holds coordinate i); bit v of
+    ``mask`` is set exactly when v lies in W.
+    """
+    spans = {}
+    for k in (1, 2, 3):
+        for basis in itertools.combinations(range(1, 16), k):
+            span = {0}
+            for b in basis:
+                span |= {v ^ b for v in span}
+            if len(span) == 1 << k:
+                mask = sum(1 << v for v in span)
+                spans.setdefault(mask, (k, mask, basis))
+    return tuple(sorted(spans.values()))
+
+
+def _vector_images(x: int) -> tuple:
+    """The images x*v of all sixteen column vectors v under a packed matrix."""
+    cols = [
+        sum(((x >> (4 * i + j)) & 1) << i for i in range(4)) for j in range(4)
+    ]
+    images = [0] * 16
+    for v in range(1, 16):
+        low = v & -v
+        images[v] = images[v ^ low] ^ cols[low.bit_length() - 1]
+    return tuple(images)
+
+
+def duality_signature(h) -> tuple:
+    """Sorted (dim W, |ker H -> GL(W)|, |ker H -> GL(V/W)|) over the
+    H-invariant proper nonzero subspaces W of V = F_2^4.
+
+    A conjugacy invariant of H inside GL4(F_2); contragredient_census
+    explains how it compares with dual_signature.
+    """
+    images = [_vector_images(x) for x in h]
+    standard_basis = (1, 2, 4, 8)
+    sig = []
+    for dim, mask, basis in _f2_subspaces():
+        if any(not (mask >> im[v]) & 1 for im in images for v in basis):
+            continue
+        kernel_w = sum(all(im[v] == v for v in basis) for im in images)
+        kernel_q = sum(
+            all((mask >> (im[e] ^ e)) & 1 for e in standard_basis) for im in images
+        )
+        sig.append((dim, kernel_w, kernel_q))
+    return tuple(sorted(sig))
+
+
+def dual_signature(sig: tuple) -> tuple:
+    """The signature H* = {h^-T} has when H has signature ``sig``."""
+    return tuple(
+        sorted((4 - dim, kernel_q, kernel_w) for dim, kernel_w, kernel_q in sig)
+    )
 
 
 def contragredient_census(classes, j: AlternatingForm) -> CensusResult:
@@ -492,9 +565,31 @@ def contragredient_census(classes, j: AlternatingForm) -> CensusResult:
 
     For each class H: (i) is the inclusion representation H -> GL4(F_2)
     equivalent to h -> (h^-1)^T?  Decided by an exhaustive walk of the
-    intertwiner span (always complete over F_2).  (ii) Is the image of the
-    contragredient at least a conjugate subgroup inside GL4(F_2)?  The form
+    intertwiner span (always complete over F_2).  (ii) Is the image
+    H* = {(h^-1)^T} at least a conjugate subgroup inside GL4(F_2)?  The form
     fixes the twist character, which is trivial over F_2.
+
+    Verdict (ii) is settled by the cheapest sound evidence, recorded as the
+    class's ``conjugacy_evidence``:
+
+    - ``witness``: the intertwiner X found in (i) satisfies X h X^-1 = h^-T
+      for every h, so it conjugates H onto H*; this is re-checked on every
+      element before the class is reported conjugate.
+    - ``invariant``: the duality signature of H differs from its dual image,
+      which proves H and H* are not conjugate.  Proof: for a subspace W of
+      V = F_2^4 let W^perp be its annihilator under the standard pairing
+      <u, w> = u^T w.  Since <h^-T u, w> = <u, h^-1 w>, a subspace U is
+      H*-invariant exactly when U^perp is H-invariant, so W -> W^perp is a
+      bijection from H-invariant to H*-invariant subspaces with
+      dim W^perp = 4 - dim W.  As H-modules W^perp is the dual of V/W and
+      V/W^perp the dual of W, and a contragredient action is trivial exactly
+      when the action is, so under h -> h^-T the kernel on W^perp is the
+      kernel on V/W and the kernel on V/W^perp is the kernel on W.  Hence
+      sig(H*) = dual_signature(sig(H)).  Conjugating by g in GL4(F_2) maps
+      invariant subspaces to invariant subspaces of equal dimension and
+      kernel orders, so a conjugate H* would force sig(H*) = sig(H).
+    - ``scan``: matrix_subgroups_conjugate, the exhaustive walk of
+      GL4(F_2), for the classes the other two leave open.
     """
     filled = []
     not_equiv = 0
@@ -507,16 +602,18 @@ def contragredient_census(classes, j: AlternatingForm) -> CensusResult:
             (f2_unpack(g), f2_unpack(f2_transpose(f2_inv(g)))) for g in gens
         ]
         equivalent, witness = representations_equivalent(pairs)
-        conjugate = matrix_subgroups_conjugate(h, dual)
-        if equivalent and not conjugate:
-            raise AssertionError(
-                "a representation-equivalent class failed subgroup conjugacy"
-            )
         if equivalent:
             x = f2_pack(witness)
             xi = f2_inv(x)
             if any(f2_mul(f2_mul(x, g), xi) not in dual for g in h):
                 raise AssertionError("equivalence witness does not conjugate the subgroup")
+            conjugate, evidence = True, "witness"
+        else:
+            sig = duality_signature(h)
+            if sig != dual_signature(sig):
+                conjugate, evidence = False, "invariant"
+            else:
+                conjugate, evidence = matrix_subgroups_conjugate(h, dual), "scan"
         not_equiv += not equivalent
         not_conj += not conjugate
         filled.append(
@@ -524,6 +621,7 @@ def contragredient_census(classes, j: AlternatingForm) -> CensusResult:
                 rec,
                 self_dual_as_rep=equivalent,
                 image_conjugate_to_dual=conjugate,
+                conjugacy_evidence=evidence,
             )
         )
     return CensusResult(tuple(filled), not_equiv, not_conj)

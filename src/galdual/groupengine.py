@@ -215,6 +215,8 @@ def representations_equivalent(pairs: Sequence[tuple]):
 
 # A 4x4 matrix over F_2 is a 16-bit int: bit 4*i + j holds entry (i, j).
 
+_IDENT = 0x8421  # packed identity: bits 0, 5, 10, 15
+
 
 def f2_pack(m) -> int:
     rows = m.entries if isinstance(m, ModMatrix) else m
@@ -289,9 +291,8 @@ def _gl4_with_inverses() -> tuple:
 
 
 def _f2_closure(gens: Iterable[int], cap: int = 30000) -> frozenset:
-    ident = f2_pack(ModMatrix.identity(4, 2))
-    elems = {ident}
-    frontier = [ident]
+    elems = {_IDENT}
+    frontier = [_IDENT]
     gens = list(gens)
     while frontier:
         nxt = []
@@ -318,7 +319,7 @@ def _f2_small_generating_set(elements: frozenset) -> list:
             if len(_f2_closure(pair, cap=target)) == target:
                 return pair
     gens: list = []
-    closed = {f2_pack(ModMatrix.identity(4, 2))}
+    closed = {_IDENT}
     for x in ordered:
         if x not in closed:
             gens.append(x)

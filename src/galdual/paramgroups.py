@@ -506,6 +506,10 @@ def canonical_generator_points(ell: int, twist: str = "generic"):
 
 
 def _build_group(ell, twist, provenance, flats_iter, generator_flats) -> ImageGroup:
+    if ell > 7:
+        # entries are packed into 3-bit fields, which hold every residue
+        # mod l only for l <= 7
+        raise ValueError(f"image groups are supported for l <= 7, not l = {ell}")
     packed = None
     if flats_iter is not None:
         packed = tuple(sorted({_pack(f) for f in flats_iter}))

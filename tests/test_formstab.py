@@ -16,6 +16,8 @@ from galdual.formstab import (
     alternating_forms,
     contragredient_census,
     contragredient_subgroup,
+    dual_signature,
+    duality_signature,
     form_orbit,
     format_census,
     glued_form_stabilizer,
@@ -28,7 +30,14 @@ from galdual.formstab import (
     subgroup_conjugacy_classes,
     zero_form,
 )
-from galdual.groupengine import _f2_closure, f2_inv, f2_mul, f2_pack, f2_unpack
+from galdual.groupengine import (
+    _f2_closure,
+    f2_inv,
+    f2_mul,
+    f2_pack,
+    f2_unpack,
+    matrix_subgroups_conjugate,
+)
 
 
 def mod2(rows):
@@ -340,6 +349,50 @@ def test_census_of_commuting_involutions_is_self_dual():
     records = subgroup_conjugacy_classes(klein_group())
     result = contragredient_census(records, j)
     assert (result.not_rep_equivalent, result.not_subgroup_conjugate) == (0, 0)
+
+
+def test_census_verdicts_match_exhaustive_scan():
+    # the GL4(F_2) scan the census used to run on every class checks the
+    # verdicts it now draws from witnesses and the duality signature
+    census = stabilizer_census()
+    assert [r.representative for r in census.records] == [
+        r.representative for r in stabilizer_class_list()
+    ]
+    for rec in census.records:
+        h = rec.representative
+        assert rec.image_conjugate_to_dual == matrix_subgroups_conjugate(
+            h, contragredient_subgroup(h)
+        )
+
+
+def test_census_evidence_tally():
+    census = stabilizer_census()
+    assert census.evidence_tally == {"witness": 50, "invariant": 52, "scan": 26}
+    for rec in census.records:
+        if rec.conjugacy_evidence == "witness":
+            assert rec.self_dual_as_rep and rec.image_conjugate_to_dual
+        elif rec.conjugacy_evidence == "invariant":
+            assert not rec.self_dual_as_rep and not rec.image_conjugate_to_dual
+        else:
+            assert rec.conjugacy_evidence == "scan"
+            assert not rec.self_dual_as_rep
+
+
+def test_duality_signature_of_the_trivial_group_lists_every_subspace():
+    sig = duality_signature(frozenset({_IDENT}))
+    dims = [d for d, _, _ in sig]
+    assert (dims.count(1), dims.count(2), dims.count(3)) == (15, 35, 15)
+    assert all(kw == kq == 1 for _, kw, kq in sig)
+
+
+def test_duality_signature_of_the_dual_is_the_dual_signature():
+    # soundness of the invariant: annihilators carry the H-invariant
+    # subspaces onto the H*-invariant ones with both kernels swapped
+    for rec in stabilizer_class_list():
+        h = rec.representative
+        assert duality_signature(contragredient_subgroup(h)) == dual_signature(
+            duality_signature(h)
+        )
 
 
 def test_census_report_grammar():

@@ -501,6 +501,21 @@ def test_image_group_generators_mode():
         ModMatrix.identity(4, 7) in g
 
 
+@pytest.mark.parametrize(
+    "builder", [image_rho_A, image_rho_Adual_contragredient, image_rho_Adual_isogeny]
+)
+@pytest.mark.parametrize("ell", [11, 13])
+def test_image_group_rejects_primes_past_packed_width(builder, ell):
+    with pytest.raises(ValueError, match="l <= 7"):
+        builder(ell, with_elements=False)
+
+
+def test_image_group_generators_match_points_at_seven():
+    g = image_rho_A(7, with_elements=False)
+    expected = tuple(image_element(p) for _, p in canonical_generator_points(7))
+    assert g.generators == expected
+
+
 def test_image_group_membership():
     g = image_rho_A(3)
     assert ModMatrix.identity(4, 3) in g
