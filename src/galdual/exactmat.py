@@ -17,7 +17,8 @@ Two matrix kinds are provided.
 The module also owns the plain-text matrix format used by the command line
 tool and by golden files: rows separated by ``;``, entries by ``,``, each
 entry either an integer ``n`` or ``n/l^k`` (the letter ``l`` is symbolic, the
-actual prime is supplied when parsing).
+actual prime is supplied when parsing), and the breadth-first ``closure``
+that the group and lattice modules share.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Callable, Sequence, Union
 
 
 class ExactMatError(ValueError):
@@ -53,6 +54,39 @@ class NonIntegralEntryError(ExactMatError):
 
 class UnrepresentableEntryError(ExactMatError):
     """A rational that is not of the form n / l^k was produced."""
+
+
+class ClosureCapError(RuntimeError):
+    """Closure generation exceeded its cap; carries the partial size."""
+
+    def __init__(self, partial_size: int, cap: int):
+        self.partial_size = partial_size
+        self.cap = cap
+        super().__init__(
+            f"closure exceeded cap {cap} (partial size {partial_size})"
+        )
+
+
+def closure(start, gens, act: Callable, cap=None) -> frozenset:
+    """Everything reachable from the points ``start`` under x -> act(x, g).
+
+    Breadth-first over the generators ``gens``.  With act a group product
+    and start the identity this is the generated subgroup; with act a vector
+    sum mod m it is the span.  Raises ClosureCapError as soon as more than
+    ``cap`` points are found (no cap when ``cap`` is None).
+    """
+    gens = tuple(gens)
+    seen = set(start)
+    queue = list(seen)
+    for x in queue:  # the queue grows while it is walked
+        for g in gens:
+            y = act(x, g)
+            if y not in seen:
+                seen.add(y)
+                if cap is not None and len(seen) > cap:
+                    raise ClosureCapError(len(seen), cap)
+                queue.append(y)
+    return frozenset(seen)
 
 
 def check_prime(ell: int) -> int:
@@ -485,14 +519,6 @@ def _fraction_inv(rows) -> list:
 
 
 # -- module-level operation names ------------------------------------------
-
-
-def mat_mul(a, b):
-    return a.mul(b)
-
-
-def mat_inv(a):
-    return a.inv()
 
 
 def det(a):

@@ -19,17 +19,17 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from galdual.exactmat import ModMatrix
+from galdual.exactmat import ClosureCapError, ModMatrix, closure
 from galdual.groupengine import (
     _IDENT,
     _f2_closure,
     _f2_small_generating_set,
     _nullspace_mod,
     _rank_mod,
-    ClosureCapError,
     f2_inv,
     f2_mul,
     f2_pack,
@@ -149,12 +149,6 @@ def _element_order(x: int) -> int:
     return n
 
 
-def _lcm(a: int, b: int) -> int:
-    from math import gcd
-
-    return a * b // gcd(a, b)
-
-
 def _derived_subgroup(elements: frozenset) -> frozenset:
     """Commutator subgroup: normal closure of generator-pair commutators."""
     gens = _f2_small_generating_set(elements)
@@ -168,17 +162,7 @@ def _derived_subgroup(elements: frozenset) -> frozenset:
     }
     # close the seed under conjugation by the generators: the subgroup it
     # then generates is invariant under all of G, hence the normal closure
-    conj = set(seed)
-    frontier = list(seed)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = f2_mul(f2_mul(g, x), inv[g])
-                if y not in conj:
-                    conj.add(y)
-                    nxt.append(y)
-        frontier = nxt
+    conj = closure(seed, gens, lambda x, g: f2_mul(f2_mul(g, x), inv[g]))
     return _f2_closure(conj, cap=len(elements))
 
 
@@ -207,38 +191,6 @@ class StructureInvariants:
     split_extension: Optional[SplitExtension] = None
 
 
-def _pack2(rows) -> int:
-    return rows[0][0] | rows[0][1] << 1 | rows[1][0] << 2 | rows[1][1] << 3
-
-
-def _perm3_of_2x2(m4: int) -> tuple:
-    """Action of a packed 2x2 matrix on the three nonzero vectors of F_2^2."""
-    out = []
-    for v in (1, 2, 3):
-        v0, v1 = v & 1, v >> 1
-        w0 = ((m4 & 1) & v0) ^ (((m4 >> 1) & 1) & v1)
-        w1 = (((m4 >> 2) & 1) & v0) ^ (((m4 >> 3) & 1) & v1)
-        out.append(w0 | w1 << 1)
-    return tuple(out)
-
-
-def _mul_pairs(p, q):
-    return (_mul2(p[0], q[0]), _mul2(p[1], q[1]))
-
-
-def _mul2(a: int, b: int) -> int:
-    out = 0
-    for i in (0, 2):
-        ra = (a >> i) & 3
-        acc = 0
-        if ra & 1:
-            acc = b & 3
-        if ra & 2:
-            acc ^= (b >> 2) & 3
-        out |= acc << i
-    return out
-
-
 def radical_split_extension(elements: frozenset, form: AlternatingForm) -> SplitExtension:
     """Verify the kernel/quotient structure of a form stabilizer.
 
@@ -258,22 +210,19 @@ def radical_split_extension(elements: frozenset, form: AlternatingForm) -> Split
             break
         if _rank_mod(basis + [list(cand)], 4, 2) > len(basis):
             basis.append(list(cand))
-    p = ModMatrix.from_rows(
-        [[basis[j][i] for j in range(4)] for i in range(4)], 2
-    )
-    p_inv = p.inv()
+    p = f2_pack([[basis[j][i] for j in range(4)] for i in range(4)])
+    p_inv = f2_inv(p)
 
+    # in the basis (radical, complement) every element is block upper
+    # triangular; its action on R and V/R is the block-diagonal part
     action = {}
     for g in elements:
-        gp = p_inv.mul(f2_unpack(g)).mul(p).entries
-        if any(gp[i][j] for i in (2, 3) for j in (0, 1)):
+        gp = f2_mul(f2_mul(p_inv, g), p)
+        if gp & 0x3300:
             raise ValueError("an element does not preserve the form radical")
-        a = _pack2([[gp[0][0], gp[0][1]], [gp[1][0], gp[1][1]]])
-        d = _pack2([[gp[2][2], gp[2][3]], [gp[3][2], gp[3][3]]])
-        action[g] = (a, d)
+        action[g] = gp & 0xCC33
 
-    ident2 = _pack2([[1, 0], [0, 1]])
-    kernel = frozenset(g for g, ad in action.items() if ad == (ident2, ident2))
+    kernel = frozenset(g for g, ad in action.items() if ad == _IDENT)
     if len(kernel) != 16:
         raise ValueError(f"action kernel has order {len(kernel)}, not 16")
     for x in kernel:
@@ -294,13 +243,20 @@ def radical_split_extension(elements: frozenset, form: AlternatingForm) -> Split
         image.setdefault(ad, []).append(g)
     if len(image) != 36:
         raise ValueError(f"action image has order {len(image)}, not 36")
-    for pick in (0, 1):
-        proj = {ad[pick] for ad in image}
-        perms = {_perm3_of_2x2(m) for m in proj}
+    for mask, plane in ((0x0033, (1, 2, 3)), (0xCC00, (4, 8, 12))):
+        proj = {ad & mask for ad in image}
+        perms = {tuple(_vector_images(m)[v] for v in plane) for m in proj}
         if len(proj) != 6 or len(perms) != 6:
             raise ValueError("a projection is not the full symmetric group S_3")
 
-    pair = _generating_pair(set(image))
+    pair = next(
+        (
+            st
+            for st in itertools.combinations(sorted(image), 2)
+            if len(_f2_closure(st, cap=36)) == 36
+        ),
+        None,
+    )
     if pair is None:
         raise ValueError("action image is not 2-generated")
     s, t = pair
@@ -312,26 +268,6 @@ def radical_split_extension(elements: frozenset, form: AlternatingForm) -> Split
         if len(h) == 36 and len(h & kernel) == 1:
             return SplitExtension(kernel, h, (6, 6))
     raise ValueError("no complement to the action kernel was found")
-
-
-def _generating_pair(image: set):
-    ident = (_pack2([[1, 0], [0, 1]]),) * 2
-    ordered = sorted(image)
-    for s, t in itertools.combinations(ordered, 2):
-        elems = {ident}
-        frontier = [ident]
-        while frontier:
-            nxt = []
-            for m in frontier:
-                for g in (s, t):
-                    c = _mul_pairs(m, g)
-                    if c not in elems:
-                        elems.add(c)
-                        nxt.append(c)
-            frontier = nxt
-        if len(elems) == len(image):
-            return (s, t)
-    return None
 
 
 def structure_invariants(
@@ -346,7 +282,7 @@ def structure_invariants(
         raise ValueError("group order over budget for structure invariants")
     exponent = 1
     for x in elements:
-        exponent = _lcm(exponent, _element_order(x))
+        exponent = math.lcm(exponent, _element_order(x))
     series = [len(elements)]
     cur = elements
     while True:

@@ -20,19 +20,12 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from galdual.exactmat import ModMatrix
+from galdual.exactmat import (
+    ClosureCapError,  # noqa: F401  (re-exported for callers of generate_closure)
+    ModMatrix,
+    closure,
+)
 from galdual.paramgroups import ImageGroup
-
-
-class ClosureCapError(RuntimeError):
-    """Closure generation exceeded its cap; carries the partial size."""
-
-    def __init__(self, partial_size: int, cap: int):
-        self.partial_size = partial_size
-        self.cap = cap
-        super().__init__(
-            f"closure exceeded cap {cap} (partial size {partial_size})"
-        )
 
 
 def generate_closure(generators: Sequence[ModMatrix], cap: int = 1_000_000) -> frozenset:
@@ -43,20 +36,34 @@ def generate_closure(generators: Sequence[ModMatrix], cap: int = 1_000_000) -> f
     for g in gens:
         g.inv()  # raises on a singular generator
     ident = ModMatrix.identity(gens[0].n, gens[0].ell, gens[0].k)
-    elems = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for m in frontier:
-            for g in gens:
-                c = m.mul(g)
-                if c not in elems:
-                    elems.add(c)
-                    if len(elems) > cap:
-                        raise ClosureCapError(len(elems), cap)
-                    nxt.append(c)
-        frontier = nxt
-    return frozenset(elems)
+    return closure([ident], gens, ModMatrix.mul, cap)
+
+
+def small_generating_set(ordered, identity, act, pool, tries, seed) -> list:
+    """A small generating set of the finite group whose elements are ``ordered``.
+
+    ``ordered`` lists the elements in order of preference (the identity may
+    be left out) and ``act`` is the group product.  First up to ``tries``
+    seeded random pairs from the first ``pool`` elements (all when None) are
+    tried; failing that, the set is grown greedily along ``ordered``.
+    """
+    target = len(set(ordered) | {identity})
+    head = ordered[:pool]
+    rng = random.Random(seed)
+    if target > 2 and len(head) >= 2:
+        for _ in range(tries):
+            pair = rng.sample(head, 2)
+            if len(closure([identity], pair, act, cap=target)) == target:
+                return pair
+    gens: list = []
+    closed = {identity}
+    for x in ordered:
+        if x not in closed:
+            gens.append(x)
+            closed = closure([identity], gens, act, cap=target)
+            if len(closed) == target:
+                break
+    return gens
 
 
 # -- linear algebra over F_l -----------------------------------------------------
@@ -178,11 +185,10 @@ def representations_equivalent(pairs: Sequence[tuple]):
             if c:
                 for idx in range(n * n):
                     flat[idx] = (flat[idx] + c * bf[idx]) % ell
-        x = ModMatrix.from_rows(
-            [flat[i * n : (i + 1) * n] for i in range(n)], ell
-        )
-        if x.det() == 0:
+        rows = [flat[i * n : (i + 1) * n] for i in range(n)]
+        if _rank_mod(rows, n, ell) < n:
             return None
+        x = ModMatrix.from_rows(rows, ell)
         for g, g2 in pairs:
             if x.mul(g) != g2.mul(x):
                 raise AssertionError("intertwiner witness fails on a pair")
@@ -291,50 +297,22 @@ def _gl4_with_inverses() -> tuple:
 
 
 def _f2_closure(gens: Iterable[int], cap: int = 30000) -> frozenset:
-    elems = {_IDENT}
-    frontier = [_IDENT]
-    gens = list(gens)
-    while frontier:
-        nxt = []
-        for m in frontier:
-            for g in gens:
-                c = f2_mul(m, g)
-                if c not in elems:
-                    elems.add(c)
-                    if len(elems) > cap:
-                        raise ClosureCapError(len(elems), cap)
-                    nxt.append(c)
-        frontier = nxt
-    return frozenset(elems)
+    return closure([_IDENT], gens, f2_mul, cap)
 
 
 def _f2_small_generating_set(elements: frozenset) -> list:
-    """A small generating set of a packed-F_2 subgroup, greedily grown."""
-    target = len(elements)
-    ordered = sorted(elements)
-    rng = random.Random(1729)
-    if target > 2:
-        for _ in range(24):
-            pair = rng.sample(ordered, 2)
-            if len(_f2_closure(pair, cap=target)) == target:
-                return pair
-    gens: list = []
-    closed = {_IDENT}
-    for x in ordered:
-        if x not in closed:
-            gens.append(x)
-            closed = _f2_closure(gens, cap=target)
-            if len(closed) == target:
-                break
-    return gens
+    """A small generating set of a packed-F_2 subgroup."""
+    return small_generating_set(
+        sorted(elements), _IDENT, f2_mul, pool=None, tries=24, seed=1729
+    )
 
 
-def matrix_subgroups_conjugate(h1, h2, ambient=None) -> bool:
+def matrix_subgroups_conjugate(h1, h2) -> bool:
     """Whether two subgroups of GL4(F_2) are conjugate inside it.
 
-    Exhaustive scan over the ambient group (the decided algorithm at this
-    size): X conjugates H1 into H2 iff it does so on a generating set,
-    orders being equal.
+    Exhaustive scan over GL4(F_2) (the decided algorithm at this size): X
+    conjugates H1 into H2 iff it does so on a generating set, orders being
+    equal.
     """
     set1 = frozenset(x if isinstance(x, int) else f2_pack(x) for x in h1)
     set2 = frozenset(x if isinstance(x, int) else f2_pack(x) for x in h2)
@@ -343,17 +321,9 @@ def matrix_subgroups_conjugate(h1, h2, ambient=None) -> bool:
     if set1 == set2:
         return True
     gens = _f2_small_generating_set(set1)
-    if ambient is None:
-        scan = _gl4_with_inverses()
-    else:
-        scan = tuple(
-            (x if isinstance(x, int) else f2_pack(x),
-             f2_inv(x if isinstance(x, int) else f2_pack(x)))
-            for x in ambient
-        )
     g0 = gens[0]
     rest = gens[1:]
-    for x, xi in scan:
+    for x, xi in _gl4_with_inverses():
         if f2_mul(f2_mul(x, g0), xi) not in set2:
             continue
         if all(f2_mul(f2_mul(x, g), xi) in set2 for g in rest):
@@ -505,31 +475,12 @@ def _perm_fingerprint(p) -> tuple:
     return (ct, _cycle_type(_compose(p, p)))
 
 
-def _perm_closure(gens, cap: int):
-    ident = tuple(range(len(gens[0])))
-    elems = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for m in frontier:
-            for g in gens:
-                c = _compose(m, g)
-                if c not in elems:
-                    elems.add(c)
-                    if len(elems) > cap:
-                        return None
-                    nxt.append(c)
-        frontier = nxt
-    return elems
-
-
 def _perm_generating_set(elements) -> list:
     """A generating set biased toward rare cycle-type classes.
 
     Rare classes keep the image-candidate lists short in the conjugacy
     backtracker, which matters far more than the raw generator count.
     """
-    target = len(elements)
     class_size: dict = {}
     fps = {}
     for p in elements:
@@ -541,23 +492,7 @@ def _perm_generating_set(elements) -> list:
         (p for p in elements if p != ident),
         key=lambda p: (class_size[fps[p]], fps[p], p),
     )
-    rng = random.Random(4861)
-    head = ordered[: min(len(ordered), 40)]
-    if target > 2 and len(head) >= 2:
-        for _ in range(60):
-            cand = rng.sample(head, 2)
-            closed = _perm_closure(cand, cap=target)
-            if closed is not None and len(closed) == target:
-                return cand
-    gens: list = []
-    closed = {ident}
-    for x in ordered:
-        if x not in closed:
-            gens.append(x)
-            closed = _perm_closure(gens, cap=target)
-            if len(closed) == target:
-                break
-    return gens
+    return small_generating_set(ordered, ident, _compose, pool=40, tries=60, seed=4861)
 
 
 class _ClosureProgram:

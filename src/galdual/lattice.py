@@ -27,6 +27,7 @@ from galdual.exactmat import (
     LAdicMatrix,
     SingularMatrixError,
     check_prime,
+    closure,
     lval,
     smith_normal_form,
 )
@@ -73,19 +74,14 @@ class KernelSpec:
 
     def subgroup_elements(self) -> frozenset:
         """All elements of the generated subgroup (brute-force closure)."""
-        m = self.modulus
-        elems = {(0,) * self.dim}
-        frontier = list(elems)
-        while frontier:
-            new = []
-            for v in frontier:
-                for g in self.generators:
-                    w = tuple((a + b) % m for a, b in zip(v, g))
-                    if w not in elems:
-                        elems.add(w)
-                        new.append(w)
-            frontier = new
-        return frozenset(elems)
+        return _span_mod(self.generators, self.modulus, self.dim)
+
+
+def _span_mod(gens, m: int, dim: int) -> frozenset:
+    """The subgroup of (Z/m)^dim generated by the vectors ``gens``."""
+    return closure(
+        [(0,) * dim], gens, lambda v, g: tuple((a + b) % m for a, b in zip(v, g))
+    )
 
 
 _KSPEC_RE = re.compile(
@@ -223,40 +219,23 @@ def _quotient_group(mat: LAdicMatrix, n: int) -> frozenset:
     """The group L/T for the column lattice L, as l^n-torsion vectors.
 
     Elements of L/T are cosets of column combinations modulo 1; the map
-    v -> l^n v identifies the quotient with a subgroup of (Z/l^n)^dim.
-    Only used for small l^n (the closure is at most (l^n)^dim points).
+    v -> l^n v identifies the quotient with a subgroup of (Z/l^n)^dim, the
+    span of the scaled columns mod l^n.  Only used for small l^n (the
+    closure is at most (l^n)^dim points).
     """
     m = mat.ell**n
     dim = mat.n
     fr = mat.fraction_rows()
     gens = []
     for j in range(dim):
-        col = tuple(fr[i][j] % 1 for i in range(dim))
-        gens.append(col)
-    zero = (Fraction(0),) * dim
-    elems = {zero}
-    frontier = [zero]
-    while frontier:
-        new = []
-        for v in frontier:
-            for g in gens:
-                w = tuple((a + b) % 1 for a, b in zip(v, g))
-                if w not in elems:
-                    elems.add(w)
-                    new.append(w)
-        frontier = new
-    out = set()
-    for v in elems:
-        scaled = []
-        for x in v:
-            y = x * m
+        col = []
+        for i in range(dim):
+            y = fr[i][j] * m
             if y.denominator != 1:
-                raise AssertionError(
-                    "column lattice has denominators beyond l^n"
-                )
-            scaled.append(int(y) % m)
-        out.add(tuple(scaled))
-    return frozenset(out)
+                raise AssertionError("column lattice has denominators beyond l^n")
+            col.append(int(y) % m)
+        gens.append(tuple(col))
+    return _span_mod(gens, m, dim)
 
 
 def _log_ell(value: int, ell: int) -> int:

@@ -522,27 +522,45 @@ def _build_group(ell, twist, provenance, flats_iter, generator_flats) -> ImageGr
     )
 
 
-def _default_with_elements(ell: int, with_elements) -> bool:
-    return ell <= 5 if with_elements is None else bool(with_elements)
+def _generator_records(ell: int, twist: str) -> tuple:
+    return tuple(_record(p) for _, p in canonical_generator_points(ell, twist))
+
+
+def _routes_checked(records, ell: int, twist: str) -> Iterator[PointRecord]:
+    """Pass records through, raising RouteDisagreementError where the two
+    dual routes differ."""
+    for r in records:
+        if r.dual_isogeny != r.dual_contragredient:
+            raise RouteDisagreementError(
+                f"dual routes disagree at l={ell}, twist={twist}: "
+                f"isogeny {r.dual_isogeny} vs contragredient {r.dual_contragredient}"
+            )
+        yield r
+
+
+def _image_group(ell, twist, with_elements, field, provenance) -> ImageGroup:
+    """One image group, reading ``field`` of each PointRecord.
+
+    Elements are enumerated by default only for l <= 5; every record read,
+    generators included, is checked for dual-route agreement.
+    """
+    gen_flats = [
+        getattr(r, field)
+        for r in _routes_checked(_generator_records(ell, twist), ell, twist)
+    ]
+    flats = None
+    if (ell <= 5) if with_elements is None else with_elements:
+        cached = ell <= 5
+        records = (slab_records if cached else iter_slab_records)(ell, twist)
+        flats = (getattr(r, field) for r in _routes_checked(records, ell, twist))
+    return _build_group(ell, twist, provenance, flats, gen_flats)
 
 
 def image_rho_A(ell: int, twist: str = "generic", with_elements=None) -> ImageGroup:
     """Mod-l image group of the glued surface."""
-    gen_flats = [
-        _mod_flat(_glued_flat(p), ell)
-        for _, p in canonical_generator_points(ell, twist)
-    ]
-    if _default_with_elements(ell, with_elements):
-        if ell <= 5:
-            flats = (r.image for r in slab_records(ell, twist))
-        else:
-            flats = (r.image for r in iter_slab_records(ell, twist))
-    else:
-        flats = None
-    return _build_group(
-        ell, twist,
+    return _image_group(
+        ell, twist, with_elements, "image",
         "parameter family conjugated into the glued basis, mod l",
-        flats, gen_flats,
     )
 
 
@@ -550,21 +568,9 @@ def image_rho_Adual_contragredient(
     ell: int, twist: str = "generic", with_elements=None
 ) -> ImageGroup:
     """Mod-l image group of the dual surface, via twisted inverse-transpose."""
-    gen_flats = []
-    for _, p in canonical_generator_points(ell, twist):
-        a_flat = _mod_flat(_glued_flat(p), ell)
-        gen_flats.append(_contragredient_flat(a_flat, p.epsilon, ell))
-    if _default_with_elements(ell, with_elements):
-        if ell <= 5:
-            flats = (r.dual_contragredient for r in slab_records(ell, twist))
-        else:
-            flats = (r.dual_contragredient for r in iter_slab_records(ell, twist))
-    else:
-        flats = None
-    return _build_group(
-        ell, twist,
+    return _image_group(
+        ell, twist, with_elements, "dual_contragredient",
         "twisted inverse-transpose of the glued-surface image",
-        flats, gen_flats,
     )
 
 
@@ -576,37 +582,9 @@ def image_rho_Adual_isogeny(
     Cross-checks every element against the contragredient route and raises
     RouteDisagreementError on the first mismatch.
     """
-
-    def checked(records) -> Iterator[tuple]:
-        for r in records:
-            if r.dual_isogeny != r.dual_contragredient:
-                raise RouteDisagreementError(
-                    f"dual routes disagree at l={ell}, twist={twist}: "
-                    f"isogeny {r.dual_isogeny} vs contragredient {r.dual_contragredient}"
-                )
-            yield r.dual_isogeny
-
-    gen_flats = []
-    for _, p in canonical_generator_points(ell, twist):
-        glued = _glued_flat(p)
-        isog = _mod_flat(_dual_isogeny_flat(glued, ell), ell)
-        contra = _contragredient_flat(_mod_flat(glued, ell), p.epsilon, ell)
-        if isog != contra:
-            raise RouteDisagreementError(
-                f"dual routes disagree on a generator at l={ell}, twist={twist}"
-            )
-        gen_flats.append(isog)
-    if _default_with_elements(ell, with_elements):
-        if ell <= 5:
-            flats = checked(slab_records(ell, twist))
-        else:
-            flats = checked(iter_slab_records(ell, twist))
-    else:
-        flats = None
-    return _build_group(
-        ell, twist,
+    return _image_group(
+        ell, twist, with_elements, "dual_isogeny",
         "parameter family conjugated by the dual-polarization basis, mod l",
-        flats, gen_flats,
     )
 
 
@@ -629,12 +607,10 @@ def paired_group(ell: int, twist: str = "generic") -> tuple:
 
 def paired_generators(ell: int, twist: str = "generic") -> tuple:
     """Simultaneous pairs for the canonical generator points."""
-    out = []
-    for _, p in canonical_generator_points(ell, twist):
-        a_flat = _mod_flat(_glued_flat(p), ell)
-        contra = _contragredient_flat(a_flat, p.epsilon, ell)
-        out.append((_flat_to_mod(a_flat, ell), _flat_to_mod(contra, ell)))
-    return tuple(out)
+    return tuple(
+        (_flat_to_mod(r.image, ell), _flat_to_mod(r.dual_contragredient, ell))
+        for r in _generator_records(ell, twist)
+    )
 
 
 def sample_paired_elements(ell: int, twist: str, count: int, seed) -> list:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from galdual.exactmat import (
+    ClosureCapError,
     DimensionMismatchError,
     ExactMatError,
     LAdicMatrix,
@@ -15,6 +16,7 @@ from galdual.exactmat import (
     UnrepresentableEntryError,
     charpoly_rows,
     check_prime,
+    closure,
     format_matrix,
     lval,
     parse_ladic,
@@ -391,3 +393,36 @@ def test_parse_rejects_garbage():
 def test_format_parse_round_trip_random(ell, pairs):
     m = LAdicMatrix.from_rows([pairs[:2], pairs[2:]], ell)
     assert parse_ladic(format_matrix(m), ell) == m
+
+
+# -- closure ---------------------------------------------------------------------
+
+
+def _add_mod(m):
+    return lambda v, g: tuple((a + b) % m for a, b in zip(v, g))
+
+
+def test_closure_spans_vectors_mod_m():
+    span = closure([(0, 0)], [(2, 0), (0, 3)], _add_mod(6))
+    assert span == frozenset((a, b) for a in (0, 2, 4) for b in (0, 3))
+
+
+def test_closure_from_several_start_points():
+    assert closure([1, 5], [2], lambda x, g: (x * g) % 7) == frozenset({1, 2, 4, 5, 3, 6})
+
+
+def test_closure_cap_raises_with_partial_size():
+    with pytest.raises(ClosureCapError) as info:
+        closure([(0, 0)], [(1, 0), (0, 1)], _add_mod(5), cap=7)
+    assert info.value.partial_size == 8
+    assert info.value.cap == 7
+
+
+def test_closure_at_cap_is_returned():
+    assert len(closure([(0,)], [(1,)], _add_mod(5), cap=5)) == 5
+
+
+def test_closure_cap_error_is_reexported():
+    from galdual import groupengine
+
+    assert groupengine.ClosureCapError is ClosureCapError

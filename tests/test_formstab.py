@@ -2,6 +2,7 @@
 orbit uniqueness, group structure, class enumeration, contragredient
 classification."""
 
+import hashlib
 import itertools
 import re
 
@@ -393,6 +394,16 @@ def test_duality_signature_of_the_dual_is_the_dual_signature():
         assert duality_signature(contragredient_subgroup(h)) == dual_signature(
             duality_signature(h)
         )
+
+
+def test_census_listing_is_pinned():
+    # sha256 of the full 419-line listing, recorded before the closure and
+    # generating-set routines were merged
+    text = format_census(stabilizer_census())
+    assert len(text.splitlines()) == 419
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "92f75babe3fc9f537fbf7c01e7a7558c02e54aeca84297b61d6a946bd91218f1"
+    )
 
 
 def test_census_report_grammar():

@@ -168,6 +168,15 @@ def test_subgroup_elements_cyclic():
     )
 
 
+def test_quotient_group_rejects_denominators_beyond_l_to_the_n():
+    from galdual.lattice import _quotient_group
+
+    mat = LAdicMatrix.from_rows([[Fraction(1, 9), 0], [0, 1]], 3)
+    with pytest.raises(AssertionError, match="beyond l\\^n"):
+        _quotient_group(mat, 1)
+    assert _quotient_group(mat, 2) == frozenset((a, 0) for a in range(9))
+
+
 def test_kernel_format_round_trip():
     ker = KernelSpec(3, 1, 4, ((1, 0, 1, 0),))
     text = format_kernel(ker)
