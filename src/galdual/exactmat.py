@@ -495,6 +495,115 @@ def _fraction_det(rows) -> Fraction:
     return det
 
 
+# -- flat 4x4 integer kernel --------------------------------------------------
+# A flat 4x4 matrix is a 16-tuple of ints in row-major order.  Everything is
+# unrolled: the family records and the charpoly proof call these hundreds of
+# thousands of times.  Results are exact integers; callers reduce mod l.
+
+
+def mul4(a, b) -> tuple:
+    """The product of two flat 4x4 integer matrices."""
+    a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12, a13, a14, a15 = a
+    b0, b1, b2, b3, b4, b5, b6, b7, b8, b9, b10, b11, b12, b13, b14, b15 = b
+    return (
+        a0 * b0 + a1 * b4 + a2 * b8 + a3 * b12,
+        a0 * b1 + a1 * b5 + a2 * b9 + a3 * b13,
+        a0 * b2 + a1 * b6 + a2 * b10 + a3 * b14,
+        a0 * b3 + a1 * b7 + a2 * b11 + a3 * b15,
+        a4 * b0 + a5 * b4 + a6 * b8 + a7 * b12,
+        a4 * b1 + a5 * b5 + a6 * b9 + a7 * b13,
+        a4 * b2 + a5 * b6 + a6 * b10 + a7 * b14,
+        a4 * b3 + a5 * b7 + a6 * b11 + a7 * b15,
+        a8 * b0 + a9 * b4 + a10 * b8 + a11 * b12,
+        a8 * b1 + a9 * b5 + a10 * b9 + a11 * b13,
+        a8 * b2 + a9 * b6 + a10 * b10 + a11 * b14,
+        a8 * b3 + a9 * b7 + a10 * b11 + a11 * b15,
+        a12 * b0 + a13 * b4 + a14 * b8 + a15 * b12,
+        a12 * b1 + a13 * b5 + a14 * b9 + a15 * b13,
+        a12 * b2 + a13 * b6 + a14 * b10 + a15 * b14,
+        a12 * b3 + a13 * b7 + a14 * b11 + a15 * b15,
+    )
+
+
+def minors4(m) -> tuple:
+    """The twelve 2x2 minors of a flat 4x4 matrix, shared by adj4 and charpoly4.
+
+    The first six come from rows 0-1, the last six from rows 2-3, each six
+    over the column pairs (0,1), (0,2), (0,3), (1,2), (1,3), (2,3).
+    """
+    m0, m1, m2, m3, m4, m5, m6, m7, m8, m9, m10, m11, m12, m13, m14, m15 = m
+    return (
+        m0 * m5 - m1 * m4,
+        m0 * m6 - m2 * m4,
+        m0 * m7 - m3 * m4,
+        m1 * m6 - m2 * m5,
+        m1 * m7 - m3 * m5,
+        m2 * m7 - m3 * m6,
+        m8 * m13 - m9 * m12,
+        m8 * m14 - m10 * m12,
+        m8 * m15 - m11 * m12,
+        m9 * m14 - m10 * m13,
+        m9 * m15 - m11 * m13,
+        m10 * m15 - m11 * m14,
+    )
+
+
+def _laplace4(k) -> int:
+    """The determinant from minors4, by Laplace expansion along rows 0-1."""
+    return k[0] * k[11] - k[1] * k[10] + k[2] * k[9] + k[3] * k[8] - k[4] * k[7] + k[5] * k[6]
+
+
+def adj4(m) -> tuple:
+    """``(det, adjugate)`` of a flat 4x4 integer matrix; adj * m = det * I."""
+    m0, m1, m2, m3, m4, m5, m6, m7, m8, m9, m10, m11, m12, m13, m14, m15 = m
+    k = minors4(m)
+    s0, s1, s2, s3, s4, s5, c0, c1, c2, c3, c4, c5 = k
+    return (
+        _laplace4(k),
+        (
+            m5 * c5 - m6 * c4 + m7 * c3,
+            -m1 * c5 + m2 * c4 - m3 * c3,
+            m13 * s5 - m14 * s4 + m15 * s3,
+            -m9 * s5 + m10 * s4 - m11 * s3,
+            -m4 * c5 + m6 * c2 - m7 * c1,
+            m0 * c5 - m2 * c2 + m3 * c1,
+            -m12 * s5 + m14 * s2 - m15 * s1,
+            m8 * s5 - m10 * s2 + m11 * s1,
+            m4 * c4 - m5 * c2 + m7 * c0,
+            -m0 * c4 + m1 * c2 - m3 * c0,
+            m12 * s4 - m13 * s2 + m15 * s0,
+            -m8 * s4 + m9 * s2 - m11 * s0,
+            -m4 * c3 + m5 * c1 - m6 * c0,
+            m0 * c3 - m1 * c1 + m2 * c0,
+            -m12 * s3 + m13 * s1 - m14 * s0,
+            m8 * s3 - m9 * s1 + m10 * s0,
+        ),
+    )
+
+
+def charpoly4(m) -> tuple:
+    """``(e1, e2, e3, e4)`` with det(xI - m) = x^4 - e1 x^3 + e2 x^2 - e3 x + e4.
+
+    e1 is the trace, e2 the sum of the six principal 2x2 minors, e3 the
+    trace of the adjugate (the sum of the principal 3x3 minors) and e4 the
+    determinant; exact integers, unreduced.
+    """
+    m0, m1, m2, m3, m4, m5, m6, m7, m8, m9, m10, m11, m12, m13, m14, m15 = m
+    k = minors4(m)
+    s0, s1, s2, s3, s4, s5, c0, c1, c2, c3, c4, c5 = k
+    return (
+        m0 + m5 + m10 + m15,
+        s0 + c5
+        + m0 * m10 - m2 * m8 + m0 * m15 - m3 * m12
+        + m5 * m10 - m6 * m9 + m5 * m15 - m7 * m13,
+        m5 * c5 - m6 * c4 + m7 * c3
+        + m0 * c5 - m2 * c2 + m3 * c1
+        + m12 * s4 - m13 * s2 + m15 * s0
+        + m8 * s3 - m9 * s1 + m10 * s0,
+        _laplace4(k),
+    )
+
+
 def _fraction_inv(rows) -> list:
     a = [[Fraction(v) for v in row] for row in rows]
     n = len(a)

@@ -502,8 +502,11 @@ def contragredient_census(classes, j: AlternatingForm) -> CensusResult:
     For each class H: (i) is the inclusion representation H -> GL4(F_2)
     equivalent to h -> (h^-1)^T?  Decided by an exhaustive walk of the
     intertwiner span (always complete over F_2).  (ii) Is the image
-    H* = {(h^-1)^T} at least a conjugate subgroup inside GL4(F_2)?  The form
-    fixes the twist character, which is trivial over F_2.
+    H* = {(h^-1)^T} at least a conjugate subgroup inside GL4(F_2)?
+
+    The form ``j`` does not affect the result.  It would fix the twist
+    character, which is trivial over F_2; the parameter stays for callers
+    that pass it positionally.
 
     Verdict (ii) is settled by the cheapest sound evidence, recorded as the
     class's ``conjugacy_evidence``:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import itertools
 import random
+from array import array
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -288,22 +289,34 @@ def f2_transpose(a: int) -> int:
 @functools.cache
 def gl4_elements() -> tuple:
     """All 20160 invertible packed 4x4 matrices over F_2."""
-    return tuple(x for x in range(1 << 16) if f2_inv(x) is not None)
+    return tuple(_gl4_table()[0])
 
 
 @functools.cache
-def _gl4_with_inverses() -> tuple:
-    return tuple((x, f2_inv(x)) for x in gl4_elements())
+def _gl4_table() -> tuple:
+    """GL4(F_2) in packed order and the inverse of each element, position by
+    position: one pass over all 2^16 matrices, kept in 16-bit arrays."""
+    elements, inverses = array("H"), array("H")
+    for x in range(1 << 16):
+        xi = f2_inv(x)
+        if xi is not None:
+            elements.append(x)
+            inverses.append(xi)
+    return elements, inverses
 
 
 def _f2_closure(gens: Iterable[int], cap: int = 30000) -> frozenset:
     return closure([_IDENT], gens, f2_mul, cap)
 
 
-def _f2_small_generating_set(elements: frozenset) -> list:
-    """A small generating set of a packed-F_2 subgroup."""
-    return small_generating_set(
-        sorted(elements), _IDENT, f2_mul, pool=None, tries=24, seed=1729
+@functools.cache
+def _f2_small_generating_set(elements: frozenset) -> tuple:
+    """A small generating set of a packed-F_2 subgroup, computed once per
+    subgroup: the census, its listing and the conjugacy scan all ask."""
+    return tuple(
+        small_generating_set(
+            sorted(elements), _IDENT, f2_mul, pool=None, tries=24, seed=1729
+        )
     )
 
 
@@ -323,7 +336,7 @@ def matrix_subgroups_conjugate(h1, h2) -> bool:
     gens = _f2_small_generating_set(set1)
     g0 = gens[0]
     rest = gens[1:]
-    for x, xi in _gl4_with_inverses():
+    for x, xi in zip(*_gl4_table()):
         if f2_mul(f2_mul(x, g0), xi) not in set2:
             continue
         if all(f2_mul(f2_mul(x, g), xi) in set2 for g in rest):

@@ -32,7 +32,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from galdual.exactmat import LAdicMatrix, ModMatrix, check_prime
+from galdual.exactmat import LAdicMatrix, ModMatrix, adj4, check_prime, mul4
 from galdual.lattice import (
     KernelSpec,
     change_basis_from_kernel,
@@ -193,27 +193,16 @@ def glued_polarization_change_of_basis(ell: int) -> LAdicMatrix:
 # -- flat 4x4 integer helpers ---------------------------------------------------
 
 
-def _mul_flat(a, b):
-    out = []
-    for i in (0, 4, 8, 12):
-        a0, a1, a2, a3 = a[i], a[i + 1], a[i + 2], a[i + 3]
-        for j in range(4):
-            out.append(a0 * b[j] + a1 * b[4 + j] + a2 * b[8 + j] + a3 * b[12 + j])
-    return tuple(out)
-
-
 def _div_flat(t, q):
-    out = []
+    """Divide every entry by q, raising ArithmeticError unless all divide."""
     for v in t:
-        num, rem = divmod(v, q)
-        if rem:
+        if v % q:
             raise ArithmeticError(f"entry {v} not divisible by {q}")
-        out.append(num)
-    return tuple(out)
+    return tuple([v // q for v in t])
 
 
 def _mod_flat(t, m):
-    return tuple(v % m for v in t)
+    return tuple([v % m for v in t])
 
 
 def _flat_of(mat: LAdicMatrix):
@@ -226,24 +215,6 @@ def _flat_to_mod(flat, ell: int) -> ModMatrix:
     return ModMatrix.from_rows(
         [flat[0:4], flat[4:8], flat[8:12], flat[12:16]], ell
     )
-
-
-def _inv_flat_mod(flat, ell: int):
-    """Inverse of a flat 4x4 matrix mod a prime, or None if singular."""
-    a = [list(flat[4 * i : 4 * i + 4]) + [1 if j == i else 0 for j in range(4)]
-         for i in range(4)]
-    for col in range(4):
-        piv = next((r for r in range(col, 4) if a[r][col] % ell), None)
-        if piv is None:
-            return None
-        a[col], a[piv] = a[piv], a[col]
-        inv_p = pow(a[col][col], -1, ell)
-        a[col] = [(v * inv_p) % ell for v in a[col]]
-        for r in range(4):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [(v - f * w) % ell for v, w in zip(a[r], a[col])]
-    return tuple(a[i][4 + j] for i in range(4) for j in range(4))
 
 
 @functools.cache
@@ -274,22 +245,26 @@ def _glued_flat(p: ParamPoint):
         0, 0, p.a + p.x2 * ell, p.b2 + p.y2 * ell,
         0, 0, p.w2 * ell, p.d + p.z2 * ell,
     )
-    return _div_flat(_mul_flat(_mul_flat(mq_inv, g), mq_l), ell)
+    return _div_flat(mul4(mul4(mq_inv, g), mq_l), ell)
 
 
 def _dual_isogeny_flat(glued, ell: int):
     """Glued-basis element conjugated into the dual basis; exact integers."""
     _, _, n_pol, mlam_l = _conjugator_data(ell)
-    return _div_flat(_mul_flat(_mul_flat(n_pol, glued), mlam_l), ell)
+    return _div_flat(mul4(mul4(n_pol, glued), mlam_l), ell)
+
+
+# positions of the transpose in a flat 4x4
+_TRANSPOSED = (0, 4, 8, 12, 1, 5, 9, 13, 2, 6, 10, 14, 3, 7, 11, 15)
 
 
 def _contragredient_flat(a_flat, eps: int, ell: int):
-    inv = _inv_flat_mod(a_flat, ell)
-    if inv is None:
+    """eps * transpose(a^-1) mod l, as eps * det^-1 times the cofactor matrix."""
+    det, adj = adj4(a_flat)
+    if not det % ell:
         raise ArithmeticError("image element is singular; cannot happen")
-    return tuple(
-        (eps * inv[4 * j + i]) % ell for i in range(4) for j in range(4)
-    )
+    c = eps * pow(det, -1, ell)
+    return tuple([c * adj[k] % ell for k in _TRANSPOSED])
 
 
 # -- per-point public routes ------------------------------------------------------

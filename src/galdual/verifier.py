@@ -16,7 +16,7 @@ from typing import Callable, Optional
 from galdual import constants
 from galdual.exactmat import (
     LAdicMatrix,
-    charpoly_rows,
+    charpoly4,
     check_prime,
     format_matrix,
     smith_normal_form,
@@ -78,45 +78,21 @@ class _CheckFailed(Exception):
 # -- small shared helpers ---------------------------------------------------------
 
 
-def _det4_mod(m, p: int) -> int:
-    """Determinant of a flat 4x4 mod p, by expansion along the first two rows."""
-    (
-        m0, m1, m2, m3,
-        m4, m5, m6, m7,
-        m8, m9, m10, m11,
-        m12, m13, m14, m15,
-    ) = m
-    return (
-        (m0 * m5 - m1 * m4) * (m10 * m15 - m11 * m14)
-        - (m0 * m6 - m2 * m4) * (m9 * m15 - m11 * m13)
-        + (m0 * m7 - m3 * m4) * (m9 * m14 - m10 * m13)
-        + (m1 * m6 - m2 * m5) * (m8 * m15 - m11 * m12)
-        - (m1 * m7 - m3 * m5) * (m8 * m14 - m10 * m12)
-        + (m2 * m7 - m3 * m6) * (m8 * m13 - m9 * m12)
-    ) % p
-
-
 def _charpoly_matches_squares(flat, a: int, d: int, ell: int) -> bool:
     """Whether det(xI - M) = (x-a)^2 (x-d)^2 as polynomials over F_l.
 
-    For l >= 5 this evaluates both monic quartics at every field point:
-    their difference has degree <= 3, so agreement at l >= 4 points is a
-    complete proof.  For l <= 3 the coefficients are compared directly.
+    Compares the four coefficients of the monic quartics, a complete proof
+    for every l: (x-a)^2 (x-d)^2 = x^4 - 2(a+d) x^3 + (a^2 + 4ad + d^2) x^2
+    - 2ad(a+d) x + a^2 d^2.
     """
-    if ell >= 5:
-        for c in range(ell):
-            shifted = [
-                ((c if i == j else 0) - flat[4 * i + j]) % ell
-                for i in range(4)
-                for j in range(4)
-            ]
-            expected = ((c - a) ** 2 * (c - d) ** 2) % ell
-            if _det4_mod(shifted, ell) != expected:
-                return False
-        return True
-    rows = [list(flat[4 * i : 4 * i + 4]) for i in range(4)]
-    diag = [[a, 0, 0, 0], [0, a, 0, 0], [0, 0, d, 0], [0, 0, 0, d]]
-    return charpoly_rows(rows, ell) == charpoly_rows(diag, ell)
+    e1, e2, e3, e4 = charpoly4(flat)
+    ad = a * d
+    return (
+        (e1 - 2 * (a + d)) % ell == 0
+        and (e2 - a * a - 4 * ad - d * d) % ell == 0
+        and (e3 - 2 * ad * (a + d)) % ell == 0
+        and (e4 - ad * ad) % ell == 0
+    )
 
 
 def _records(ell: int, twist: str, seed_tag: str):

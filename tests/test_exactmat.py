@@ -14,11 +14,16 @@ from galdual.exactmat import (
     NonIntegralEntryError,
     SingularMatrixError,
     UnrepresentableEntryError,
+    _fraction_det,
+    adj4,
+    charpoly4,
     charpoly_rows,
     check_prime,
     closure,
     format_matrix,
     lval,
+    minors4,
+    mul4,
     parse_ladic,
     parse_mod,
     smith_normal_form,
@@ -283,8 +288,6 @@ def check_smith(a):
     assert lav == diag_from_smith(sf)
     assert list(sf.valuations) == sorted(sf.valuations)
     # transforms are invertible with l-unit determinant
-    from galdual.exactmat import _fraction_det
-
     for t in (left, right):
         dv = _fraction_det(t)
         assert dv != 0
@@ -426,3 +429,80 @@ def test_closure_cap_error_is_reexported():
     from galdual import groupengine
 
     assert groupengine.ClosureCapError is ClosureCapError
+
+
+# -- flat 4x4 kernel -----------------------------------------------------------
+
+FLAT = st.lists(st.integers(-12, 12), min_size=16, max_size=16)
+# residues 0..l-1 hit singular matrices often at small l
+SMALL_FLAT = st.lists(st.integers(0, 2), min_size=16, max_size=16)
+IDENTITY4 = (1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1)
+
+
+def _rows(flat):
+    return [list(flat[4 * i : 4 * i + 4]) for i in range(4)]
+
+
+def _flat(mat):
+    return tuple(v for row in mat.entries for v in row)
+
+
+@given(st.sampled_from(PRIMES), FLAT, FLAT)
+@settings(max_examples=150, deadline=None)
+def test_mul4_matches_modmatrix_mul(ell, fa, fb):
+    got = tuple(v % ell for v in mul4(fa, fb))
+    want = ModMatrix.from_rows(_rows(fa), ell).mul(ModMatrix.from_rows(_rows(fb), ell))
+    assert got == _flat(want)
+
+
+@given(st.one_of(FLAT, SMALL_FLAT))
+@settings(max_examples=150, deadline=None)
+def test_kernel_determinant_matches_fraction_det(flat):
+    det = _fraction_det(_rows(flat))
+    assert adj4(flat)[0] == det
+    assert charpoly4(flat)[3] == det
+
+
+@given(st.one_of(FLAT, SMALL_FLAT))
+@settings(max_examples=150, deadline=None)
+def test_adjugate_times_matrix_is_determinant(flat):
+    det, adj = adj4(flat)
+    scalar = tuple(det * v for v in IDENTITY4)
+    assert mul4(adj, flat) == scalar
+    assert mul4(flat, adj) == scalar
+
+
+@given(st.sampled_from(PRIMES), st.one_of(FLAT, SMALL_FLAT))
+@settings(max_examples=200, deadline=None)
+def test_kernel_inverse_mod_l_or_singular(ell, flat):
+    det, adj = adj4(flat)
+    m = ModMatrix.from_rows(_rows(flat), ell)
+    if det % ell:
+        inv = tuple(pow(det, -1, ell) * v % ell for v in adj)
+        assert tuple(v % ell for v in mul4(inv, flat)) == IDENTITY4
+        assert inv == _flat(m.inv())
+    else:
+        with pytest.raises(SingularMatrixError):
+            m.inv()
+
+
+def test_kernel_reports_a_singular_matrix():
+    flat = (1, 2, 3, 4, 2, 4, 6, 8, 0, 1, 0, 1, 5, 0, 7, 1)  # row 1 = 2 * row 0
+    det, adj = adj4(flat)
+    assert det == 0
+    assert mul4(adj, flat) == (0,) * 16
+
+
+@given(st.sampled_from(PRIMES), st.one_of(FLAT, SMALL_FLAT))
+@settings(max_examples=200, deadline=None)
+def test_charpoly4_matches_charpoly_rows(ell, flat):
+    e1, e2, e3, e4 = charpoly4(flat)
+    assert (1, -e1 % ell, e2 % ell, -e3 % ell, e4 % ell) == charpoly_rows(_rows(flat), ell)
+
+
+def test_minors4_order():
+    flat = tuple(range(1, 17))
+    m = _rows(flat)
+    pairs = list(itertools.combinations(range(4), 2))
+    want = [m[r][i] * m[r + 1][j] - m[r][j] * m[r + 1][i] for r in (0, 2) for i, j in pairs]
+    assert minors4(flat) == tuple(want)

@@ -18,6 +18,8 @@ from galdual.paramgroups import (
     ImageGroup,
     ParamPoint,
     RouteDisagreementError,
+    _contragredient_flat,
+    _div_flat,
     canonical_generator_points,
     dual_element_contragredient,
     dual_element_isogeny,
@@ -622,3 +624,19 @@ def test_property_image_is_multiplicative_on_pairs(p, q):
     lhs = conjugate_by(mq, prod).reduce_mod(1)
     rhs = image_element(p).mul(image_element(q))
     assert lhs.entries == rhs.entries
+
+
+# -- flat helpers: errors ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("ell", [2, 3, 5, 7])
+def test_contragredient_flat_raises_on_a_singular_element(ell):
+    singular = (1, 0, 0, 0, 0, ell, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1)  # det = l
+    with pytest.raises(ArithmeticError, match="singular"):
+        _contragredient_flat(singular, 1, ell)
+
+
+def test_div_flat_raises_on_an_entry_not_divisible():
+    assert _div_flat((0, 6, -9, 3) * 4, 3) == (0, 2, -3, 1) * 4
+    with pytest.raises(ArithmeticError, match="not divisible"):
+        _div_flat((3,) * 15 + (4,), 3)

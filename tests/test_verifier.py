@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from galdual import constants, verifier
+from galdual.exactmat import charpoly_rows
 from galdual.verifier import (
     CheckReport,
     all_passed,
@@ -350,3 +351,62 @@ def test_every_report_is_well_formed(args):
     assert report.counts == tuple(sorted(report.counts))
     assert report.params == tuple(sorted(report.params))
     assert_report_grammar(format_report(report))
+
+
+# -- the charpoly proof ------------------------------------------------------------
+
+
+def _companion(e1, e2, e3, e4):
+    """A flat 4x4 with det(xI - C) = x^4 - e1 x^3 + e2 x^2 - e3 x + e4."""
+    return (0, 0, 0, -e4, 1, 0, 0, e3, 0, 1, 0, -e2, 0, 0, 1, e1)
+
+
+def _squares_coefficients(a, d):
+    """(e1, e2, e3, e4) of (x-a)^2 (x-d)^2."""
+    return 2 * (a + d), a * a + 4 * a * d + d * d, 2 * a * d * (a + d), a * a * d * d
+
+
+def _unit_pairs(ell):
+    return [(a, d) for a in range(1, ell) for d in range(1, ell)]
+
+
+def _rows(flat):
+    return [list(flat[4 * i : 4 * i + 4]) for i in range(4)]
+
+
+@pytest.mark.parametrize("ell", [2, 3, 5, 7])
+def test_charpoly_proof_accepts_the_squares(ell):
+    for a, d in _unit_pairs(ell):
+        flat = _companion(*_squares_coefficients(a, d))
+        assert verifier._charpoly_matches_squares(flat, a, d, ell)
+
+
+@pytest.mark.parametrize("ell", [2, 3, 5, 7])
+@pytest.mark.parametrize("middle", [1, 2])
+def test_charpoly_proof_rejects_a_wrong_middle_coefficient(ell, middle):
+    """Trace and determinant match (x-a)^2 (x-d)^2 and so does one middle
+    coefficient; only the other one (the principal 2-minor sum for
+    middle=1, the adjugate trace for middle=2) tells the quartics apart."""
+    for a, d in _unit_pairs(ell):
+        coeffs = list(_squares_coefficients(a, d))
+        coeffs[middle] += 1
+        flat = _companion(*coeffs)
+        diag = [[a, 0, 0, 0], [0, a, 0, 0], [0, 0, d, 0], [0, 0, 0, d]]
+        got, want = charpoly_rows(_rows(flat), ell), charpoly_rows(diag, ell)
+        assert (got[1], got[4]) == (want[1], want[4])
+        assert got != want
+        assert not verifier._charpoly_matches_squares(flat, a, d, ell)
+
+
+@given(
+    st.sampled_from([2, 3, 5, 7]),
+    st.lists(st.integers(0, 6), min_size=16, max_size=16),
+    st.integers(1, 6),
+    st.integers(1, 6),
+)
+@settings(max_examples=300, deadline=None)
+def test_charpoly_proof_agrees_with_charpoly_rows(ell, flat, a, d):
+    a, d = a % ell or 1, d % ell or 1
+    diag = [[a, 0, 0, 0], [0, a, 0, 0], [0, 0, d, 0], [0, 0, 0, d]]
+    want = charpoly_rows(_rows(flat), ell) == charpoly_rows(diag, ell)
+    assert verifier._charpoly_matches_squares(tuple(flat), a, d, ell) == want
