@@ -2,7 +2,10 @@
 
 Everything here is exact: matrices are immutable tuples of Python integers
 (arbitrary precision), so there is no overflow and no floating point anywhere.
-Two matrix kinds are provided.
+It is the package's one home for linear algebra, with one routine per kind:
+``_fraction_det`` and ``_fraction_inv`` for integer and rational rows,
+``_echelon_mod`` for residue rows over F_l, and ``adj4`` and ``charpoly4``
+for flat 4x4 integer matrices.  Two matrix kinds are provided.
 
 ``LAdicMatrix``
     Entries are rationals whose denominator is a power of a fixed prime l,
@@ -24,6 +27,7 @@ that the group and lattice modules share.
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -74,10 +78,15 @@ def closure(start, gens, act: Callable, cap=None) -> frozenset:
     and start the identity this is the generated subgroup; with act a vector
     sum mod m it is the span.  Raises ClosureCapError as soon as more than
     ``cap`` points are found (no cap when ``cap`` is None).
+
+    Callers may record the walk from inside ``act``: it runs exactly once
+    per (point, generator) pair, the points in the order they are
+    discovered (the start points first, in their given order) and, for
+    each point, the generators in the order given.
     """
     gens = tuple(gens)
-    seen = set(start)
-    queue = list(seen)
+    queue = list(dict.fromkeys(start))
+    seen = set(queue)
     for x in queue:  # the queue grows while it is walked
         for g in gens:
             y = act(x, g)
@@ -89,17 +98,24 @@ def closure(start, gens, act: Callable, cap=None) -> frozenset:
     return frozenset(seen)
 
 
+def is_prime(m: int) -> bool:
+    """Whether the integer ``m`` is prime, by integer trial division."""
+    d = 2
+    while d * d <= m:
+        if m % d == 0:
+            return False
+        d += 1
+    return m >= 2
+
+
 def check_prime(ell: int) -> int:
     """Validate that ``ell`` is a (small) prime and return it."""
     if not isinstance(ell, int) or ell < 2:
         raise ExactMatError(f"not a prime: {ell!r}")
     if ell > 10_000:
         raise ExactMatError(f"prime out of supported range: {ell}")
-    d = 2
-    while d * d <= ell:
-        if ell % d == 0:
-            raise ExactMatError(f"not a prime: {ell}")
-        d += 1
+    if not is_prime(ell):
+        raise ExactMatError(f"not a prime: {ell}")
     return ell
 
 
@@ -215,11 +231,7 @@ class LAdicMatrix:
         )
 
     def scale(self, factor) -> "LAdicMatrix":
-        fp = _pair_from_value(
-            factor if isinstance(factor, (int, tuple, Fraction)) else Fraction(factor),
-            self.ell,
-        )
-        fn, fk = fp
+        fn, fk = _pair_from_value(factor, self.ell)
         return LAdicMatrix(
             self.ell,
             tuple(
@@ -333,9 +345,10 @@ class ModMatrix:
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[int]], ell: int, k: int = 1) -> "ModMatrix":
+        """Reduce integer rows mod l^k; any other entry raises TypeError."""
         m = ell**k
         return ModMatrix(
-            ell, k, tuple(tuple(int(v) % m for v in row) for row in rows)
+            ell, k, tuple(tuple(operator.index(v) % m for v in row) for row in rows)
         )
 
     @staticmethod
@@ -381,33 +394,27 @@ class ModMatrix:
         )
 
     def det(self) -> int:
-        return int(_fraction_det([list(r) for r in self.entries])) % self.modulus
+        return int(_fraction_det(self.entries)) % self.modulus
 
     def inv(self) -> "ModMatrix":
-        """Inverse mod l^k via Gauss-Jordan with unit pivots."""
-        n, m, ell = self.n, self.modulus, self.ell
-        a = [list(row) for row in self.entries]
-        b = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        for col in range(n):
-            piv = next(
-                (r for r in range(col, n) if a[r][col] % ell != 0), None
+        """Inverse mod l^k: the rational inverse of the residues, reduced.
+
+        A unit determinant mod l makes every denominator of that inverse a
+        unit mod l^k; otherwise the matrix is singular mod l^k.
+        """
+        d, m = self.det(), self.modulus
+        if d % self.ell == 0:
+            raise SingularMatrixError(
+                f"matrix is singular mod {self.ell}**{self.k}", determinant=d
             )
-            if piv is None:
-                raise SingularMatrixError(
-                    f"matrix is singular mod {ell}**{self.k}",
-                    determinant=self.det(),
-                )
-            a[col], a[piv] = a[piv], a[col]
-            b[col], b[piv] = b[piv], b[col]
-            inv_p = pow(a[col][col], -1, m)
-            a[col] = [(v * inv_p) % m for v in a[col]]
-            b[col] = [(v * inv_p) % m for v in b[col]]
-            for r in range(n):
-                if r != col and a[r][col]:
-                    f = a[r][col]
-                    a[r] = [(v - f * w) % m for v, w in zip(a[r], a[col])]
-                    b[r] = [(v - f * w) % m for v, w in zip(b[r], b[col])]
-        return ModMatrix(self.ell, self.k, tuple(tuple(row) for row in b))
+        return ModMatrix(
+            self.ell,
+            self.k,
+            tuple(
+                tuple(v.numerator * pow(v.denominator, -1, m) % m for v in row)
+                for row in _fraction_inv(self.entries)
+            ),
+        )
 
     def is_identity(self) -> bool:
         return self == ModMatrix.identity(self.n, self.ell, self.k)
@@ -430,49 +437,14 @@ def charpoly_rows(rows: Sequence[Sequence[int]], p: int) -> tuple:
     Coefficient of x^(n-k) is (-1)^k * (sum of principal k x k minors).
     Returned leading-first, so the tuple starts with 1.
     """
-    n = len(rows)
     coeffs = [1]
-    idx = range(n)
-    for k in range(1, n + 1):
-        total = 0
-        for subset in itertools.combinations(idx, k):
-            total += _int_det_small([[rows[i][j] for j in subset] for i in subset])
-        coeffs.append((-1) ** k * total % p)
+    for k in range(1, len(rows) + 1):
+        total = sum(
+            _fraction_det([[rows[i][j] for j in subset] for i in subset])
+            for subset in itertools.combinations(range(len(rows)), k)
+        )
+        coeffs.append((-1) ** k * int(total) % p)
     return tuple(coeffs)
-
-
-def _int_det_small(rows) -> int:
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    total = 0
-    for perm in itertools.permutations(range(n)):
-        sign = _perm_sign(perm)
-        prod = 1
-        for i, j in enumerate(perm):
-            prod *= rows[i][j]
-            if prod == 0:
-                break
-        total += sign * prod
-    return total
-
-
-def _perm_sign(perm) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j, length = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
 
 
 def _fraction_det(rows) -> Fraction:
@@ -625,6 +597,51 @@ def _fraction_inv(rows) -> list:
                 a[r] = [v - f * w for v, w in zip(a[r], a[col])]
                 b[r] = [v - f * w for v, w in zip(b[r], b[col])]
     return b
+
+
+# -- row reduction over F_l ---------------------------------------------------
+
+
+def _echelon_mod(rows, ncols: int, ell: int):
+    """Row-reduce over F_l; returns (reduced rows, pivot column list)."""
+    mat = [list(r) for r in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(mat)) if mat[i][c] % ell), None)
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        inv = pow(mat[r][c], -1, ell)
+        mat[r] = [(v * inv) % ell for v in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c] % ell:
+                f = mat[i][c]
+                mat[i] = [(v - f * w) % ell for v, w in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    return mat[:r], pivots
+
+
+def _rank_mod(rows, ncols: int, ell: int) -> int:
+    return len(_echelon_mod(rows, ncols, ell)[1])
+
+
+def _nullspace_mod(rows, ncols: int, ell: int):
+    """Echelonized basis of the right nullspace: one vector per free column,
+    with value 1 there and 0 at the other free columns."""
+    reduced, pivots = _echelon_mod(rows, ncols, ell)
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for f in free:
+        v = [0] * ncols
+        v[f] = 1
+        for row, p in zip(reduced, pivots):
+            v[p] = (-row[f]) % ell
+        basis.append(tuple(v))
+    return basis
 
 
 # -- module-level operation names ------------------------------------------

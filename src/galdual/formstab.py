@@ -23,13 +23,18 @@ import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from galdual.exactmat import ClosureCapError, ModMatrix, closure
+from galdual.exactmat import (
+    ClosureCapError,
+    ModMatrix,
+    _nullspace_mod,
+    _rank_mod,
+    closure,
+    is_prime,
+)
 from galdual.groupengine import (
     _IDENT,
     _f2_closure,
     _f2_small_generating_set,
-    _nullspace_mod,
-    _rank_mod,
     f2_inv,
     f2_mul,
     f2_pack,
@@ -198,8 +203,8 @@ def radical_split_extension(elements: frozenset, form: AlternatingForm) -> Split
     V/R; the kernel of the combined action is checked to be elementary
     abelian of order 16, the image to be the full S_3 x S_3 (each factor
     acting as the symmetric group on the three nonzero vectors of its
-    plane), and a complement is found by lifting a generating pair of the
-    image.  Raises ValueError when any structural claim fails.
+    plane), and a complement is found by lifting a small generating set of
+    the image.  Raises ValueError when any structural claim fails.
     """
     radical = form.radical_basis()
     if len(radical) != 2:
@@ -249,20 +254,10 @@ def radical_split_extension(elements: frozenset, form: AlternatingForm) -> Split
         if len(proj) != 6 or len(perms) != 6:
             raise ValueError("a projection is not the full symmetric group S_3")
 
-    pair = next(
-        (
-            st
-            for st in itertools.combinations(sorted(image), 2)
-            if len(_f2_closure(st, cap=36)) == 36
-        ),
-        None,
-    )
-    if pair is None:
-        raise ValueError("action image is not 2-generated")
-    s, t = pair
-    for x, y in itertools.product(sorted(image[s]), sorted(image[t])):
+    image_gens = _f2_small_generating_set(frozenset(image))
+    for lift in itertools.product(*(sorted(image[s]) for s in image_gens)):
         try:
-            h = _f2_closure([x, y], cap=36)
+            h = _f2_closure(lift, cap=36)
         except ClosureCapError:
             continue
         if len(h) == 36 and len(h & kernel) == 1:
@@ -325,10 +320,6 @@ class SubgroupClassRecord:
     conjugacy_evidence: Optional[str] = None
 
 
-def _is_prime(m: int) -> bool:
-    return m > 1 and all(m % d for d in range(2, int(m**0.5) + 1))
-
-
 def subgroup_conjugacy_classes(elements: frozenset) -> list:
     """One representative per conjugacy class of subgroups, by cyclic extension.
 
@@ -386,7 +377,7 @@ def subgroup_conjugacy_classes(elements: frozenset) -> list:
                 m += 1
             coset = frozenset(mul[e][x] for e in h)
             seen |= coset
-            if not _is_prime(m):
+            if not is_prime(m):
                 continue
             ext = set(h)
             y = x

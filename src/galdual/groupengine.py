@@ -24,6 +24,8 @@ from typing import Iterable, Optional, Sequence
 from galdual.exactmat import (
     ClosureCapError,  # noqa: F401  (re-exported for callers of generate_closure)
     ModMatrix,
+    _nullspace_mod,
+    _rank_mod,
     closure,
 )
 from galdual.paramgroups import ImageGroup
@@ -65,51 +67,6 @@ def small_generating_set(ordered, identity, act, pool, tries, seed) -> list:
             if len(closed) == target:
                 break
     return gens
-
-
-# -- linear algebra over F_l -----------------------------------------------------
-
-
-def _echelon_mod(rows, ncols: int, ell: int):
-    """Row-reduce over F_l; returns (reduced rows, pivot column list)."""
-    mat = [list(r) for r in rows]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(mat)) if mat[i][c] % ell), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = pow(mat[r][c], -1, ell)
-        mat[r] = [(v * inv) % ell for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] % ell:
-                f = mat[i][c]
-                mat[i] = [(v - f * w) % ell for v, w in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return mat[:r], pivots
-
-
-def _rank_mod(rows, ncols: int, ell: int) -> int:
-    return len(_echelon_mod(rows, ncols, ell)[1])
-
-
-def _nullspace_mod(rows, ncols: int, ell: int):
-    """Echelonized basis of the right nullspace: one vector per free column,
-    with value 1 there and 0 at the other free columns."""
-    reduced, pivots = _echelon_mod(rows, ncols, ell)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [0] * ncols
-        v[f] = 1
-        for row, p in zip(reduced, pivots):
-            v[p] = (-row[f]) % ell
-        basis.append(tuple(v))
-    return basis
 
 
 # -- intertwiner spaces ---------------------------------------------------------
@@ -440,30 +397,21 @@ def trivial_multiplicity(perm_group: PermGroup) -> int:
 
 
 def orbit_count(perm_group: PermGroup) -> int:
-    """Number of orbits, by union-find over the generators (the independent
+    """Number of orbits, by closure over the generators (the independent
     cross-check for trivial_multiplicity)."""
     return len(_orbits(perm_group))
 
 
 def _orbits(perm_group: PermGroup):
-    parent = list(range(perm_group.degree))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
+    """The orbits as sorted point lists, ordered by their smallest point."""
     gens = perm_group.generators or perm_group.elements
-    for p in gens:
-        for i, x in enumerate(p):
-            ra, rb = find(i), find(x)
-            if ra != rb:
-                parent[ra] = rb
-    groups: dict = {}
+    orbits, seen = [], set()
     for i in range(perm_group.degree):
-        groups.setdefault(find(i), []).append(i)
-    return list(groups.values())
+        if i not in seen:
+            orbit = closure([i], gens, lambda x, g: g[x])
+            seen |= orbit
+            orbits.append(sorted(orbit))
+    return orbits
 
 
 # -- permutation-group conjugacy ----------------------------------------------------
@@ -523,24 +471,16 @@ class _ClosureProgram:
         ident = tuple(range(len(gens[0])))
         self.gens = list(gens)
         index = {ident: 0}
-        elems = [ident]
         ops = []
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for src in frontier:
-                e = elems[src]
-                for j, h in enumerate(self.gens):
-                    e2 = _compose(e, h)
-                    dst = index.get(e2)
-                    if dst is None:
-                        dst = len(elems)
-                        index[e2] = dst
-                        elems.append(e2)
-                        nxt.append(dst)
-                    ops.append((src, j, dst))
-            frontier = nxt
-        self.elems = elems
+
+        def act(e, jh):
+            j, h = jh
+            e2 = _compose(e, h)
+            ops.append((index[e], j, index.setdefault(e2, len(index))))
+            return e2
+
+        closure([ident], enumerate(self.gens), act)
+        self.elems = list(index)
         self.index = index
         self.ops = ops
         self.gen_positions = [index[h] for h in self.gens]
@@ -604,18 +544,15 @@ def _conjugator_from_matching(gens, images, matching):
     """Point bijection sigma with sigma*g = phi(g)*sigma, built orbit by orbit."""
     degree = len(gens[0]) if gens else 0
     sigma = {}
+
+    def act(s, gx):
+        g, x = gx
+        sigma.setdefault(g[s], x[sigma[s]])
+        return g[s]
+
     for p, orbit1, q, _ in matching:
         sigma[p] = q
-        frontier = [p]
-        while frontier:
-            nxt = []
-            for s in frontier:
-                for g, x in zip(gens, images):
-                    t = g[s]
-                    if t not in sigma:
-                        sigma[t] = x[sigma[s]]
-                        nxt.append(t)
-            frontier = nxt
+        closure([p], zip(gens, images), act)
     if len(sigma) != degree or len(set(sigma.values())) != degree:
         return None
     return tuple(sigma[i] for i in range(degree))
@@ -749,19 +686,18 @@ class StableLine:
 
     def eigenvalue_of(self, m: ModMatrix) -> int:
         """Scalar by which an arbitrary stabilizing element acts on the line."""
-        w = _apply(m, self.line)
-        lead = next(i for i, v in enumerate(self.line) if v)
-        s = w[lead]
-        if any(x != (s * v) % self.ell for x, v in zip(w, self.line)):
+        s = _eigenvalue(m, self.line)
+        if s is None:
             raise ValueError("element does not stabilize the line")
         return s
 
 
-def _apply(m: ModMatrix, v):
+def _eigenvalue(m: ModMatrix, v):
+    """The scalar s with m v = s v over F_l, or None when m moves the line."""
     e, ell = m.entries, m.ell
-    return tuple(
-        sum(e[i][j] * v[j] for j in range(len(v))) % ell for i in range(m.n)
-    )
+    w = [sum(e[i][j] * v[j] for j in range(len(v))) % ell for i in range(m.n)]
+    s = w[next(i for i, x in enumerate(v) if x)]
+    return s if all(x == (s * u) % ell for x, u in zip(w, v)) else None
 
 
 def projective_points(ell: int, n: int = 4):
@@ -777,20 +713,11 @@ def common_stable_lines(group: ImageGroup) -> tuple:
     Stability under the generators suffices (the stabilizer of a line is a
     subgroup), so this works in generators-only mode too.
     """
-    ell = group.ell
-    gens = group.generators
     out = []
-    for v in projective_points(ell):
-        lead = next(i for i, x in enumerate(v) if x)
-        character = []
-        for g in gens:
-            w = _apply(g, v)
-            s = w[lead]
-            if any(x != (s * u) % ell for x, u in zip(w, v)):
-                break
-            character.append((g, s))
-        else:
-            out.append(StableLine(ell, v, tuple(character)))
+    for v in projective_points(group.ell):
+        character = tuple((g, _eigenvalue(g, v)) for g in group.generators)
+        if all(s is not None for _, s in character):
+            out.append(StableLine(group.ell, v, character))
     return tuple(out)
 
 

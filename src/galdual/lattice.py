@@ -23,9 +23,9 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from galdual.exactmat import (
-    ExactMatError,
     LAdicMatrix,
     SingularMatrixError,
+    _fraction_inv,
     check_prime,
     closure,
     lval,
@@ -254,8 +254,6 @@ def locally_contains_standard(mat: LAdicMatrix) -> bool:
     Works over plain fractions: the inverse may pick up denominators prime
     to l (units of the local ring) that LAdicMatrix cannot carry.
     """
-    from galdual.exactmat import _fraction_inv
-
     try:
         inv_rows = _fraction_inv(mat.fraction_rows())
     except SingularMatrixError:

@@ -21,6 +21,7 @@ from galdual.exactmat import (
     check_prime,
     closure,
     format_matrix,
+    is_prime,
     lval,
     minors4,
     mul4,
@@ -48,6 +49,18 @@ def test_check_prime_accepts_small_primes():
 def test_check_prime_rejects(bad):
     with pytest.raises(ExactMatError):
         check_prime(bad)
+
+
+def test_is_prime_matches_a_sieve():
+    n = 2000
+    sieve = [False, False] + [True] * (n - 2)
+    for p in range(2, n):
+        if sieve[p]:
+            for q in range(p * p, n, p):
+                sieve[q] = False
+    assert [m for m in range(-5, n) if is_prime(m)] == [
+        m for m in range(n) if sieve[m]
+    ]
 
 
 def test_lval():
@@ -118,6 +131,18 @@ def test_singular_inverse():
     assert exc.value.determinant == 0
 
 
+def test_scale_by_an_l_power_fraction():
+    m = ladic([[2, 1], [0, 4]], 2)
+    assert m.scale(Fraction(1, 2)) == ladic([[1, (1, 1)], [0, 2]], 2)
+    assert m.scale((3, 1)) == ladic([[3, (3, 1)], [0, 6]], 2)
+
+
+@pytest.mark.parametrize("factor", [0.1, 0.5, "1/2", "3", Fraction(1, 3)])
+def test_scale_rejects_floats_strings_and_other_denominators(factor):
+    with pytest.raises(ExactMatError):
+        ladic([[1, 0], [0, 1]], 2).scale(factor)
+
+
 def test_reduce_mod_requires_integrality():
     m = ladic([[1, (1, 1)], [0, 1]], 3)
     with pytest.raises(NonIntegralEntryError) as exc:
@@ -147,6 +172,42 @@ def test_mod_inverse_singular():
     m = ModMatrix.from_rows([[3, 0], [0, 1]], 3, 2)
     with pytest.raises(SingularMatrixError):
         m.inv()
+
+
+@pytest.mark.parametrize("bad", [2.7, Fraction(1, 2), "4"])
+def test_mod_from_rows_rejects_non_integer_entries(bad):
+    # truncating these would give 2, 0 and 1 mod 3; the true residue of
+    # 1/2 mod 3 is 2, so none of them may pass silently
+    with pytest.raises(TypeError):
+        ModMatrix.from_rows([[1, bad], [0, 1]], 3)
+
+
+def test_mod_from_rows_reduces_integers():
+    assert ModMatrix.from_rows([[-1, 10], [4, 9]], 3).entries == ((2, 1), (1, 0))
+
+
+@given(
+    st.sampled_from(PRIMES),
+    st.integers(1, 3),
+    st.integers(1, 5).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(0, 10**6), min_size=n, max_size=n),
+            min_size=n,
+            max_size=n,
+        )
+    ),
+)
+@settings(max_examples=200, deadline=None)
+def test_mod_inverse_both_sides_or_singular(ell, k, rows):
+    m = ModMatrix.from_rows(rows, ell, k)
+    if m.det() % ell:
+        inv = m.inv()
+        assert m.mul(inv).is_identity()
+        assert inv.mul(m).is_identity()
+    else:
+        with pytest.raises(SingularMatrixError) as exc:
+            m.inv()
+        assert exc.value.determinant == m.det()
 
 
 def test_mod_det():
@@ -412,6 +473,32 @@ def test_closure_spans_vectors_mod_m():
 
 def test_closure_from_several_start_points():
     assert closure([1, 5], [2], lambda x, g: (x * g) % 7) == frozenset({1, 2, 4, 5, 3, 6})
+
+
+def test_closure_visits_each_point_and_generator_once_in_order():
+    calls = []
+
+    def act(x, g):
+        calls.append((x, g))
+        return (x + g) % 5
+
+    assert closure([0], [1, 3], act) == frozenset(range(5))
+    # points in discovery order 0, 1, 3, 2, 4; generators as given
+    assert calls == [
+        (0, 1), (0, 3), (1, 1), (1, 3), (3, 1), (3, 3),
+        (2, 1), (2, 3), (4, 1), (4, 3),
+    ]
+
+
+def test_closure_walks_start_points_first_in_given_order():
+    visited = []
+
+    def act(x, g):
+        visited.append(x)
+        return (x * g) % 7
+
+    closure([4, 2, 4], [2], act)
+    assert visited == [4, 2, 1]
 
 
 def test_closure_cap_raises_with_partial_size():

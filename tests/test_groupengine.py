@@ -306,7 +306,7 @@ def test_character_equals_ell_power_nullity():
     group = image_rho_A(3, "trivial")
     perm = to_permutation_group(group)
     counts = permutation_character(perm)
-    from galdual.groupengine import _rank_mod
+    from galdual.exactmat import _rank_mod
 
     for flat, count in zip(group.element_flats(), counts):
         rows = [

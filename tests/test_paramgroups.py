@@ -20,6 +20,8 @@ from galdual.paramgroups import (
     RouteDisagreementError,
     _contragredient_flat,
     _div_flat,
+    _pack,
+    _unpack,
     canonical_generator_points,
     dual_element_contragredient,
     dual_element_isogeny,
@@ -510,6 +512,33 @@ def test_image_group_generators_mode():
 def test_image_group_rejects_primes_past_packed_width(builder, ell):
     with pytest.raises(ValueError, match="l <= 7"):
         builder(ell, with_elements=False)
+
+
+@given(
+    st.sampled_from([2, 3, 5, 7]).flatmap(
+        lambda ell: st.lists(st.integers(0, ell - 1), min_size=16, max_size=16)
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_pack_round_trips_every_residue_up_to_seven(flat):
+    assert _unpack(_pack(tuple(flat))) == tuple(flat)
+
+
+@given(
+    st.sampled_from([11, 13]).flatmap(
+        lambda ell: st.tuples(
+            st.lists(st.integers(0, ell - 1), min_size=16, max_size=16),
+            st.integers(0, 15),
+            st.integers(8, ell - 1),
+        )
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_pack_loses_a_residue_of_eight_or_more(case):
+    # a 3-bit field cannot hold 8..l-1, which is why _build_group rejects l > 7
+    flat, pos, big = case
+    flat[pos] = big
+    assert _unpack(_pack(tuple(flat))) != tuple(flat)
 
 
 def test_image_group_generators_match_points_at_seven():
