@@ -151,7 +151,10 @@ def _norm_pair(num: int, k: int, ell: int) -> tuple:
 def _pair_from_value(value, ell: int) -> tuple:
     if isinstance(value, tuple):
         num, k = value
-        return _norm_pair(int(num), int(k), ell)
+        try:
+            return _norm_pair(operator.index(num), operator.index(k), ell)
+        except TypeError:
+            raise ExactMatError(f"cannot build an entry from {value!r}") from None
     if isinstance(value, int):
         return (value, 0) if value != 0 else (0, 0)
     if isinstance(value, Fraction):
@@ -471,30 +474,6 @@ def _fraction_det(rows) -> Fraction:
 # A flat 4x4 matrix is a 16-tuple of ints in row-major order.  Everything is
 # unrolled: the family records and the charpoly proof call these hundreds of
 # thousands of times.  Results are exact integers; callers reduce mod l.
-
-
-def mul4(a, b) -> tuple:
-    """The product of two flat 4x4 integer matrices."""
-    a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12, a13, a14, a15 = a
-    b0, b1, b2, b3, b4, b5, b6, b7, b8, b9, b10, b11, b12, b13, b14, b15 = b
-    return (
-        a0 * b0 + a1 * b4 + a2 * b8 + a3 * b12,
-        a0 * b1 + a1 * b5 + a2 * b9 + a3 * b13,
-        a0 * b2 + a1 * b6 + a2 * b10 + a3 * b14,
-        a0 * b3 + a1 * b7 + a2 * b11 + a3 * b15,
-        a4 * b0 + a5 * b4 + a6 * b8 + a7 * b12,
-        a4 * b1 + a5 * b5 + a6 * b9 + a7 * b13,
-        a4 * b2 + a5 * b6 + a6 * b10 + a7 * b14,
-        a4 * b3 + a5 * b7 + a6 * b11 + a7 * b15,
-        a8 * b0 + a9 * b4 + a10 * b8 + a11 * b12,
-        a8 * b1 + a9 * b5 + a10 * b9 + a11 * b13,
-        a8 * b2 + a9 * b6 + a10 * b10 + a11 * b14,
-        a8 * b3 + a9 * b7 + a10 * b11 + a11 * b15,
-        a12 * b0 + a13 * b4 + a14 * b8 + a15 * b12,
-        a12 * b1 + a13 * b5 + a14 * b9 + a15 * b13,
-        a12 * b2 + a13 * b6 + a14 * b10 + a15 * b14,
-        a12 * b3 + a13 * b7 + a14 * b11 + a15 * b15,
-    )
 
 
 def minors4(m) -> tuple:

@@ -19,9 +19,13 @@ the two computations are kept deliberately separate.
 
 Matrices are carried mod l^2 until the final conjugation: the bases
 introduce a single factor 1/l, so mod-l^2 input determines the mod-l
-output.  Hot paths run on flat 16-tuples of ints; the integer conjugator
-matrices are derived from the lattice module, never hardcoded, and the
-tests compare the flat route against lattice.conjugate_by directly.
+output.  Every record is built by one residue-level kernel on flat
+16-tuples of ints.  The integer conjugator matrices are derived from the
+lattice module, never hardcoded; for each l, each conjugation is compiled
+into a straight-line function of its nonzero terms (12 for the gluing on
+the family's 8-entry support, 36 for the isogeny on a full 4x4), which
+divides exactly by l and raises ArithmeticError otherwise.  The tests
+compare the compiled functions against lattice.conjugate_by directly.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from galdual.exactmat import LAdicMatrix, ModMatrix, adj4, check_prime, mul4
+from galdual.exactmat import LAdicMatrix, ModMatrix, adj4, check_prime
 from galdual.lattice import (
     KernelSpec,
     change_basis_from_kernel,
@@ -79,8 +83,7 @@ class ParamPoint:
     def __post_init__(self):
         check_prime(self.ell)
         ell = self.ell
-        if self.twist not in TWISTS:
-            raise ValueError(f"unknown twist {self.twist!r}")
+        _check_twist(self.twist)
         for name in ("a", "d"):
             v = getattr(self, name)
             if not 1 <= v <= ell - 1:
@@ -193,18 +196,6 @@ def glued_polarization_change_of_basis(ell: int) -> LAdicMatrix:
 # -- flat 4x4 integer helpers ---------------------------------------------------
 
 
-def _div_flat(t, q):
-    """Divide every entry by q, raising ArithmeticError unless all divide."""
-    for v in t:
-        if v % q:
-            raise ArithmeticError(f"entry {v} not divisible by {q}")
-    return tuple([v // q for v in t])
-
-
-def _mod_flat(t, m):
-    return tuple([v % m for v in t])
-
-
 def _flat_of(mat: LAdicMatrix):
     if not mat.is_integral():
         raise ArithmeticError("conjugator matrix must be integral")
@@ -235,23 +226,82 @@ def _conjugator_data(ell: int):
     )
 
 
-def _glued_flat(p: ParamPoint):
-    """Family element conjugated into the glued basis; exact integers."""
-    ell = p.ell
-    mq_inv, mq_l, _, _ = _conjugator_data(ell)
-    g = (
-        p.a + p.x1 * ell, p.b1 + p.y1 * ell, 0, 0,
-        p.w1 * ell, p.d + p.z1 * ell, 0, 0,
-        0, 0, p.a + p.x2 * ell, p.b2 + p.y2 * ell,
-        0, 0, p.w2 * ell, p.d + p.z2 * ell,
+# -- compiled conjugations ---------------------------------------------------------
+
+# the flat positions where a family element can be nonzero, in the order
+# the compiled gluing conjugation takes them as arguments
+_FAMILY_SUPPORT = (0, 1, 4, 5, 10, 11, 14, 15)
+
+
+def _sparse_terms(left, right, inputs):
+    """The nonzero terms of X -> left * X * right on flat 4x4 matrices.
+
+    X is read only at the flat positions ``inputs``; each term is a triple
+    ``(output position, index into inputs, integer coefficient)``.
+    """
+    return [
+        (4 * i + j, n, left[4 * i + pos // 4] * right[4 * (pos % 4) + j])
+        for i in range(4)
+        for j in range(4)
+        for n, pos in enumerate(inputs)
+        if left[4 * i + pos // 4] and right[4 * (pos % 4) + j]
+    ]
+
+
+def _not_divisible(entries, ell: int):
+    v = next(v for v in entries if v % ell)
+    raise ArithmeticError(f"entry {v} not divisible by {ell}")
+
+
+def _linear_form(terms) -> str:
+    """Source text of sum(c * x_n) over ``(n, c)`` pairs, e.g. 'x0 - 3 * x2'."""
+    text = ""
+    for n, c in terms:
+        sign = "-" if c < 0 else "+"
+        mag = f"x{n}" if abs(c) == 1 else f"{abs(c)} * x{n}"
+        text = f"{sign}{mag}" if not text else f"{text} {sign} {mag}"
+    return text.lstrip("+")
+
+
+def _compile_conjugation(left, right, inputs, ell: int, name: str):
+    """Straight-line code for X -> (left * X * right) / l.
+
+    The generated function takes X's entries at the flat positions
+    ``inputs`` as positional arguments, one multiply-add per nonzero term
+    of ``_sparse_terms``, and returns the exact flat 16-tuple.  It raises
+    ArithmeticError when an entry of the product is not divisible by l.
+    """
+    sums = {}
+    for out, n, c in _sparse_terms(left, right, inputs):
+        sums.setdefault(out, []).append((n, c))
+    live = sorted(sums)
+    lines = [f"def {name}({', '.join(f'x{n}' for n in range(len(inputs)))}):"]
+    lines += [f"    e{out} = {_linear_form(sums[out])}" for out in live]
+    lines += [
+        f"    if {' or '.join(f'e{out} % {ell}' for out in live)}:",
+        f"        _not_divisible(({', '.join(f'e{out}' for out in live)},), {ell})",
+        "    return ("
+        + ", ".join(f"e{out} // {ell}" if out in sums else "0" for out in range(16))
+        + ")",
+    ]
+    namespace = {"_not_divisible": _not_divisible}
+    exec(compile("\n".join(lines), f"<{name} l={ell}>", "exec"), namespace)
+    return namespace[name]
+
+
+@functools.cache
+def _compiled_conjugations(ell: int):
+    """``(glue, isogeny)``: the two conjugations compiled for one prime.
+
+    ``glue`` takes the family element's eight entries at _FAMILY_SUPPORT and
+    returns it in the glued basis; ``isogeny`` takes all sixteen entries of
+    a glued-basis element and returns it in the dual basis.
+    """
+    mq_inv, mq_l, n_pol, mlam_l = _conjugator_data(ell)
+    return (
+        _compile_conjugation(mq_inv, mq_l, _FAMILY_SUPPORT, ell, "glue"),
+        _compile_conjugation(n_pol, mlam_l, range(16), ell, "isogeny"),
     )
-    return _div_flat(mul4(mul4(mq_inv, g), mq_l), ell)
-
-
-def _dual_isogeny_flat(glued, ell: int):
-    """Glued-basis element conjugated into the dual basis; exact integers."""
-    _, _, n_pol, mlam_l = _conjugator_data(ell)
-    return _div_flat(mul4(mul4(n_pol, glued), mlam_l), ell)
 
 
 # positions of the transpose in a flat 4x4
@@ -267,72 +317,7 @@ def _contragredient_flat(a_flat, eps: int, ell: int):
     return tuple([c * adj[k] % ell for k in _TRANSPOSED])
 
 
-# -- per-point public routes ------------------------------------------------------
-
-
-def image_element(p: ParamPoint) -> ModMatrix:
-    """Mod-l image of one family element on the glued surface."""
-    return _flat_to_mod(_mod_flat(_glued_flat(p), p.ell), p.ell)
-
-
-def dual_element_contragredient(p: ParamPoint) -> ModMatrix:
-    """Dual-surface image via the twisted inverse-transpose."""
-    a_flat = _mod_flat(_glued_flat(p), p.ell)
-    return _flat_to_mod(_contragredient_flat(a_flat, p.epsilon, p.ell), p.ell)
-
-
-def dual_element_isogeny(p: ParamPoint) -> ModMatrix:
-    """Dual-surface image via conjugation by the polarization basis change."""
-    return _flat_to_mod(
-        _mod_flat(_dual_isogeny_flat(_glued_flat(p), p.ell), p.ell), p.ell
-    )
-
-
-# -- enumeration ---------------------------------------------------------------------
-
-
-def parameter_count(ell: int, twist: str = "generic") -> int:
-    """Number of distinct mod-l image elements (= distinct image pairs)."""
-    check_prime(ell)
-    units = 1 if twist == "trivial" else ell - 1
-    return units * (ell - 1) * ell**5
-
-
-def slab_points(ell: int, twist: str = "generic") -> Iterator[ParamPoint]:
-    """A transversal of the family: one point per distinct mod-l image pair.
-
-    The mod-l images depend only on (a, d, b1, b2, w1, w2, x1 - x2) and
-    z1 - z2 is then forced, so fixing x2 = y1 = y2 = z2 = 0 and solving z1
-    walks each image pair exactly once.
-    """
-    check_prime(ell)
-    if twist not in TWISTS:
-        raise ValueError(f"unknown twist {twist!r}")
-    a_range = (1,) if twist == "trivial" else range(1, ell)
-    for a in a_range:
-        a_inv = pow(a, -1, ell)
-        for d in range(1, ell):
-            for b1, b2, w1, w2, x1 in itertools.product(range(ell), repeat=5):
-                z1 = (a_inv * (b1 * w1 - b2 * w2 - d * x1)) % ell
-                yield ParamPoint(
-                    ell, a=a, d=d, b1=b1, b2=b2, w1=w1, w2=w2,
-                    x1=x1, z1=z1, twist=twist,
-                )
-
-
-def random_param_point(rng: random.Random, ell: int, twist: str = "generic") -> ParamPoint:
-    """A uniformly random family element (all ten free residues drawn)."""
-    a = 1 if twist == "trivial" else rng.randrange(1, ell)
-    kwargs = {
-        name: rng.randrange(ell)
-        for name in ("b1", "b2", "w1", "w2", "x1", "x2", "y1", "y2", "z2")
-    }
-    return ParamPoint.solved(
-        ell, a=a, d=rng.randrange(1, ell), twist=twist, **kwargs
-    )
-
-
-# -- per-point records and their cache ------------------------------------------------
+# -- per-point records -----------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -346,13 +331,117 @@ class PointRecord:
     d: int
 
 
+@functools.cache
+def _record_kernel(ell: int):
+    """The one way records are built at prime l: from the twelve residues of a point.
+
+    ``record(a, d, b1, b2, w1, w2, x1, x2, y1, y2, z1, z2)`` checks the mod-l
+    determinant constraint, glues the family element, reduces it mod l,
+    and computes both dual routes apart: the contragredient of the image
+    and the isogeny conjugation of the exact glued element.  The residues
+    are taken as given; ParamPoint validates their ranges.
+    """
+    check_prime(ell)
+    glue, isogeny = _compiled_conjugations(ell)
+
+    def record(a, d, b1, b2, w1, w2, x1, x2, y1, y2, z1, z2) -> PointRecord:
+        if (a * (z1 - z2) - b1 * w1 + b2 * w2 + d * (x1 - x2)) % ell:
+            raise ValueError(f"determinant constraint violated mod {ell}")
+        glued = glue(
+            a + x1 * ell, b1 + y1 * ell, w1 * ell, d + z1 * ell,
+            a + x2 * ell, b2 + y2 * ell, w2 * ell, d + z2 * ell,
+        )
+        image = tuple([v % ell for v in glued])
+        return PointRecord(
+            image,
+            _contragredient_flat(image, a * d, ell),
+            tuple([v % ell for v in isogeny(*glued)]),
+            a,
+            d,
+        )
+
+    return record
+
+
 def _record(p: ParamPoint) -> PointRecord:
-    ell = p.ell
-    glued = _glued_flat(p)
-    a_flat = _mod_flat(glued, ell)
-    contra = _contragredient_flat(a_flat, p.epsilon, ell)
-    isog = _mod_flat(_dual_isogeny_flat(glued, ell), ell)
-    return PointRecord(a_flat, contra, isog, p.a, p.d)
+    return _record_kernel(p.ell)(
+        p.a, p.d, p.b1, p.b2, p.w1, p.w2, p.x1, p.x2, p.y1, p.y2, p.z1, p.z2
+    )
+
+
+# -- per-point public routes ------------------------------------------------------
+
+
+def image_element(p: ParamPoint) -> ModMatrix:
+    """Mod-l image of one family element on the glued surface."""
+    return _flat_to_mod(_record(p).image, p.ell)
+
+
+def dual_element_contragredient(p: ParamPoint) -> ModMatrix:
+    """Dual-surface image via the twisted inverse-transpose."""
+    return _flat_to_mod(_record(p).dual_contragredient, p.ell)
+
+
+def dual_element_isogeny(p: ParamPoint) -> ModMatrix:
+    """Dual-surface image via conjugation by the polarization basis change."""
+    return _flat_to_mod(_record(p).dual_isogeny, p.ell)
+
+
+# -- enumeration ---------------------------------------------------------------------
+
+
+def parameter_count(ell: int, twist: str = "generic") -> int:
+    """Number of distinct mod-l image elements (= distinct image pairs)."""
+    check_prime(ell)
+    units = 1 if twist == "trivial" else ell - 1
+    return units * (ell - 1) * ell**5
+
+
+def _check_twist(twist: str) -> None:
+    if twist not in TWISTS:
+        raise ValueError(f"unknown twist {twist!r}")
+
+
+def _slab_residues(ell: int, twist: str) -> Iterator[tuple]:
+    """A transversal of the family: one point per distinct mod-l image pair.
+
+    The mod-l images depend only on (a, d, b1, b2, w1, w2, x1 - x2) and
+    z1 - z2 is then forced, so fixing x2 = y1 = y2 = z2 = 0 and solving z1
+    walks each image pair exactly once.  Yields the twelve residues in
+    ParamPoint's field order.
+    """
+    check_prime(ell)
+    _check_twist(twist)
+    a_range = (1,) if twist == "trivial" else range(1, ell)
+    for a in a_range:
+        a_inv = pow(a, -1, ell)
+        for d in range(1, ell):
+            for b1, b2, w1, w2, x1 in itertools.product(range(ell), repeat=5):
+                z1 = (a_inv * (b1 * w1 - b2 * w2 - d * x1)) % ell
+                yield (a, d, b1, b2, w1, w2, x1, 0, 0, 0, z1, 0)
+
+
+def _draw_residues(rng: random.Random, ell: int, twist: str) -> tuple:
+    """The residues of a uniformly random family element, z1 solved.
+
+    Draws a (unless the twist is trivial), then b1 ... y2, z2, then d, each
+    with one ``rng.randrange``; seeded samples are pinned to this order.
+    """
+    a = 1 if twist == "trivial" else rng.randrange(1, ell)
+    b1, b2, w1, w2, x1, x2, y1, y2, z2 = [rng.randrange(ell) for _ in range(9)]
+    d = rng.randrange(1, ell)
+    z1 = (z2 + pow(a, -1, ell) * (b1 * w1 - b2 * w2 - d * x1 + d * x2)) % ell
+    return (a, d, b1, b2, w1, w2, x1, x2, y1, y2, z1, z2)
+
+
+def slab_points(ell: int, twist: str = "generic") -> Iterator[ParamPoint]:
+    """The transversal of _slab_residues as ParamPoints."""
+    return (ParamPoint(ell, *r, twist=twist) for r in _slab_residues(ell, twist))
+
+
+def random_param_point(rng: random.Random, ell: int, twist: str = "generic") -> ParamPoint:
+    """A uniformly random family element (all ten free residues drawn)."""
+    return ParamPoint(ell, *_draw_residues(rng, ell, twist), twist=twist)
 
 
 @functools.cache
@@ -363,17 +452,19 @@ def slab_records(ell: int, twist: str = "generic"):
             "full enumeration is only cached for l <= 5; "
             "use iter_slab_records or sample_records"
         )
-    return tuple(_record(p) for p in slab_points(ell, twist))
+    return tuple(iter_slab_records(ell, twist))
 
 
 def iter_slab_records(ell: int, twist: str = "generic") -> Iterator[PointRecord]:
-    return (_record(p) for p in slab_points(ell, twist))
+    return itertools.starmap(_record_kernel(ell), _slab_residues(ell, twist))
 
 
 def sample_records(ell: int, twist: str, count: int, seed) -> list:
     """Records of seeded random family elements (all ten residues free)."""
+    _check_twist(twist)
+    record = _record_kernel(ell)
     rng = random.Random(seed)
-    return [_record(random_param_point(rng, ell, twist)) for _ in range(count)]
+    return [record(*_draw_residues(rng, ell, twist)) for _ in range(count)]
 
 
 # -- image groups ------------------------------------------------------------------

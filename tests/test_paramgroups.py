@@ -7,6 +7,8 @@ confirmed independently by closure computations from the canonical
 generators at l = 2 and l = 3.
 """
 
+import hashlib
+import itertools
 import random
 
 import pytest
@@ -15,12 +17,19 @@ from hypothesis import given, settings, strategies as st
 from galdual.exactmat import LAdicMatrix, ModMatrix, charpoly
 from galdual.lattice import conjugate_by
 from galdual.paramgroups import (
+    _FAMILY_SUPPORT,
+    TWISTS,
     ImageGroup,
     ParamPoint,
     RouteDisagreementError,
+    _compiled_conjugations,
+    _conjugator_data,
     _contragredient_flat,
-    _div_flat,
+    _flat_of,
     _pack,
+    _record,
+    _record_kernel,
+    _sparse_terms,
     _unpack,
     canonical_generator_points,
     dual_element_contragredient,
@@ -37,6 +46,7 @@ from galdual.paramgroups import (
     image_rho_A,
     image_rho_Adual_contragredient,
     image_rho_Adual_isogeny,
+    iter_slab_records,
     lift_element,
     matches_dual_shape,
     matches_image_shape,
@@ -665,7 +675,106 @@ def test_contragredient_flat_raises_on_a_singular_element(ell):
         _contragredient_flat(singular, 1, ell)
 
 
-def test_div_flat_raises_on_an_entry_not_divisible():
-    assert _div_flat((0, 6, -9, 3) * 4, 3) == (0, 2, -3, 1) * 4
-    with pytest.raises(ArithmeticError, match="not divisible"):
-        _div_flat((3,) * 15 + (4,), 3)
+def test_compiled_conjugation_raises_on_an_entry_not_divisible():
+    identity = (1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1)
+    for ell in (2, 3, 5, 7):
+        glue, isogeny = _compiled_conjugations(ell)
+        assert isogeny(*identity) == identity  # the dual-side factors are inverse
+        with pytest.raises(ArithmeticError, match="not divisible"):
+            isogeny(*(0,) * 15, 1)
+        with pytest.raises(ArithmeticError, match="not divisible"):
+            glue(1, 0, 0, 0, 0, 0, 0, 0)
+
+
+def test_record_kernel_rejects_a_violated_constraint():
+    with pytest.raises(ValueError, match="determinant constraint"):
+        _record_kernel(3)(1, 1, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0)
+
+
+# -- compiled conjugations and the residue kernel ---------------------------------
+
+
+def _mul(fa, fb):
+    """The exact product of two flat 4x4 integer matrices."""
+    return tuple(
+        sum(fa[4 * i + k] * fb[4 * k + j] for k in range(4))
+        for i in range(4)
+        for j in range(4)
+    )
+
+
+def _records_sha256(records) -> str:
+    rows = [(r.image, r.dual_contragredient, r.dual_isogeny, r.a, r.d) for r in records]
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("ell", [2, 3, 5, 7, 11, 13])
+def test_sparse_terms_counts(ell):
+    mq_inv, mq_l, n_pol, mlam_l = _conjugator_data(ell)
+    assert len(_sparse_terms(mq_inv, mq_l, _FAMILY_SUPPORT)) == 12
+    assert len(_sparse_terms(n_pol, mlam_l, range(16))) == 36
+
+
+@pytest.mark.parametrize("twist", TWISTS)
+@pytest.mark.parametrize("ell", [2, 3, 5, 7, 11, 13])
+def test_compiled_conjugations_match_conjugate_by(ell, twist):
+    """Exact integer agreement with the lattice route, before any reduction."""
+    glue, isogeny = _compiled_conjugations(ell)
+    mq = gluing_change_of_basis(ell)
+    mlam = glued_polarization_change_of_basis(ell)
+    rng = random.Random(f"compiled:{ell}:{twist}")
+    for _ in range(40):
+        lifted = lift_element(random_param_point(rng, ell, twist))
+        flat = _flat_of(lifted)
+        glued_exact = conjugate_by(mq, lifted)
+        glued = glue(*(flat[k] for k in _FAMILY_SUPPORT))
+        assert glued == _flat_of(glued_exact)
+        assert isogeny(*glued) == _flat_of(conjugate_by(mlam, glued_exact))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from([2, 3, 5, 7, 11, 13]),
+    st.lists(st.integers(-10**6, 10**6), min_size=16, max_size=16),
+)
+def test_compiled_conjugations_are_the_triple_products(ell, xs):
+    """On l * X the division is exact, so each function is the plain product."""
+    glue, isogeny = _compiled_conjugations(ell)
+    mq_inv, mq_l, n_pol, mlam_l = _conjugator_data(ell)
+    assert isogeny(*(ell * x for x in xs)) == _mul(_mul(n_pol, xs), mlam_l)
+    on_support = [xs[k] if k in _FAMILY_SUPPORT else 0 for k in range(16)]
+    assert glue(*(ell * xs[k] for k in _FAMILY_SUPPORT)) == _mul(
+        _mul(mq_inv, on_support), mq_l
+    )
+
+
+# sha256 of sample_records(7, twist, 10000, f"{tag}:7:{twist}"), the samples
+# the two sampled registry checks read; measured before the residue kernel
+L7_SAMPLE_SHA256 = {
+    ("dual-route-agreement", "generic"):
+        "03284f2affd477259bc23176f4393ad05efb8fe043e3a79ce11e7b91aee6eb57",
+    ("dual-route-agreement", "trivial"):
+        "c570800a409bef3ffb26581c54ee0825e8856c7368c78e253b78de05d8edeb7d",
+    ("semisimp-charpoly", "generic"):
+        "4b6113ed6b5ce94cbaa5c83e4978a9983adf037ae1ea0e535ddc3f2539bff1da",
+    ("semisimp-charpoly", "trivial"):
+        "0654c88cb4a2f3e000dcb797bb915fbc0a936e6496069944be5816c6b7d1d307",
+}
+
+
+@pytest.mark.parametrize("tag,twist", sorted(L7_SAMPLE_SHA256))
+def test_l7_sample_sequence_is_pinned(tag, twist):
+    records = sample_records(7, twist, 10000, f"{tag}:7:{twist}")
+    assert _records_sha256(records) == L7_SAMPLE_SHA256[(tag, twist)]
+
+
+@pytest.mark.parametrize("twist", TWISTS)
+@pytest.mark.parametrize("ell", [2, 3, 5, 7])
+def test_point_routes_match_the_residue_path(ell, twist):
+    """slab_points / random_param_point then _record give the kernel's records."""
+    count = 3000 if ell == 7 else None
+    by_point = [_record(p) for p in itertools.islice(slab_points(ell, twist), count)]
+    assert by_point == list(itertools.islice(iter_slab_records(ell, twist), count))
+    rng = random.Random(ell)
+    by_point = [_record(random_param_point(rng, ell, twist)) for _ in range(500)]
+    assert by_point == sample_records(ell, twist, 500, ell)
