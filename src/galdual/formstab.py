@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from array import array
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -275,6 +276,9 @@ def structure_invariants(
     )
     if len(elements) > 10_000:
         raise ValueError("group order over budget for structure invariants")
+    # a singular element's powers never reach the identity
+    if any(f2_inv(x) is None for x in elements):
+        raise ValueError("structure invariants need invertible elements")
     exponent = 1
     for x in elements:
         exponent = math.lcm(exponent, _element_order(x))
@@ -320,6 +324,48 @@ class SubgroupClassRecord:
     conjugacy_evidence: Optional[str] = None
 
 
+def _group_tables(elems: list, index: dict) -> tuple:
+    """Tables of a packed group on the positions of its elements in ``elems``.
+
+    Returns (mul, conj, gens): mul[g][x] is the position of g x, conj[g][x]
+    that of g x g^-1, and gens lists the positions of a generating set.
+    Rows are 16-bit arrays.
+
+    Only the generators' rows are computed by matrix products.  Both
+    g -> mul[g] and g -> conj[g] are homomorphisms into permutations of the
+    positions, so every other row is composed from them along one
+    breadth-first walk: row(g s)[x] = row(g)[row(s)[x]].  Raises ValueError
+    when the elements do not form a group.
+    """
+    gen_rows = []
+    try:
+        for s in _f2_small_generating_set(frozenset(elems)):
+            si = f2_inv(s)
+            if si is None:
+                raise ValueError("element set is not a group: an element has no inverse")
+            gen_rows.append((
+                index[s],
+                array("H", [index[f2_mul(s, x)] for x in elems]),
+                array("H", [index[f2_mul(f2_mul(s, x), si)] for x in elems]),
+            ))
+    except (ClosureCapError, KeyError):
+        raise ValueError("element set is not a group: not closed under products") from None
+    e0 = index[_IDENT]
+    mul = [None] * len(elems)
+    conj = [None] * len(elems)
+    mul[e0] = conj[e0] = array("H", range(len(elems)))
+    queue = [e0]
+    for g in queue:  # the queue grows while it is walked; it reaches every element
+        row, conj_row = mul[g], conj[g]
+        for s, s_row, s_conj_row in gen_rows:
+            gs = row[s]
+            if mul[gs] is None:
+                mul[gs] = array("H", map(row.__getitem__, s_row))
+                conj[gs] = array("H", map(conj_row.__getitem__, s_conj_row))
+                queue.append(gs)
+    return mul, conj, [s for s, _, _ in gen_rows]
+
+
 def subgroup_conjugacy_classes(elements: frozenset) -> list:
     """One representative per conjugacy class of subgroups, by cyclic extension.
 
@@ -337,35 +383,26 @@ def subgroup_conjugacy_classes(elements: frozenset) -> list:
     index = {g: i for i, g in enumerate(elems)}
     if _IDENT not in index:
         raise ValueError("element set does not contain the identity")
-    mul = [
-        [index[f2_mul(gi, gj)] for gj in elems]
-        for gi in elems
-    ]
-    inv = [index[f2_inv(g)] for g in elems]
+    mul, conj, gens = _group_tables(elems, index)
     e0 = index[_IDENT]
 
     registry: dict = {}
-    classes: list = []  # (representative frozenset, class_size, normalizer list)
+    classes: list = []  # (representative, class_size, normalizer, generators of the representative)
 
-    def register(h: frozenset):
-        orbit = set()
-        normalizer = []
-        for g in range(n):
-            gi = inv[g]
-            hg = frozenset(mul[mul[g][x]][gi] for x in h)
-            orbit.add(hg)
-            if hg == h:
-                normalizer.append(g)
+    def register(h: frozenset, hgens: tuple):
+        orbit = closure([h], gens, lambda hg, s: frozenset(map(conj[s].__getitem__, hg)))
+        # g normalizes H when it conjugates H's generators into H
+        normalizer = [g for g in range(n) if h.issuperset(map(conj[g].__getitem__, hgens))]
         for hg in orbit:
             registry[hg] = len(classes)
-        if n % len(orbit):
-            raise AssertionError("orbit size does not divide the group order")
-        classes.append((h, len(orbit), normalizer))
+        if len(orbit) * len(normalizer) != n:
+            raise AssertionError("orbit and normalizer sizes do not multiply to the group order")
+        classes.append((h, len(orbit), normalizer, hgens))
 
-    register(frozenset({e0}))
+    register(frozenset({e0}), ())
     queue = [0]
     while queue:
-        h, _, normalizer = classes[queue.pop()]
+        h, _, normalizer, hgens = classes[queue.pop()]
         seen = set(h)
         for x in normalizer:
             if x in seen:
@@ -387,7 +424,7 @@ def subgroup_conjugacy_classes(elements: frozenset) -> list:
             ext = frozenset(ext)
             if ext not in registry:
                 queue.append(len(classes))
-                register(ext)
+                register(ext, hgens + (x,))
 
     records = [
         SubgroupClassRecord(
@@ -395,7 +432,7 @@ def subgroup_conjugacy_classes(elements: frozenset) -> list:
             order=len(h),
             class_size=size,
         )
-        for h, size, _ in classes
+        for h, size, _, _ in classes
     ]
     records.sort(key=lambda r: (r.order, tuple(sorted(r.representative))))
     return records

@@ -252,13 +252,30 @@ def gl4_elements() -> tuple:
 @functools.cache
 def _gl4_table() -> tuple:
     """GL4(F_2) in packed order and the inverse of each element, position by
-    position: one pass over all 2^16 matrices, kept in 16-bit arrays."""
+    position, kept in 16-bit arrays.
+
+    Rows are chosen from the top (row 3, the high nibble) down, each outside
+    the span of the rows above it, so the packed values come out ascending.
+    ``coords[v]`` holds the coordinates of each span vector v in the chosen
+    rows (bit k for row k) and is None off the span.  Since I = A^-1 A, row i
+    of A^-1 is the coordinate vector of e_i in the rows of A.
+    """
     elements, inverses = array("H"), array("H")
-    for x in range(1 << 16):
-        xi = f2_inv(x)
-        if xi is not None:
-            elements.append(x)
-            inverses.append(xi)
+
+    def choose(row, packed, coords):
+        if row < 0:
+            elements.append(packed)
+            inverses.append(sum(coords[1 << i] << (4 * i) for i in range(4)))
+            return
+        for r in range(1, 16):
+            if coords[r] is None:
+                spanned = list(coords)
+                for v, c in enumerate(coords):
+                    if c is not None:
+                        spanned[v ^ r] = c | (1 << row)
+                choose(row - 1, packed | (r << (4 * row)), spanned)
+
+    choose(3, 0, [0] + [None] * 15)
     return elements, inverses
 
 
@@ -291,6 +308,8 @@ def matrix_subgroups_conjugate(h1, h2) -> bool:
     if set1 == set2:
         return True
     gens = _f2_small_generating_set(set1)
+    if not gens:  # set1 is {I}, which only {I} is conjugate to
+        return False
     g0 = gens[0]
     rest = gens[1:]
     for x, xi in zip(*_gl4_table()):

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from galdual import constants
 from galdual.exactmat import ModMatrix
 from galdual.formstab import (
+    _group_tables,
     _IDENT,
     AlternatingForm,
     alternating_forms,
@@ -222,6 +223,11 @@ def test_structure_accepts_matrices():
     assert si.order == 6
 
 
+def test_structure_rejects_a_singular_element():
+    with pytest.raises(ValueError, match="invertible"):
+        structure_invariants(frozenset({_IDENT, 0}))
+
+
 def test_structure_budget():
     from galdual.groupengine import gl4_elements
 
@@ -310,6 +316,45 @@ def test_enumeration_requires_identity():
         subgroup_conjugacy_classes(frozenset({f2_pack(mod2(
             [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
         ))}))
+
+
+def test_enumeration_rejects_a_set_not_closed_under_products():
+    with pytest.raises(ValueError, match="not a group"):
+        subgroup_conjugacy_classes(frozenset({_IDENT, 0x8142}))
+
+
+def test_enumeration_rejects_a_singular_element():
+    # {I, 0} is closed under products, but 0 has no inverse
+    with pytest.raises(ValueError, match="not a group"):
+        subgroup_conjugacy_classes(frozenset({_IDENT, 0}))
+
+
+@pytest.mark.parametrize(
+    "builder",
+    [klein_group, sym3_group, dihedral8_group, elementary16_group, glued_form_stabilizer],
+)
+def test_group_tables_match_f2_arithmetic(builder):
+    elems = sorted(builder())
+    index = {g: i for i, g in enumerate(elems)}
+    mul, conj, gens = _group_tables(elems, index)
+    for i, g in enumerate(elems):
+        gi = f2_inv(g)
+        assert [elems[k] for k in mul[i]] == [f2_mul(g, x) for x in elems]
+        assert [elems[k] for k in conj[i]] == [f2_mul(f2_mul(g, x), gi) for x in elems]
+    assert _f2_closure([elems[s] for s in gens], cap=len(elems)) == frozenset(elems)
+
+
+def test_stabilizer_class_list_is_pinned():
+    # sha256 of the (order, class size, sorted representative) triples,
+    # recorded before the product table was composed from generator rows
+    triples = [
+        (r.order, r.class_size, tuple(sorted(r.representative)))
+        for r in stabilizer_class_list()
+    ]
+    assert len(triples) == constants.SUBGROUP_CLASS_COUNT
+    assert hashlib.sha256(repr(triples).encode()).hexdigest() == (
+        "c847d087715015ea35ac1ac59881d2b7e5d573657767c4d4fe1d1967531e6e60"
+    )
 
 
 # -- the census ---------------------------------------------------------------------

@@ -9,8 +9,10 @@ from hypothesis import given, settings, strategies as st
 from galdual import constants
 from galdual.exactmat import ModMatrix, SingularMatrixError
 from galdual.groupengine import (
+    _IDENT,
     ClosureCapError,
     PermGroup,
+    _gl4_table,
     common_stable_lines,
     f2_inv,
     f2_mul,
@@ -208,6 +210,20 @@ def test_gl4_order():
     assert constants.GL4_F2_ORDER == expected
 
 
+def test_gl4_table_matches_the_brute_force_filter():
+    # the oracle: invert every one of the 2^16 packed matrices
+    elements, inverses = [], []
+    for x in range(1 << 16):
+        xi = f2_inv(x)
+        if xi is not None:
+            elements.append(x)
+            inverses.append(xi)
+    table_elements, table_inverses = _gl4_table()
+    assert table_elements.typecode == table_inverses.typecode == "H"
+    assert list(table_elements) == elements
+    assert list(table_inverses) == inverses
+
+
 # -- matrix subgroup conjugacy ------------------------------------------------------
 
 
@@ -237,6 +253,12 @@ def test_matrix_conjugate_constructed_pair():
         h2 = [f2_mul(f2_mul(x, g), xi) for g in h1]
         assert matrix_subgroups_conjugate(h1, h2) is True
         assert matrix_subgroups_conjugate(h2, h1) is True
+
+
+def test_matrix_conjugate_trivial_group_only_to_itself():
+    x = f2_pack(mod([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], 2))
+    assert matrix_subgroups_conjugate({_IDENT}, {x}) is False
+    assert matrix_subgroups_conjugate({_IDENT}, {_IDENT}) is True
 
 
 def test_matrix_not_conjugate_different_fixed_spaces():
