@@ -2,11 +2,12 @@
 
 Closure generation, linear-representation equivalence through intertwiner
 spaces, subgroup conjugacy inside GL4(F_2), permutation actions on the
-vectors of F_l^4, permutation characters, permutation-group conjugacy in
-the symmetric group, and stable-line analysis.  Everything here is
-exhaustive or certifying: a negative equivalence verdict is backed by a
-full walk of the intertwiner space, and a positive conjugacy verdict by
-an explicit verified conjugator.
+vectors of F_l^4, permutation characters, the check of a given point map
+as a conjugator between two permutation groups, and stable-line analysis.
+Everything here is exhaustive or certifying: a negative equivalence
+verdict is backed by a full walk of the intertwiner space, and a point
+map is accepted as a conjugator only after it has been checked on every
+element of the group.
 
 Vectors in F_l^4 are indexed by v -> v[0] + v[1]*l + v[2]*l^2 + v[3]*l^3;
 permutations are tuples in image notation over that indexing.
@@ -40,33 +41,6 @@ def generate_closure(generators: Sequence[ModMatrix], cap: int = 1_000_000) -> f
         g.inv()  # raises on a singular generator
     ident = ModMatrix.identity(gens[0].n, gens[0].ell, gens[0].k)
     return closure([ident], gens, ModMatrix.mul, cap)
-
-
-def small_generating_set(ordered, identity, act, pool, tries, seed) -> list:
-    """A small generating set of the finite group whose elements are ``ordered``.
-
-    ``ordered`` lists the elements in order of preference (the identity may
-    be left out) and ``act`` is the group product.  First up to ``tries``
-    seeded random pairs from the first ``pool`` elements (all when None) are
-    tried; failing that, the set is grown greedily along ``ordered``.
-    """
-    target = len(set(ordered) | {identity})
-    head = ordered[:pool]
-    rng = random.Random(seed)
-    if target > 2 and len(head) >= 2:
-        for _ in range(tries):
-            pair = rng.sample(head, 2)
-            if len(closure([identity], pair, act, cap=target)) == target:
-                return pair
-    gens: list = []
-    closed = {identity}
-    for x in ordered:
-        if x not in closed:
-            gens.append(x)
-            closed = closure([identity], gens, act, cap=target)
-            if len(closed) == target:
-                break
-    return gens
 
 
 # -- intertwiner spaces ---------------------------------------------------------
@@ -286,12 +260,28 @@ def _f2_closure(gens: Iterable[int], cap: int = 30000) -> frozenset:
 @functools.cache
 def _f2_small_generating_set(elements: frozenset) -> tuple:
     """A small generating set of a packed-F_2 subgroup, computed once per
-    subgroup: the census, its listing and the conjugacy scan all ask."""
-    return tuple(
-        small_generating_set(
-            sorted(elements), _IDENT, f2_mul, pool=None, tries=24, seed=1729
-        )
-    )
+    subgroup: the census, its listing and the conjugacy scan all ask.
+
+    First up to 24 seeded random pairs of elements are tried; failing that,
+    the set is grown greedily along the elements in ascending order.
+    """
+    ordered = sorted(elements)
+    target = len(elements | {_IDENT})
+    rng = random.Random(1729)
+    if target > 2 and len(ordered) >= 2:
+        for _ in range(24):
+            pair = rng.sample(ordered, 2)
+            if len(_f2_closure(pair, cap=target)) == target:
+                return tuple(pair)
+    gens: list = []
+    closed = {_IDENT}
+    for x in ordered:
+        if x not in closed:
+            gens.append(x)
+            closed = _f2_closure(gens, cap=target)
+            if len(closed) == target:
+                break
+    return tuple(gens)
 
 
 def matrix_subgroups_conjugate(h1, h2) -> bool:
@@ -436,256 +426,25 @@ def _orbits(perm_group: PermGroup):
 # -- permutation-group conjugacy ----------------------------------------------------
 
 
-def _cycle_type(p) -> tuple:
-    seen = [False] * len(p)
-    lengths = []
-    for i in range(len(p)):
-        if not seen[i]:
-            length, j = 0, i
-            while not seen[j]:
-                seen[j] = True
-                j = p[j]
-                length += 1
-            lengths.append(length)
-    return tuple(sorted(lengths))
+def conjugates_by(sigma, p1: PermGroup, p2: PermGroup) -> bool:
+    """Whether the point map sigma conjugates p1 onto p2.
 
-
-def _perm_fingerprint(p) -> tuple:
-    ct = _cycle_type(p)
-    return (ct, _cycle_type(_compose(p, p)))
-
-
-def _perm_generating_set(elements) -> list:
-    """A generating set biased toward rare cycle-type classes.
-
-    Rare classes keep the image-candidate lists short in the conjugacy
-    backtracker, which matters far more than the raw generator count.
-    """
-    class_size: dict = {}
-    fps = {}
-    for p in elements:
-        fp = _perm_fingerprint(p)
-        fps[p] = fp
-        class_size[fp] = class_size.get(fp, 0) + 1
-    ident = tuple(range(len(next(iter(elements)))))
-    ordered = sorted(
-        (p for p in elements if p != ident),
-        key=lambda p: (class_size[fps[p]], fps[p], p),
-    )
-    return small_generating_set(ordered, ident, _compose, pool=40, tries=60, seed=4861)
-
-
-class _ClosureProgram:
-    """Replayable multiplication structure of one subgroup chain level.
-
-    For the subgroup H = <gens[:k]> the breadth-first closure is computed
-    once: elements get dense indices, and every product elem*gen is stored
-    as (src, gen, dst) triples in discovery order.  A candidate image tuple
-    is then checked by executing the same program on the image side; every
-    triple is verified, so a surviving assignment is a full isomorphism of
-    H onto its image.
-    """
-
-    def __init__(self, gens):
-        ident = tuple(range(len(gens[0])))
-        self.gens = list(gens)
-        index = {ident: 0}
-        ops = []
-
-        def act(e, jh):
-            j, h = jh
-            e2 = _compose(e, h)
-            ops.append((index[e], j, index.setdefault(e2, len(index))))
-            return e2
-
-        closure([ident], enumerate(self.gens), act)
-        self.elems = list(index)
-        self.index = index
-        self.ops = ops
-        self.gen_positions = [index[h] for h in self.gens]
-
-    def image_map(self, images):
-        """Execute on candidate images; element map list, or None on conflict."""
-        out = [None] * len(self.elems)
-        out[0] = tuple(range(len(images[0])))
-        used = {out[0]}
-        for src, j, dst in self.ops:
-            val = _compose(out[src], images[j])
-            cur = out[dst]
-            if cur is None:
-                if val in used:
-                    return None
-                out[dst] = val
-                used.add(val)
-            elif cur != val:
-                return None
-        return out
-
-
-def _stabilizer(elements, point: int) -> frozenset:
-    return frozenset(p for p in elements if p[point] == point)
-
-
-def _match_orbits(orbit_data1, orbit_data2, phi):
-    """Assign P1-orbits to P2-orbits so stabilizers correspond under phi.
-
-    orbit_data1: list of (orbit points, stabilizer set of a base point).
-    orbit_data2: list of (orbit points, {point: stabilizer set}) computed lazily.
-    Returns a list of (base point, orbit1, matched point, orbit2) or None.
-    """
-    used = [False] * len(orbit_data2)
-    assignment = []
-
-    def backtrack(i):
-        if i == len(orbit_data1):
-            return True
-        p, orbit1, stab_image = orbit_data1[i]
-        for j, (orbit2, stabs) in enumerate(orbit_data2):
-            if used[j] or len(orbit2) != len(orbit1):
-                continue
-            for q in orbit2:
-                if stabs[q] == stab_image:
-                    used[j] = True
-                    assignment.append((p, orbit1, q, orbit2))
-                    if backtrack(i + 1):
-                        return True
-                    used[j] = False
-                    assignment.pop()
-                    break  # other points of orbit2 give conjugate stabilizers
-        return False
-
-    if backtrack(0):
-        return assignment
-    return None
-
-
-def _conjugator_from_matching(gens, images, matching):
-    """Point bijection sigma with sigma*g = phi(g)*sigma, built orbit by orbit."""
-    degree = len(gens[0]) if gens else 0
-    sigma = {}
-
-    def act(s, gx):
-        g, x = gx
-        sigma.setdefault(g[s], x[sigma[s]])
-        return g[s]
-
-    for p, orbit1, q, _ in matching:
-        sigma[p] = q
-        closure([p], zip(gens, images), act)
-    if len(sigma) != degree or len(set(sigma.values())) != degree:
-        return None
-    return tuple(sigma[i] for i in range(degree))
-
-
-def perm_groups_conjugate(p1: PermGroup, p2: PermGroup) -> bool:
-    """Whether two permutation groups are conjugate in the symmetric group.
-
-    Backtracks over abstract isomorphisms (generator images pruned by cycle
-    type), then tests G-set equivalence by matching orbits whose point
-    stabilizers correspond; a positive verdict is certified by an explicit
-    point bijection conjugating the generators.
+    True exactly when sigma*p*sigma^-1 lies in p2 for every element p of p1
+    and the two orders are equal; conjugation is injective, so the image is
+    then all of p2.  Every element is checked, so the verdict does not rest
+    on ``PermGroup.generators``.
     """
     if p1.degree != p2.degree:
         raise ValueError("permutation groups act on different degrees")
-    if p1.order > 2000 or p1.degree > 100:
-        raise ValueError("size over budget for the conjugacy search")
+    if sorted(sigma) != list(range(p1.degree)):
+        raise ValueError("sigma is not a permutation of the points")
     if p1.order != p2.order:
         return False
-    set1, set2 = set(p1.elements), set(p2.elements)
-    if set1 == set2:
-        return True
-    fp1 = sorted(_perm_fingerprint(p) for p in set1)
-    fp2 = sorted(_perm_fingerprint(p) for p in set2)
-    if fp1 != fp2:
-        return False
-
-    gens = _perm_generating_set(set1)
-    by_fp: dict = {}
-    for p in set2:
-        by_fp.setdefault(_perm_fingerprint(p), []).append(p)
-    candidate_lists = [by_fp.get(_perm_fingerprint(g), []) for g in gens]
-    if any(not c for c in candidate_lists):
-        return False
-    programs = [_ClosureProgram(gens[: k + 1]) for k in range(len(gens))]
-    if len(programs[-1].elems) != len(set1):
-        raise AssertionError("generating set failed to rebuild the group")
-
-    orbit_points1 = _orbits(PermGroup(p1.degree, p1.elements, tuple(gens)))
-    orbit_data2 = []
-    for orbit in _orbits(p2):
-        stabs = {q: _stabilizer(set2, q) for q in orbit}
-        orbit_data2.append((orbit, stabs))
-
-    # cycle types of short reference words, computed once on the source side
-    pair_types = {}
-    triple_types = {}
-    for k in range(len(gens)):
-        for i in range(k):
-            w1 = _compose(gens[i], gens[k])
-            w2 = _compose(gens[k], gens[i])
-            pair_types[(i, k)] = (
-                _cycle_type(w1), _cycle_type(w2),
-                _cycle_type(_compose(w1, gens[k])), _cycle_type(_compose(w2, gens[k])),
-            )
-        for i in range(k):
-            for j in range(i + 1, k):
-                triple_types[(i, j, k)] = _cycle_type(
-                    _compose(gens[i], _compose(gens[j], gens[k]))
-                )
-
-    def words_consistent(images):
-        """Cycle types of short words must match; sound since conjugation
-        preserves them.  Tests words involving the newest generator only."""
-        k = len(images) - 1
-        xk = images[k]
-        for i in range(k):
-            w1 = _compose(images[i], xk)
-            w2 = _compose(xk, images[i])
-            expect = pair_types[(i, k)]
-            if _cycle_type(w1) != expect[0] or _cycle_type(w2) != expect[1]:
-                return False
-            if (
-                _cycle_type(_compose(w1, xk)) != expect[2]
-                or _cycle_type(_compose(w2, xk)) != expect[3]
-            ):
-                return False
-        for i in range(k):
-            for j in range(i + 1, k):
-                w = _compose(images[i], _compose(images[j], xk))
-                if _cycle_type(w) != triple_types[(i, j, k)]:
-                    return False
-        return True
-
-    def gset_match(phi) -> bool:
-        orbit_data1 = []
-        for orbit in orbit_points1:
-            p = orbit[0]
-            stab_image = frozenset(phi[g] for g in _stabilizer(set1, p))
-            orbit_data1.append((p, orbit, stab_image))
-        matching = _match_orbits(orbit_data1, orbit_data2, phi)
-        if matching is None:
-            return False
-        sigma = _conjugator_from_matching(gens, [phi[g] for g in gens], matching)
-        if sigma is None:
-            return False
-        return all(_compose(sigma, g) == _compose(phi[g], sigma) for g in gens)
-
-    def assign(images):
-        k = len(images)
-        for x in candidate_lists[k]:
-            images.append(x)
-            if words_consistent(images):
-                arr = programs[k].image_map(images)
-                if arr is not None:
-                    if k + 1 == len(gens):
-                        if gset_match(dict(zip(programs[k].elems, arr))):
-                            return True
-                    elif assign(images):
-                        return True
-            images.pop()
-        return False
-
-    return assign([])
+    inverse = [0] * p1.degree
+    for i, x in enumerate(sigma):
+        inverse[x] = i
+    targets = set(p2.elements)
+    return all(_compose(sigma, _compose(p, inverse)) in targets for p in p1.elements)
 
 
 # -- stable lines and fixed vectors ---------------------------------------------------

@@ -22,11 +22,12 @@ from galdual.exactmat import (
     smith_normal_form,
 )
 from galdual.groupengine import (
+    _perm_from_flat,
     common_stable_lines,
+    conjugates_by,
     fixed_vectors,
     intertwiner_space,
     orbit_count,
-    perm_groups_conjugate,
     permutation_character,
     representations_equivalent,
     to_permutation_group,
@@ -240,6 +241,15 @@ def _check_semisimp(ells, twists):
     return counts, None
 
 
+# The block swap S (e1 <-> e3, e2 <-> e4) as a flat 4x4 matrix.  Conjugating
+# by S carries the zero pattern and the diagonal equalities of
+# matches_image_shape onto those of matches_dual_shape, and at the generic
+# twist it maps the surface image onto the dual image.  The point map of S
+# on F_l^4 is then a conjugator of the permutation groups.  At the trivial
+# twist it is not (the orbit counts there are 9 and 11).
+_BLOCK_SWAP = (0, 0, 1, 0, 0, 0, 0, 1, 1, 0, 0, 0, 0, 1, 0, 0)
+
+
 def _check_perm_conj(ells, twists):
     counts = {}
     for ell in ells:
@@ -247,7 +257,8 @@ def _check_perm_conj(ells, twists):
         pd = to_permutation_group(image_rho_Adual_contragredient(ell))
         counts[f"l{ell}_degree"] = pa.degree
         counts[f"l{ell}_order"] = pa.order
-        verdict = perm_groups_conjugate(pa, pd)
+        sigma = _perm_from_flat(_BLOCK_SWAP, ell, [ell**i for i in range(4)])
+        verdict = conjugates_by(sigma, pa, pd)
         counts[f"l{ell}_conjugate"] = int(verdict)
         if not verdict:
             raise _CheckFailed(

@@ -1,5 +1,5 @@
 """Tests for the group machinery: closures, intertwiners, permutation
-actions, conjugacy searches, stable lines."""
+actions, conjugacy checks, stable lines."""
 
 import random
 
@@ -14,6 +14,7 @@ from galdual.groupengine import (
     PermGroup,
     _gl4_table,
     common_stable_lines,
+    conjugates_by,
     f2_inv,
     f2_mul,
     f2_pack,
@@ -26,7 +27,6 @@ from galdual.groupengine import (
     intertwiner_space,
     matrix_subgroups_conjugate,
     orbit_count,
-    perm_groups_conjugate,
     permutation_character,
     projective_points,
     representations_equivalent,
@@ -384,42 +384,77 @@ def test_trivial_group_multiplicity_is_degree():
 
 # -- permutation-group conjugacy ----------------------------------------------------
 
+# The block swap e1 <-> e3, e2 <-> e4, row by row.
+_BLOCK_SWAP = ((0, 0, 1, 0), (0, 0, 0, 1), (1, 0, 0, 0), (0, 1, 0, 0))
+
+
+def _point_map(rows, ell):
+    """The permutation x -> M x of the vectors of F_l^4, by vector indexing."""
+    def image(v):
+        return [sum(r * x for r, x in zip(row, v)) % ell for row in rows]
+
+    return tuple(
+        vector_index(image(index_vector(i, ell)), ell) for i in range(ell**4)
+    )
+
 
 def test_perm_conjugate_reflexive():
     perm = to_permutation_group(image_rho_A(2))
-    assert perm_groups_conjugate(perm, perm) is True
+    assert conjugates_by(tuple(range(16)), perm, perm) is True
+
+
+def _assert_block_swap_conjugates(ell):
+    """The block swap conjugates the surface group onto the dual group at
+    the generic twist, in both directions (S is its own inverse)."""
+    pa = to_permutation_group(image_rho_A(ell))
+    pd = to_permutation_group(image_rho_Adual_contragredient(ell))
+    sigma = _point_map(_BLOCK_SWAP, ell)
+    assert conjugates_by(sigma, pa, pd) is True
+    assert conjugates_by(sigma, pd, pa) is True
 
 
 def test_perm_conjugate_l2_pair():
-    pa = to_permutation_group(image_rho_A(2))
-    pd = to_permutation_group(image_rho_Adual_contragredient(2))
-    assert perm_groups_conjugate(pa, pd) is True
-    assert perm_groups_conjugate(pd, pa) is True
+    _assert_block_swap_conjugates(2)
+
+
+def test_block_swap_conjugates_l3_generic():
+    _assert_block_swap_conjugates(3)
+
+
+def test_block_swap_rejected_at_trivial_twist():
+    pa = to_permutation_group(image_rho_A(3, "trivial"))
+    pd = to_permutation_group(image_rho_Adual_contragredient(3, "trivial"))
+    assert pa.order == pd.order
+    assert conjugates_by(_point_map(_BLOCK_SWAP, 3), pa, pd) is False
 
 
 def test_perm_conjugate_degree_mismatch():
     p16 = PermGroup(16, (tuple(range(16)),), ())
     p81 = PermGroup(81, (tuple(range(81)),), ())
     with pytest.raises(ValueError, match="degree"):
-        perm_groups_conjugate(p16, p81)
+        conjugates_by(tuple(range(16)), p16, p81)
 
 
-def test_perm_conjugate_budget():
-    big = PermGroup(101, (tuple(range(101)),), ())
-    with pytest.raises(ValueError, match="budget"):
-        perm_groups_conjugate(big, big)
+def test_conjugates_by_rejects_a_non_permutation():
+    perm = PermGroup(16, (tuple(range(16)),), ())
+    with pytest.raises(ValueError, match="permutation"):
+        conjugates_by((0,) + tuple(range(15)), perm, perm)
+    with pytest.raises(ValueError, match="permutation"):
+        conjugates_by(tuple(range(15)), perm, perm)
 
 
 def test_perm_conjugate_order_mismatch():
     pa = to_permutation_group(image_rho_A(2))
     ident = tuple(range(16))
     trivial = PermGroup(16, (ident,), ())
-    assert perm_groups_conjugate(pa, trivial) is False
+    assert conjugates_by(ident, pa, trivial) is False
+    # the trivial group maps into pa, but not onto it
+    assert conjugates_by(ident, trivial, pa) is False
 
 
 def test_perm_conjugate_relabeled_groups():
-    """Conjugating by a random point relabeling must be detected, in both
-    directions (the symmetric/reflexive battery)."""
+    """A random point relabeling conjugates a group onto its relabeled copy,
+    and its inverse conjugates back."""
     rng = random.Random(17)
     pa = to_permutation_group(image_rho_A(2))
     for _ in range(4):
@@ -431,12 +466,9 @@ def test_perm_conjugate_relabeled_groups():
         conj = tuple(
             tuple(relabel[p[inverse[i]]] for i in range(16)) for p in pa.elements
         )
-        gens = tuple(
-            tuple(relabel[p[inverse[i]]] for i in range(16)) for p in pa.generators
-        )
-        other = PermGroup(16, conj, gens)
-        assert perm_groups_conjugate(pa, other) is True
-        assert perm_groups_conjugate(other, pa) is True
+        other = PermGroup(16, conj, ())
+        assert conjugates_by(tuple(relabel), pa, other) is True
+        assert conjugates_by(tuple(inverse), other, pa) is True
 
 
 def test_perm_not_conjugate_different_cycle_structure():
@@ -445,7 +477,15 @@ def test_perm_not_conjugate_different_cycle_structure():
     b = tuple([1, 2, 3, 0, 5, 6, 7, 4] + list(range(8, 16)))
     ga = PermGroup(16, tuple(sorted(_cyclic(a))), (a,))
     gb = PermGroup(16, tuple(sorted(_cyclic(b))), (b,))
-    assert perm_groups_conjugate(ga, gb) is False
+    rng = random.Random(5)
+    sigmas = [tuple(range(16)), tuple(range(15, -1, -1))]
+    for _ in range(6):
+        sigma = list(range(16))
+        rng.shuffle(sigma)
+        sigmas.append(tuple(sigma))
+    for sigma in sigmas:
+        assert conjugates_by(sigma, ga, gb) is False
+        assert conjugates_by(sigma, gb, ga) is False
 
 
 def _cyclic(p):

@@ -255,6 +255,18 @@ def test_check_failure_surfaces_witness_and_partial_counts(monkeypatch):
     assert_report_grammar(format_report(report))
 
 
+def test_perm_conj_fails_without_the_block_swap(monkeypatch):
+    # The identity relabels nothing, and the surface and dual groups are
+    # different sets, so the certificate must be refused.
+    identity = (1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1)
+    monkeypatch.setattr(verifier, "_BLOCK_SWAP", identity)
+    report = run_check("perm-conj", ell=3)
+    assert report.status == "fail"
+    assert "not conjugate" in report.witness
+    assert dict(report.counts) == {"l3_degree": 81, "l3_order": 972, "l3_conjugate": 0}
+    assert_report_grammar(format_report(report))
+
+
 def test_unexpected_exceptions_propagate(monkeypatch):
     def explode(ells, twists):
         raise RuntimeError("infrastructure broke")
@@ -308,8 +320,8 @@ def test_run_all_full_runs_everything_in_id_order(monkeypatch):
 
 def test_quick_profile_runs_real_fast_checks(monkeypatch):
     # Restrict the real registry to its cheap members so the profile
-    # machinery is exercised end to end without the minute-scale checks.
-    slow = {"perm-conj", "dual-route-agreement", "semisimp-charpoly"}
+    # machinery is exercised end to end without the multi-second checks.
+    slow = {"dual-route-agreement", "semisimp-charpoly"}
     trimmed = {
         k: v for k, v in verifier._REGISTRY.items() if k not in slow
     }
