@@ -4,8 +4,8 @@ Everything here is exact: matrices are immutable tuples of Python integers
 (arbitrary precision), so there is no overflow and no floating point anywhere.
 It is the package's one home for linear algebra, with one routine per kind:
 ``_fraction_det`` and ``_fraction_inv`` for integer and rational rows,
-``_echelon_mod`` for residue rows over F_l, and ``adj4`` and ``charpoly4``
-for flat 4x4 integer matrices.  Two matrix kinds are provided.
+``_echelon_mod`` for residue rows over F_l, and ``charpoly4`` for flat 4x4
+integer matrices.  Two matrix kinds are provided.
 
 ``LAdicMatrix``
     Entries are rationals whose denominator is a power of a fixed prime l,
@@ -472,12 +472,12 @@ def _fraction_det(rows) -> Fraction:
 
 # -- flat 4x4 integer kernel --------------------------------------------------
 # A flat 4x4 matrix is a 16-tuple of ints in row-major order.  Everything is
-# unrolled: the family records and the charpoly proof call these hundreds of
-# thousands of times.  Results are exact integers; callers reduce mod l.
+# unrolled: the charpoly proof calls these hundreds of thousands of times.
+# Results are exact integers; callers reduce mod l.
 
 
 def minors4(m) -> tuple:
-    """The twelve 2x2 minors of a flat 4x4 matrix, shared by adj4 and charpoly4.
+    """The twelve 2x2 minors of a flat 4x4 matrix, from which charpoly4 is built.
 
     The first six come from rows 0-1, the last six from rows 2-3, each six
     over the column pairs (0,1), (0,2), (0,3), (1,2), (1,3), (2,3).
@@ -502,34 +502,6 @@ def minors4(m) -> tuple:
 def _laplace4(k) -> int:
     """The determinant from minors4, by Laplace expansion along rows 0-1."""
     return k[0] * k[11] - k[1] * k[10] + k[2] * k[9] + k[3] * k[8] - k[4] * k[7] + k[5] * k[6]
-
-
-def adj4(m) -> tuple:
-    """``(det, adjugate)`` of a flat 4x4 integer matrix; adj * m = det * I."""
-    m0, m1, m2, m3, m4, m5, m6, m7, m8, m9, m10, m11, m12, m13, m14, m15 = m
-    k = minors4(m)
-    s0, s1, s2, s3, s4, s5, c0, c1, c2, c3, c4, c5 = k
-    return (
-        _laplace4(k),
-        (
-            m5 * c5 - m6 * c4 + m7 * c3,
-            -m1 * c5 + m2 * c4 - m3 * c3,
-            m13 * s5 - m14 * s4 + m15 * s3,
-            -m9 * s5 + m10 * s4 - m11 * s3,
-            -m4 * c5 + m6 * c2 - m7 * c1,
-            m0 * c5 - m2 * c2 + m3 * c1,
-            -m12 * s5 + m14 * s2 - m15 * s1,
-            m8 * s5 - m10 * s2 + m11 * s1,
-            m4 * c4 - m5 * c2 + m7 * c0,
-            -m0 * c4 + m1 * c2 - m3 * c0,
-            m12 * s4 - m13 * s2 + m15 * s0,
-            -m8 * s4 + m9 * s2 - m11 * s0,
-            -m4 * c3 + m5 * c1 - m6 * c0,
-            m0 * c3 - m1 * c1 + m2 * c0,
-            -m12 * s3 + m13 * s1 - m14 * s0,
-            m8 * s3 - m9 * s1 + m10 * s0,
-        ),
-    )
 
 
 def charpoly4(m) -> tuple:

@@ -26,6 +26,15 @@ into a straight-line function of its nonzero terms (12 for the gluing on
 the family's 8-entry support, 36 for the isogeny on a full 4x4), which
 divides exactly by l and raises ArithmeticError otherwise.  The tests
 compare the compiled functions against lattice.conjugate_by directly.
+
+The gluing conjugation has no term in the lower-left 2x2 block at any l,
+so every image element is block upper triangular, [[A, B], [0, D]].  The
+contragredient route inverts it blockwise, from det A, det D, the 2x2
+adjugates and adj(A) B adj(D); the tests hold it against the Fraction
+inverse of ModMatrix.  Seeded samples draw each residue below n as
+CPython's randrange does, from getrandbits(n.bit_length()) repeated until
+it is below n, so the pinned l = 7 samples rest on CPython's
+getrandbits stream.
 """
 
 from __future__ import annotations
@@ -34,9 +43,9 @@ import functools
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
-from galdual.exactmat import LAdicMatrix, ModMatrix, adj4, check_prime
+from galdual.exactmat import LAdicMatrix, ModMatrix, check_prime
 from galdual.lattice import (
     KernelSpec,
     change_basis_from_kernel,
@@ -232,6 +241,9 @@ def _conjugator_data(ell: int):
 # the compiled gluing conjugation takes them as arguments
 _FAMILY_SUPPORT = (0, 1, 4, 5, 10, 11, 14, 15)
 
+# the lower-left 2x2 block, where no glued element has a term
+_LOWER_LEFT = (8, 9, 12, 13)
+
 
 def _sparse_terms(left, right, inputs):
     """The nonzero terms of X -> left * X * right on flat 4x4 matrices.
@@ -298,30 +310,48 @@ def _compiled_conjugations(ell: int):
     a glued-basis element and returns it in the dual basis.
     """
     mq_inv, mq_l, n_pol, mlam_l = _conjugator_data(ell)
+    if any(out in _LOWER_LEFT for out, _, _ in _sparse_terms(mq_inv, mq_l, _FAMILY_SUPPORT)):
+        raise ArithmeticError(f"glued elements at l={ell} are not block upper triangular")
     return (
         _compile_conjugation(mq_inv, mq_l, _FAMILY_SUPPORT, ell, "glue"),
         _compile_conjugation(n_pol, mlam_l, range(16), ell, "isogeny"),
     )
 
 
-# positions of the transpose in a flat 4x4
-_TRANSPOSED = (0, 4, 8, 12, 1, 5, 9, 13, 2, 6, 10, 14, 3, 7, 11, 15)
+def _contragredient_flat(m, eps: int, ell: int):
+    """eps * transpose(m^-1) mod l for a block upper triangular m = [[A, B], [0, D]].
 
-
-def _contragredient_flat(a_flat, eps: int, ell: int):
-    """eps * transpose(a^-1) mod l, as eps * det^-1 times the cofactor matrix."""
-    det, adj = adj4(a_flat)
-    if not det % ell:
+    m^-1 = [[A^-1, -A^-1 B D^-1], [0, D^-1]], so everything comes from
+    det A, det D, the 2x2 adjugates and adj(A) B adj(D).  Raises ValueError
+    when the lower-left block is nonzero and ArithmeticError when l divides
+    det A * det D.
+    """
+    m0, m1, m2, m3, m4, m5, m6, m7, m8, m9, m10, m11, m12, m13, m14, m15 = m
+    if m8 or m9 or m12 or m13:
+        raise ValueError("element is not block upper triangular")
+    det_a = m0 * m5 - m1 * m4
+    det_d = m10 * m15 - m11 * m14
+    if not det_a * det_d % ell:
         raise ArithmeticError("image element is singular; cannot happen")
-    c = eps * pow(det, -1, ell)
-    return tuple([c * adj[k] % ell for k in _TRANSPOSED])
+    c = eps * pow(det_a * det_d, -1, ell)
+    ca, cd = c * det_a % ell, c * det_d % ell
+    # rows of adj(A) * B
+    p0, p1 = m5 * m2 - m1 * m6, m5 * m3 - m1 * m7
+    p2, p3 = m0 * m6 - m4 * m2, m0 * m7 - m4 * m3
+    return (
+        cd * m5 % ell, -cd * m4 % ell, 0, 0,
+        -cd * m1 % ell, cd * m0 % ell, 0, 0,
+        c * (p1 * m14 - p0 * m15) % ell, c * (p3 * m14 - p2 * m15) % ell,
+        ca * m15 % ell, -ca * m14 % ell,
+        c * (p0 * m11 - p1 * m10) % ell, c * (p2 * m11 - p3 * m10) % ell,
+        -ca * m11 % ell, ca * m10 % ell,
+    )
 
 
 # -- per-point records -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PointRecord:
+class PointRecord(NamedTuple):
     """Mod-l data of one family element: image, both dual routes, and (a, d)."""
 
     image: tuple
@@ -424,12 +454,31 @@ def _slab_residues(ell: int, twist: str) -> Iterator[tuple]:
 def _draw_residues(rng: random.Random, ell: int, twist: str) -> tuple:
     """The residues of a uniformly random family element, z1 solved.
 
-    Draws a (unless the twist is trivial), then b1 ... y2, z2, then d, each
-    with one ``rng.randrange``; seeded samples are pinned to this order.
+    Draws a (unless the twist is trivial), then b1 ... y2, z2, then d.  Each
+    residue below n takes the draw CPython's ``Random.randrange`` makes:
+    ``getrandbits(n.bit_length())``, repeated until it is below n, with
+    n = l - 1 (shifted up by one) for a and d and n = l for the rest.
+    Seeded samples are pinned to this stream.
     """
-    a = 1 if twist == "trivial" else rng.randrange(1, ell)
-    b1, b2, w1, w2, x1, x2, y1, y2, z2 = [rng.randrange(ell) for _ in range(9)]
-    d = rng.randrange(1, ell)
+    bits = rng.getrandbits
+    units, k_unit, k = ell - 1, (ell - 1).bit_length(), ell.bit_length()
+    a = 1
+    if twist != "trivial":
+        a = bits(k_unit)
+        while a >= units:
+            a = bits(k_unit)
+        a += 1
+    free = []
+    for _ in range(9):
+        r = bits(k)
+        while r >= ell:
+            r = bits(k)
+        free.append(r)
+    d = bits(k_unit)
+    while d >= units:
+        d = bits(k_unit)
+    d += 1
+    b1, b2, w1, w2, x1, x2, y1, y2, z2 = free
     z1 = (z2 + pow(a, -1, ell) * (b1 * w1 - b2 * w2 - d * x1 + d * x2)) % ell
     return (a, d, b1, b2, w1, w2, x1, x2, y1, y2, z1, z2)
 

@@ -15,7 +15,6 @@ from galdual.exactmat import (
     SingularMatrixError,
     UnrepresentableEntryError,
     _fraction_det,
-    adj4,
     charpoly4,
     charpoly_rows,
     check_prime,
@@ -537,62 +536,16 @@ def test_closure_cap_error_is_reexported():
 FLAT = st.lists(st.integers(-12, 12), min_size=16, max_size=16)
 # residues 0..l-1 hit singular matrices often at small l
 SMALL_FLAT = st.lists(st.integers(0, 2), min_size=16, max_size=16)
-IDENTITY4 = (1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1)
 
 
 def _rows(flat):
     return [list(flat[4 * i : 4 * i + 4]) for i in range(4)]
 
 
-def _flat(mat):
-    return tuple(v for row in mat.entries for v in row)
-
-
-def _mul(fa, fb):
-    """The exact product of two flat 4x4 integer matrices."""
-    return tuple(
-        sum(fa[4 * i + k] * fb[4 * k + j] for k in range(4))
-        for i in range(4)
-        for j in range(4)
-    )
-
-
 @given(st.one_of(FLAT, SMALL_FLAT))
 @settings(max_examples=150, deadline=None)
 def test_kernel_determinant_matches_fraction_det(flat):
-    det = _fraction_det(_rows(flat))
-    assert adj4(flat)[0] == det
-    assert charpoly4(flat)[3] == det
-
-
-@given(st.one_of(FLAT, SMALL_FLAT))
-@settings(max_examples=150, deadline=None)
-def test_adjugate_times_matrix_is_determinant(flat):
-    det, adj = adj4(flat)
-    scalar = tuple(det * v for v in IDENTITY4)
-    assert _mul(adj, flat) == scalar
-    assert _mul(flat, adj) == scalar
-
-
-@given(st.sampled_from(PRIMES), st.one_of(FLAT, SMALL_FLAT))
-@settings(max_examples=200, deadline=None)
-def test_kernel_inverse_mod_l_or_singular(ell, flat):
-    det, adj = adj4(flat)
-    m = ModMatrix.from_rows(_rows(flat), ell)
-    if det % ell:
-        inv = tuple(pow(det, -1, ell) * v % ell for v in adj)
-        assert tuple(v % ell for v in _mul(inv, flat)) == IDENTITY4
-        assert inv == _flat(m.inv())
-    else:
-        with pytest.raises(SingularMatrixError):
-            m.inv()
-
-
-def test_kernel_reports_a_singular_matrix():
-    flat = (1, 2, 3, 4, 2, 4, 6, 8, 0, 1, 0, 1, 5, 0, 7, 1)  # row 1 = 2 * row 0
-    det, adj = adj4(flat)
-    assert det == 0
-    assert _mul(adj, flat) == (0,) * 16
+    assert charpoly4(flat)[3] == _fraction_det(_rows(flat))
 
 
 @given(st.sampled_from(PRIMES), st.one_of(FLAT, SMALL_FLAT))

@@ -12,12 +12,13 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from galdual.exactmat import LAdicMatrix, ModMatrix, charpoly
+from galdual.exactmat import LAdicMatrix, ModMatrix, charpoly, is_prime
 from galdual.lattice import conjugate_by
 from galdual.paramgroups import (
     _FAMILY_SUPPORT,
+    _LOWER_LEFT,
     TWISTS,
     ImageGroup,
     ParamPoint,
@@ -25,6 +26,7 @@ from galdual.paramgroups import (
     _compiled_conjugations,
     _conjugator_data,
     _contragredient_flat,
+    _draw_residues,
     _flat_of,
     _pack,
     _record,
@@ -675,6 +677,14 @@ def test_contragredient_flat_raises_on_a_singular_element(ell):
         _contragredient_flat(singular, 1, ell)
 
 
+@pytest.mark.parametrize("pos", _LOWER_LEFT)
+def test_contragredient_flat_rejects_a_lower_left_entry(pos):
+    flat = [1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1]
+    flat[pos] = 1
+    with pytest.raises(ValueError, match="block upper triangular"):
+        _contragredient_flat(tuple(flat), 1, 5)
+
+
 def test_compiled_conjugation_raises_on_an_entry_not_divisible():
     identity = (1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1)
     for ell in (2, 3, 5, 7):
@@ -713,6 +723,35 @@ def test_sparse_terms_counts(ell):
     mq_inv, mq_l, n_pol, mlam_l = _conjugator_data(ell)
     assert len(_sparse_terms(mq_inv, mq_l, _FAMILY_SUPPORT)) == 12
     assert len(_sparse_terms(n_pol, mlam_l, range(16))) == 36
+
+
+@pytest.mark.parametrize("ell", [p for p in range(50) if is_prime(p)])
+def test_glue_has_no_lower_left_terms(ell):
+    """Every glued element is block upper triangular, which the contragredient needs."""
+    mq_inv, mq_l, _, _ = _conjugator_data(ell)
+    outputs = {out for out, _, _ in _sparse_terms(mq_inv, mq_l, _FAMILY_SUPPORT)}
+    assert outputs.isdisjoint(_LOWER_LEFT)
+
+
+@st.composite
+def block_triangular(draw):
+    """(l, flat, eps): an invertible mod-l [[A, B], [0, D]] and a unit eps."""
+    ell = draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
+    entry = st.integers(-ell * ell, ell * ell)
+    a, b, d = (draw(st.lists(entry, min_size=4, max_size=4)) for _ in range(3))
+    assume((a[0] * a[3] - a[1] * a[2]) * (d[0] * d[3] - d[1] * d[2]) % ell)
+    flat = (*a[:2], *b[:2], *a[2:], *b[2:], 0, 0, *d[:2], 0, 0, *d[2:])
+    return ell, flat, draw(st.integers(1, ell - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(block_triangular())
+def test_contragredient_flat_matches_the_fraction_inverse(case):
+    """The block-inverse formula against eps * transpose(ModMatrix.inv())."""
+    ell, flat, eps = case
+    inv = ModMatrix.from_rows([flat[0:4], flat[4:8], flat[8:12], flat[12:16]], ell).inv()
+    want = tuple(eps * inv.entries[j][i] % ell for i in range(4) for j in range(4))
+    assert _contragredient_flat(flat, eps, ell) == want
 
 
 @pytest.mark.parametrize("twist", TWISTS)
@@ -766,6 +805,45 @@ L7_SAMPLE_SHA256 = {
 def test_l7_sample_sequence_is_pinned(tag, twist):
     records = sample_records(7, twist, 10000, f"{tag}:7:{twist}")
     assert _records_sha256(records) == L7_SAMPLE_SHA256[(tag, twist)]
+
+
+# sha256 of slab_records(l, twist), measured with the dense adjugate contragredient
+SLAB_SHA256 = {
+    (2, "generic"): "8408be34eaa954be9e5f0d8a7d3364d09f8f866ed406967819a050aee1b3c446",
+    (2, "trivial"): "8408be34eaa954be9e5f0d8a7d3364d09f8f866ed406967819a050aee1b3c446",
+    (3, "generic"): "62b221a31adf46dc056a8cd3516f1729dd5dc656059bb201313ab5847154bc30",
+    (3, "trivial"): "75fba497b5bee0032b252a21a7c8bef7bbad339c1af7bf0e0ad788b3455bf6b5",
+    (5, "generic"): "bdd3fb02d54fc4a5a14afd5aaf4d27a21355bc5bc6f75faaaab9d793addc6360",
+    (5, "trivial"): "439d908fe83aced0936e5c7ef3296fc39e59316586a17c32420d9b1d7872b7f4",
+}
+
+
+@pytest.mark.parametrize("ell,twist", sorted(SLAB_SHA256))
+def test_slab_records_are_pinned(ell, twist):
+    assert _records_sha256(slab_records(ell, twist)) == SLAB_SHA256[(ell, twist)]
+
+
+def _draw_residues_by_randrange(rng, ell, twist):
+    """The draw the seeded samples were pinned with, one rng.randrange per residue."""
+    a = 1 if twist == "trivial" else rng.randrange(1, ell)
+    b1, b2, w1, w2, x1, x2, y1, y2, z2 = [rng.randrange(ell) for _ in range(9)]
+    d = rng.randrange(1, ell)
+    z1 = (z2 + pow(a, -1, ell) * (b1 * w1 - b2 * w2 - d * x1 + d * x2)) % ell
+    return (a, d, b1, b2, w1, w2, x1, x2, y1, y2, z1, z2)
+
+
+@pytest.mark.parametrize("twist", TWISTS)
+@pytest.mark.parametrize("ell", [2, 3, 5, 7, 11, 13])
+def test_draws_match_randrange(ell, twist):
+    """Same residues, and the same generator state after 300 draws; at l = 2,
+    randrange(1, 2) still consumes getrandbits(1) until it reads 0."""
+    for seed in (0, 1, "draws"):
+        bits, ranged = random.Random(seed), random.Random(seed)
+        for _ in range(300):
+            assert _draw_residues(bits, ell, twist) == _draw_residues_by_randrange(
+                ranged, ell, twist
+            )
+        assert bits.getstate() == ranged.getstate()
 
 
 @pytest.mark.parametrize("twist", TWISTS)
