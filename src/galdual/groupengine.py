@@ -5,9 +5,9 @@ spaces, subgroup conjugacy inside GL4(F_2), permutation actions on the
 vectors of F_l^4, permutation characters, the check of a given point map
 as a conjugator between two permutation groups, and stable-line analysis.
 Everything here is exhaustive or certifying: a negative equivalence
-verdict is backed by a full walk of the intertwiner space, and a point
-map is accepted as a conjugator only after it has been checked on every
-element of the group.
+verdict is backed by a walk of every line of the intertwiner span, and a
+point map is accepted as a conjugator only after it has been checked on
+every element of the group.
 
 Vectors in F_l^4 are indexed by v -> v[0] + v[1]*l + v[2]*l^2 + v[3]*l^3;
 permutations are tuples in image notation over that indexing.
@@ -94,24 +94,31 @@ def intertwiner_space(pairs: Sequence[tuple]) -> IntertwinerSpace:
     return IntertwinerSpace(ell, n, tuple(basis))
 
 
+def projective_points(ell: int, n: int = 4):
+    """All normalized line representatives of F_l^n, first nonzero entry 1."""
+    for lead in range(n):
+        for tail in itertools.product(range(ell), repeat=n - lead - 1):
+            yield (0,) * lead + (1,) + tail
+
+
 def representations_equivalent(pairs: Sequence[tuple]):
     """Search the intertwiner space for an invertible change of basis.
 
-    Returns (True, X) with a verified witness, or (False, None).  The walk
-    over the span is exhaustive whenever l^dim <= 10^6 (and then a False
-    verdict is a proof); beyond that it normalizes the leading coefficient
-    and walks the projective span, refusing past a hard budget rather than
-    guessing.
+    Returns (True, X) with a verified witness, or (False, None).  Scaling X
+    by a unit keeps invertibility, so one walk over the (l^dim - 1)/(l - 1)
+    lines of the span decides the question and a False verdict is a proof.
+    Raises ValueError up front when the span has more than 10^7 lines.
     """
     pairs = list(pairs)
     space = intertwiner_space(pairs)
     ell, n, basis = space.ell, space.n, space.basis
     dim = len(basis)
-    if dim == 0:
-        return False, None
+    if (ell**dim - 1) // (ell - 1) > 10**7:
+        raise ValueError(
+            f"intertwiner span of dimension {dim} mod {ell} has more than 10^7 lines"
+        )
     flats = [tuple(v for row in b.entries for v in row) for b in basis]
-
-    def witness_from(coeffs):
+    for coeffs in projective_points(ell, dim):
         flat = [0] * (n * n)
         for c, bf in zip(coeffs, flats):
             if c:
@@ -119,33 +126,12 @@ def representations_equivalent(pairs: Sequence[tuple]):
                     flat[idx] = (flat[idx] + c * bf[idx]) % ell
         rows = [flat[i * n : (i + 1) * n] for i in range(n)]
         if _rank_mod(rows, n, ell) < n:
-            return None
+            continue
         x = ModMatrix.from_rows(rows, ell)
         for g, g2 in pairs:
             if x.mul(g) != g2.mul(x):
                 raise AssertionError("intertwiner witness fails on a pair")
-        return x
-
-    if ell**dim <= 10**6:
-        for coeffs in itertools.product(range(ell), repeat=dim):
-            if any(coeffs):
-                x = witness_from(coeffs)
-                if x is not None:
-                    return True, x
-        return False, None
-    # projective walk: scaling X by a unit preserves invertibility, so the
-    # first nonzero coefficient may be pinned to 1
-    budget = 10**7
-    count = 0
-    for lead in range(dim):
-        for tail in itertools.product(range(ell), repeat=dim - lead - 1):
-            count += 1
-            if count > budget:
-                raise RuntimeError("intertwiner search budget exceeded")
-            coeffs = (0,) * lead + (1,) + tail
-            x = witness_from(coeffs)
-            if x is not None:
-                return True, x
+        return True, x
     return False, None
 
 
@@ -478,36 +464,35 @@ def _eigenvalue(m: ModMatrix, v):
     return s if all(x == (s * u) % ell for x, u in zip(w, v)) else None
 
 
-def projective_points(ell: int, n: int = 4):
-    """All normalized line representatives of F_l^n, first nonzero entry 1."""
-    for lead in range(n):
-        for tail in itertools.product(range(ell), repeat=n - lead - 1):
-            yield (0,) * lead + (1,) + tail
+def _check_generators(ell: int, generators) -> list:
+    gens = list(generators)
+    for g in gens:
+        if g.ell != ell or g.n != 4 or g.k != 1:
+            raise ValueError(f"generators must be 4x4 matrices mod {ell}")
+    return gens
 
 
-def common_stable_lines(group: ImageGroup) -> tuple:
-    """All lines of F_l^4 stable under every element, with their characters.
+def common_stable_lines(ell: int, generators: Sequence[ModMatrix]) -> tuple:
+    """All lines of F_l^4 stable under every generator, with their characters.
 
-    Stability under the generators suffices (the stabilizer of a line is a
-    subgroup), so this works in generators-only mode too.
+    Stability under the generators suffices: the stabilizer of a line is a
+    subgroup.  With no generators every one of the (l^4 - 1)/(l - 1) lines
+    is stable.  Raises ValueError on a generator that is not 4x4 mod l.
     """
+    gens = _check_generators(ell, generators)
     out = []
-    for v in projective_points(group.ell):
-        character = tuple((g, _eigenvalue(g, v)) for g in group.generators)
+    for v in projective_points(ell):
+        character = tuple((g, _eigenvalue(g, v)) for g in gens)
         if all(s is not None for _, s in character):
-            out.append(StableLine(group.ell, v, character))
+            out.append(StableLine(ell, v, character))
     return tuple(out)
 
 
-def fixed_vectors(group: ImageGroup) -> int:
-    """Dimension of the common eigenvalue-1 eigenspace of the group."""
-    ell = group.ell
-    rows = []
-    for flat in group.generator_flats():
-        for i in range(4):
-            rows.append(
-                [(flat[4 * i + j] - (1 if i == j else 0)) % ell for j in range(4)]
-            )
-    if not rows:
-        return 4
+def fixed_vectors(ell: int, generators: Sequence[ModMatrix]) -> int:
+    """Dimension of the vectors of F_l^4 fixed by every generator."""
+    rows = [
+        [(v - (1 if i == j else 0)) % ell for j, v in enumerate(row)]
+        for g in _check_generators(ell, generators)
+        for i, row in enumerate(g.entries)
+    ]
     return 4 - _rank_mod(rows, 4, ell)

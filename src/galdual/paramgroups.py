@@ -43,7 +43,7 @@ import functools
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator, NamedTuple
 
 from galdual.exactmat import LAdicMatrix, ModMatrix, check_prime
 from galdual.lattice import (
@@ -534,21 +534,18 @@ def _unpack(packed: int):
 class ImageGroup:
     """A finite subgroup of GL4(F_l), with provenance of its construction.
 
-    Elements are stored packed (3 bits per entry); ``elements`` materializes
-    them as ModMatrix values on first use.  ``packed_elements`` is None in
-    generators-only mode (l = 7 full enumeration is large and rarely needed).
+    Every element is enumerated and stored packed (3 bits per entry, sorted);
+    ``elements`` materializes them as ModMatrix values on first use.
     """
 
     ell: int
     twist: str
     provenance: str
-    packed_elements: Optional[tuple]
+    packed_elements: tuple
     packed_generators: tuple
 
     @functools.cached_property
     def elements(self) -> tuple:
-        if self.packed_elements is None:
-            raise ValueError("group was built in generators-only mode")
         return tuple(
             _flat_to_mod(_unpack(p), self.ell) for p in self.packed_elements
         )
@@ -561,21 +558,15 @@ class ImageGroup:
 
     @property
     def order(self) -> int:
-        if self.packed_elements is not None:
-            return len(self.packed_elements)
-        return parameter_count(self.ell, self.twist)
+        return len(self.packed_elements)
 
     def element_flats(self) -> Iterator[tuple]:
-        if self.packed_elements is None:
-            raise ValueError("group was built in generators-only mode")
         return (_unpack(p) for p in self.packed_elements)
 
     def generator_flats(self) -> tuple:
         return tuple(_unpack(p) for p in self.packed_generators)
 
     def __contains__(self, item) -> bool:
-        if self.packed_elements is None:
-            raise ValueError("group was built in generators-only mode")
         if isinstance(item, ModMatrix):
             flat = tuple(v for row in item.entries for v in row)
         else:
@@ -620,23 +611,6 @@ def canonical_generator_points(ell: int, twist: str = "generic"):
     return tuple(pts)
 
 
-def _build_group(ell, twist, provenance, flats_iter, generator_flats) -> ImageGroup:
-    if ell > 7:
-        # entries are packed into 3-bit fields, which hold every residue
-        # mod l only for l <= 7
-        raise ValueError(f"image groups are supported for l <= 7, not l = {ell}")
-    packed = None
-    if flats_iter is not None:
-        packed = tuple(sorted({_pack(f) for f in flats_iter}))
-    return ImageGroup(
-        ell=ell,
-        twist=twist,
-        provenance=provenance,
-        packed_elements=packed,
-        packed_generators=tuple(_pack(f) for f in generator_flats),
-    )
-
-
 def _generator_records(ell: int, twist: str) -> tuple:
     return tuple(_record(p) for _, p in canonical_generator_points(ell, twist))
 
@@ -653,52 +627,49 @@ def _routes_checked(records, ell: int, twist: str) -> Iterator[PointRecord]:
         yield r
 
 
-def _image_group(ell, twist, with_elements, field, provenance) -> ImageGroup:
+def _image_group(ell, twist, field, provenance) -> ImageGroup:
     """One image group, reading ``field`` of each PointRecord.
 
-    Elements are enumerated by default only for l <= 5; every record read,
-    generators included, is checked for dual-route agreement.
+    Every element is enumerated from slab_records, which refuses l > 5
+    before anything is packed; every record read, generators included, is
+    checked for dual-route agreement.
     """
-    gen_flats = [
-        getattr(r, field)
-        for r in _routes_checked(_generator_records(ell, twist), ell, twist)
-    ]
-    flats = None
-    if (ell <= 5) if with_elements is None else with_elements:
-        cached = ell <= 5
-        records = (slab_records if cached else iter_slab_records)(ell, twist)
-        flats = (getattr(r, field) for r in _routes_checked(records, ell, twist))
-    return _build_group(ell, twist, provenance, flats, gen_flats)
+    records = _routes_checked(slab_records(ell, twist), ell, twist)
+    packed = tuple(sorted({_pack(getattr(r, field)) for r in records}))
+    generators = _routes_checked(_generator_records(ell, twist), ell, twist)
+    return ImageGroup(
+        ell=ell,
+        twist=twist,
+        provenance=provenance,
+        packed_elements=packed,
+        packed_generators=tuple(_pack(getattr(r, field)) for r in generators),
+    )
 
 
-def image_rho_A(ell: int, twist: str = "generic", with_elements=None) -> ImageGroup:
+def image_rho_A(ell: int, twist: str = "generic") -> ImageGroup:
     """Mod-l image group of the glued surface."""
     return _image_group(
-        ell, twist, with_elements, "image",
+        ell, twist, "image",
         "parameter family conjugated into the glued basis, mod l",
     )
 
 
-def image_rho_Adual_contragredient(
-    ell: int, twist: str = "generic", with_elements=None
-) -> ImageGroup:
+def image_rho_Adual_contragredient(ell: int, twist: str = "generic") -> ImageGroup:
     """Mod-l image group of the dual surface, via twisted inverse-transpose."""
     return _image_group(
-        ell, twist, with_elements, "dual_contragredient",
+        ell, twist, "dual_contragredient",
         "twisted inverse-transpose of the glued-surface image",
     )
 
 
-def image_rho_Adual_isogeny(
-    ell: int, twist: str = "generic", with_elements=None
-) -> ImageGroup:
+def image_rho_Adual_isogeny(ell: int, twist: str = "generic") -> ImageGroup:
     """Mod-l image group of the dual surface, via the polarization isogeny.
 
     Cross-checks every element against the contragredient route and raises
     RouteDisagreementError on the first mismatch.
     """
     return _image_group(
-        ell, twist, with_elements, "dual_isogeny",
+        ell, twist, "dual_isogeny",
         "parameter family conjugated by the dual-polarization basis, mod l",
     )
 
@@ -721,10 +692,11 @@ def paired_group(ell: int, twist: str = "generic") -> tuple:
 
 
 def paired_generators(ell: int, twist: str = "generic") -> tuple:
-    """Simultaneous pairs for the canonical generator points."""
+    """Simultaneous pairs for the canonical generator points, each record
+    checked for dual-route agreement."""
     return tuple(
         (_flat_to_mod(r.image, ell), _flat_to_mod(r.dual_contragredient, ell))
-        for r in _generator_records(ell, twist)
+        for r in _routes_checked(_generator_records(ell, twist), ell, twist)
     )
 
 

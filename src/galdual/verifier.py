@@ -46,7 +46,6 @@ from galdual.paramgroups import (
     image_rho_A,
     image_rho_Adual_contragredient,
     paired_generators,
-    paired_group,
     sample_records,
     shape_parameters,
     slab_records,
@@ -179,7 +178,7 @@ def _check_dual_route_agreement(ells, twists):
 def _check_thm_main(ells, twists):
     counts = {}
     for ell in ells:
-        pairs = paired_group(2) if ell == 2 else paired_generators(ell)
+        pairs = paired_generators(ell)
         equivalent, witness = representations_equivalent(pairs)
         dim = len(intertwiner_space(pairs).basis)
         counts[f"l{ell}_intertwiner_dim"] = dim
@@ -199,10 +198,9 @@ def _check_stable_lines(ells, twists):
     counts = {}
     parts = []
     for ell in ells:
-        surface = common_stable_lines(image_rho_A(ell, with_elements=False))
-        dual = common_stable_lines(
-            image_rho_Adual_contragredient(ell, with_elements=False)
-        )
+        gens, dual_gens = zip(*paired_generators(ell))
+        surface = common_stable_lines(ell, gens)
+        dual = common_stable_lines(ell, dual_gens)
         counts[f"l{ell}_surface_lines"] = len(surface)
         counts[f"l{ell}_dual_lines"] = len(dual)
         if len(surface) != 1 or surface[0].line != (1, 0, 0, 0):
@@ -313,10 +311,9 @@ def _check_trivial_multiplicity(ells, twists):
 def _check_fixed_points(ells, twists):
     counts = {}
     for ell in ells:
-        ds = fixed_vectors(image_rho_A(ell, "trivial", with_elements=False))
-        dd = fixed_vectors(
-            image_rho_Adual_contragredient(ell, "trivial", with_elements=False)
-        )
+        gens, dual_gens = zip(*paired_generators(ell, "trivial"))
+        ds = fixed_vectors(ell, gens)
+        dd = fixed_vectors(ell, dual_gens)
         counts[f"l{ell}_surface_dim"] = ds
         counts[f"l{ell}_dual_dim"] = dd
         if ds != constants.FIXED_SPACE_DIM_TRIVIAL_TWIST_SURFACE or ds < 1:

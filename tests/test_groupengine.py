@@ -6,11 +6,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from galdual import constants
+from galdual import constants, groupengine
 from galdual.exactmat import ModMatrix, SingularMatrixError
 from galdual.groupengine import (
     _IDENT,
     ClosureCapError,
+    IntertwinerSpace,
     PermGroup,
     _gl4_table,
     common_stable_lines,
@@ -35,7 +36,6 @@ from galdual.groupengine import (
     vector_index,
 )
 from galdual.paramgroups import (
-    ImageGroup,
     canonical_generator_points,
     image_element,
     image_rho_A,
@@ -166,6 +166,26 @@ def test_constructed_equivalence_found_with_witness():
         assert verdict is True
         for g, g2 in pairs:
             assert witness.mul(g) == g2.mul(witness)
+
+
+def test_representations_equivalent_refuses_a_span_past_ten_million_lines():
+    # identity pairs at l = 7 leave every 4x4 matrix: dimension 16
+    ident = ModMatrix.identity(4, 7)
+    with pytest.raises(ValueError, match="10\\^7 lines"):
+        representations_equivalent([(ident, ident)])
+
+
+def test_span_walk_reaches_lines_with_a_leading_zero(monkeypatch):
+    # Over F_2 the span of (E00, I) has three lines, E00, I and E00 + I; only
+    # I is invertible, and its coefficient on E00 is 0.
+    ident = ModMatrix.identity(4, 2)
+    e00 = mod([[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]], 2)
+    monkeypatch.setattr(
+        groupengine, "intertwiner_space",
+        lambda pairs: IntertwinerSpace(2, 4, (e00, ident)),
+    )
+    verdict, witness = representations_equivalent([(ident, ident)])
+    assert verdict is True and witness == ident
 
 
 # -- packed F2 utilities ----------------------------------------------------------
@@ -505,17 +525,18 @@ def test_projective_point_count():
     assert sum(1 for _ in projective_points(7)) == 400
 
 
+def _sides(ell, twist="generic"):
+    """The surface and dual generator lists of one paired_generators call."""
+    return tuple(zip(*paired_generators(ell, twist)))
+
+
 def test_trivial_group_stabilizes_all_lines():
-    group = ImageGroup(
-        ell=3, twist="generic", provenance="test",
-        packed_elements=None, packed_generators=(),
-    )
-    assert len(common_stable_lines(group)) == 40
+    assert len(common_stable_lines(3, [])) == 40
 
 
 @pytest.mark.parametrize("ell", [3, 5, 7])
 def test_unique_stable_line_surface_side(ell):
-    lines = common_stable_lines(image_rho_A(ell, with_elements=False))
+    lines = common_stable_lines(ell, _sides(ell)[0])
     assert len(lines) == 1
     assert lines[0].line == (1, 0, 0, 0)
     for g, val in lines[0].character:
@@ -524,9 +545,7 @@ def test_unique_stable_line_surface_side(ell):
 
 @pytest.mark.parametrize("ell", [3, 5, 7])
 def test_unique_stable_line_dual_side(ell):
-    lines = common_stable_lines(
-        image_rho_Adual_contragredient(ell, with_elements=False)
-    )
+    lines = common_stable_lines(ell, _sides(ell)[1])
     assert len(lines) == 1
     assert lines[0].line == (0, 0, 1, 0)
     # the dual matrix carries d at position (3,3) on the stable line
@@ -535,7 +554,7 @@ def test_unique_stable_line_dual_side(ell):
 
 
 def test_stable_line_character_multiplicative():
-    lines = common_stable_lines(image_rho_A(3, with_elements=False))
+    lines = common_stable_lines(3, _sides(3)[0])
     line = lines[0]
     elems = image_rho_A(3).elements[:40]
     rng = random.Random(19)
@@ -548,7 +567,7 @@ def test_stable_line_character_multiplicative():
 
 
 def test_stable_line_rejects_moving_element():
-    lines = common_stable_lines(image_rho_A(3, with_elements=False))
+    lines = common_stable_lines(3, _sides(3)[0])
     rot = mod([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], 3)
     with pytest.raises(ValueError, match="stabilize"):
         lines[0].eigenvalue_of(rot)
@@ -557,43 +576,42 @@ def test_stable_line_rejects_moving_element():
 def test_character_product_is_similitude_scalar():
     """On paired elements, the two line characters multiply to a*d."""
     for ell in (3, 5, 7):
-        line_a = common_stable_lines(image_rho_A(ell, with_elements=False))[0]
-        line_d = common_stable_lines(
-            image_rho_Adual_contragredient(ell, with_elements=False)
-        )[0]
+        surface, dual = _sides(ell)
+        line_a = common_stable_lines(ell, surface)[0]
+        line_d = common_stable_lines(ell, dual)[0]
         for m, md in sample_paired_elements(ell, "generic", 40, seed=ell):
             a, d, *_ = shape_parameters(m)
             assert line_a.eigenvalue_of(m) * line_d.eigenvalue_of(md) % ell == a * d % ell
+
+
+@pytest.mark.parametrize(
+    "bad", [ModMatrix.identity(4, 5), ModMatrix.identity(3, 3), ModMatrix.identity(4, 3, 2)]
+)
+def test_generator_checks_reject_a_foreign_generator(bad):
+    gens = [*_sides(3)[0], bad]
+    with pytest.raises(ValueError, match="mod 3"):
+        common_stable_lines(3, gens)
+    with pytest.raises(ValueError, match="mod 3"):
+        fixed_vectors(3, gens)
 
 
 # -- fixed vectors ------------------------------------------------------------------
 
 
 def test_fixed_vectors_identity_group():
-    group = ImageGroup(
-        ell=5, twist="generic", provenance="test",
-        packed_elements=None, packed_generators=(),
-    )
-    assert fixed_vectors(group) == 4
+    assert fixed_vectors(5, []) == 4
 
 
 @pytest.mark.parametrize("ell", [3, 5, 7])
 def test_fixed_vectors_trivial_twist(ell):
-    assert (
-        fixed_vectors(image_rho_A(ell, "trivial", with_elements=False))
-        == constants.FIXED_SPACE_DIM_TRIVIAL_TWIST_SURFACE
-    )
-    assert (
-        fixed_vectors(
-            image_rho_Adual_contragredient(ell, "trivial", with_elements=False)
-        )
-        == constants.FIXED_SPACE_DIM_TRIVIAL_TWIST_DUAL
-    )
+    surface, dual = _sides(ell, "trivial")
+    assert fixed_vectors(ell, surface) == constants.FIXED_SPACE_DIM_TRIVIAL_TWIST_SURFACE
+    assert fixed_vectors(ell, dual) == constants.FIXED_SPACE_DIM_TRIVIAL_TWIST_DUAL
 
 
 @pytest.mark.parametrize("ell", [3, 5, 7])
 def test_fixed_vectors_generic_twist_zero(ell):
-    assert fixed_vectors(image_rho_A(ell, with_elements=False)) == 0
+    assert fixed_vectors(ell, _sides(ell)[0]) == 0
 
 
 # -- property battery ----------------------------------------------------------------

@@ -14,6 +14,7 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from galdual import paramgroups
 from galdual.exactmat import LAdicMatrix, ModMatrix, charpoly, is_prime
 from galdual.lattice import conjugate_by
 from galdual.paramgroups import (
@@ -28,6 +29,7 @@ from galdual.paramgroups import (
     _contragredient_flat,
     _draw_residues,
     _flat_of,
+    _generator_records,
     _pack,
     _record,
     _record_kernel,
@@ -298,6 +300,16 @@ def test_dual_routes_agree_l7_sampled():
         assert r.dual_isogeny == r.dual_contragredient
 
 
+def test_paired_generators_check_the_dual_routes(monkeypatch):
+    records = _generator_records(7, "generic")
+    bad = records[0]._replace(dual_isogeny=records[1].dual_isogeny)
+    monkeypatch.setattr(
+        paramgroups, "_generator_records", lambda ell, twist: (bad, *records[1:])
+    )
+    with pytest.raises(RouteDisagreementError, match="l=7"):
+        paired_generators(7)
+
+
 @pytest.mark.parametrize("ell,twist", [(3, "generic"), (3, "trivial"), (5, "trivial")])
 def test_dual_group_orders_match(ell, twist):
     gc = image_rho_Adual_contragredient(ell, twist)
@@ -506,24 +518,14 @@ def test_image_group_materializes_elements():
     assert len(g.generators) == 5
 
 
-def test_image_group_generators_mode():
-    g = image_rho_A(7)
-    assert g.packed_elements is None
-    assert g.order == 605052
-    assert len(g.generators) == 7
-    with pytest.raises(ValueError, match="generators-only"):
-        g.elements
-    with pytest.raises(ValueError, match="generators-only"):
-        ModMatrix.identity(4, 7) in g
-
-
 @pytest.mark.parametrize(
     "builder", [image_rho_A, image_rho_Adual_contragredient, image_rho_Adual_isogeny]
 )
-@pytest.mark.parametrize("ell", [11, 13])
+@pytest.mark.parametrize("ell", [7, 11, 13])
 def test_image_group_rejects_primes_past_packed_width(builder, ell):
-    with pytest.raises(ValueError, match="l <= 7"):
-        builder(ell, with_elements=False)
+    # every image group is a full enumeration, which stops at l = 5
+    with pytest.raises(ValueError, match="l <= 5"):
+        builder(ell)
 
 
 @given(
@@ -547,16 +549,16 @@ def test_pack_round_trips_every_residue_up_to_seven(flat):
 )
 @settings(max_examples=200, deadline=None)
 def test_pack_loses_a_residue_of_eight_or_more(case):
-    # a 3-bit field cannot hold 8..l-1, which is why _build_group rejects l > 7
+    # a 3-bit field cannot hold 8..l-1, so packing is exact only for l <= 7
     flat, pos, big = case
     flat[pos] = big
     assert _unpack(_pack(tuple(flat))) != tuple(flat)
 
 
 def test_image_group_generators_match_points_at_seven():
-    g = image_rho_A(7, with_elements=False)
+    generators = tuple(m for m, _ in paired_generators(7))
     expected = tuple(image_element(p) for _, p in canonical_generator_points(7))
-    assert g.generators == expected
+    assert generators == expected
 
 
 def test_image_group_membership():

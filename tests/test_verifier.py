@@ -3,6 +3,7 @@ grammar, determinism, and the pass/fail/skip mechanics."""
 
 import dataclasses
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -333,6 +334,17 @@ def test_quick_profile_runs_real_fast_checks(monkeypatch):
     assert all(r.status == "pass" for r in reports)
     for r in reports:
         assert "7" not in dict(r.params).get("ells", "")
+
+
+GOLDEN_FULL = Path(__file__).parent / "golden" / "verify_all_full.txt"
+
+
+def test_full_profile_matches_the_golden_report():
+    """The real full registry, every line but runtime_ms, against the
+    committed report; CI's smoke job diffs the CLI output against it too."""
+    text = format_reports(run_all("full"))
+    kept = [line for line in text.split("\n") if not RUNTIME_LINE.match(line)]
+    assert "\n".join(kept) == GOLDEN_FULL.read_text(encoding="utf-8")
 
 
 FAST_CHECKS = st.sampled_from(
