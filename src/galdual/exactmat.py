@@ -3,9 +3,8 @@
 Everything here is exact: matrices are immutable tuples of Python integers
 (arbitrary precision), so there is no overflow and no floating point anywhere.
 It is the package's one home for linear algebra, with one routine per kind:
-``_fraction_det`` and ``_fraction_inv`` for integer and rational rows,
-``_echelon_mod`` for residue rows over F_l, and ``charpoly4`` for flat 4x4
-integer matrices.  Two matrix kinds are provided.
+``_fraction_det`` and ``_fraction_inv`` for integer and rational rows and
+``_echelon_mod`` for residue rows over F_l.  Two matrix kinds are provided.
 
 ``LAdicMatrix``
     Entries are rationals whose denominator is a power of a fixed prime l,
@@ -468,63 +467,6 @@ def _fraction_det(rows) -> Fraction:
                 f = a[r][col] * inv_p
                 a[r] = [v - f * w for v, w in zip(a[r], a[col])]
     return det
-
-
-# -- flat 4x4 integer kernel --------------------------------------------------
-# A flat 4x4 matrix is a 16-tuple of ints in row-major order.  Everything is
-# unrolled: the charpoly proof calls these hundreds of thousands of times.
-# Results are exact integers; callers reduce mod l.
-
-
-def minors4(m) -> tuple:
-    """The twelve 2x2 minors of a flat 4x4 matrix, from which charpoly4 is built.
-
-    The first six come from rows 0-1, the last six from rows 2-3, each six
-    over the column pairs (0,1), (0,2), (0,3), (1,2), (1,3), (2,3).
-    """
-    m0, m1, m2, m3, m4, m5, m6, m7, m8, m9, m10, m11, m12, m13, m14, m15 = m
-    return (
-        m0 * m5 - m1 * m4,
-        m0 * m6 - m2 * m4,
-        m0 * m7 - m3 * m4,
-        m1 * m6 - m2 * m5,
-        m1 * m7 - m3 * m5,
-        m2 * m7 - m3 * m6,
-        m8 * m13 - m9 * m12,
-        m8 * m14 - m10 * m12,
-        m8 * m15 - m11 * m12,
-        m9 * m14 - m10 * m13,
-        m9 * m15 - m11 * m13,
-        m10 * m15 - m11 * m14,
-    )
-
-
-def _laplace4(k) -> int:
-    """The determinant from minors4, by Laplace expansion along rows 0-1."""
-    return k[0] * k[11] - k[1] * k[10] + k[2] * k[9] + k[3] * k[8] - k[4] * k[7] + k[5] * k[6]
-
-
-def charpoly4(m) -> tuple:
-    """``(e1, e2, e3, e4)`` with det(xI - m) = x^4 - e1 x^3 + e2 x^2 - e3 x + e4.
-
-    e1 is the trace, e2 the sum of the six principal 2x2 minors, e3 the
-    trace of the adjugate (the sum of the principal 3x3 minors) and e4 the
-    determinant; exact integers, unreduced.
-    """
-    m0, m1, m2, m3, m4, m5, m6, m7, m8, m9, m10, m11, m12, m13, m14, m15 = m
-    k = minors4(m)
-    s0, s1, s2, s3, s4, s5, c0, c1, c2, c3, c4, c5 = k
-    return (
-        m0 + m5 + m10 + m15,
-        s0 + c5
-        + m0 * m10 - m2 * m8 + m0 * m15 - m3 * m12
-        + m5 * m10 - m6 * m9 + m5 * m15 - m7 * m13,
-        m5 * c5 - m6 * c4 + m7 * c3
-        + m0 * c5 - m2 * c2 + m3 * c1
-        + m12 * s4 - m13 * s2 + m15 * s0
-        + m8 * s3 - m9 * s1 + m10 * s0,
-        _laplace4(k),
-    )
 
 
 def _fraction_inv(rows) -> list:

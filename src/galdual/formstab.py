@@ -42,6 +42,7 @@ from galdual.groupengine import (
     f2_transpose,
     f2_unpack,
     gl4_elements,
+    intertwiner_space,
     matrix_subgroups_conjugate,
     representations_equivalent,
 )
@@ -568,7 +569,7 @@ def contragredient_census(classes, j: AlternatingForm) -> CensusResult:
         pairs = [
             (f2_unpack(g), f2_unpack(f2_transpose(f2_inv(g)))) for g in gens
         ]
-        equivalent, witness = representations_equivalent(pairs)
+        equivalent, witness = representations_equivalent(intertwiner_space(pairs))
         if equivalent:
             x = f2_pack(witness)
             xi = f2_inv(x)

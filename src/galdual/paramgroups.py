@@ -35,11 +35,20 @@ inverse of ModMatrix.  Seeded samples draw each residue below n as
 CPython's randrange does, from getrandbits(n.bit_length()) repeated until
 it is below n, so the pinned l = 7 samples rest on CPython's
 getrandbits stream.
+
+slab_records builds its tuple with the cyclic garbage collector paused
+and then calls gc.freeze().  PointRecords are NamedTuples, not exact
+tuples, so CPython never untracks them, and every collection during or
+after the build would rescan all of them without reclaiming anything:
+they hold no cycles, and functools.cache keeps them for the life of the
+process.  Freezing moves every object alive at that moment out of all
+later collections.
 """
 
 from __future__ import annotations
 
 import functools
+import gc
 import itertools
 import random
 from dataclasses import dataclass
@@ -501,7 +510,18 @@ def slab_records(ell: int, twist: str = "generic"):
             "full enumeration is only cached for l <= 5; "
             "use iter_slab_records or sample_records"
         )
-    return tuple(iter_slab_records(ell, twist))
+    # The collector never untracks NamedTuples, so each collection would
+    # rescan every record built so far and reclaim nothing: pause it, and
+    # freeze the cached records out of every later collection.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        records = tuple(iter_slab_records(ell, twist))
+    finally:
+        if enabled:
+            gc.enable()
+    gc.freeze()
+    return records
 
 
 def iter_slab_records(ell: int, twist: str = "generic") -> Iterator[PointRecord]:

@@ -1,4 +1,3 @@
-import itertools
 from fractions import Fraction
 
 import pytest
@@ -15,14 +14,12 @@ from galdual.exactmat import (
     SingularMatrixError,
     UnrepresentableEntryError,
     _fraction_det,
-    charpoly4,
     charpoly_rows,
     check_prime,
     closure,
     format_matrix,
     is_prime,
     lval,
-    minors4,
     parse_ladic,
     parse_mod,
     smith_normal_form,
@@ -529,35 +526,3 @@ def test_closure_cap_error_is_reexported():
     from galdual import groupengine
 
     assert groupengine.ClosureCapError is ClosureCapError
-
-
-# -- flat 4x4 kernel -----------------------------------------------------------
-
-FLAT = st.lists(st.integers(-12, 12), min_size=16, max_size=16)
-# residues 0..l-1 hit singular matrices often at small l
-SMALL_FLAT = st.lists(st.integers(0, 2), min_size=16, max_size=16)
-
-
-def _rows(flat):
-    return [list(flat[4 * i : 4 * i + 4]) for i in range(4)]
-
-
-@given(st.one_of(FLAT, SMALL_FLAT))
-@settings(max_examples=150, deadline=None)
-def test_kernel_determinant_matches_fraction_det(flat):
-    assert charpoly4(flat)[3] == _fraction_det(_rows(flat))
-
-
-@given(st.sampled_from(PRIMES), st.one_of(FLAT, SMALL_FLAT))
-@settings(max_examples=200, deadline=None)
-def test_charpoly4_matches_charpoly_rows(ell, flat):
-    e1, e2, e3, e4 = charpoly4(flat)
-    assert (1, -e1 % ell, e2 % ell, -e3 % ell, e4 % ell) == charpoly_rows(_rows(flat), ell)
-
-
-def test_minors4_order():
-    flat = tuple(range(1, 17))
-    m = _rows(flat)
-    pairs = list(itertools.combinations(range(4), 2))
-    want = [m[r][i] * m[r + 1][j] - m[r][j] * m[r + 1][i] for r in (0, 2) for i, j in pairs]
-    assert minors4(flat) == tuple(want)

@@ -7,6 +7,7 @@ confirmed independently by closure computations from the canonical
 generators at l = 2 and l = 3.
 """
 
+import gc
 import hashlib
 import itertools
 import random
@@ -312,10 +313,10 @@ def test_paired_generators_check_the_dual_routes(monkeypatch):
 
 @pytest.mark.parametrize("ell,twist", [(3, "generic"), (3, "trivial"), (5, "trivial")])
 def test_dual_group_orders_match(ell, twist):
-    gc = image_rho_Adual_contragredient(ell, twist)
+    gcon = image_rho_Adual_contragredient(ell, twist)
     gi = image_rho_Adual_isogeny(ell, twist)
-    assert gc.order == gi.order == FROZEN_ORDERS[(ell, twist)]
-    assert gc.packed_elements == gi.packed_elements
+    assert gcon.order == gi.order == FROZEN_ORDERS[(ell, twist)]
+    assert gcon.packed_elements == gi.packed_elements
 
 
 # -- shapes -------------------------------------------------------------------
@@ -823,6 +824,24 @@ SLAB_SHA256 = {
 @pytest.mark.parametrize("ell,twist", sorted(SLAB_SHA256))
 def test_slab_records_are_pinned(ell, twist):
     assert _records_sha256(slab_records(ell, twist)) == SLAB_SHA256[(ell, twist)]
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_slab_records_leave_the_collector_as_they_found_it(enabled):
+    """The cached slab is built with the cyclic collector paused; the
+    caller's setting comes back, also when the build raises."""
+    slab_records.cache_clear()
+    try:
+        if not enabled:
+            gc.disable()
+        records = slab_records(3, "generic")
+        assert gc.isenabled() is enabled
+        with pytest.raises(ValueError, match="unknown twist"):
+            slab_records(3, "weird")
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+    assert _records_sha256(records) == SLAB_SHA256[(3, "generic")]
 
 
 def _draw_residues_by_randrange(rng, ell, twist):

@@ -2,6 +2,7 @@
 grammar, determinism, and the pass/fail/skip mechanics."""
 
 import dataclasses
+import itertools
 import re
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from galdual import constants, verifier
+from galdual import constants, paramgroups, verifier
 from galdual.exactmat import charpoly_rows
 from galdual.verifier import (
     CheckReport,
@@ -380,14 +381,26 @@ def test_every_report_is_well_formed(args):
 # -- the charpoly proof ------------------------------------------------------------
 
 
-def _companion(e1, e2, e3, e4):
-    """A flat 4x4 with det(xI - C) = x^4 - e1 x^3 + e2 x^2 - e3 x + e4."""
-    return (0, 0, 0, -e4, 1, 0, 0, e3, 0, 1, 0, -e2, 0, 0, 1, e1)
+def _block_companion(q1, q2, ell, upper=True, off=(1, 0, 2, 1)):
+    """A flat block triangular 4x4 whose diagonal blocks are the companion
+    matrices [[0, -n], [1, t]] of q = x^2 - t x + n, given as q = (t, n);
+    ``off`` fills the upper-right block when ``upper``, else the lower-left."""
+    (t1, n1), (t2, n2) = q1, q2
+    z = (0, 0, 0, 0)
+    b, c = (off, z) if upper else (z, off)
+    flat = (0, -n1, b[0], b[1], 1, t1, b[2], b[3], c[0], c[1], 0, -n2, c[2], c[3], 1, t2)
+    return tuple(v % ell for v in flat)
 
 
 def _squares_coefficients(a, d):
     """(e1, e2, e3, e4) of (x-a)^2 (x-d)^2."""
     return 2 * (a + d), a * a + 4 * a * d + d * d, 2 * a * d * (a + d), a * a * d * d
+
+
+def _block_coefficients(q1, q2):
+    """(e1, e2, e3, e4) of q1 * q2 for q = x^2 - t x + n, given as (t, n)."""
+    (t1, n1), (t2, n2) = q1, q2
+    return t1 + t2, n1 + n2 + t1 * t2, t1 * n2 + t2 * n1, n1 * n2
 
 
 def _unit_pairs(ell):
@@ -398,39 +411,150 @@ def _rows(flat):
     return [list(flat[4 * i : 4 * i + 4]) for i in range(4)]
 
 
+def _diag_rows(a, d):
+    return [[a, 0, 0, 0], [0, a, 0, 0], [0, 0, d, 0], [0, 0, 0, d]]
+
+
 @pytest.mark.parametrize("ell", [2, 3, 5, 7])
 def test_charpoly_proof_accepts_the_squares(ell):
+    # (x-a)^2 times (x-d)^2 as well as (x-a)(x-d) twice: the claim is about
+    # the quartic, not about each block.
     for a, d in _unit_pairs(ell):
-        flat = _companion(*_squares_coefficients(a, d))
-        assert verifier._charpoly_matches_squares(flat, a, d, ell)
+        for q1, q2 in (
+            ((2 * a, a * a), (2 * d, d * d)),
+            ((a + d, a * d), (a + d, a * d)),
+        ):
+            for upper in (True, False):
+                flat = _block_companion(q1, q2, ell, upper)
+                assert verifier._charpoly_matches_squares(flat, a, d, ell)
+
+
+def _blocks_wrong_only_at(index, a, d, ell):
+    """Pairs of quadratics whose product differs from (x-a)^2 (x-d)^2 mod l
+    in the coefficient e_(index + 1) alone: the traces sum to 2(a + d) and
+    the constant terms multiply to a^2 d^2."""
+    want = [c % ell for c in _squares_coefficients(a, d)]
+    found = []
+    for t1, n1 in itertools.product(range(ell), range(1, ell)):
+        q1 = (t1, n1)
+        q2 = ((want[0] - t1) % ell, want[3] * pow(n1, -1, ell) % ell)
+        got = [c % ell for c in _block_coefficients(q1, q2)]
+        if [i for i in range(4) if got[i] != want[i]] == [index]:
+            found.append((q1, q2))
+    return found
 
 
 @pytest.mark.parametrize("ell", [2, 3, 5, 7])
 @pytest.mark.parametrize("middle", [1, 2])
 def test_charpoly_proof_rejects_a_wrong_middle_coefficient(ell, middle):
-    """Trace and determinant match (x-a)^2 (x-d)^2 and so does one middle
-    coefficient; only the other one (the principal 2-minor sum for
-    middle=1, the adjugate trace for middle=2) tells the quartics apart."""
+    """Trace, determinant and one middle coefficient match (x-a)^2 (x-d)^2;
+    only the other one (e2 = n1 + n2 + t1 t2 for middle=1, e3 = t1 n2 +
+    t2 n1 for middle=2) tells the quartics apart.  Such blocks exist for
+    e2 at every (a, d); for e3 at l = 2 and 3 they exist for no (a, d)."""
+    cases = 0
     for a, d in _unit_pairs(ell):
-        coeffs = list(_squares_coefficients(a, d))
-        coeffs[middle] += 1
-        flat = _companion(*coeffs)
-        diag = [[a, 0, 0, 0], [0, a, 0, 0], [0, 0, d, 0], [0, 0, 0, d]]
-        got, want = charpoly_rows(_rows(flat), ell), charpoly_rows(diag, ell)
-        assert (got[1], got[4]) == (want[1], want[4])
-        assert got != want
-        assert not verifier._charpoly_matches_squares(flat, a, d, ell)
+        found = _blocks_wrong_only_at(middle, a, d, ell)
+        assert found or middle == 2
+        for q1, q2 in found:
+            for upper in (True, False):
+                flat = _block_companion(q1, q2, ell, upper)
+                got, want = charpoly_rows(_rows(flat), ell), charpoly_rows(_diag_rows(a, d), ell)
+                assert [i for i in range(5) if got[i] != want[i]] == [middle + 1]
+                assert not verifier._charpoly_matches_squares(flat, a, d, ell)
+                cases += 1
+    assert bool(cases) == (middle == 1 or ell > 3)
 
 
-@given(
-    st.sampled_from([2, 3, 5, 7]),
-    st.lists(st.integers(0, 6), min_size=16, max_size=16),
-    st.integers(1, 6),
-    st.integers(1, 6),
-)
-@settings(max_examples=300, deadline=None)
-def test_charpoly_proof_agrees_with_charpoly_rows(ell, flat, a, d):
-    a, d = a % ell or 1, d % ell or 1
-    diag = [[a, 0, 0, 0], [0, a, 0, 0], [0, 0, d, 0], [0, 0, 0, d]]
-    want = charpoly_rows(_rows(flat), ell) == charpoly_rows(diag, ell)
-    assert verifier._charpoly_matches_squares(tuple(flat), a, d, ell) == want
+@st.composite
+def block_triangular_case(draw):
+    """(l, flat, a, d): a block upper or lower triangular flat of residues
+    whose diagonal entries are often a or d, so both verdicts are common."""
+    ell = draw(st.sampled_from([2, 3, 5, 7]))
+    a, d = draw(st.integers(1, ell - 1)), draw(st.integers(1, ell - 1))
+    residue = st.integers(0, ell - 1)
+    near = st.one_of(st.sampled_from([a, d]), residue)
+    sparse = st.one_of(st.just(0), residue)
+
+    def block(diagonal, other):
+        return draw(diagonal), draw(other), draw(other), draw(diagonal)
+
+    (a0, a1, a2, a3), (d0, d1, d2, d3) = block(near, sparse), block(near, sparse)
+    o0, o1, o2, o3 = block(residue, residue)
+    if draw(st.booleans()):
+        flat = (a0, a1, o0, o1, a2, a3, o2, o3, 0, 0, d0, d1, 0, 0, d2, d3)
+    else:
+        flat = (a0, a1, 0, 0, a2, a3, 0, 0, o0, o1, d0, d1, o2, o3, d2, d3)
+    return ell, flat, a, d
+
+
+@given(block_triangular_case())
+@settings(max_examples=400, deadline=None)
+def test_charpoly_proof_agrees_with_charpoly_rows(case):
+    ell, flat, a, d = case
+    want = charpoly_rows(_rows(flat), ell) == charpoly_rows(_diag_rows(a, d), ell)
+    assert verifier._charpoly_matches_squares(flat, a, d, ell) == want
+
+
+def test_charpoly_proof_refuses_a_flat_that_is_not_block_triangular():
+    # P diag(1, 1, 2, 2) P^-1 mod 5 for P = [[1, 0, 1, 0], [0, 1, 0, 0],
+    # [1, 0, 2, 0], [0, 0, 0, 1]] has the squares as its charpoly, but both
+    # off-diagonal blocks are nonzero: there is no block proof.
+    ell, a, d = 5, 1, 2
+    flat = (0, 0, 1, 0, 0, 1, 0, 0, 3, 0, 3, 0, 0, 0, 0, 2)
+    assert charpoly_rows(_rows(flat), ell) == charpoly_rows(_diag_rows(a, d), ell)
+    assert not verifier._charpoly_matches_squares(flat, a, d, ell)
+
+
+@pytest.fixture
+def one_changed_record(monkeypatch):
+    """``patch(change)`` makes the record kernel build the first record whose
+    image ``change(image, l)`` alters with the altered image, which it
+    appends to the returned list.  The slab cache is cleared around it."""
+    kernel = paramgroups._record_kernel
+    changed = []
+
+    def patch(change):
+        def patched_kernel(ell):
+            record = kernel(ell)
+
+            def build(*residues):
+                rec = record(*residues)
+                image = change(rec.image, ell)
+                if changed or image == rec.image:
+                    return rec
+                changed.append(image)
+                return rec._replace(image=image)
+
+            return build
+
+        monkeypatch.setattr(paramgroups, "_record_kernel", patched_kernel)
+        return changed
+
+    paramgroups.slab_records.cache_clear()
+    yield patch
+    paramgroups.slab_records.cache_clear()
+
+
+def test_semisimp_charpoly_fails_on_a_changed_diagonal_entry(one_changed_record):
+    changed = one_changed_record(
+        lambda image, ell: (*image[:5], (image[5] + 1) % ell, *image[6:])
+    )
+    report = run_check("semisimp-charpoly", ell=3, twist="generic")
+    assert report.status == "fail"
+    assert f"image {changed[0]}" in report.witness
+    assert report.counts == ()
+    assert_report_grammar(format_report(report))
+
+
+def test_semisimp_charpoly_fails_when_no_block_is_zero(one_changed_record):
+    def fill_lower_left(image, ell):
+        if not any(image[k] for k in (2, 3, 6, 7)):
+            return image
+        return (*image[:8], 1, *image[9:])
+
+    changed = one_changed_record(fill_lower_left)
+    report = run_check("semisimp-charpoly", ell=5, twist="trivial")
+    assert report.status == "fail"
+    assert "block-triangular" in report.witness
+    assert f"image {changed[0]}" in report.witness
+    assert_report_grammar(format_report(report))
