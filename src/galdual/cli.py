@@ -20,7 +20,7 @@ from galdual.lattice import (
     pushforward_polarization,
     standard_polarization_matrix,
 )
-from galdual.paramgroups import image_rho_A, image_rho_Adual_contragredient
+from galdual.paramgroups import TWISTS, image_rho_A, image_rho_Adual_contragredient
 from galdual.verifier import (
     all_passed,
     check_ids,
@@ -48,7 +48,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     verify.add_argument("check_id", metavar="check-id")
     verify.add_argument("--ell", type=int, default=None)
-    verify.add_argument("--twist", choices=("generic", "trivial"), default=None)
+    verify.add_argument("--twist", choices=TWISTS, default=None)
     verify.add_argument("--out", default=None, help="write the report here")
 
     verify_all = sub.add_parser(
@@ -64,9 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     dump.add_argument("--ell", type=int, required=True)
     dump.add_argument("--side", choices=("A", "Adual"), required=True)
-    dump.add_argument(
-        "--twist", choices=("generic", "trivial"), default="generic"
-    )
+    dump.add_argument("--twist", choices=TWISTS, default="generic")
 
     lattice = sub.add_parser(
         "lattice", help="lattice calculus on matrices in the text format"

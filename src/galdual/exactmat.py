@@ -418,9 +418,6 @@ class ModMatrix:
             ),
         )
 
-    def is_identity(self) -> bool:
-        return self == ModMatrix.identity(self.n, self.ell, self.k)
-
     def charpoly(self) -> tuple:
         """Characteristic polynomial coefficients, leading first, over F_l.
 

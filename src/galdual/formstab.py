@@ -100,12 +100,6 @@ def principal_pairing_mod2() -> AlternatingForm:
     return AlternatingForm.from_matrix(product_principal_polarization(2).reduce_mod(1))
 
 
-def zero_form() -> AlternatingForm:
-    return AlternatingForm.from_matrix(
-        ModMatrix.from_rows([[0] * 4 for _ in range(4)], 2)
-    )
-
-
 def alternating_forms() -> tuple:
     """All 64 alternating forms on F_2^4 (six free entries above the diagonal)."""
     out = []
@@ -272,9 +266,6 @@ def structure_invariants(
 ) -> StructureInvariants:
     """Order, exponent, solvability, derived series; optionally the
     kernel/complement decomposition with respect to a form's radical."""
-    elements = frozenset(
-        x if isinstance(x, int) else f2_pack(x) for x in elements
-    )
     if len(elements) > 10_000:
         raise ValueError("group order over budget for structure invariants")
     # a singular element's powers never reach the identity
@@ -375,9 +366,7 @@ def subgroup_conjugacy_classes(elements: frozenset) -> list:
     coset generators x of prime order in N(H)/H reaches every class.  New
     subgroups are deduplicated by registering their whole conjugation orbit.
     """
-    elems = sorted(
-        x if isinstance(x, int) else f2_pack(x) for x in elements
-    )
+    elems = sorted(elements)
     n = len(elems)
     if n > 1200:
         raise ValueError("group order over budget for subgroup enumeration")

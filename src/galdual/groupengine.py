@@ -1,7 +1,7 @@
 """Generic finite-group machinery over small prime fields.
 
-Closure generation, linear-representation equivalence through intertwiner
-spaces, subgroup conjugacy inside GL4(F_2), permutation actions on the
+Linear-representation equivalence through intertwiner spaces, packed
+GL4(F_2) and subgroup conjugacy inside it, permutation actions on the
 vectors of F_l^4, permutation characters, the check of a given point map
 as a conjugator between two permutation groups, and stable-line analysis.
 Everything here is exhaustive or certifying: a negative equivalence
@@ -22,25 +22,8 @@ from array import array
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from galdual.exactmat import (
-    ClosureCapError,  # noqa: F401  (re-exported for callers of generate_closure)
-    ModMatrix,
-    _nullspace_mod,
-    _rank_mod,
-    closure,
-)
+from galdual.exactmat import ModMatrix, _nullspace_mod, _rank_mod, closure
 from galdual.paramgroups import ImageGroup
-
-
-def generate_closure(generators: Sequence[ModMatrix], cap: int = 1_000_000) -> frozenset:
-    """The subgroup generated by invertible matrices, by breadth-first closure."""
-    gens = list(generators)
-    if not gens:
-        raise ValueError("need at least one generator to fix the ambient space")
-    for g in gens:
-        g.inv()  # raises on a singular generator
-    ident = ModMatrix.identity(gens[0].n, gens[0].ell, gens[0].k)
-    return closure([ident], gens, ModMatrix.mul, cap)
 
 
 # -- intertwiner spaces ---------------------------------------------------------
@@ -266,14 +249,14 @@ def _f2_small_generating_set(elements: frozenset) -> tuple:
 
 
 def matrix_subgroups_conjugate(h1, h2) -> bool:
-    """Whether two subgroups of GL4(F_2) are conjugate inside it.
+    """Whether two subgroups of GL4(F_2), as sets of packed matrices, are
+    conjugate inside it.
 
     Exhaustive scan over GL4(F_2) (the decided algorithm at this size): X
     conjugates H1 into H2 iff it does so on a generating set, orders being
     equal.
     """
-    set1 = frozenset(x if isinstance(x, int) else f2_pack(x) for x in h1)
-    set2 = frozenset(x if isinstance(x, int) else f2_pack(x) for x in h2)
+    set1, set2 = frozenset(h1), frozenset(h2)
     if len(set1) != len(set2):
         return False
     if set1 == set2:
@@ -292,21 +275,6 @@ def matrix_subgroups_conjugate(h1, h2) -> bool:
 
 
 # -- permutation actions on F_l^4 ---------------------------------------------------
-
-
-def vector_index(v, ell: int) -> int:
-    idx = 0
-    for i in reversed(range(len(v))):
-        idx = idx * ell + v[i]
-    return idx
-
-
-def index_vector(idx: int, ell: int, n: int = 4) -> tuple:
-    out = []
-    for _ in range(n):
-        idx, r = divmod(idx, ell)
-        out.append(r)
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -442,13 +410,6 @@ class StableLine:
     ell: int
     line: tuple
     character: tuple
-
-    def eigenvalue_of(self, m: ModMatrix) -> int:
-        """Scalar by which an arbitrary stabilizing element acts on the line."""
-        s = _eigenvalue(m, self.line)
-        if s is None:
-            raise ValueError("element does not stabilize the line")
-        return s
 
 
 def _eigenvalue(m: ModMatrix, v):

@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from galdual.exactmat import (
     LAdicMatrix,
@@ -88,6 +88,9 @@ _KSPEC_RE = re.compile(
     r"^ell=(\d+)\s+n=(\d+)\s+dim=(\d+)\s+gens=(.*)$"
 )
 _GEN_RE = re.compile(r"\(([^()]*)\)")
+# what format_kernel writes after gens=: nothing, or integer tuples joined by ','
+_INT_TUPLE = r"\(-?\d+(?:,-?\d+)*\)"
+_GENS_RE = re.compile(rf"(?:{_INT_TUPLE}(?:,{_INT_TUPLE})*)?")
 
 
 def format_kernel(ker: KernelSpec) -> str:
@@ -102,37 +105,16 @@ def parse_kernel(text: str) -> KernelSpec:
     if not m:
         raise LatticeError(f"bad kernel spec: {text!r}")
     ell, n, dim = int(m.group(1)), int(m.group(2)), int(m.group(3))
-    gens = []
-    for group in _GEN_RE.findall(m.group(4)):
-        group = group.strip()
-        if not group:
-            continue
-        gens.append(tuple(int(v) for v in group.split(",")))
-    return KernelSpec(ell, n, dim, tuple(gens))
-
-
-# -- polarization specifications ----------------------------------------------
-
-
-@dataclass(frozen=True)
-class PolarizationSpec:
-    """An alternating pairing matrix, optionally with its stated type."""
-
-    matrix: LAdicMatrix
-    divisors: Optional[tuple] = None
-
-    def __post_init__(self):
-        if not self.matrix.is_alternating():
-            raise LatticeError("polarization matrix must be alternating")
-        if self.divisors is not None:
-            if self.matrix.n % 2 != 0:
-                raise LatticeError("typed polarization needs even dimension")
-            got = polarization_type(self.matrix, self.matrix.n // 2)
-            if tuple(self.divisors) != got:
-                raise LatticeError(
-                    f"stated type {tuple(self.divisors)} does not match "
-                    f"computed type {got}"
-                )
+    gens_text = m.group(4)
+    if not _GENS_RE.fullmatch(gens_text):
+        raise LatticeError(
+            f"bad kernel generators: {gens_text!r}; "
+            "expected integer tuples such as (1,0),(0,1)"
+        )
+    gens = tuple(
+        tuple(int(v) for v in group.split(",")) for group in _GEN_RE.findall(gens_text)
+    )
+    return KernelSpec(ell, n, dim, gens)
 
 
 # -- change-of-basis construction ----------------------------------------------
@@ -412,15 +394,3 @@ def standard_polarization_matrix(divisors: Sequence[int], ell: int) -> LAdicMatr
 def conjugate_by(m: LAdicMatrix, a: LAdicMatrix) -> LAdicMatrix:
     """Rewrite the action of a in the coordinates given by m's columns."""
     return m.inv().mul(a).mul(m)
-
-
-def same_l_lattice(a: LAdicMatrix, b: LAdicMatrix) -> bool:
-    """Do the columns of a and b span the same lattice locally at l?"""
-    try:
-        x = a.inv().mul(b)
-    except SingularMatrixError:
-        return False
-    d = x.det()
-    if d == 0:
-        return False
-    return x.is_integral() and lval(d, a.ell) == 0

@@ -143,30 +143,6 @@ class ParamPoint:
         z1 = (z2 + pow(a, -1, ell) * rhs) % ell
         return cls(ell, z1=z1, **kwargs)
 
-    @property
-    def epsilon(self) -> int:
-        """The similitude scalar: the pairing is rescaled by a*d."""
-        return (self.a * self.d) % self.ell
-
-
-def g_ell_element(p: ParamPoint) -> ModMatrix:
-    """The block-diagonal family element carried mod l^2."""
-    ell = p.ell
-    rows = [
-        [p.a + p.x1 * ell, p.b1 + p.y1 * ell, 0, 0],
-        [p.w1 * ell, p.d + p.z1 * ell, 0, 0],
-        [0, 0, p.a + p.x2 * ell, p.b2 + p.y2 * ell],
-        [0, 0, p.w2 * ell, p.d + p.z2 * ell],
-    ]
-    return ModMatrix.from_rows(rows, ell, 2)
-
-
-def lift_element(p: ParamPoint) -> LAdicMatrix:
-    """The same element as an exact integer matrix (entries in [0, l^2))."""
-    return LAdicMatrix.from_rows(
-        [[int(v) for v in row] for row in g_ell_element(p).entries], p.ell
-    )
-
 
 # -- gluing data, all derived through the lattice module -----------------------
 
@@ -408,24 +384,6 @@ def _record(p: ParamPoint) -> PointRecord:
     )
 
 
-# -- per-point public routes ------------------------------------------------------
-
-
-def image_element(p: ParamPoint) -> ModMatrix:
-    """Mod-l image of one family element on the glued surface."""
-    return _flat_to_mod(_record(p).image, p.ell)
-
-
-def dual_element_contragredient(p: ParamPoint) -> ModMatrix:
-    """Dual-surface image via the twisted inverse-transpose."""
-    return _flat_to_mod(_record(p).dual_contragredient, p.ell)
-
-
-def dual_element_isogeny(p: ParamPoint) -> ModMatrix:
-    """Dual-surface image via conjugation by the polarization basis change."""
-    return _flat_to_mod(_record(p).dual_isogeny, p.ell)
-
-
 # -- enumeration ---------------------------------------------------------------------
 
 
@@ -492,16 +450,6 @@ def _draw_residues(rng: random.Random, ell: int, twist: str) -> tuple:
     return (a, d, b1, b2, w1, w2, x1, x2, y1, y2, z1, z2)
 
 
-def slab_points(ell: int, twist: str = "generic") -> Iterator[ParamPoint]:
-    """The transversal of _slab_residues as ParamPoints."""
-    return (ParamPoint(ell, *r, twist=twist) for r in _slab_residues(ell, twist))
-
-
-def random_param_point(rng: random.Random, ell: int, twist: str = "generic") -> ParamPoint:
-    """A uniformly random family element (all ten free residues drawn)."""
-    return ParamPoint(ell, *_draw_residues(rng, ell, twist), twist=twist)
-
-
 @functools.cache
 def slab_records(ell: int, twist: str = "generic"):
     """All per-point records over the transversal; cached for l <= 5."""
@@ -552,7 +500,7 @@ def _unpack(packed: int):
 
 @dataclass(frozen=True)
 class ImageGroup:
-    """A finite subgroup of GL4(F_l), with provenance of its construction.
+    """A finite subgroup of GL4(F_l) with the generators it was built from.
 
     Every element is enumerated and stored packed (3 bits per entry, sorted);
     ``elements`` materializes them as ModMatrix values on first use.
@@ -560,7 +508,6 @@ class ImageGroup:
 
     ell: int
     twist: str
-    provenance: str
     packed_elements: tuple
     packed_generators: tuple
 
@@ -568,12 +515,6 @@ class ImageGroup:
     def elements(self) -> tuple:
         return tuple(
             _flat_to_mod(_unpack(p), self.ell) for p in self.packed_elements
-        )
-
-    @functools.cached_property
-    def generators(self) -> tuple:
-        return tuple(
-            _flat_to_mod(_unpack(p), self.ell) for p in self.packed_generators
         )
 
     @property
@@ -585,17 +526,6 @@ class ImageGroup:
 
     def generator_flats(self) -> tuple:
         return tuple(_unpack(p) for p in self.packed_generators)
-
-    def __contains__(self, item) -> bool:
-        if isinstance(item, ModMatrix):
-            flat = tuple(v for row in item.entries for v in row)
-        else:
-            flat = tuple(item)
-        return _pack(flat) in self._packed_set
-
-    @functools.cached_property
-    def _packed_set(self) -> frozenset:
-        return frozenset(self.packed_elements)
 
 
 def _primitive_root(ell: int) -> int:
@@ -647,7 +577,7 @@ def _routes_checked(records, ell: int, twist: str) -> Iterator[PointRecord]:
         yield r
 
 
-def _image_group(ell, twist, field, provenance) -> ImageGroup:
+def _image_group(ell, twist, field) -> ImageGroup:
     """One image group, reading ``field`` of each PointRecord.
 
     Every element is enumerated from slab_records, which refuses l > 5
@@ -660,7 +590,6 @@ def _image_group(ell, twist, field, provenance) -> ImageGroup:
     return ImageGroup(
         ell=ell,
         twist=twist,
-        provenance=provenance,
         packed_elements=packed,
         packed_generators=tuple(_pack(getattr(r, field)) for r in generators),
     )
@@ -668,47 +597,15 @@ def _image_group(ell, twist, field, provenance) -> ImageGroup:
 
 def image_rho_A(ell: int, twist: str = "generic") -> ImageGroup:
     """Mod-l image group of the glued surface."""
-    return _image_group(
-        ell, twist, "image",
-        "parameter family conjugated into the glued basis, mod l",
-    )
+    return _image_group(ell, twist, "image")
 
 
 def image_rho_Adual_contragredient(ell: int, twist: str = "generic") -> ImageGroup:
     """Mod-l image group of the dual surface, via twisted inverse-transpose."""
-    return _image_group(
-        ell, twist, "dual_contragredient",
-        "twisted inverse-transpose of the glued-surface image",
-    )
-
-
-def image_rho_Adual_isogeny(ell: int, twist: str = "generic") -> ImageGroup:
-    """Mod-l image group of the dual surface, via the polarization isogeny.
-
-    Cross-checks every element against the contragredient route and raises
-    RouteDisagreementError on the first mismatch.
-    """
-    return _image_group(
-        ell, twist, "dual_isogeny",
-        "parameter family conjugated by the dual-polarization basis, mod l",
-    )
+    return _image_group(ell, twist, "dual_contragredient")
 
 
 # -- simultaneous (paired) image ---------------------------------------------------
-
-
-def paired_group(ell: int, twist: str = "generic") -> tuple:
-    """All simultaneous pairs (image, dual image), deduplicated as pairs."""
-    seen = set()
-    out = []
-    for r in slab_records(ell, twist):
-        key = (_pack(r.image), _pack(r.dual_contragredient))
-        if key not in seen:
-            seen.add(key)
-            out.append(
-                (_flat_to_mod(r.image, ell), _flat_to_mod(r.dual_contragredient, ell))
-            )
-    return tuple(out)
 
 
 def paired_generators(ell: int, twist: str = "generic") -> tuple:
@@ -718,14 +615,6 @@ def paired_generators(ell: int, twist: str = "generic") -> tuple:
         (_flat_to_mod(r.image, ell), _flat_to_mod(r.dual_contragredient, ell))
         for r in _routes_checked(_generator_records(ell, twist), ell, twist)
     )
-
-
-def sample_paired_elements(ell: int, twist: str, count: int, seed) -> list:
-    """Seeded random simultaneous pairs (for l = 7 scale)."""
-    return [
-        (_flat_to_mod(r.image, ell), _flat_to_mod(r.dual_contragredient, ell))
-        for r in sample_records(ell, twist, count, seed)
-    ]
 
 
 # -- closed-form shapes ---------------------------------------------------------------
@@ -751,25 +640,6 @@ def matches_image_shape(m: ModMatrix) -> bool:
     )
 
 
-def matches_dual_shape(m: ModMatrix) -> bool:
-    """Shape of the dual-surface image: the reflected pattern."""
-    if m.k != 1 or m.n != 4:
-        return False
-    e = m.entries
-    zeros = (
-        e[0][1] == e[0][2] == e[0][3] == 0
-        and e[1][2] == e[1][3] == 0
-        and e[3][1] == e[3][2] == 0
-    )
-    return (
-        zeros
-        and e[0][0] == e[2][2]
-        and e[1][1] == e[3][3]
-        and e[0][0] % m.ell != 0
-        and e[1][1] % m.ell != 0
-    )
-
-
 def shape_parameters(m: ModMatrix):
     """Read (a, d, b1, u, b2, w1, w2) off a glued-surface image matrix."""
     if not matches_image_shape(m):
@@ -784,25 +654,6 @@ def shape_parameters(m: ModMatrix):
         e[1][2],
         e[3][2],
     )
-
-
-def expected_dual_of(m: ModMatrix) -> ModMatrix:
-    """The dual image as a closed-form function of the image matrix.
-
-    The (3,1) entry is the solved difference z1 - z2; everything else is a
-    reflection of the image parameters.  Serves as an independent oracle
-    for both dual routes.
-    """
-    a, d, b1, u, b2, w1, w2 = shape_parameters(m)
-    ell = m.ell
-    t = (pow(a, -1, ell) * (b1 * w1 - b2 * w2 - d * u)) % ell
-    rows = [
-        [d, 0, 0, 0],
-        [-b1, a, 0, 0],
-        [t, -w1, d, -w2],
-        [b2, 0, 0, a],
-    ]
-    return ModMatrix.from_rows(rows, ell)
 
 
 # -- word factorization over the canonical generators -----------------------------------
@@ -847,7 +698,8 @@ def generator_word(m: ModMatrix, twist: str = "generic"):
 def evaluate_word(word, ell: int, twist: str = "generic") -> ModMatrix:
     """Multiply out a generator word (for tests certifying generation)."""
     gens = {
-        name: image_element(p) for name, p in canonical_generator_points(ell, twist)
+        name: _flat_to_mod(_record(p).image, ell)
+        for name, p in canonical_generator_points(ell, twist)
     }
     acc = ModMatrix.identity(4, ell)
     for name, exp in word:

@@ -40,6 +40,7 @@ from galdual.lattice import (
     pushforward_polarization,
 )
 from galdual.paramgroups import (
+    TWISTS,
     glued_polarization,
     gluing_kernel,
     image_rho_A,
@@ -51,7 +52,6 @@ from galdual.paramgroups import (
 )
 
 SUPPORTED_PRIMES = (2, 3, 5, 7)
-TWISTS = ("generic", "trivial")
 SAMPLE_COUNT_L7 = 10_000
 
 
@@ -249,8 +249,8 @@ def _check_semisimp(ells, twists):
 
 # The block swap S (e1 <-> e3, e2 <-> e4) as a flat 4x4 matrix.  Conjugating
 # by S carries the zero pattern and the diagonal equalities of
-# matches_image_shape onto those of matches_dual_shape, and at the generic
-# twist it maps the surface image onto the dual image.  The point map of S
+# matches_image_shape onto the reflected pattern of the dual image, and at
+# the generic twist it maps the surface image onto the dual image.  The point map of S
 # on F_l^4 is then a conjugator of the permutation groups.  At the trivial
 # twist it is not (the orbit counts there are 9 and 11).
 _BLOCK_SWAP = (0, 0, 1, 0, 0, 0, 0, 1, 1, 0, 0, 0, 0, 1, 0, 0)

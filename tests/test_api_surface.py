@@ -1,0 +1,120 @@
+"""Guard: every definition in src/galdual has a caller outside the tests.
+
+The library is what the verifier, the command line, the scripts and the
+benchmark call.  This walks src/galdual/*.py with ``ast`` and collects the
+names it references (``Name`` and ``Attribute`` nodes, so a docstring or
+comment mention does not count), then checks every module-level function and
+class and every method against them.  A reference counts when it comes from
+scripts/, from perfbench/, or from src/ outside the definition's own body and
+outside ``__init__.py``, whose re-exports are no call.  Tests do not count.
+
+Exempt are dunder methods (Python calls them), the names the README lists as
+public API, and the few helpers kept for open ROADMAP items below.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+import galdual
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "galdual"
+
+# Kept without a production caller, each for an open ROADMAP item.
+KEEPERS = {
+    # ROADMAP item 2: prove generation by the canonical points for every prime
+    "generator_word",
+    "evaluate_word",
+    "_dlog",
+    # ROADMAP item 4: the control census on the principal form, Sp4(F_2) = S6
+    "principal_pairing_mod2",
+    "alternating_forms",
+    "form_orbit",
+}
+
+
+def _readme_public_api() -> set:
+    """The names the README's "Public API" section lists, module by module,
+    on lines of the form "- `galdual.module`: `name`, `name`, ...".
+    """
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = re.search(r"^## Public API\n(.*?)(?=^## )", text, re.M | re.S)
+    assert section, "README.md has no '## Public API' section"
+    names = set()
+    for line in section.group(1).splitlines():
+        if line.startswith("- `galdual."):
+            names.update(re.findall(r"`(\w+)`", line.partition(":")[2]))
+    return names
+
+
+def _definitions(tree: ast.Module):
+    """(name, node) for module-level functions and classes and their methods."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield item.name, item
+
+
+def _references(tree: ast.AST):
+    """(name, line) for every Name and Attribute node under ``tree``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _uncalled() -> list:
+    modules = {
+        path: _parse(path)
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+    outside = set()
+    for directory in ("scripts", "perfbench"):
+        for path in sorted((ROOT / directory).glob("*.py")):
+            outside.update(name for name, _ in _references(_parse(path)))
+    refs = {path: list(_references(tree)) for path, tree in modules.items()}
+
+    exempt = _readme_public_api() | KEEPERS
+    uncalled = []
+    for path, tree in modules.items():
+        for name, node in _definitions(tree):
+            if name in exempt or (name.startswith("__") and name.endswith("__")):
+                continue
+            if name in outside:
+                continue
+            own = range(node.lineno, node.end_lineno + 1)
+            if any(
+                ref == name and not (other == path and line in own)
+                for other, found in refs.items()
+                for ref, line in found
+            ):
+                continue
+            uncalled.append(f"{path.name}:{node.lineno} {name}")
+    return uncalled
+
+
+def test_every_definition_has_a_caller_outside_the_tests():
+    assert _uncalled() == []
+
+
+def test_readme_public_api_is_the_package_all():
+    assert _readme_public_api() == set(galdual.__all__)
+
+
+def test_keepers_are_still_defined():
+    defined = {
+        name
+        for path in PACKAGE.glob("*.py")
+        for name, _ in _definitions(_parse(path))
+    }
+    assert KEEPERS <= defined

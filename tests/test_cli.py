@@ -224,6 +224,15 @@ def test_lattice_kernel_parse_error_exits_2(capsys):
     assert "bad kernel spec" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("gens", ["(1,0", "(1,0)junk", "garbage"])
+def test_lattice_malformed_kernel_generators_exit_2(capsys, gens):
+    kernel = f"ell=3 n=1 dim=2 gens={gens}"
+    assert main(["lattice", "change-basis-kernel", "--kernel", kernel]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "bad kernel generators" in captured.err
+
+
 def test_lattice_odd_size_type_rejected(capsys):
     assert main(["lattice", "type", "--ell", "3", "--matrix", "0"]) == 2
     assert "even size" in capsys.readouterr().err

@@ -174,8 +174,8 @@ def test_reduce_mod_values():
 def test_mod_inverse_prime_power():
     m = ModMatrix.from_rows([[1, 3], [2, 1]], 3, 2)
     inv = m.inv()
-    assert m.mul(inv).is_identity()
-    assert inv.mul(m).is_identity()
+    assert m.mul(inv) == ModMatrix.identity(2, 3, 2)
+    assert inv.mul(m) == ModMatrix.identity(2, 3, 2)
 
 
 def test_mod_inverse_singular():
@@ -212,8 +212,8 @@ def test_mod_inverse_both_sides_or_singular(ell, k, rows):
     m = ModMatrix.from_rows(rows, ell, k)
     if m.det() % ell:
         inv = m.inv()
-        assert m.mul(inv).is_identity()
-        assert inv.mul(m).is_identity()
+        assert m.mul(inv) == ModMatrix.identity(m.n, ell, k)
+        assert inv.mul(m) == ModMatrix.identity(m.n, ell, k)
     else:
         with pytest.raises(SingularMatrixError) as exc:
             m.inv()
@@ -520,9 +520,3 @@ def test_closure_cap_raises_with_partial_size():
 
 def test_closure_at_cap_is_returned():
     assert len(closure([(0,)], [(1,)], _add_mod(5), cap=5)) == 5
-
-
-def test_closure_cap_error_is_reexported():
-    from galdual import groupengine
-
-    assert groupengine.ClosureCapError is ClosureCapError

@@ -4,11 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from galdual.exactmat import LAdicMatrix, lval, smith_normal_form
+from galdual.exactmat import LAdicMatrix, SingularMatrixError, lval, smith_normal_form
 from galdual.lattice import (
     KernelSpec,
     LatticeError,
-    PolarizationSpec,
     change_basis_from_kernel,
     change_basis_from_transformation,
     conjugate_by,
@@ -19,7 +18,6 @@ from galdual.lattice import (
     polarization_type,
     pullback_polarization,
     pushforward_polarization,
-    same_l_lattice,
     standard_polarization_matrix,
 )
 
@@ -28,6 +26,18 @@ PRIMES = [2, 3, 5, 7]
 
 def ladic(rows, ell):
     return LAdicMatrix.from_rows(rows, ell)
+
+
+def same_l_lattice(a: LAdicMatrix, b: LAdicMatrix) -> bool:
+    """Do the columns of a and b span the same lattice locally at l?"""
+    try:
+        x = a.inv().mul(b)
+    except SingularMatrixError:
+        return False
+    d = x.det()
+    if d == 0:
+        return False
+    return x.is_integral() and lval(d, a.ell) == 0
 
 
 def diag(values, ell):
@@ -199,6 +209,16 @@ def test_parse_kernel_rejects_garbage():
         parse_kernel("not a kernel")
 
 
+@pytest.mark.parametrize(
+    "gens",
+    ["(1,0", "(1,0)junk", "garbage", "()", "(1,0),", "(1,0)(0,1)", "(1, 0)", "1,0"],
+)
+def test_parse_kernel_rejects_malformed_generators(gens):
+    # only what format_kernel writes is read; nothing is silently dropped
+    with pytest.raises(LatticeError, match="bad kernel generators"):
+        parse_kernel(f"ell=3 n=1 dim=2 gens={gens}")
+
+
 # -- polarization transport -------------------------------------------------------
 
 
@@ -356,23 +376,6 @@ def test_same_l_lattice():
     assert same_l_lattice(a, a.mul(unimod))
     assert not same_l_lattice(a, a.scale((1, 1)))
     assert same_l_lattice(a, a.scale(2) if a.ell != 2 else a)
-
-
-# -- polarization specs ---------------------------------------------------------------
-
-
-def test_polarization_spec_accepts_typed():
-    PolarizationSpec(glued_pairing(3), (1, 3))
-
-
-def test_polarization_spec_rejects_wrong_type():
-    with pytest.raises(LatticeError):
-        PolarizationSpec(glued_pairing(3), (1, 9))
-
-
-def test_polarization_spec_rejects_nonalternating():
-    with pytest.raises(LatticeError):
-        PolarizationSpec(diag([1, 1], 3))
 
 
 # -- functoriality of kernel chains -----------------------------------------------------
