@@ -36,15 +36,14 @@ from galdual.groupengine import (
     _IDENT,
     _f2_closure,
     _f2_small_generating_set,
+    f2_intertwiner,
     f2_inv,
     f2_mul,
     f2_pack,
     f2_transpose,
     f2_unpack,
     gl4_elements,
-    intertwiner_space,
     matrix_subgroups_conjugate,
-    representations_equivalent,
 )
 from galdual.paramgroups import glued_polarization, product_principal_polarization
 
@@ -124,14 +123,30 @@ def similitude_stabilizer(j: AlternatingForm) -> frozenset:
     """All of GL4(F_2) preserving the form up to scaling, as packed ints.
 
     The only scalar over F_2 is 1, so the condition is g^T J g = J,
-    checked exhaustively over the 20160 invertible matrices.
+    checked exhaustively over the 20160 invertible matrices.  Entry (i, k)
+    of g^T J g is the form's value on columns i and k of g, read from a
+    256-entry table of its values on pairs of vectors.  Both sides are
+    alternating, so the six entries above the diagonal decide equality.
     """
     jp = j.packed()
-    return frozenset(
-        g
-        for g in gl4_elements()
-        if f2_mul(f2_mul(f2_transpose(g), jp), g) == jp
+    images = _vector_images(jp)
+    # value[u << 4 | v] = u^T J v for column vectors u, v of F_2^4
+    value = bytes(
+        bin(u & images[v]).count("1") & 1 for u in range(16) for v in range(16)
     )
+    want = tuple(
+        (jp >> (4 * i + k)) & 1 for i, k in itertools.combinations(range(4), 2)
+    )
+
+    def preserves(g):
+        t = f2_transpose(g)  # row i of g^T is column i of g
+        c0, c1, c2, c3 = t & 15, (t >> 4) & 15, (t >> 8) & 15, t >> 12
+        return (
+            value[c0 << 4 | c1], value[c0 << 4 | c2], value[c0 << 4 | c3],
+            value[c1 << 4 | c2], value[c1 << 4 | c3], value[c2 << 4 | c3],
+        ) == want
+
+    return frozenset(filter(preserves, gl4_elements()))
 
 
 @functools.cache
@@ -266,6 +281,7 @@ def structure_invariants(
 ) -> StructureInvariants:
     """Order, exponent, solvability, derived series; optionally the
     kernel/complement decomposition with respect to a form's radical."""
+    elements = frozenset(elements)  # the generating-set cache needs it hashable
     if len(elements) > 10_000:
         raise ValueError("group order over budget for structure invariants")
     # a singular element's powers never reach the identity
@@ -476,9 +492,8 @@ def _f2_subspaces() -> tuple:
 
 def _vector_images(x: int) -> tuple:
     """The images x*v of all sixteen column vectors v under a packed matrix."""
-    cols = [
-        sum(((x >> (4 * i + j)) & 1) << i for i in range(4)) for j in range(4)
-    ]
+    t = f2_transpose(x)  # nibble j is column j of x
+    cols = (t & 15, (t >> 4) & 15, (t >> 8) & 15, t >> 12)
     images = [0] * 16
     for v in range(1, 16):
         low = v & -v
@@ -518,9 +533,11 @@ def contragredient_census(classes, j: AlternatingForm) -> CensusResult:
     """Classify every subgroup class against its contragredient.
 
     For each class H: (i) is the inclusion representation H -> GL4(F_2)
-    equivalent to h -> (h^-1)^T?  Decided by an exhaustive walk of the
-    intertwiner span (always complete over F_2).  (ii) Is the image
-    H* = {(h^-1)^T} at least a conjugate subgroup inside GL4(F_2)?
+    equivalent to h -> (h^-1)^T?  Decided by f2_intertwiner on the packed
+    generator pairs (g, g^-T): the intertwiner span is solved by XOR
+    elimination and every nonzero element of it is tried, in Gray-code
+    order, for invertibility, so a negative verdict is a proof.  (ii) Is
+    the image H* = {(h^-1)^T} at least a conjugate subgroup inside GL4(F_2)?
 
     The form ``j`` does not affect the result.  It would fix the twist
     character, which is trivial over F_2; the parameter stays for callers
@@ -555,14 +572,11 @@ def contragredient_census(classes, j: AlternatingForm) -> CensusResult:
         h = rec.representative
         dual = contragredient_subgroup(h)
         gens = _f2_small_generating_set(h) or [_IDENT]
-        pairs = [
-            (f2_unpack(g), f2_unpack(f2_transpose(f2_inv(g)))) for g in gens
-        ]
-        equivalent, witness = representations_equivalent(intertwiner_space(pairs))
+        witness = f2_intertwiner([(g, f2_transpose(f2_inv(g))) for g in gens])
+        equivalent = witness is not None
         if equivalent:
-            x = f2_pack(witness)
-            xi = f2_inv(x)
-            if any(f2_mul(f2_mul(x, g), xi) not in dual for g in h):
+            xi = f2_inv(witness)
+            if any(f2_mul(f2_mul(witness, g), xi) not in dual for g in h):
                 raise AssertionError("equivalence witness does not conjugate the subgroup")
             conjugate, evidence = True, "witness"
         else:

@@ -1,13 +1,13 @@
 """Generic finite-group machinery over small prime fields.
 
 Linear-representation equivalence through intertwiner spaces, packed
-GL4(F_2) and subgroup conjugacy inside it, permutation actions on the
-vectors of F_l^4, permutation characters, the check of a given point map
-as a conjugator between two permutation groups, and stable-line analysis.
-Everything here is exhaustive or certifying: a negative equivalence
-verdict is backed by a walk of every line of the intertwiner span, and a
-point map is accepted as a conjugator only after it has been checked on
-every element of the group.
+GL4(F_2) with its own intertwiner solve and subgroup conjugacy inside it,
+permutation actions on the vectors of F_l^4, permutation characters, the
+check of a given point map as a conjugator between two permutation groups,
+and stable-line analysis.  Everything here is exhaustive or certifying: a
+negative equivalence verdict is backed by a walk of every line of the
+intertwiner span, and a point map is accepted as a conjugator only after
+it has been checked on every element of the group.
 
 Vectors in F_l^4 are indexed by v -> v[0] + v[1]*l + v[2]*l^2 + v[3]*l^3;
 permutations are tuples in image notation over that indexing.
@@ -15,6 +15,7 @@ permutations are tuples in image notation over that indexing.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import random
@@ -154,31 +155,22 @@ def f2_mul(a: int, b: int) -> int:
 
 
 def f2_inv(a: int) -> Optional[int]:
-    """Inverse of a packed matrix, or None if singular."""
-    rows = [((a >> (4 * i)) & 15) | (1 << (4 + i)) for i in range(4)]
-    for col in range(4):
-        piv = next(
-            (r for r in range(col, 4) if rows[r] & (1 << col)), None
-        )
-        if piv is None:
-            return None
-        rows[col], rows[piv] = rows[piv], rows[col]
-        for r in range(4):
-            if r != col and rows[r] & (1 << col):
-                rows[r] ^= rows[col]
-    out = 0
-    for i in range(4):
-        out |= (rows[i] >> 4) << (4 * i)
-    return out
+    """Inverse of a packed matrix, or None if singular: a binary search of
+    the ascending GL4(F_2) table, which holds every invertible matrix."""
+    elements, inverses = _gl4_table()
+    i = bisect.bisect_left(elements, a)
+    if i < len(elements) and elements[i] == a:
+        return inverses[i]
+    return None
 
 
 def f2_transpose(a: int) -> int:
-    out = 0
-    for i in range(4):
-        for j in range(4):
-            if a & (1 << (4 * i + j)):
-                out |= 1 << (4 * j + i)
-    return out
+    """Transpose of a packed matrix by two masked delta swaps: first the
+    off-diagonal entries of each 2x2 block, then the two off-diagonal blocks."""
+    t = (a ^ (a >> 3)) & 0x0A0A
+    a ^= t ^ (t << 3)
+    t = (a ^ (a >> 6)) & 0x00CC
+    return a ^ t ^ (t << 6)
 
 
 @functools.cache
@@ -215,6 +207,62 @@ def _gl4_table() -> tuple:
 
     choose(3, 0, [0] + [None] * 15)
     return elements, inverses
+
+
+def _f2_intertwiner_basis(pairs: Sequence[tuple]) -> tuple:
+    """Basis of {X : X*g = g2*X for every packed pair (g, g2)}, packed.
+
+    Each unit matrix E_ij (bit 4i + j) is mapped to E_ij*g ^ g2*E_ij, one
+    16-bit field per pair, and the images are XOR-eliminated while the
+    combination of units that built each one is tracked.  A combination
+    whose image reduces to 0 is a solution; its highest unit is the one
+    being reduced, so the solutions found are independent and span the
+    (16 - rank)-dimensional solution space.  Every basis element is
+    verified against every pair by substitution.
+    """
+    pivots = {}  # leading bit of a reduced image -> (image, combination)
+    basis = []
+    for b in range(16):
+        i, j = divmod(b, 4)
+        image = 0
+        for shift, (g, g2) in enumerate(pairs):
+            # E_ij * g is row j of g moved to row i; g2 * E_ij is column i
+            # of g2 moved to column j
+            term = (((g >> 4 * j) & 15) << 4 * i) ^ (((g2 >> i) & 0x1111) << j)
+            image |= term << (16 * shift)
+        combo = 1 << b
+        while image:
+            lead = image.bit_length()
+            if lead not in pivots:
+                pivots[lead] = (image, combo)
+                break
+            image ^= pivots[lead][0]
+            combo ^= pivots[lead][1]
+        else:
+            basis.append(combo)
+    for x in basis:
+        for g, g2 in pairs:
+            if f2_mul(x, g) != f2_mul(g2, x):
+                raise AssertionError("kernel combination fails the intertwining identity")
+    return tuple(basis)
+
+
+def f2_intertwiner(pairs: Sequence[tuple]) -> Optional[int]:
+    """An invertible packed X with X*g = g2*X on every packed pair, or None.
+
+    Every element of the span of _f2_intertwiner_basis intertwines the
+    pairs.  Over F_2 each nonzero vector of the span is its own line, so the
+    Gray-code walk over all 2^dim - 1 nonzero combinations (one XOR per
+    step) tries every candidate once, and None is a proof that no
+    invertible intertwiner exists.
+    """
+    basis = _f2_intertwiner_basis(pairs)
+    x = 0
+    for step in range(1, 1 << len(basis)):
+        x ^= basis[(step & -step).bit_length() - 1]
+        if f2_inv(x) is not None:
+            return x
+    return None
 
 
 def _f2_closure(gens: Iterable[int], cap: int = 30000) -> frozenset:

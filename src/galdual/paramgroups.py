@@ -507,7 +507,6 @@ class ImageGroup:
     """
 
     ell: int
-    twist: str
     packed_elements: tuple
     packed_generators: tuple
 
@@ -589,7 +588,6 @@ def _image_group(ell, twist, field) -> ImageGroup:
     generators = _routes_checked(_generator_records(ell, twist), ell, twist)
     return ImageGroup(
         ell=ell,
-        twist=twist,
         packed_elements=packed,
         packed_generators=tuple(_pack(getattr(r, field)) for r in generators),
     )

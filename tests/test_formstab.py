@@ -9,7 +9,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from galdual import constants
+from galdual import constants, formstab
 from galdual.exactmat import ModMatrix
 from galdual.formstab import (
     _group_tables,
@@ -33,11 +33,17 @@ from galdual.formstab import (
 )
 from galdual.groupengine import (
     _f2_closure,
+    _f2_intertwiner_basis,
+    _f2_small_generating_set,
+    f2_intertwiner,
     f2_inv,
     f2_mul,
     f2_pack,
+    f2_transpose,
     f2_unpack,
+    intertwiner_space,
     matrix_subgroups_conjugate,
+    representations_equivalent,
 )
 
 
@@ -224,6 +230,14 @@ def test_structure_of_dihedral():
 def test_structure_rejects_a_singular_element():
     with pytest.raises(ValueError, match="invertible"):
         structure_invariants(frozenset({_IDENT, 0}))
+
+
+def test_structure_invariants_accept_a_set_or_a_list():
+    stab = glued_form_stabilizer()
+    form = glued_pairing_mod2()
+    frozen = structure_invariants(stab, form=form)
+    assert structure_invariants(set(stab), form=form) == frozen
+    assert structure_invariants(list(stab), form=form) == frozen
 
 
 def test_structure_budget():
@@ -420,6 +434,27 @@ def test_census_evidence_tally():
         else:
             assert rec.conjugacy_evidence == "scan"
             assert not rec.self_dual_as_rep
+
+
+def test_packed_intertwiner_matches_the_generic_solver_on_every_class():
+    # the census's packed solve against intertwiner_space and the line walk
+    # of representations_equivalent, on the unpacked generator pairs
+    for rec in stabilizer_class_list():
+        gens = _f2_small_generating_set(rec.representative) or [_IDENT]
+        pairs = [(g, f2_transpose(f2_inv(g))) for g in gens]
+        space = intertwiner_space([(f2_unpack(g), f2_unpack(g2)) for g, g2 in pairs])
+        assert len(_f2_intertwiner_basis(pairs)) == len(space.basis)
+        verdict, _ = representations_equivalent(space)
+        assert (f2_intertwiner(pairs) is not None) is verdict
+
+
+def test_census_rejects_a_witness_that_does_not_conjugate(monkeypatch):
+    # the identity is invertible but maps no transvection group of the
+    # Klein group onto its transpose
+    monkeypatch.setattr(formstab, "f2_intertwiner", lambda pairs: _IDENT)
+    records = subgroup_conjugacy_classes(klein_group())
+    with pytest.raises(AssertionError, match="does not conjugate"):
+        contragredient_census(records, glued_pairing_mod2())
 
 
 def test_duality_signature_of_the_trivial_group_lists_every_subspace():

@@ -1,6 +1,7 @@
 """Tests for the group machinery: closures, intertwiners, permutation
 actions, conjugacy checks, stable lines."""
 
+import functools
 import random
 
 import pytest
@@ -13,9 +14,11 @@ from galdual.groupengine import (
     IntertwinerSpace,
     PermGroup,
     _eigenvalue,
+    _f2_intertwiner_basis,
     _gl4_table,
     common_stable_lines,
     conjugates_by,
+    f2_intertwiner,
     f2_inv,
     f2_mul,
     f2_pack,
@@ -247,6 +250,53 @@ def test_f2_transpose():
     assert f2_unpack(f2_transpose(f2_pack(m))) == m.transpose()
 
 
+def _f2_inv_by_elimination(a):
+    """Gauss-Jordan inverse of a packed matrix, or None if singular: the
+    oracle for the GL4(F_2) table that f2_inv reads."""
+    rows = [((a >> (4 * i)) & 15) | (1 << (4 + i)) for i in range(4)]
+    for col in range(4):
+        piv = next((r for r in range(col, 4) if rows[r] & (1 << col)), None)
+        if piv is None:
+            return None
+        rows[col], rows[piv] = rows[piv], rows[col]
+        for r in range(4):
+            if r != col and rows[r] & (1 << col):
+                rows[r] ^= rows[col]
+    out = 0
+    for i in range(4):
+        out |= (rows[i] >> 4) << (4 * i)
+    return out
+
+
+def _f2_transpose_by_bits(a):
+    """Transpose of a packed matrix, one bit at a time: the oracle for the
+    delta swaps of f2_transpose."""
+    out = 0
+    for i in range(4):
+        for j in range(4):
+            if a & (1 << (4 * i + j)):
+                out |= 1 << (4 * j + i)
+    return out
+
+
+@functools.cache
+def _oracle_inverses():
+    """_f2_inv_by_elimination of every one of the 2^16 packed matrices."""
+    return [_f2_inv_by_elimination(x) for x in range(1 << 16)]
+
+
+def test_f2_inv_matches_elimination_on_every_packed_matrix():
+    inverses = _oracle_inverses()
+    assert sum(xi is not None for xi in inverses) == constants.GL4_F2_ORDER
+    for x, xi in enumerate(inverses):
+        assert f2_inv(x) == xi
+
+
+def test_f2_transpose_matches_the_bit_loop_on_every_packed_matrix():
+    for x in range(1 << 16):
+        assert f2_transpose(x) == _f2_transpose_by_bits(x)
+
+
 def test_gl4_order():
     assert len(gl4_elements()) == constants.GL4_F2_ORDER
     expected = (16 - 1) * (16 - 2) * (16 - 4) * (16 - 8)
@@ -254,10 +304,9 @@ def test_gl4_order():
 
 
 def test_gl4_table_matches_the_brute_force_filter():
-    # the oracle: invert every one of the 2^16 packed matrices
+    # the oracle: invert every one of the 2^16 packed matrices by elimination
     elements, inverses = [], []
-    for x in range(1 << 16):
-        xi = f2_inv(x)
+    for x, xi in enumerate(_oracle_inverses()):
         if xi is not None:
             elements.append(x)
             inverses.append(xi)
@@ -265,6 +314,63 @@ def test_gl4_table_matches_the_brute_force_filter():
     assert table_elements.typecode == table_inverses.typecode == "H"
     assert list(table_elements) == elements
     assert list(table_inverses) == inverses
+
+
+# -- packed intertwiners ------------------------------------------------------------
+
+
+def _embed_gl3(a):
+    """diag(1, A) for a 3x3 matrix A over F_2, packed."""
+    rows = [[1, 0, 0, 0]] + [[0] + list(r) for r in a]
+    return f2_pack(mod(rows, 2))
+
+
+# GL3(F_2) is generated by a 3-cycle and a transvection; it acts absolutely
+# irreducibly on F_2^3, and the natural module is not isomorphic to its dual.
+_GL3_GENERATORS = (
+    [[0, 1, 0], [0, 0, 1], [1, 0, 0]],
+    [[1, 1, 0], [0, 1, 0], [0, 0, 1]],
+)
+_E00 = 0x0001
+
+
+def test_packed_span_of_e00_has_no_invertible_element():
+    # diag(1, A) against diag(1, A^-T): only the trivial summands meet
+    gens = [_embed_gl3(a) for a in _GL3_GENERATORS]
+    pairs = [(g, f2_transpose(f2_inv(g))) for g in gens]
+    assert _f2_intertwiner_basis(pairs) == (_E00,)
+    assert f2_intertwiner(pairs) is None
+    space = intertwiner_space([(f2_unpack(g), f2_unpack(g2)) for g, g2 in pairs])
+    assert representations_equivalent(space) == (False, None)
+
+
+def test_packed_span_of_e00_and_identity_yields_the_identity():
+    # the commutant of diag(1, GL3(F_2)) is spanned by E00 and I - E00
+    pairs = [(g, g) for g in (_embed_gl3(a) for a in _GL3_GENERATORS)]
+    basis = _f2_intertwiner_basis(pairs)
+    assert len(basis) == 2 and {basis[0], basis[1], basis[0] ^ basis[1]} == {
+        _E00, _IDENT, _IDENT ^ _E00
+    }
+    assert f2_intertwiner(pairs) == _IDENT
+
+
+def test_packed_intertwiner_finds_a_constructed_conjugator():
+    rng = random.Random(17)
+    gens = [f2_pack(g) for g in _sides(2)[0]]
+    for _ in range(20):
+        x = rng.choice(gl4_elements())
+        xi = f2_inv(x)
+        pairs = [(g, f2_mul(f2_mul(x, g), xi)) for g in gens]
+        witness = f2_intertwiner(pairs)
+        assert f2_inv(witness) is not None
+        for g, g2 in pairs:
+            assert f2_mul(witness, g) == f2_mul(g2, witness)
+
+
+def test_packed_identity_pairs_leave_the_full_space():
+    basis = _f2_intertwiner_basis([(_IDENT, _IDENT)])
+    assert sorted(basis) == [1 << b for b in range(16)]
+    assert f2_intertwiner([(_IDENT, _IDENT)]) is not None
 
 
 # -- matrix subgroup conjugacy ------------------------------------------------------
