@@ -3,8 +3,12 @@
 Everything here is exact: matrices are immutable tuples of Python integers
 (arbitrary precision), so there is no overflow and no floating point anywhere.
 It is the package's one home for linear algebra, with one routine per kind:
-``_fraction_det`` and ``_fraction_inv`` for integer and rational rows and
-``_echelon_mod`` for residue rows over F_l.  Two matrix kinds are provided.
+``_int_det`` (Bareiss elimination) and ``int_adj`` (fraction-free
+Gauss-Jordan) for integer rows, which both matrix kinds share, and
+``_echelon_mod`` for residue rows over F_l.  A Z[1/l] matrix is eliminated,
+in these and in the Smith form, as its integer rows R with a common
+denominator l^k, so no elimination runs on fractions.  Two matrix kinds are
+provided.
 
 ``LAdicMatrix``
     Entries are rationals whose denominator is a power of a fixed prime l,
@@ -119,12 +123,16 @@ def check_prime(ell: int) -> int:
 
 
 def lval(x: Union[int, Fraction], ell: int) -> int:
-    """l-adic valuation of a nonzero rational; raises on zero."""
-    f = Fraction(x)
-    if f == 0:
+    """l-adic valuation of a nonzero int or Fraction; raises on anything else."""
+    if isinstance(x, int):
+        num, den = x, 1
+    elif isinstance(x, Fraction):
+        num, den = x.numerator, x.denominator
+    else:
+        raise ExactMatError(f"valuation needs an int or a Fraction, not {x!r}")
+    if num == 0:
         raise ExactMatError("valuation of zero is undefined")
     v = 0
-    num, den = f.numerator, f.denominator
     while num % ell == 0:
         num //= ell
         v += 1
@@ -226,12 +234,6 @@ class LAdicMatrix:
             tuple(tuple(self.entries[j][i] for j in range(n)) for i in range(n)),
         )
 
-    def neg(self) -> "LAdicMatrix":
-        return LAdicMatrix(
-            self.ell,
-            tuple(tuple((-num, k) for (num, k) in row) for row in self.entries),
-        )
-
     def scale(self, factor) -> "LAdicMatrix":
         fn, fk = _pair_from_value(factor, self.ell)
         return LAdicMatrix(
@@ -243,7 +245,13 @@ class LAdicMatrix:
         )
 
     def is_alternating(self) -> bool:
-        return self.transpose() == self.neg()
+        """Whether the transpose is the negative; normalized pairs compare exactly."""
+        ent = self.entries
+        return all(
+            ent[j][i] == (-num, k)
+            for i, row in enumerate(ent)
+            for j, (num, k) in enumerate(row[i:], i)
+        )
 
     # -- scaled-integer view, shared by the fast multiply ------------------
 
@@ -287,16 +295,33 @@ class LAdicMatrix:
         return [sum(r * v for r, v in zip(row, vec)) for row in rows]
 
     def det(self) -> Fraction:
-        return _fraction_det(self.fraction_rows())
+        rows, k = self.scaled_int_rows()
+        return Fraction(_int_det(rows), self.ell ** (k * self.n))
 
     def inv(self) -> "LAdicMatrix":
-        inv_rows = _fraction_inv(self.fraction_rows())
-        try:
-            return LAdicMatrix.from_rows(inv_rows, self.ell)
-        except UnrepresentableEntryError as exc:
-            raise UnrepresentableEntryError(
-                f"inverse leaves the coefficient ring Z[1/{self.ell}]: {exc}"
-            ) from exc
+        """The inverse l^k adj(R) / det(R) of self = R / l^k.
+
+        Write det(R) = l^v * u with u prime to l: an entry l^k * a / det(R)
+        lies in Z[1/l] exactly when u divides a.
+        """
+        ell = self.ell
+        rows, k = self.scaled_int_rows()
+        d, adj = int_adj(rows)
+        v = lval(d, ell)
+        u = d // ell**v
+        out = []
+        for row in adj:
+            new = []
+            for a in row:
+                if a % u:
+                    raise UnrepresentableEntryError(
+                        f"inverse leaves the coefficient ring Z[1/{ell}]: "
+                        f"denominator of {Fraction(a * ell**k, d)} is not a "
+                        f"power of {ell}"
+                    )
+                new.append(_norm_pair(a // u, v - k, ell))
+            out.append(tuple(new))
+        return LAdicMatrix(ell, tuple(out))
 
     def reduce_mod(self, k: int) -> "ModMatrix":
         """Reduce an integral-at-l matrix mod l^k."""
@@ -396,26 +421,27 @@ class ModMatrix:
         )
 
     def det(self) -> int:
-        return int(_fraction_det(self.entries)) % self.modulus
+        return _int_det(self.entries) % self.modulus
 
     def inv(self) -> "ModMatrix":
-        """Inverse mod l^k: the rational inverse of the residues, reduced.
+        """Inverse mod l^k: adj * det^-1 for the residues as integers.
 
-        A unit determinant mod l makes every denominator of that inverse a
-        unit mod l^k; otherwise the matrix is singular mod l^k.
+        A unit determinant mod l is invertible mod l^k; otherwise the matrix
+        is singular mod l^k.
         """
-        d, m = self.det(), self.modulus
+        m = self.modulus
+        singular = f"matrix is singular mod {self.ell}**{self.k}"
+        try:
+            d, adj = int_adj(self.entries)
+        except SingularMatrixError:
+            raise SingularMatrixError(singular, determinant=0) from None
         if d % self.ell == 0:
-            raise SingularMatrixError(
-                f"matrix is singular mod {self.ell}**{self.k}", determinant=d
-            )
+            raise SingularMatrixError(singular, determinant=d % m)
+        d_inv = pow(d, -1, m)
         return ModMatrix(
             self.ell,
             self.k,
-            tuple(
-                tuple(v.numerator * pow(v.denominator, -1, m) % m for v in row)
-                for row in _fraction_inv(self.entries)
-            ),
+            tuple(tuple(a * d_inv % m for a in row) for row in adj),
         )
 
     def charpoly(self) -> tuple:
@@ -439,54 +465,74 @@ def charpoly_rows(rows: Sequence[Sequence[int]], p: int) -> tuple:
     coeffs = [1]
     for k in range(1, len(rows) + 1):
         total = sum(
-            _fraction_det([[rows[i][j] for j in subset] for i in subset])
+            _int_det([[rows[i][j] for j in subset] for i in subset])
             for subset in itertools.combinations(range(len(rows)), k)
         )
-        coeffs.append((-1) ** k * int(total) % p)
+        coeffs.append((-1) ** k * total % p)
     return tuple(coeffs)
 
 
-def _fraction_det(rows) -> Fraction:
-    a = [[Fraction(v) for v in row] for row in rows]
+def _int_det(rows) -> int:
+    """Determinant of a square integer matrix by Bareiss elimination.
+
+    After step k each remaining entry is a (k+1) x (k+1) minor, so the
+    division by the previous pivot is exact.
+    """
+    a = [list(row) for row in rows]
     n = len(a)
-    det = Fraction(1)
+    sign, prev = 1, 1
+    for col in range(n - 1):
+        if a[col][col] == 0:
+            piv = next((r for r in range(col + 1, n) if a[r][col]), None)
+            if piv is None:
+                return 0
+            a[col], a[piv] = a[piv], a[col]
+            sign = -sign
+        top = a[col]
+        p = top[col]
+        for r in range(col + 1, n):
+            row = a[r]
+            f = row[col]
+            for j in range(col + 1, n):
+                row[j] = (p * row[j] - f * top[j]) // prev
+        prev = p
+    return sign * a[n - 1][n - 1]
+
+
+def int_adj(rows) -> tuple:
+    """``(det, adjugate)`` of a square integer matrix, all in integers.
+
+    Fraction-free Gauss-Jordan on [R | I]: after step k every entry is a
+    (k+1) x (k+1) minor of [R | I], so each division by the previous pivot
+    is exact, and the right half ends as det(PR) * R^-1 for the row
+    permutation P.  Raises SingularMatrixError when det(R) == 0.
+    """
+    n = len(rows)
+    a = [
+        list(row) + [1 if i == j else 0 for j in range(n)]
+        for i, row in enumerate(rows)
+    ]
+    sign, prev = 1, 1
     for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        piv = next((r for r in range(col, n) if a[r][col]), None)
         if piv is None:
-            return Fraction(0)
+            raise SingularMatrixError("matrix is singular", determinant=Fraction(0))
         if piv != col:
             a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv_p = 1 / a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col]:
-                f = a[r][col] * inv_p
-                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-    return det
-
-
-def _fraction_inv(rows) -> list:
-    a = [[Fraction(v) for v in row] for row in rows]
-    n = len(a)
-    b = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise SingularMatrixError(
-                "matrix is singular", determinant=Fraction(0)
-            )
-        a[col], a[piv] = a[piv], a[col]
-        b[col], b[piv] = b[piv], b[col]
-        inv_p = 1 / a[col][col]
-        a[col] = [v * inv_p for v in a[col]]
-        b[col] = [v * inv_p for v in b[col]]
+            sign = -sign
+        top = a[col]
+        p = top[col]
+        rest = top[col + 1:]
         for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-                b[r] = [v - f * w for v, w in zip(b[r], b[col])]
-    return b
+            if r != col:
+                row = a[r]
+                f = row[col]
+                # columns up to col are never read again
+                row[col + 1:] = [
+                    (p * x - f * y) // prev for x, y in zip(row[col + 1:], rest)
+                ]
+        prev = p
+    return sign * prev, [[sign * x for x in row[n:]] for row in a]
 
 
 # -- row reduction over F_l ---------------------------------------------------
@@ -581,65 +627,69 @@ class SmithForm:
 
 
 def smith_normal_form(a: LAdicMatrix) -> SmithForm:
-    """Smith form over the local ring at l (valuation-pivoting elimination)."""
+    """Smith form over the local ring at l (valuation-pivoting elimination).
+
+    Eliminates on the integer rows R of a = R / l^k.  The pivot is the first
+    entry of least valuation in row-major order, u * l^v with u prime to l;
+    every other entry left to eliminate is then divisible by l^v, so the
+    steps row <- u * row - (x // l^v) * pivot_row (and the same on columns)
+    stay in the integers while scaling rows and columns only by units.
+    """
     ell = a.ell
     n = a.n
-    work = a.fraction_rows()
-    left = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    right = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    rows, k = a.scaled_int_rows()
+    work = [list(row) for row in rows]
+    left = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    right = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     vals = []
-
-    def swap_rows(i, j):
-        work[i], work[j] = work[j], work[i]
-        left[i], left[j] = left[j], left[i]
-
-    def swap_cols(i, j):
-        for row in work:
-            row[i], row[j] = row[j], row[i]
-        for row in right:
-            row[i], row[j] = row[j], row[i]
+    units = []
 
     for step in range(n):
-        best = None
+        best = None  # (valuation, row, column), the first least in row-major order
         for r in range(step, n):
             for c in range(step, n):
-                if work[r][c] != 0:
+                if work[r][c]:
                     v = lval(work[r][c], ell)
                     if best is None or v < best[0]:
                         best = (v, r, c)
+            if best is not None and best[0] == 0:
+                break  # no integer lies below valuation 0
         if best is None:
             raise SingularMatrixError(
                 "Smith form needs a nonsingular matrix", determinant=Fraction(0)
             )
         v, r, c = best
         if r != step:
-            swap_rows(step, r)
+            work[step], work[r] = work[r], work[step]
+            left[step], left[r] = left[r], left[step]
         if c != step:
-            swap_cols(step, c)
-        pivot = work[step][step]
+            for row in itertools.chain(work, right):
+                row[step], row[c] = row[c], row[step]
+        scale = ell**v
+        u = work[step][step] // scale
+        top, top_left = work[step], left[step]
         for r2 in range(step + 1, n):
-            if work[r2][step]:
-                f = work[r2][step] / pivot
-                work[r2] = [x - f * y for x, y in zip(work[r2], work[step])]
-                left[r2] = [x - f * y for x, y in zip(left[r2], left[step])]
+            x = work[r2][step]
+            if x:
+                f = x // scale
+                work[r2] = [u * y - f * z for y, z in zip(work[r2], top)]
+                left[r2] = [u * y - f * z for y, z in zip(left[r2], top_left)]
         for c2 in range(step + 1, n):
-            if work[step][c2]:
-                f = work[step][c2] / pivot
-                for row in work:
-                    row[c2] -= f * row[step]
-                for row in right:
-                    row[c2] -= f * row[step]
-        # scale the pivot to an exact power of l (unit scaling only)
-        unit = pivot / Fraction(ell) ** v
-        work[step] = [x / unit for x in work[step]]
-        left[step] = [x / unit for x in left[step]]
-        vals.append(v)
+            x = top[c2]
+            if x:
+                f = x // scale
+                for row in itertools.chain(work, right):
+                    row[c2] = u * row[c2] - f * row[step]
+        vals.append(v - k)
+        units.append(u)
 
+    # left * R * right = diag(u_i * l^v_i); dividing row i of left by u_i
+    # and R by l^k leaves diag(l^(v_i - k)) for a itself
     return SmithForm(
         ell,
         tuple(vals),
-        tuple(tuple(row) for row in left),
-        tuple(tuple(row) for row in right),
+        tuple(tuple(Fraction(x, u) for x in row) for row, u in zip(left, units)),
+        tuple(tuple(Fraction(x) for x in row) for row in right),
     )
 
 

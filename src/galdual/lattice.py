@@ -25,9 +25,9 @@ from typing import Sequence
 from galdual.exactmat import (
     LAdicMatrix,
     SingularMatrixError,
-    _fraction_inv,
     check_prime,
     closure,
+    int_adj,
     lval,
     smith_normal_form,
 )
@@ -233,16 +233,19 @@ def _log_ell(value: int, ell: int) -> int:
 def locally_contains_standard(mat: LAdicMatrix) -> bool:
     """Does the column lattice contain Z^dim locally at l?
 
-    Works over plain fractions: the inverse may pick up denominators prime
-    to l (units of the local ring) that LAdicMatrix cannot carry.
+    Works on the adjugate of the integer rows R of mat = R / l^k: the
+    inverse l^k adj(R) / det(R) may pick up denominators prime to l (units
+    of the local ring) that LAdicMatrix cannot carry, and its entry is
+    l-integral when adj_ij == 0 or v(adj_ij) + k >= v(det R).
     """
+    ell = mat.ell
+    rows, k = mat.scaled_int_rows()
     try:
-        inv_rows = _fraction_inv(mat.fraction_rows())
+        d, adj = int_adj(rows)
     except SingularMatrixError:
         return False
-    return all(
-        x == 0 or lval(x, mat.ell) >= 0 for row in inv_rows for x in row
-    )
+    v_det = lval(d, ell)
+    return all(x == 0 or lval(x, ell) + k >= v_det for row in adj for x in row)
 
 
 def change_basis_from_kernel(ker: KernelSpec) -> LAdicMatrix:

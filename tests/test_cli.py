@@ -2,6 +2,9 @@
 argv lists and asserting on exit codes and captured output."""
 
 import dataclasses
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -236,3 +239,16 @@ def test_lattice_malformed_kernel_generators_exit_2(capsys, gens):
 def test_lattice_odd_size_type_rejected(capsys):
     assert main(["lattice", "type", "--ell", "3", "--matrix", "0"]) == 2
     assert "even size" in capsys.readouterr().err
+
+
+def test_readme_lattice_examples_match_their_golden_output(capsys):
+    """The README's eight `galdual lattice` lines, run in order, print exactly
+    tests/golden/lattice_readme.txt (the CI smoke job runs them too)."""
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    commands = re.findall(r"^galdual (lattice [a-z-]+ --.*)$", readme, re.M)
+    assert len(commands) == 8
+    for command in commands:
+        assert main(shlex.split(command)) == 0
+    golden = (root / "tests" / "golden" / "lattice_readme.txt").read_text()
+    assert capsys.readouterr().out == golden

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -13,22 +14,159 @@ from galdual.exactmat import (
     NonIntegralEntryError,
     SingularMatrixError,
     UnrepresentableEntryError,
-    _fraction_det,
     charpoly_rows,
     check_prime,
     closure,
     format_matrix,
+    int_adj,
     is_prime,
     lval,
     parse_ladic,
     parse_mod,
     smith_normal_form,
 )
+from galdual.lattice import locally_contains_standard
 
 PRIMES = [2, 3, 5, 7]
 
 
 def ladic(rows, ell):
+    return LAdicMatrix.from_rows(rows, ell)
+
+
+# -- Fraction oracles ------------------------------------------------------------
+# Textbook elimination on Fractions, kept here as the reference the integer
+# kernels of galdual.exactmat are checked against.
+
+
+def _fraction_det(rows) -> Fraction:
+    a = [[Fraction(v) for v in row] for row in rows]
+    n = len(a)
+    det = Fraction(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            det = -det
+        det *= a[col][col]
+        inv_p = 1 / a[col][col]
+        for r in range(col + 1, n):
+            if a[r][col]:
+                f = a[r][col] * inv_p
+                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
+    return det
+
+
+def _fraction_inv(rows) -> list:
+    a = [[Fraction(v) for v in row] for row in rows]
+    n = len(a)
+    b = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if piv is None:
+            raise SingularMatrixError("matrix is singular", determinant=Fraction(0))
+        a[col], a[piv] = a[piv], a[col]
+        b[col], b[piv] = b[piv], b[col]
+        inv_p = 1 / a[col][col]
+        a[col] = [v * inv_p for v in a[col]]
+        b[col] = [v * inv_p for v in b[col]]
+        for r in range(n):
+            if r != col and a[r][col]:
+                f = a[r][col]
+                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
+                b[r] = [v - f * w for v, w in zip(b[r], b[col])]
+    return b
+
+
+def _fraction_smith(a):
+    """Valuation-pivoting Smith elimination on Fractions.
+
+    Returns (valuations, pivots, left, right), pivots being the (row,
+    column) chosen at each step in the working coordinates of that step.
+    """
+    ell, n = a.ell, a.n
+    work = a.fraction_rows()
+    left = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    right = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    vals, pivots = [], []
+    for step in range(n):
+        best = None
+        for r in range(step, n):
+            for c in range(step, n):
+                if work[r][c] != 0:
+                    v = lval(work[r][c], ell)
+                    if best is None or v < best[0]:
+                        best = (v, r, c)
+        if best is None:
+            raise SingularMatrixError("singular", determinant=Fraction(0))
+        v, r, c = best
+        work[step], work[r] = work[r], work[step]
+        left[step], left[r] = left[r], left[step]
+        for row in work + right:
+            row[step], row[c] = row[c], row[step]
+        pivot = work[step][step]
+        for r2 in range(step + 1, n):
+            f = work[r2][step] / pivot
+            work[r2] = [x - f * y for x, y in zip(work[r2], work[step])]
+            left[r2] = [x - f * y for x, y in zip(left[r2], left[step])]
+        for c2 in range(step + 1, n):
+            f = work[step][c2] / pivot
+            for row in work + right:
+                row[c2] -= f * row[step]
+        unit = pivot / Fraction(ell) ** v
+        work[step] = [x / unit for x in work[step]]
+        left[step] = [x / unit for x in left[step]]
+        vals.append(v)
+        pivots.append((r, c))
+    return tuple(vals), pivots, left, right
+
+
+def _swaps_from_transform(rows):
+    """The row swaps (step, r) of an elimination whose transform is L * P.
+
+    L is lower triangular with nonzero diagonal and P the permutation the
+    swaps build, so row i of the transform is zero beyond the columns of
+    rows 0..i of P and nonzero at the new one; that recovers P, and P the
+    swaps.
+    """
+    n = len(rows)
+    order = []
+    for row in rows:
+        (new,) = [j for j in range(n) if row[j] != 0 and j not in order]
+        order.append(new)
+    arr, swaps = list(range(n)), []
+    for step, target in enumerate(order):
+        r = arr.index(target)
+        arr[step], arr[r] = arr[r], arr[step]
+        swaps.append(r)
+    return swaps
+
+
+def _smith_pivots(left, right):
+    """(row, column) pivot positions read off a Smith form's transforms."""
+    cols = [list(col) for col in zip(*right)]
+    return list(zip(_swaps_from_transform(left), _swaps_from_transform(cols)))
+
+
+def _fraction_locally_contains_standard(mat):
+    try:
+        inv_rows = _fraction_inv(mat.fraction_rows())
+    except SingularMatrixError:
+        return False
+    return all(x == 0 or lval(x, mat.ell) >= 0 for row in inv_rows for x in row)
+
+
+@st.composite
+def ladic_matrices(draw, integral=False):
+    """Random n x n Z[1/l] matrices, n <= 4, with denominators up to l^2."""
+    ell = draw(st.sampled_from(PRIMES))
+    n = draw(st.integers(1, 4))
+    exponent = st.just(0) if integral else st.sampled_from([0, 0, 0, 1, 2])
+    num = st.one_of(st.integers(-12, 12), st.integers(-12, 12).map(lambda x: x * ell))
+    entry = st.tuples(num, exponent)
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
     return LAdicMatrix.from_rows(rows, ell)
 
 
@@ -64,6 +202,12 @@ def test_lval():
     assert lval(Fraction(10, 3), 5) == 1
     with pytest.raises(ExactMatError):
         lval(0, 2)
+
+
+@pytest.mark.parametrize("bad", [0.5, "9/4", 0.0, 2.0])
+def test_lval_rejects_floats_and_strings(bad):
+    with pytest.raises(ExactMatError):
+        lval(bad, 3)
 
 
 # -- entry normalization ------------------------------------------------------
@@ -294,11 +438,145 @@ def test_det_multiplicative(ell, fa, fb):
     assert a.mul(b).det() == a.det() * b.det()
 
 
+@settings(max_examples=300, deadline=None)
+@given(ladic_matrices())
+def test_det_matches_the_fraction_oracle(a):
+    assert a.det() == _fraction_det(a.fraction_rows())
+
+
+@settings(max_examples=300, deadline=None)
+@given(ladic_matrices())
+def test_inv_matches_the_fraction_oracle(a):
+    try:
+        want_rows = _fraction_inv(a.fraction_rows())
+    except SingularMatrixError:
+        with pytest.raises(SingularMatrixError) as exc:
+            a.inv()
+        assert exc.value.determinant == 0
+        return
+    try:
+        want = LAdicMatrix.from_rows(want_rows, a.ell)
+    except UnrepresentableEntryError as exc:
+        message = f"inverse leaves the coefficient ring Z[1/{a.ell}]: {exc}"
+        with pytest.raises(UnrepresentableEntryError) as got:
+            a.inv()
+        assert str(got.value) == message
+        return
+    assert a.inv() == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(ladic_matrices())
+def test_int_adj_is_the_adjugate(a):
+    rows, _ = a.scaled_int_rows()
+    try:
+        d, adj = int_adj(rows)
+    except SingularMatrixError:
+        assert _fraction_det(rows) == 0
+        return
+    assert d == _fraction_det(rows)
+    n = len(rows)
+    assert [
+        [sum(adj[i][k] * rows[k][j] for k in range(n)) for j in range(n)]
+        for i in range(n)
+    ] == [[d if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(PRIMES), st.integers(1, 3), st.data())
+def test_mod_det_and_inv_match_the_fraction_oracle(ell, k, data):
+    m = ell**k
+    n = data.draw(st.integers(1, 4))
+    rows = data.draw(
+        st.lists(st.lists(st.integers(0, m - 1), min_size=n, max_size=n), min_size=n, max_size=n)
+    )
+    a = ModMatrix.from_rows(rows, ell, k)
+    d = int(_fraction_det(rows)) % m
+    assert a.det() == d
+    if d % ell == 0:
+        with pytest.raises(SingularMatrixError) as exc:
+            a.inv()
+        assert exc.value.determinant == d
+        return
+    want = tuple(
+        tuple(v.numerator * pow(v.denominator, -1, m) % m for v in row)
+        for row in _fraction_inv(rows)
+    )
+    assert a.inv().entries == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(PRIMES + [11]), st.data())
+def test_charpoly_rows_matches_the_fraction_oracle(p, data):
+    n = data.draw(st.integers(1, 4))
+    rows = data.draw(
+        st.lists(st.lists(st.integers(-30, 30), min_size=n, max_size=n), min_size=n, max_size=n)
+    )
+    want = [1]
+    for k in range(1, n + 1):
+        total = sum(
+            _fraction_det([[rows[i][j] for j in sub] for i in sub])
+            for sub in itertools.combinations(range(n), k)
+        )
+        want.append((-1) ** k * int(total) % p)
+    assert charpoly_rows(rows, p) == tuple(want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ladic_matrices())
+def test_smith_matches_the_fraction_oracle(a):
+    try:
+        vals, pivots, left, right = _fraction_smith(a)
+    except SingularMatrixError:
+        with pytest.raises(SingularMatrixError):
+            smith_normal_form(a)
+        return
+    # the pivot reader recovers the oracle's own pivots
+    assert _smith_pivots(left, right) == pivots
+    if min(vals) < 0:
+        with pytest.raises(ExactMatError, match="negative valuation"):
+            smith_normal_form(a)
+        return
+    sf = check_smith(a)
+    assert sf.valuations == vals
+    assert _smith_pivots(sf.left, sf.right) == pivots
+
+
+@settings(max_examples=300, deadline=None)
+@given(ladic_matrices())
+def test_locally_contains_standard_matches_the_fraction_oracle(a):
+    assert locally_contains_standard(a) == _fraction_locally_contains_standard(a)
+
+
+@pytest.mark.parametrize(
+    "rows, ell, want",
+    [
+        ([[3]], 2, True),  # inverse 1/3: a unit at 2, not in Z[1/2]
+        ([[3, 0], [0, (1, 1)]], 2, True),
+        ([[6]], 2, False),
+        ([[(5, 1), 1], [0, 7]], 3, True),
+        ([[1, 1], [1, 1]], 5, False),
+    ],
+)
+def test_locally_contains_standard_with_denominators_prime_to_l(rows, ell, want):
+    a = ladic(rows, ell)
+    assert locally_contains_standard(a) == want
+    assert _fraction_locally_contains_standard(a) == want
+
+
 def test_permanence_of_sign_convention():
     # det of the standard symplectic 2x2 block is 1
     j = ladic([[0, 1], [-1, 0]], 2)
     assert j.det() == 1
     assert j.is_alternating()
+
+
+def test_nonzero_diagonal_is_not_alternating():
+    # skew off the diagonal, but an alternating matrix has a zero diagonal
+    assert not ladic([[1, 2], [-2, 0]], 3).is_alternating()
+    assert not ladic([[0, 2], [-2, (1, 1)]], 3).is_alternating()
+    assert not ladic([[0, 2], [2, 0]], 3).is_alternating()
+    assert ladic([[0, (2, 1)], [(-2, 1), 0]], 3).is_alternating()
 
 
 def test_charpoly_rows_leibniz_cross_check():
