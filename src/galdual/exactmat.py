@@ -5,17 +5,16 @@ Everything here is exact: matrices are immutable tuples of Python integers
 It is the package's one home for linear algebra, with one routine per kind:
 ``_int_det`` (Bareiss elimination) and ``int_adj`` (fraction-free
 Gauss-Jordan) for integer rows, which both matrix kinds share, and
-``_echelon_mod`` for residue rows over F_l.  A Z[1/l] matrix is eliminated,
-in these and in the Smith form, as its integer rows R with a common
-denominator l^k, so no elimination runs on fractions.  Two matrix kinds are
-provided.
+``_echelon_mod`` for residue rows over F_l.  A Z[1/l] matrix is stored as
+its integer rows R over one power l^k, and every product, determinant,
+inverse and Smith form works on R and k directly, so no arithmetic runs on
+fractions.  Two matrix kinds are provided.
 
 ``LAdicMatrix``
     Entries are rationals whose denominator is a power of a fixed prime l,
-    stored as normalized ``(numerator, exponent)`` pairs meaning
-    ``numerator / l**exponent`` with ``gcd(numerator, l) == 1`` whenever the
-    exponent is positive.  This is the right coefficient ring for lattice
-    change-of-basis matrices of l-power isogenies.
+    stored as integer rows ``entries`` over ``l**k``, with k >= 0 minimal.
+    This is the right coefficient ring for lattice change-of-basis
+    matrices of l-power isogenies.
 
 ``ModMatrix``
     Entries are residues mod ``l**k``.  Used for torsion representations.
@@ -30,6 +29,7 @@ that the group and lattice modules share.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 import re
 from dataclasses import dataclass
@@ -142,28 +142,16 @@ def lval(x: Union[int, Fraction], ell: int) -> int:
     return v
 
 
-def _norm_pair(num: int, k: int, ell: int) -> tuple:
-    """Normalize ``num / ell**k`` so that k >= 0 is minimal."""
-    if num == 0:
-        return (0, 0)
-    if k < 0:
-        num *= ell ** (-k)
-        k = 0
-    while k > 0 and num % ell == 0:
-        num //= ell
-        k -= 1
-    return (num, k)
-
-
 def _pair_from_value(value, ell: int) -> tuple:
+    """``(num, exponent)`` with value = num / ell**exponent; not normalized."""
     if isinstance(value, tuple):
         num, k = value
         try:
-            return _norm_pair(operator.index(num), operator.index(k), ell)
+            return operator.index(num), operator.index(k)
         except TypeError:
             raise ExactMatError(f"cannot build an entry from {value!r}") from None
     if isinstance(value, int):
-        return (value, 0) if value != 0 else (0, 0)
+        return value, 0
     if isinstance(value, Fraction):
         den = value.denominator
         k = 0
@@ -174,42 +162,74 @@ def _pair_from_value(value, ell: int) -> tuple:
             raise UnrepresentableEntryError(
                 f"denominator of {value} is not a power of {ell}"
             )
-        return _norm_pair(value.numerator, k, ell)
+        return value.numerator, k
     raise ExactMatError(f"cannot build an entry from {value!r}")
 
 
-def _pair_to_fraction(pair: tuple, ell: int) -> Fraction:
-    num, k = pair
-    return Fraction(num, ell**k)
+def _lowest_terms(x: int, k: int, ell: int) -> tuple:
+    """``x / ell**k`` as ``(numerator, exponent)`` with exponent >= 0 minimal."""
+    while k > 0 and x % ell == 0:
+        x //= ell
+        k -= 1
+    return (x, k)
 
 
 @dataclass(frozen=True)
 class LAdicMatrix:
-    """Square matrix over Z[1/l] with l-power denominators only."""
+    """Square matrix over Z[1/l]: integer rows ``entries`` over l^k.
+
+    The matrix is entries / l^k.  Construction normalizes: a negative k is
+    lifted to 0 by scaling the rows, and the largest power of l dividing
+    every entry (up to l^k) is cancelled, so k >= 0 is minimal and ``==``
+    is equality of values.
+    """
 
     ell: int
-    entries: tuple  # tuple of rows; each row a tuple of (num, exponent) pairs
+    entries: tuple  # tuple of integer rows
+    k: int = 0
 
     def __post_init__(self):
-        check_prime(self.ell)
+        ell = check_prime(self.ell)
         n = len(self.entries)
         if n == 0 or any(len(row) != n for row in self.entries):
             raise DimensionMismatchError("matrix must be square and nonempty")
+        try:
+            rows = tuple(tuple(map(operator.index, row)) for row in self.entries)
+            k = operator.index(self.k)
+        except TypeError:
+            raise ExactMatError(
+                "LAdicMatrix needs integer entries and an integer exponent"
+            ) from None
+        if k < 0:
+            f = ell**-k
+            rows = tuple(tuple(x * f for x in row) for row in rows)
+            k = 0
+        g = math.gcd(*(x for row in rows for x in row))
+        drop = 0
+        while drop < k and g % ell == 0:  # g == 0 only for the zero matrix
+            g //= ell
+            drop += 1
+        if drop:
+            f = ell**drop
+            rows = tuple(tuple(x // f for x in row) for row in rows)
+        object.__setattr__(self, "entries", rows)
+        object.__setattr__(self, "k", k - drop)
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence], ell: int) -> "LAdicMatrix":
         """Build from rows of ints, Fractions, or (num, exponent) pairs."""
-        ent = tuple(
-            tuple(_pair_from_value(v, ell) for v in row) for row in rows
+        pairs = [[_pair_from_value(v, ell) for v in row] for row in rows]
+        k = max((e for row in pairs for _, e in row), default=0)
+        return LAdicMatrix(
+            ell, tuple(tuple(x * ell ** (k - e) for x, e in row) for row in pairs), k
         )
-        return LAdicMatrix(ell, ent)
 
     @staticmethod
     def identity(n: int, ell: int) -> "LAdicMatrix":
-        return LAdicMatrix.from_rows(
-            [[1 if i == j else 0 for j in range(n)] for i in range(n)], ell
+        return LAdicMatrix(
+            ell, tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
         )
 
     # -- basic views -------------------------------------------------------
@@ -218,85 +238,49 @@ class LAdicMatrix:
     def n(self) -> int:
         return len(self.entries)
 
-    def fraction_rows(self) -> list:
-        return [
-            [_pair_to_fraction(p, self.ell) for p in row] for row in self.entries
-        ]
-
     def is_integral(self) -> bool:
         """True when every entry lies in Z (no l in any denominator)."""
-        return all(k == 0 for row in self.entries for (_, k) in row)
+        return self.k == 0
 
     def transpose(self) -> "LAdicMatrix":
-        n = self.n
-        return LAdicMatrix(
-            self.ell,
-            tuple(tuple(self.entries[j][i] for j in range(n)) for i in range(n)),
-        )
+        return LAdicMatrix(self.ell, tuple(zip(*self.entries)), self.k)
 
     def scale(self, factor) -> "LAdicMatrix":
         fn, fk = _pair_from_value(factor, self.ell)
         return LAdicMatrix(
             self.ell,
-            tuple(
-                tuple(_norm_pair(num * fn, k + fk, self.ell) for (num, k) in row)
-                for row in self.entries
-            ),
+            tuple(tuple(x * fn for x in row) for row in self.entries),
+            self.k + fk,
         )
 
     def is_alternating(self) -> bool:
-        """Whether the transpose is the negative; normalized pairs compare exactly."""
+        """Whether the transpose is the negative (so the diagonal is zero)."""
         ent = self.entries
         return all(
-            ent[j][i] == (-num, k)
+            ent[j][i] == -x
             for i, row in enumerate(ent)
-            for j, (num, k) in enumerate(row[i:], i)
+            for j, x in enumerate(row[i:], i)
         )
 
-    # -- scaled-integer view, shared by the fast multiply ------------------
-
-    def scaled_int_rows(self) -> tuple:
-        """Return ``(rows, k)`` with integer rows such that self = rows / l^k."""
-        kmax = max((k for row in self.entries for (_, k) in row), default=0)
-        ell = self.ell
-        rows = tuple(
-            tuple(num * ell ** (kmax - k) for (num, k) in row)
-            for row in self.entries
-        )
-        return rows, kmax
+    # -- arithmetic on the integer rows ------------------------------------
 
     def mul(self, other: "LAdicMatrix") -> "LAdicMatrix":
         if not isinstance(other, LAdicMatrix) or other.ell != self.ell:
             raise DimensionMismatchError("operands must share the same prime")
         if other.n != self.n:
             raise DimensionMismatchError("size mismatch")
-        a, ka = self.scaled_int_rows()
-        b, kb = other.scaled_int_rows()
-        n = self.n
-        bt = list(zip(*b))
-        prod = [
-            [sum(x * y for x, y in zip(row, col)) for col in bt] for row in a
-        ]
-        k = ka + kb
-        ell = self.ell
+        bt = list(zip(*other.entries))
         return LAdicMatrix(
-            ell,
+            self.ell,
             tuple(
-                tuple(_norm_pair(v, k, ell) for v in row) for row in prod
+                tuple(sum(x * y for x, y in zip(row, col)) for col in bt)
+                for row in self.entries
             ),
+            self.k + other.k,
         )
 
-    def apply(self, vector: Sequence) -> list:
-        """Multiply a column vector of rationals; returns Fractions."""
-        rows = self.fraction_rows()
-        vec = [Fraction(v) for v in vector]
-        if len(vec) != self.n:
-            raise DimensionMismatchError("vector length mismatch")
-        return [sum(r * v for r, v in zip(row, vec)) for row in rows]
-
     def det(self) -> Fraction:
-        rows, k = self.scaled_int_rows()
-        return Fraction(_int_det(rows), self.ell ** (k * self.n))
+        return Fraction(_int_det(self.entries), self.ell ** (self.k * self.n))
 
     def inv(self) -> "LAdicMatrix":
         """The inverse l^k adj(R) / det(R) of self = R / l^k.
@@ -304,43 +288,39 @@ class LAdicMatrix:
         Write det(R) = l^v * u with u prime to l: an entry l^k * a / det(R)
         lies in Z[1/l] exactly when u divides a.
         """
-        ell = self.ell
-        rows, k = self.scaled_int_rows()
-        d, adj = int_adj(rows)
+        ell, k = self.ell, self.k
+        d, adj = int_adj(self.entries)
         v = lval(d, ell)
         u = d // ell**v
-        out = []
-        for row in adj:
-            new = []
-            for a in row:
-                if a % u:
-                    raise UnrepresentableEntryError(
-                        f"inverse leaves the coefficient ring Z[1/{ell}]: "
-                        f"denominator of {Fraction(a * ell**k, d)} is not a "
-                        f"power of {ell}"
-                    )
-                new.append(_norm_pair(a // u, v - k, ell))
-            out.append(tuple(new))
-        return LAdicMatrix(ell, tuple(out))
+        bad = next((a for row in adj for a in row if a % u), None)
+        if bad is not None:
+            raise UnrepresentableEntryError(
+                f"inverse leaves the coefficient ring Z[1/{ell}]: "
+                f"denominator of {Fraction(bad * ell**k, d)} is not a "
+                f"power of {ell}"
+            )
+        return LAdicMatrix(
+            ell, tuple(tuple(a // u for a in row) for row in adj), v - k
+        )
 
     def reduce_mod(self, k: int) -> "ModMatrix":
         """Reduce an integral-at-l matrix mod l^k."""
         if k < 1:
             raise ExactMatError("need k >= 1")
-        m = self.ell**k
-        out = []
+        ell, den = self.ell, self.ell**self.k
         for i, row in enumerate(self.entries):
-            new = []
-            for j, (num, e) in enumerate(row):
-                if e > 0:
+            for j, x in enumerate(row):
+                if x % den:
+                    num, e = _lowest_terms(x, self.k, ell)
                     raise NonIntegralEntryError(
                         f"entry at row {i + 1}, column {j + 1} is "
-                        f"{num}/{self.ell}^{e}, not integral at {self.ell}",
+                        f"{num}/{ell}^{e}, not integral at {ell}",
                         position=(i, j),
                     )
-                new.append(num % m)
-            out.append(tuple(new))
-        return ModMatrix(self.ell, k, tuple(out))
+        m = ell**k
+        return ModMatrix(
+            ell, k, tuple(tuple(x % m for x in row) for row in self.entries)
+        )
 
 
 @dataclass(frozen=True)
@@ -636,9 +616,8 @@ def smith_normal_form(a: LAdicMatrix) -> SmithForm:
     stay in the integers while scaling rows and columns only by units.
     """
     ell = a.ell
-    n = a.n
-    rows, k = a.scaled_int_rows()
-    work = [list(row) for row in rows]
+    n, k = a.n, a.k
+    work = [list(row) for row in a.entries]
     left = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     right = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     vals = []
@@ -698,16 +677,18 @@ def smith_normal_form(a: LAdicMatrix) -> SmithForm:
 _ENTRY_RE = re.compile(r"^(-?\d+)(?:/l\^(\d+))?$")
 
 
-def format_entry(pair: tuple) -> str:
-    num, k = pair
-    return f"{num}/l^{k}" if k > 0 else str(num)
+def format_entry(x: int, k: int, ell: int) -> str:
+    """The entry x / l^k in lowest terms: ``n`` or ``n/l^e``."""
+    num, e = _lowest_terms(x, k, ell)
+    return f"{num}/l^{e}" if e > 0 else str(num)
 
 
 def format_matrix(mat) -> str:
     """Render either matrix kind in the row ';' / entry ',' text format."""
     if isinstance(mat, LAdicMatrix):
         return ";".join(
-            ",".join(format_entry(p) for p in row) for row in mat.entries
+            ",".join(format_entry(x, mat.k, mat.ell) for x in row)
+            for row in mat.entries
         )
     if isinstance(mat, ModMatrix):
         return ";".join(",".join(str(v) for v in row) for row in mat.entries)

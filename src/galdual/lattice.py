@@ -17,6 +17,7 @@ index prime to l counts as equality.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -58,7 +59,12 @@ class KernelSpec:
         m = self.ell**self.n
         canon = []
         for g in self.generators:
-            vec = tuple(int(v) % m for v in g)
+            try:
+                vec = tuple(operator.index(v) % m for v in g)
+            except TypeError:
+                raise LatticeError(
+                    f"generator {tuple(g)!r} has an entry that is not an integer"
+                ) from None
             if len(vec) != self.dim:
                 raise LatticeError(
                     f"generator {tuple(g)} has length {len(vec)}, expected {self.dim}"
@@ -132,24 +138,19 @@ def _primary_placement(ker: KernelSpec):
     (no unit coordinate, or two generators claiming the same column).
     """
     ell, m, dim = ker.ell, ker.modulus, ker.dim
-    columns = {}
+    columns = {}  # over l^n: a generator g is the column g / l^n
     for g in ker.generators:
         pos = next(
             (i for i in range(dim - 1, -1, -1) if g[i] % ell != 0), None
         )
         if pos is None or pos in columns:
             return None
-        columns[pos] = [(v, ker.n) for v in g]
-    rows = []
-    for i in range(dim):
-        row = []
-        for j in range(dim):
-            if j in columns:
-                row.append(columns[j][i])
-            else:
-                row.append(1 if i == j else 0)
-        rows.append(row)
-    return LAdicMatrix.from_rows(rows, ell)
+        columns[pos] = g
+    rows = [
+        [columns[j][i] if j in columns else m * (i == j) for j in range(dim)]
+        for i in range(dim)
+    ]
+    return LAdicMatrix(ell, rows, ker.n)
 
 
 def _hnf_column_basis(columns, dim: int) -> list:
@@ -190,11 +191,7 @@ def _fallback_basis(ker: KernelSpec) -> LAdicMatrix:
     cols = [[m if i == j else 0 for i in range(ker.dim)] for j in range(ker.dim)]
     cols.extend(list(g) for g in ker.generators)
     basis = _hnf_column_basis(cols, ker.dim)
-    rows = [
-        [Fraction(basis[j][i], m) for j in range(ker.dim)]
-        for i in range(ker.dim)
-    ]
-    return LAdicMatrix.from_rows(rows, ker.ell)
+    return LAdicMatrix(ker.ell, tuple(zip(*basis)), ker.n)  # columns over l^n
 
 
 def _quotient_group(mat: LAdicMatrix, n: int) -> frozenset:
@@ -202,22 +199,16 @@ def _quotient_group(mat: LAdicMatrix, n: int) -> frozenset:
 
     Elements of L/T are cosets of column combinations modulo 1; the map
     v -> l^n v identifies the quotient with a subgroup of (Z/l^n)^dim, the
-    span of the scaled columns mod l^n.  Only used for small l^n (the
-    closure is at most (l^n)^dim points).
+    span of the scaled columns mod l^n: for mat = R / l^k these are the
+    columns of R times l^(n - k).  Only used for small l^n (the closure is
+    at most (l^n)^dim points).
     """
+    if mat.k > n:
+        raise AssertionError("column lattice has denominators beyond l^n")
     m = mat.ell**n
-    dim = mat.n
-    fr = mat.fraction_rows()
-    gens = []
-    for j in range(dim):
-        col = []
-        for i in range(dim):
-            y = fr[i][j] * m
-            if y.denominator != 1:
-                raise AssertionError("column lattice has denominators beyond l^n")
-            col.append(int(y) % m)
-        gens.append(tuple(col))
-    return _span_mod(gens, m, dim)
+    s = mat.ell ** (n - mat.k)
+    gens = [tuple(x * s % m for x in col) for col in zip(*mat.entries)]
+    return _span_mod(gens, m, mat.n)
 
 
 def _log_ell(value: int, ell: int) -> int:
@@ -238,10 +229,9 @@ def locally_contains_standard(mat: LAdicMatrix) -> bool:
     of the local ring) that LAdicMatrix cannot carry, and its entry is
     l-integral when adj_ij == 0 or v(adj_ij) + k >= v(det R).
     """
-    ell = mat.ell
-    rows, k = mat.scaled_int_rows()
+    ell, k = mat.ell, mat.k
     try:
-        d, adj = int_adj(rows)
+        d, adj = int_adj(mat.entries)
     except SingularMatrixError:
         return False
     v_det = lval(d, ell)
@@ -320,29 +310,32 @@ def pushforward_polarization(
         raise LatticeError("polarization matrix must be alternating")
     if n_pol.n != ker.dim or n_iso.n != ker.dim:
         raise LatticeError("dimension mismatch")
-    ell, m = ker.ell, ker.modulus
-    lifts = [list(g) for g in ker.generators]
-    paired = [n_pol.apply(g) for g in lifts]
+    # n_pol = P / l^k: each paired value is an integer x standing for
+    # x / l^k, which lies in c * Z exactly when c * l^k divides x
+    ell, lifts = ker.ell, ker.generators
+    den = ell**n_pol.k
+    mk = ker.modulus * den
+    paired = [
+        [sum(a * b for a, b in zip(row, g)) for row in n_pol.entries] for g in lifts
+    ]
 
     for i, gi in enumerate(lifts):
         for j in range(i, len(lifts)):
             val = sum(a * b for a, b in zip(gi, paired[j]))
-            if val % m != 0:
+            if val % mk:
                 raise LatticeError(
                     f"kernel is not isotropic: generators {i + 1} and {j + 1} "
-                    f"pair to {val} mod {ell}^{ker.n}"
+                    f"pair to {Fraction(val, den)} mod {ell}^{ker.n}"
                 )
 
-    d = None
-    for e in range(ker.n + 1):
-        cand = ell**e
-        if all(
-            (cand * x).denominator == 1 and (cand * x) % m == 0
-            for col in paired
-            for x in col
-        ):
-            d = cand
-            break
+    d = next(
+        (
+            ell**e
+            for e in range(ker.n + 1)
+            if all(ell**e * x % mk == 0 for col in paired for x in col)
+        ),
+        None,
+    )
     if d is None:
         raise LatticeError("no power of l up to l^n pushes the polarization forward")
 
@@ -378,7 +371,10 @@ def polarization_type(n_pol: LAdicMatrix, g: int) -> tuple:
 def standard_polarization_matrix(divisors: Sequence[int], ell: int) -> LAdicMatrix:
     """The block pairing matrix ((0, D), (-D, 0)) for the divisor list D."""
     check_prime(ell)
-    ds = [int(d) for d in divisors]
+    try:
+        ds = [operator.index(d) for d in divisors]
+    except TypeError:
+        raise LatticeError(f"divisors must be integers: {divisors!r}") from None
     if not ds or any(d < 1 for d in ds):
         raise LatticeError("divisors must be positive")
     for i in range(len(ds) - 1):

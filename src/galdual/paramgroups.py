@@ -193,7 +193,7 @@ def glued_polarization_change_of_basis(ell: int) -> LAdicMatrix:
 def _flat_of(mat: LAdicMatrix):
     if not mat.is_integral():
         raise ArithmeticError("conjugator matrix must be integral")
-    return tuple(num for row in mat.entries for (num, _) in row)
+    return tuple(v for row in mat.entries for v in row)
 
 
 def _flat_to_mod(flat, ell: int) -> ModMatrix:

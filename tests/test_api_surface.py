@@ -10,6 +10,13 @@ outside ``__init__.py``, whose re-exports are no call.  Tests do not count.
 
 Exempt are dunder methods (Python calls them), the names the README lists as
 public API, and the few helpers kept for open ROADMAP items below.
+
+Fields of dataclasses and NamedTuples get the same guard: a field must be
+read as an attribute somewhere in src/galdual (its own class's methods
+count, since they are checked above), scripts/ or perfbench/.  A field that
+is only ever set is dead weight in every instance.  Like the definitions,
+fields are matched by name, so one that shares its name with an attribute
+read elsewhere passes.
 """
 
 import ast
@@ -31,6 +38,13 @@ KEEPERS = {
     "principal_pairing_mod2",
     "alternating_forms",
     "form_orbit",
+}
+
+# Fields kept without a reader outside the tests, as "Class.field".
+FIELD_KEEPERS = {
+    # Smith certificate, ROADMAP item 5
+    "SmithForm.left",
+    "SmithForm.right",
 }
 
 
@@ -103,8 +117,54 @@ def _uncalled() -> list:
     return uncalled
 
 
+def _is_record(node: ast.ClassDef) -> bool:
+    """Whether the class is a dataclass or a NamedTuple."""
+    decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+    return any(getattr(d, "id", None) == "dataclass" for d in decorators) or any(
+        getattr(base, "id", None) == "NamedTuple" for base in node.bases
+    )
+
+
+def _fields(tree: ast.Module):
+    """(class name, field name, line) for every dataclass and NamedTuple field."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and _is_record(node):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    yield node.name, item.target.id, item.lineno
+
+
+def _unread_fields() -> list:
+    modules = {
+        path: _parse(path)
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+    trees = list(modules.values()) + [
+        _parse(path)
+        for directory in ("scripts", "perfbench")
+        for path in sorted((ROOT / directory).glob("*.py"))
+    ]
+    read = {
+        node.attr
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+    }
+    return [
+        f"{path.name}:{line} {cls}.{field}"
+        for path, tree in modules.items()
+        for cls, field, line in _fields(tree)
+        if field not in read and f"{cls}.{field}" not in FIELD_KEEPERS
+    ]
+
+
 def test_every_definition_has_a_caller_outside_the_tests():
     assert _uncalled() == []
+
+
+def test_every_field_is_read_outside_the_tests():
+    assert _unread_fields() == []
 
 
 def test_readme_public_api_is_the_package_all():
@@ -118,3 +178,9 @@ def test_keepers_are_still_defined():
         for name, _ in _definitions(_parse(path))
     }
     assert KEEPERS <= defined
+    fields = {
+        f"{cls}.{field}"
+        for path in PACKAGE.glob("*.py")
+        for cls, field, _ in _fields(_parse(path))
+    }
+    assert FIELD_KEEPERS <= fields

@@ -34,6 +34,11 @@ def ladic(rows, ell):
     return LAdicMatrix.from_rows(rows, ell)
 
 
+def _fractions(m):
+    """The entries of ``m`` as rows of Fractions, the oracles' input form."""
+    return [[Fraction(x, m.ell**m.k) for x in row] for row in m.entries]
+
+
 # -- Fraction oracles ------------------------------------------------------------
 # Textbook elimination on Fractions, kept here as the reference the integer
 # kernels of galdual.exactmat are checked against.
@@ -87,7 +92,7 @@ def _fraction_smith(a):
     column) chosen at each step in the working coordinates of that step.
     """
     ell, n = a.ell, a.n
-    work = a.fraction_rows()
+    work = _fractions(a)
     left = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
     right = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
     vals, pivots = [], []
@@ -152,7 +157,7 @@ def _smith_pivots(left, right):
 
 def _fraction_locally_contains_standard(mat):
     try:
-        inv_rows = _fraction_inv(mat.fraction_rows())
+        inv_rows = _fraction_inv(_fractions(mat))
     except SingularMatrixError:
         return False
     return all(x == 0 or lval(x, mat.ell) >= 0 for row in inv_rows for x in row)
@@ -215,8 +220,51 @@ def test_lval_rejects_floats_and_strings(bad):
 
 def test_entry_normalization():
     m = ladic([[(6, 1), (4, 2)], [(0, 5), 3]], 2)
-    # 6/2 = 3, 4/4 = 1, 0 stays (0, 0)
-    assert m.entries == (((3, 0), (1, 0)), ((0, 0), (3, 0)))
+    # 6/2 = 3, 4/4 = 1, 0/2^5 = 0: every entry is an integer, so k = 0
+    assert (m.entries, m.k) == (((3, 1), (0, 3)), 0)
+    assert m == ladic([[3, 1], [0, 3]], 2)
+
+
+def test_direct_construction_is_the_canonical_form():
+    # 3 / 3^1 = 1: the l dividing every entry cancels against the exponent
+    m = LAdicMatrix(3, ((3,),), 1)
+    assert m == ladic([[1]], 3)
+    assert (m.entries, m.k) == (((1,),), 0)
+    assert hash(m) == hash(ladic([[1]], 3))
+    # a negative exponent scales the rows: (1, 2; 0, 1) / 3^-2
+    m = LAdicMatrix(3, ((1, 2), (0, 1)), -2)
+    assert m == ladic([[9, 18], [0, 9]], 3)
+    assert m.k == 0
+    # only the l-power shared by every entry cancels: (4, 2; 0, 6) / 2^3
+    m = LAdicMatrix(2, ((4, 2), (0, 6)), 3)
+    assert m == ladic([[(1, 1), (1, 2)], [0, (3, 2)]], 2)
+    assert (m.entries, m.k) == (((2, 1), (0, 3)), 2)
+    # the zero matrix has no denominator
+    m = LAdicMatrix(5, ((0, 0), (0, 0)), 3)
+    assert m == ladic([[0, 0], [0, 0]], 5)
+    assert m.k == 0
+
+
+@pytest.mark.parametrize(
+    "entries, k",
+    [(((1.5,),), 0), (((2.0,),), 0), ((("1",),), 0), ((((3, 1),),), 0), (((1,),), 0.5)],
+)
+def test_direct_construction_rejects_entries_that_are_not_integers(entries, k):
+    # a direct build takes integer rows only; pairs and Fractions go to from_rows
+    with pytest.raises(ExactMatError):
+        LAdicMatrix(3, entries, k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ladic_matrices(), st.integers(0, 3))
+def test_equality_is_equality_of_values(a, j):
+    ell = a.ell
+    rows = tuple(tuple(x * ell**j for x in row) for row in a.entries)
+    b = LAdicMatrix(ell, rows, a.k + j)  # the same values over l^(k + j)
+    assert b == a and hash(b) == hash(a)
+    assert _fractions(b) == _fractions(a)
+    # k is minimal: with k > 0 some entry is not divisible by l
+    assert a.k == 0 or any(x % ell for row in a.entries for x in row)
 
 
 def test_fraction_entries_must_have_l_power_denominator():
@@ -237,18 +285,18 @@ def test_mul_matches_fraction_arithmetic():
     a = ladic([[(1, 1), 2], [3, (5, 2)]], 5)
     b = ladic([[(2, 1), 0], [1, (1, 1)]], 5)
     prod = a.mul(b)
-    fa, fb = a.fraction_rows(), b.fraction_rows()
+    fa, fb = _fractions(a), _fractions(b)
     expect = [
         [sum(fa[i][k] * fb[k][j] for k in range(2)) for j in range(2)]
         for i in range(2)
     ]
-    assert prod.fraction_rows() == expect
+    assert _fractions(prod) == expect
 
 
 def test_inverse_round_trip():
     m = ladic([[1, 0, (1, 1), 0], [0, 1, 0, 0], [0, 0, (1, 1), 0], [0, 0, 0, 1]], 3)
     inv = m.inv()
-    assert inv.fraction_rows() == [
+    assert _fractions(inv) == [
         [1, 0, -1, 0],
         [0, 1, 0, 0],
         [0, 0, 3, 0],
@@ -441,14 +489,14 @@ def test_det_multiplicative(ell, fa, fb):
 @settings(max_examples=300, deadline=None)
 @given(ladic_matrices())
 def test_det_matches_the_fraction_oracle(a):
-    assert a.det() == _fraction_det(a.fraction_rows())
+    assert a.det() == _fraction_det(_fractions(a))
 
 
 @settings(max_examples=300, deadline=None)
 @given(ladic_matrices())
 def test_inv_matches_the_fraction_oracle(a):
     try:
-        want_rows = _fraction_inv(a.fraction_rows())
+        want_rows = _fraction_inv(_fractions(a))
     except SingularMatrixError:
         with pytest.raises(SingularMatrixError) as exc:
             a.inv()
@@ -468,7 +516,7 @@ def test_inv_matches_the_fraction_oracle(a):
 @settings(max_examples=300, deadline=None)
 @given(ladic_matrices())
 def test_int_adj_is_the_adjugate(a):
-    rows, _ = a.scaled_int_rows()
+    rows = a.entries
     try:
         d, adj = int_adj(rows)
     except SingularMatrixError:
@@ -625,7 +673,7 @@ def check_smith(a):
     n = a.n
     left = [list(r) for r in sf.left]
     right = [list(r) for r in sf.right]
-    fa = a.fraction_rows()
+    fa = _fractions(a)
     la = [
         [sum(left[i][k] * fa[k][j] for k in range(n)) for j in range(n)]
         for i in range(n)

@@ -4,7 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from galdual.exactmat import LAdicMatrix, SingularMatrixError, lval, smith_normal_form
+from galdual.exactmat import (
+    LAdicMatrix,
+    SingularMatrixError,
+    UnrepresentableEntryError,
+    lval,
+    smith_normal_form,
+)
 from galdual.lattice import (
     KernelSpec,
     LatticeError,
@@ -171,6 +177,13 @@ def test_kernel_spec_rejects_bad_length():
         KernelSpec(3, 1, 2, ((1, 0, 0),))
 
 
+@pytest.mark.parametrize("bad", [1.7, 2.0, "2"])
+def test_kernel_spec_rejects_entries_that_are_not_integers(bad):
+    # int() would truncate 1.7 to 1 and parse "2"; neither is silently read
+    with pytest.raises(LatticeError, match="not an integer"):
+        KernelSpec(3, 1, 2, ((bad, 0),))
+
+
 def test_subgroup_elements_cyclic():
     ker = KernelSpec(3, 1, 2, ((1, 2),))
     assert ker.subgroup_elements() == frozenset(
@@ -286,6 +299,61 @@ def test_pushforward_mismatched_isogeny_matrix():
         pushforward_polarization(j, diag([3, 3], 3), ker)
 
 
+# The pairing [[0, 1/l^kden], [-1/l^kden, 0]] pushed along the isogeny of an
+# order-l kernel in (Z/l^n)^2: l^(n-1) times e1, e2, e1+e2 or e1-e2, or both
+# of l^(n-1) e1 and l^(n-1) e2.  Each outcome is the degree d, with the pushed
+# pairing [[0, 1], [-1, 0]], or the error raised while building the isogeny
+# matrix or pushing forward.
+PUSH_KERNELS = (((1, 0),), ((0, 1),), ((1, 1),), ((1, -1),), ((1, 0), (0, 1)))
+NO_D = "LatticeError: no power of l up to l^n pushes the polarization forward"
+LEFT = (
+    "LatticeError: pushforward left the lattice; "
+    "isogeny matrix does not match the kernel"
+)
+NOT_IN_RING = (
+    "UnrepresentableEntryError: inverse leaves the coefficient ring Z[1/3]: "
+    "denominator of -1/2 is not a power of 3"
+)
+
+
+def PAIR(value):
+    return f"LatticeError: kernel is not isotropic: generators 1 and 2 pair to {value}"
+
+
+PUSHFORWARD_PINS = {
+    (2, 1, 1): (NO_D, NO_D, NO_D, NO_D, PAIR("1/2 mod 2^1")),
+    (2, 1, 2): (NO_D, NO_D, NO_D, NO_D, PAIR("1/4 mod 2^1")),
+    (2, 2, 1): (4, 4, 4, 4, PAIR("2 mod 2^2")),
+    (2, 2, 2): (NO_D, NO_D, NO_D, NO_D, PAIR("1 mod 2^2")),
+    (2, 3, 1): (4, 4, 4, 4, LEFT),
+    (2, 3, 2): (8, 8, 8, 8, PAIR("4 mod 2^3")),
+    (3, 1, 1): (NO_D, NO_D, NO_D, NOT_IN_RING, PAIR("1/3 mod 3^1")),
+    (3, 1, 2): (NO_D, NO_D, NO_D, NOT_IN_RING, PAIR("1/9 mod 3^1")),
+    (3, 2, 1): (9, 9, 9, 9, PAIR("3 mod 3^2")),
+    (3, 2, 2): (NO_D, NO_D, NO_D, NO_D, PAIR("1 mod 3^2")),
+    (3, 3, 1): (9, 9, 9, 9, LEFT),
+    (3, 3, 2): (27, 27, 27, 27, PAIR("9 mod 3^3")),
+}
+
+
+@pytest.mark.parametrize("ell, n, kden", sorted(PUSHFORWARD_PINS))
+def test_pushforward_of_pairings_with_denominators(ell, n, kden):
+    pairing = ladic([[0, (1, kden)], [(-1, kden), 0]], ell)
+    top = ell ** (n - 1)
+    got = []
+    for gens in PUSH_KERNELS:
+        ker = KernelSpec(ell, n, 2, tuple(tuple(top * v for v in g) for g in gens))
+        try:
+            n_iso = change_basis_from_kernel(ker).inv()
+            pushed, d = pushforward_polarization(pairing, n_iso, ker)
+        except (LatticeError, UnrepresentableEntryError) as exc:
+            got.append(f"{type(exc).__name__}: {exc}")
+        else:
+            assert pushed == ladic([[0, 1], [-1, 0]], ell)
+            got.append(d)
+    assert tuple(got) == PUSHFORWARD_PINS[ell, n, kden]
+
+
 # -- polarization type -------------------------------------------------------------
 
 
@@ -344,6 +412,13 @@ def test_standard_polarization_divisibility():
         standard_polarization_matrix((2, 3), 3)
     with pytest.raises(LatticeError):
         standard_polarization_matrix((0, 1), 3)
+
+
+@pytest.mark.parametrize("divisors", [[1.9, 3.2], [1, 3.0], ["1", "3"]])
+def test_standard_polarization_rejects_divisors_that_are_not_integers(divisors):
+    # int() would read [1.9, 3.2] as the type (1, 3)
+    with pytest.raises(LatticeError, match="divisors must be integers"):
+        standard_polarization_matrix(divisors, 3)
 
 
 def test_type_rejects_wrong_shapes():
