@@ -17,24 +17,28 @@ Two independent routes produce the dual image:
 Their agreement, element by element, is one of the verified claims, so
 the two computations are kept deliberately separate.
 
-Matrices are carried mod l^2 until the final conjugation: the bases
-introduce a single factor 1/l, so mod-l^2 input determines the mod-l
-output.  Every record is built by one residue-level kernel on flat
-16-tuples of ints.  The integer conjugator matrices are derived from the
-lattice module, never hardcoded; for each l, each conjugation is compiled
-into a straight-line function of its nonzero terms (12 for the gluing on
-the family's 8-entry support, 36 for the isogeny on a full 4x4), which
-divides exactly by l and raises ArithmeticError otherwise.  The tests
-compare the compiled functions against lattice.conjugate_by directly.
+Every record is built by one generated function per prime, on the twelve
+residues of a point.  The integer conjugator matrices are derived from
+the lattice module, never hardcoded, and the function is straight-line
+code over their nonzero terms.  It glues the family element with the 12
+gluing terms on its 8-entry support and divides exactly by l.  The gluing
+has no term in the lower-left 2x2 block at any l (the function is refused
+otherwise), so the glued element is block upper triangular,
+[[A, B], [0, D]], and its image mod l is inverted blockwise from det A,
+det D, the 2x2 adjugates and adj(A) B adj(D).  The isogeny conjugation
+reads the exact glued element only where the gluing reaches, 23 terms
+(27 on all twelve entries off the lower-left block, 36 on a full 4x4),
+and divides exactly by l again: the bases introduce a single factor 1/l,
+so the exact glued element determines the dual mod l.  Every division
+that is not exact raises ArithmeticError.  The function compares the two
+routes entry by entry and stores one dual tuple when they agree, both
+when they differ.  The tests compare the term lists against
+lattice.conjugate_by and the contragredient against the Fraction inverse
+of ModMatrix.
 
-The gluing conjugation has no term in the lower-left 2x2 block at any l,
-so every image element is block upper triangular, [[A, B], [0, D]].  The
-contragredient route inverts it blockwise, from det A, det D, the 2x2
-adjugates and adj(A) B adj(D); the tests hold it against the Fraction
-inverse of ModMatrix.  Seeded samples draw each residue below n as
-CPython's randrange does, from getrandbits(n.bit_length()) repeated until
-it is below n, so the pinned l = 7 samples rest on CPython's
-getrandbits stream.
+Seeded samples draw each residue below n as CPython's randrange does,
+from getrandbits(n.bit_length()) repeated until it is below n, so the
+pinned l = 7 samples rest on CPython's getrandbits stream.
 
 slab_records builds its tuple with the cyclic garbage collector paused
 and then calls gc.freeze().  PointRecords are NamedTuples, not exact
@@ -220,10 +224,10 @@ def _conjugator_data(ell: int):
     )
 
 
-# -- compiled conjugations ---------------------------------------------------------
+# -- the generated record kernel ---------------------------------------------------
 
 # the flat positions where a family element can be nonzero, in the order
-# the compiled gluing conjugation takes them as arguments
+# the record kernel names them f0 ... f7
 _FAMILY_SUPPORT = (0, 1, 4, 5, 10, 11, 14, 15)
 
 # the lower-left 2x2 block, where no glued element has a term
@@ -245,99 +249,81 @@ def _sparse_terms(left, right, inputs):
     ]
 
 
+def _kernel_terms(ell: int):
+    """``(glue, live, isogeny)``: the terms the record kernel runs at prime l.
+
+    ``glue`` holds the terms of the gluing conjugation on the family's
+    support, ``live`` the flat positions they reach, and ``isogeny`` the
+    terms of the isogeny conjugation read at ``live`` only, the glued
+    element being zero everywhere else.  Raises ArithmeticError when a glue
+    term reaches the lower-left block, which the block inverse rules out.
+    """
+    mq_inv, mq_l, n_pol, mlam_l = _conjugator_data(ell)
+    glue = _sparse_terms(mq_inv, mq_l, _FAMILY_SUPPORT)
+    live = sorted({out for out, _, _ in glue})
+    if not set(live).isdisjoint(_LOWER_LEFT):
+        raise ArithmeticError(f"glued elements at l={ell} are not block upper triangular")
+    return glue, live, _sparse_terms(n_pol, mlam_l, live)
+
+
 def _not_divisible(entries, ell: int):
     v = next(v for v in entries if v % ell)
     raise ArithmeticError(f"entry {v} not divisible by {ell}")
 
 
 def _linear_form(terms) -> str:
-    """Source text of sum(c * x_n) over ``(n, c)`` pairs, e.g. 'x0 - 3 * x2'."""
+    """Source text of sum(c * v) over ``(v, c)`` pairs, e.g. 'f0 - 3 * f2'."""
     text = ""
-    for n, c in terms:
+    for v, c in terms:
         sign = "-" if c < 0 else "+"
-        mag = f"x{n}" if abs(c) == 1 else f"{abs(c)} * x{n}"
+        mag = v if abs(c) == 1 else f"{abs(c)} * {v}"
         text = f"{sign}{mag}" if not text else f"{text} {sign} {mag}"
     return text.lstrip("+")
 
 
-def _compile_conjugation(left, right, inputs, ell: int, name: str):
-    """Straight-line code for X -> (left * X * right) / l.
-
-    The generated function takes X's entries at the flat positions
-    ``inputs`` as positional arguments, one multiply-add per nonzero term
-    of ``_sparse_terms``, and returns the exact flat 16-tuple.  It raises
-    ArithmeticError when an entry of the product is not divisible by l.
-    """
+def _divisible_sums(terms, names, ell: int, prefix: str):
+    """``(outputs, lines)``: source lines setting ``prefix``k to the sum of the
+    terms at each output k, then raising ArithmeticError unless l divides
+    every sum.  ``names[n]`` is the variable holding input n."""
     sums = {}
-    for out, n, c in _sparse_terms(left, right, inputs):
-        sums.setdefault(out, []).append((n, c))
-    live = sorted(sums)
-    lines = [f"def {name}({', '.join(f'x{n}' for n in range(len(inputs)))}):"]
-    lines += [f"    e{out} = {_linear_form(sums[out])}" for out in live]
-    lines += [
-        f"    if {' or '.join(f'e{out} % {ell}' for out in live)}:",
-        f"        _not_divisible(({', '.join(f'e{out}' for out in live)},), {ell})",
-        "    return ("
-        + ", ".join(f"e{out} // {ell}" if out in sums else "0" for out in range(16))
-        + ")",
+    for out, n, c in terms:
+        sums.setdefault(out, []).append((names[n], c))
+    outputs = sorted(sums)
+    return outputs, [
+        *(f"    {prefix}{out} = {_linear_form(sums[out])}" for out in outputs),
+        f"    if {' or '.join(f'{prefix}{out} % {ell}' for out in outputs)}:",
+        f"        _not_divisible(({', '.join(f'{prefix}{out}' for out in outputs)},), {ell})",
     ]
-    namespace = {"_not_divisible": _not_divisible}
-    exec(compile("\n".join(lines), f"<{name} l={ell}>", "exec"), namespace)
-    return namespace[name]
 
 
-@functools.cache
-def _compiled_conjugations(ell: int):
-    """``(glue, isogeny)``: the two conjugations compiled for one prime.
-
-    ``glue`` takes the family element's eight entries at _FAMILY_SUPPORT and
-    returns it in the glued basis; ``isogeny`` takes all sixteen entries of
-    a glued-basis element and returns it in the dual basis.
-    """
-    mq_inv, mq_l, n_pol, mlam_l = _conjugator_data(ell)
-    if any(out in _LOWER_LEFT for out, _, _ in _sparse_terms(mq_inv, mq_l, _FAMILY_SUPPORT)):
-        raise ArithmeticError(f"glued elements at l={ell} are not block upper triangular")
-    return (
-        _compile_conjugation(mq_inv, mq_l, _FAMILY_SUPPORT, ell, "glue"),
-        _compile_conjugation(n_pol, mlam_l, range(16), ell, "isogeny"),
-    )
-
-
-def _contragredient_flat(m, eps: int, ell: int):
-    """eps * transpose(m^-1) mod l for a block upper triangular m = [[A, B], [0, D]].
-
-    m^-1 = [[A^-1, -A^-1 B D^-1], [0, D^-1]], so everything comes from
-    det A, det D, the 2x2 adjugates and adj(A) B adj(D).  Raises ValueError
-    when the lower-left block is nonzero and ArithmeticError when l divides
-    det A * det D.
-    """
-    m0, m1, m2, m3, m4, m5, m6, m7, m8, m9, m10, m11, m12, m13, m14, m15 = m
-    if m8 or m9 or m12 or m13:
-        raise ValueError("element is not block upper triangular")
+# eps * transpose(m^-1) for the block upper triangular image m = [[A, B], [0, D]]:
+# m^-1 = [[A^-1, -A^-1 B D^-1], [0, D^-1]], so every entry comes from det A,
+# det D, the 2x2 adjugates and adj(A) B adj(D) (rows p0, p1 and p2, p3).
+_CONTRAGREDIENT = """\
     det_a = m0 * m5 - m1 * m4
     det_d = m10 * m15 - m11 * m14
-    if not det_a * det_d % ell:
+    u = det_a * det_d % {l}
+    if not u:
         raise ArithmeticError("image element is singular; cannot happen")
-    c = eps * pow(det_a * det_d, -1, ell)
-    ca, cd = c * det_a % ell, c * det_d % ell
-    # rows of adj(A) * B
+    c = a * d * INVERSES[u]
+    ca, cd = c * det_a % {l}, c * det_d % {l}
     p0, p1 = m5 * m2 - m1 * m6, m5 * m3 - m1 * m7
     p2, p3 = m0 * m6 - m4 * m2, m0 * m7 - m4 * m3
-    return (
-        cd * m5 % ell, -cd * m4 % ell, 0, 0,
-        -cd * m1 % ell, cd * m0 % ell, 0, 0,
-        c * (p1 * m14 - p0 * m15) % ell, c * (p3 * m14 - p2 * m15) % ell,
-        ca * m15 % ell, -ca * m14 % ell,
-        c * (p0 * m11 - p1 * m10) % ell, c * (p2 * m11 - p3 * m10) % ell,
-        -ca * m11 % ell, ca * m10 % ell,
-    )
+    c0, c1, c4, c5 = cd * m5 % {l}, -cd * m4 % {l}, -cd * m1 % {l}, cd * m0 % {l}
+    c8, c9 = c * (p1 * m14 - p0 * m15) % {l}, c * (p3 * m14 - p2 * m15) % {l}
+    c10, c11 = ca * m15 % {l}, -ca * m14 % {l}
+    c12, c13 = c * (p0 * m11 - p1 * m10) % {l}, c * (p2 * m11 - p3 * m10) % {l}
+    c14, c15 = -ca * m11 % {l}, ca * m10 % {l}"""
 
-
-# -- per-point records -----------------------------------------------------------------
+_CONTRAGREDIENT_LIVE = (0, 1, 4, 5, 8, 9, 10, 11, 12, 13, 14, 15)
 
 
 class PointRecord(NamedTuple):
-    """Mod-l data of one family element: image, both dual routes, and (a, d)."""
+    """Mod-l data of one family element: image, both dual routes, and (a, d).
+
+    When the two routes agree, ``dual_contragredient`` and ``dual_isogeny``
+    are one tuple object; a record whose routes differ keeps both.
+    """
 
     image: tuple
     dual_contragredient: tuple
@@ -350,32 +336,58 @@ class PointRecord(NamedTuple):
 def _record_kernel(ell: int):
     """The one way records are built at prime l: from the twelve residues of a point.
 
-    ``record(a, d, b1, b2, w1, w2, x1, x2, y1, y2, z1, z2)`` checks the mod-l
-    determinant constraint, glues the family element, reduces it mod l,
-    and computes both dual routes apart: the contragredient of the image
-    and the isogeny conjugation of the exact glued element.  The residues
-    are taken as given; ParamPoint validates their ranges.
+    ``record(a, d, b1, b2, w1, w2, x1, x2, y1, y2, z1, z2)`` is generated
+    straight-line code.  It checks the mod-l determinant constraint, glues
+    the family element exactly (dividing by l, or raising ArithmeticError),
+    reduces it mod l to the image, and computes both dual routes apart: the
+    twisted contragredient of the image by its block inverse, and the
+    isogeny conjugation of the exact glued element (again dividing by l).
+    It compares the routes entry by entry and stores one dual tuple when
+    they agree.  The residues are taken as given; ParamPoint validates
+    their ranges.
     """
     check_prime(ell)
-    glue, isogeny = _compiled_conjugations(ell)
-
-    def record(a, d, b1, b2, w1, w2, x1, x2, y1, y2, z1, z2) -> PointRecord:
-        if (a * (z1 - z2) - b1 * w1 + b2 * w2 + d * (x1 - x2)) % ell:
-            raise ValueError(f"determinant constraint violated mod {ell}")
-        glued = glue(
-            a + x1 * ell, b1 + y1 * ell, w1 * ell, d + z1 * ell,
-            a + x2 * ell, b2 + y2 * ell, w2 * ell, d + z2 * ell,
-        )
-        image = tuple([v % ell for v in glued])
-        return PointRecord(
-            image,
-            _contragredient_flat(image, a * d, ell),
-            tuple([v % ell for v in isogeny(*glued)]),
-            a,
-            d,
-        )
-
-    return record
+    glue, live, isogeny = _kernel_terms(ell)
+    family = [
+        f"a + x1 * {ell}", f"b1 + y1 * {ell}", f"w1 * {ell}", f"d + z1 * {ell}",
+        f"a + x2 * {ell}", f"b2 + y2 * {ell}", f"w2 * {ell}", f"d + z2 * {ell}",
+    ]
+    _, glue_lines = _divisible_sums(glue, [f"f{n}" for n in range(8)], ell, "e")
+    dual_live, isogeny_lines = _divisible_sums(
+        isogeny, [f"g{pos}" for pos in live], ell, "s"
+    )
+    image = [f"m{pos}" if pos not in _LOWER_LEFT else "0" for pos in range(16)]
+    contra = [f"c{pos}" if pos in _CONTRAGREDIENT_LIVE else "0" for pos in range(16)]
+    dual = [f"v{pos}" if pos in dual_live else "0" for pos in range(16)]
+    agree = [f"{c} == {v}" for c, v in zip(contra, dual) if c != v]
+    lines = [
+        "def record(a, d, b1, b2, w1, w2, x1, x2, y1, y2, z1, z2):",
+        f"    if (a * (z1 - z2) - b1 * w1 + b2 * w2 + d * (x1 - x2)) % {ell}:",
+        f'        raise ValueError("determinant constraint violated mod {ell}")',
+        *(f"    f{n} = {expr}" for n, expr in enumerate(family)),
+        *glue_lines,
+        *(f"    g{pos} = e{pos} // {ell}" for pos in live),
+        *(
+            f"    m{pos} = g{pos} % {ell}" if pos in live else f"    m{pos} = 0"
+            for pos in range(16)
+            if pos not in _LOWER_LEFT
+        ),
+        _CONTRAGREDIENT.format(l=ell),
+        *isogeny_lines,
+        *(f"    v{pos} = s{pos} // {ell} % {ell}" for pos in dual_live),
+        f"    image = ({', '.join(image)})",
+        f"    dual = ({', '.join(contra)})",
+        f"    if {' and '.join(agree)}:",
+        "        return PointRecord(image, dual, dual, a, d)",
+        f"    return PointRecord(image, dual, ({', '.join(dual)}), a, d)",
+    ]
+    namespace = {
+        "_not_divisible": _not_divisible,
+        "PointRecord": PointRecord,
+        "INVERSES": (0, *(pow(u, -1, ell) for u in range(1, ell))),
+    }
+    exec(compile("\n".join(lines), f"<record l={ell}>", "exec"), namespace)
+    return namespace["record"]
 
 
 def _record(p: ParamPoint) -> PointRecord:

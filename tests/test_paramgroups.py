@@ -14,7 +14,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from galdual import paramgroups
 from galdual.exactmat import LAdicMatrix, ModMatrix, charpoly, is_prime
@@ -26,14 +26,13 @@ from galdual.paramgroups import (
     ImageGroup,
     ParamPoint,
     RouteDisagreementError,
-    _compiled_conjugations,
     _conjugator_data,
-    _contragredient_flat,
     _draw_residues,
     _flat_of,
     _flat_to_mod,
     _generator_records,
     _image_group,
+    _kernel_terms,
     _pack,
     _record,
     _record_kernel,
@@ -58,6 +57,7 @@ from galdual.paramgroups import (
     shape_parameters,
     slab_records,
 )
+from galdual.verifier import run_check
 
 PRIMES = [2, 3, 5, 7]
 
@@ -748,33 +748,63 @@ def test_property_image_is_multiplicative_on_pairs(p, q):
     assert lhs.entries == rhs.entries
 
 
-# -- flat helpers: errors ----------------------------------------------------------
+# -- the record kernel: errors ----------------------------------------------------
+
+IDENTITY = (1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1)
+
+
+@pytest.fixture
+def patched_conjugators(monkeypatch):
+    """``patch(change)`` makes ``_conjugator_data(l)`` return
+    ``change(l, original data)``.  The conjugator, kernel and slab caches
+    are cleared at each patch and after the test."""
+    original = paramgroups._conjugator_data
+
+    def clear():
+        for cached in (original, paramgroups._record_kernel, paramgroups.slab_records):
+            cached.cache_clear()
+
+    def patch(change):
+        clear()
+        monkeypatch.setattr(
+            paramgroups, "_conjugator_data", lambda ell: change(ell, original(ell))
+        )
+
+    yield patch
+    monkeypatch.undo()
+    clear()
 
 
 @pytest.mark.parametrize("ell", [2, 3, 5, 7])
 def test_contragredient_flat_raises_on_a_singular_element(ell):
-    singular = (1, 0, 0, 0, 0, ell, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1)  # det = l
+    """a = 0 meets the constraint with every other residue zero, and det A = 0
+    then makes the image singular: the kernel names it with an
+    ArithmeticError before it looks up an inverse."""
     with pytest.raises(ArithmeticError, match="singular"):
-        _contragredient_flat(singular, 1, ell)
+        _record_kernel(ell)(0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)
 
 
 @pytest.mark.parametrize("pos", _LOWER_LEFT)
-def test_contragredient_flat_rejects_a_lower_left_entry(pos):
-    flat = [1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1]
-    flat[pos] = 1
-    with pytest.raises(ValueError, match="block upper triangular"):
-        _contragredient_flat(tuple(flat), 1, 5)
+def test_contragredient_flat_rejects_a_lower_left_entry(pos, patched_conjugators):
+    """A gluing that reaches the lower-left block is refused before any
+    record is built: the block inverse would be wrong on its output."""
+    left = list(IDENTITY)
+    left[pos] = 1  # adds a row of the upper blocks into the lower-left block
+    patched_conjugators(lambda ell, data: (tuple(left), IDENTITY, *data[2:]))
+    with pytest.raises(ArithmeticError, match="not block upper triangular"):
+        _record_kernel(5)
 
 
-def test_compiled_conjugation_raises_on_an_entry_not_divisible():
-    identity = (1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1)
-    for ell in (2, 3, 5, 7):
-        glue, isogeny = _compiled_conjugations(ell)
-        assert isogeny(*identity) == identity  # the dual-side factors are inverse
-        with pytest.raises(ArithmeticError, match="not divisible"):
-            isogeny(*(0,) * 15, 1)
-        with pytest.raises(ArithmeticError, match="not divisible"):
-            glue(1, 0, 0, 0, 0, 0, 0, 0)
+def test_compiled_conjugation_raises_on_an_entry_not_divisible(patched_conjugators):
+    """Identity conjugators divide nothing by l, on either side."""
+    for change in (
+        lambda ell, data: (IDENTITY, IDENTITY, *data[2:]),
+        lambda ell, data: (*data[:2], IDENTITY, IDENTITY),
+    ):
+        patched_conjugators(change)
+        for ell in (2, 3, 5, 7):
+            with pytest.raises(ArithmeticError, match="not divisible"):
+                _record_kernel(ell)(1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)
 
 
 def test_record_kernel_rejects_a_violated_constraint():
@@ -782,7 +812,7 @@ def test_record_kernel_rejects_a_violated_constraint():
         _record_kernel(3)(1, 1, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0)
 
 
-# -- compiled conjugations and the residue kernel ---------------------------------
+# -- the record kernel: its terms and its dual routes -----------------------------
 
 
 def _mul(fa, fb):
@@ -794,6 +824,20 @@ def _mul(fa, fb):
     )
 
 
+def _evaluate(terms, xs):
+    """The flat 4x4 matrix the ``(output, input index, coefficient)`` terms
+    give on the inputs ``xs``."""
+    out = [0] * 16
+    for pos, n, c in terms:
+        out[pos] += c * xs[n]
+    return tuple(out)
+
+
+def _divided(flat, ell):
+    assert all(v % ell == 0 for v in flat)
+    return tuple(v // ell for v in flat)
+
+
 def _records_sha256(records) -> str:
     rows = [(r.image, r.dual_contragredient, r.dual_isogeny, r.a, r.d) for r in records]
     return hashlib.sha256(repr(rows).encode()).hexdigest()
@@ -801,9 +845,16 @@ def _records_sha256(records) -> str:
 
 @pytest.mark.parametrize("ell", [2, 3, 5, 7, 11, 13])
 def test_sparse_terms_counts(ell):
-    mq_inv, mq_l, n_pol, mlam_l = _conjugator_data(ell)
-    assert len(_sparse_terms(mq_inv, mq_l, _FAMILY_SUPPORT)) == 12
-    assert len(_sparse_terms(n_pol, mlam_l, range(16))) == 36
+    """12 gluing terms; the isogeny has 27 on the twelve entries off the
+    lower-left block, and the kernel runs 23 of them, because the gluing
+    never reaches flat 7 either."""
+    _, _, n_pol, mlam_l = _conjugator_data(ell)
+    glue, live, isogeny = _kernel_terms(ell)
+    upper = [pos for pos in range(16) if pos not in _LOWER_LEFT]
+    assert len(glue) == 12
+    assert len(_sparse_terms(n_pol, mlam_l, upper)) == 27
+    assert live == [pos for pos in upper if pos != 7]
+    assert len(isogeny) == 23
 
 
 @pytest.mark.parametrize("ell", [p for p in range(50) if is_prime(p)])
@@ -814,42 +865,40 @@ def test_glue_has_no_lower_left_terms(ell):
     assert outputs.isdisjoint(_LOWER_LEFT)
 
 
-@st.composite
-def block_triangular(draw):
-    """(l, flat, eps): an invertible mod-l [[A, B], [0, D]] and a unit eps."""
-    ell = draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
-    entry = st.integers(-ell * ell, ell * ell)
-    a, b, d = (draw(st.lists(entry, min_size=4, max_size=4)) for _ in range(3))
-    assume((a[0] * a[3] - a[1] * a[2]) * (d[0] * d[3] - d[1] * d[2]) % ell)
-    flat = (*a[:2], *b[:2], *a[2:], *b[2:], 0, 0, *d[:2], 0, 0, *d[2:])
-    return ell, flat, draw(st.integers(1, ell - 1))
-
-
 @settings(max_examples=300, deadline=None)
-@given(block_triangular())
-def test_contragredient_flat_matches_the_fraction_inverse(case):
-    """The block-inverse formula against eps * transpose(ModMatrix.inv())."""
-    ell, flat, eps = case
-    inv = ModMatrix.from_rows([flat[0:4], flat[4:8], flat[8:12], flat[12:16]], ell).inv()
-    want = tuple(eps * inv.entries[j][i] % ell for i in range(4) for j in range(4))
-    assert _contragredient_flat(flat, eps, ell) == want
+@given(param_points(primes=(2, 3, 5, 7, 11, 13)))
+def test_contragredient_flat_matches_the_fraction_inverse(p):
+    """The kernel's block-inverse contragredient against
+    a * d * transpose(ModMatrix.inv()) of its image."""
+    r = _record(p)
+    inv = _flat_to_mod(r.image, p.ell).inv()
+    want = tuple(p.a * p.d * inv.entries[j][i] % p.ell for i in range(4) for j in range(4))
+    assert r.dual_contragredient == want
 
 
 @pytest.mark.parametrize("twist", TWISTS)
 @pytest.mark.parametrize("ell", [2, 3, 5, 7, 11, 13])
 def test_compiled_conjugations_match_conjugate_by(ell, twist):
-    """Exact integer agreement with the lattice route, before any reduction."""
-    glue, isogeny = _compiled_conjugations(ell)
+    """The kernel's terms agree exactly with the lattice route before any
+    reduction, and its records are their reductions mod l."""
+    glue, live, isogeny = _kernel_terms(ell)
+    record = _record_kernel(ell)
     mq = gluing_change_of_basis(ell)
     mlam = glued_polarization_change_of_basis(ell)
     rng = random.Random(f"compiled:{ell}:{twist}")
     for _ in range(40):
-        lifted = lift_element(random_param_point(rng, ell, twist))
+        residues = _draw_residues(rng, ell, twist)
+        lifted = lift_element(ParamPoint(ell, *residues, twist=twist))
         flat = _flat_of(lifted)
         glued_exact = conjugate_by(mq, lifted)
-        glued = glue(*(flat[k] for k in _FAMILY_SUPPORT))
+        glued = _divided(_evaluate(glue, [flat[k] for k in _FAMILY_SUPPORT]), ell)
         assert glued == _flat_of(glued_exact)
-        assert isogeny(*glued) == _flat_of(conjugate_by(mlam, glued_exact))
+        assert not any(glued[k] for k in range(16) if k not in live)
+        dual = _divided(_evaluate(isogeny, [glued[k] for k in live]), ell)
+        assert dual == _flat_of(conjugate_by(mlam, glued_exact))
+        r = record(*residues)
+        assert r.image == tuple(v % ell for v in glued)
+        assert r.dual_isogeny == tuple(v % ell for v in dual)
 
 
 @settings(max_examples=100, deadline=None)
@@ -858,14 +907,44 @@ def test_compiled_conjugations_match_conjugate_by(ell, twist):
     st.lists(st.integers(-10**6, 10**6), min_size=16, max_size=16),
 )
 def test_compiled_conjugations_are_the_triple_products(ell, xs):
-    """On l * X the division is exact, so each function is the plain product."""
-    glue, isogeny = _compiled_conjugations(ell)
+    """The kernel's term lists, on arbitrary integers, are the plain products."""
     mq_inv, mq_l, n_pol, mlam_l = _conjugator_data(ell)
-    assert isogeny(*(ell * x for x in xs)) == _mul(_mul(n_pol, xs), mlam_l)
+    glue, live, isogeny = _kernel_terms(ell)
     on_support = [xs[k] if k in _FAMILY_SUPPORT else 0 for k in range(16)]
-    assert glue(*(ell * xs[k] for k in _FAMILY_SUPPORT)) == _mul(
+    assert _evaluate(glue, [xs[k] for k in _FAMILY_SUPPORT]) == _mul(
         _mul(mq_inv, on_support), mq_l
     )
+    on_live = [xs[k] if k in live else 0 for k in range(16)]
+    assert _evaluate(isogeny, [xs[k] for k in live]) == _mul(
+        _mul(n_pol, on_live), mlam_l
+    )
+
+
+@pytest.mark.parametrize("ell,twist", [(ell, t) for ell in (2, 3, 5, 7) for t in TWISTS])
+def test_agreeing_records_share_their_dual_tuple(ell, twist):
+    records = (
+        slab_records(ell, twist) if ell <= 5
+        else sample_records(ell, twist, 500, f"shared:{ell}:{twist}")
+    )
+    assert all(r.dual_isogeny is r.dual_contragredient for r in records)
+
+
+def test_records_keep_both_duals_when_the_routes_differ(patched_conjugators):
+    """With (l*I, I) as the isogeny's conjugators the isogeny route returns
+    the image: records keep two tuples and the registry check fails."""
+    patched_conjugators(
+        lambda ell, data: (*data[:2], tuple(ell * v for v in IDENTITY), IDENTITY)
+    )
+    records = slab_records(3, "generic")
+    assert all(r.dual_isogeny == r.image for r in records)
+    differ = [r for r in records if r.dual_isogeny != r.dual_contragredient]
+    assert differ
+    assert all(r.dual_isogeny is not r.dual_contragredient for r in differ)
+    samples = sample_records(7, "generic", 50, "differ")
+    assert any(r.dual_isogeny is not r.dual_contragredient for r in samples)
+    report = run_check("dual-route-agreement", ell=3)
+    assert report.status == "fail"
+    assert "routes differ" in report.witness
 
 
 # sha256 of sample_records(7, twist, 10000, f"{tag}:7:{twist}"), the samples
