@@ -52,12 +52,10 @@ from galdual.paramgroups import glued_polarization, product_principal_polarizati
 class AlternatingForm:
     """An alternating bilinear form on F_2^4.
 
-    Over F_2 alternating means zero diagonal and symmetric.  ``rank`` is
-    stored explicitly and revalidated against the matrix.
+    Over F_2 alternating means zero diagonal and symmetric.
     """
 
     matrix: ModMatrix
-    rank: int
 
     def __post_init__(self):
         m = self.matrix
@@ -68,15 +66,6 @@ class AlternatingForm:
             raise ValueError("alternating form needs a zero diagonal")
         if m != m.transpose():
             raise ValueError("alternating form over F_2 must be symmetric")
-        actual = _rank_mod([list(r) for r in e], 4, 2)
-        if actual != self.rank:
-            raise ValueError(f"rank mismatch: stated {self.rank}, actual {actual}")
-        if self.rank % 2:
-            raise ValueError("alternating forms have even rank")
-
-    @staticmethod
-    def from_matrix(m: ModMatrix) -> "AlternatingForm":
-        return AlternatingForm(m, _rank_mod([list(r) for r in m.entries], 4, 2))
 
     def packed(self) -> int:
         return f2_pack(self.matrix)
@@ -90,13 +79,13 @@ class AlternatingForm:
 def glued_pairing_mod2() -> AlternatingForm:
     """The polarization pairing of the glued surface, reduced mod 2."""
     n_pol, _ = glued_polarization(2)
-    return AlternatingForm.from_matrix(n_pol.reduce_mod(1))
+    return AlternatingForm(n_pol.reduce_mod(1))
 
 
 @functools.cache
 def principal_pairing_mod2() -> AlternatingForm:
     """The nondegenerate product pairing mod 2 (symplectic cross-check)."""
-    return AlternatingForm.from_matrix(product_principal_polarization(2).reduce_mod(1))
+    return AlternatingForm(product_principal_polarization(2).reduce_mod(1))
 
 
 def alternating_forms() -> tuple:
@@ -107,7 +96,7 @@ def alternating_forms() -> tuple:
         rows = [[0] * 4 for _ in range(4)]
         for (i, j), b in zip(positions, bits):
             rows[i][j] = rows[j][i] = b
-        out.append(AlternatingForm.from_matrix(ModMatrix.from_rows(rows, 2)))
+        out.append(AlternatingForm(ModMatrix.from_rows(rows, 2)))
     return tuple(out)
 
 

@@ -2,15 +2,14 @@
 
 Linear-representation equivalence through intertwiner spaces, packed
 GL4(F_2) with its own intertwiner solve and subgroup conjugacy inside it,
-permutation actions on the vectors of F_l^4, permutation characters, the
-check of a given point map as a conjugator between two permutation groups,
-and stable-line analysis.  Everything here is exhaustive or certifying: a
-negative equivalence verdict is backed by a walk of every line of the
-intertwiner span, and a point map is accepted as a conjugator only after
-it has been checked on every element of the group.
+stable-line analysis and fixed-vector dimensions.  Everything here is
+exhaustive or certifying: a negative equivalence verdict is backed by a
+walk of every line of the intertwiner span.
 
-Vectors in F_l^4 are indexed by v -> v[0] + v[1]*l + v[2]*l^2 + v[3]*l^3;
-permutations are tuples in image notation over that indexing.
+GL4(F_l) acts faithfully on the l^4 vectors of F_l^4, so the permutation
+modules of a matrix group are read off its matrices: g fixes
+l ** fixed_vectors(l, [g]) vectors, and a matrix S conjugates two groups
+exactly when its point map conjugates their permutation actions.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from galdual.exactmat import ModMatrix, _nullspace_mod, _rank_mod, closure
-from galdual.paramgroups import ImageGroup
 
 
 # -- intertwiner spaces ---------------------------------------------------------
@@ -320,128 +318,6 @@ def matrix_subgroups_conjugate(h1, h2) -> bool:
         if all(f2_mul(f2_mul(x, g), xi) in set2 for g in rest):
             return True
     return False
-
-
-# -- permutation actions on F_l^4 ---------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PermGroup:
-    """A permutation group on the points of F_l^4, elements in image notation."""
-
-    degree: int
-    elements: tuple
-    generators: tuple
-
-    def __post_init__(self):
-        if not self.elements:
-            raise ValueError("a permutation group contains at least the identity")
-        ident = tuple(range(self.degree))
-        for p in self.elements:
-            if len(p) != self.degree:
-                raise ValueError("permutation degree mismatch")
-        if ident not in self.elements:
-            raise ValueError("identity permutation missing")
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
-
-def _compose(p, q):
-    """p after q: (p*q)(i) = p(q(i)), matching matrix products."""
-    return tuple(map(p.__getitem__, q))
-
-
-def _perm_from_flat(flat, ell: int, powers) -> tuple:
-    deg = ell**4
-    out = [0] * deg
-    f0, f1, f2, f3 = flat[0:4], flat[4:8], flat[8:12], flat[12:16]
-    for idx in range(deg):
-        t = idx
-        v0 = t % ell
-        t //= ell
-        v1 = t % ell
-        t //= ell
-        v2 = t % ell
-        v3 = t // ell
-        w0 = (f0[0] * v0 + f0[1] * v1 + f0[2] * v2 + f0[3] * v3) % ell
-        w1 = (f1[0] * v0 + f1[1] * v1 + f1[2] * v2 + f1[3] * v3) % ell
-        w2 = (f2[0] * v0 + f2[1] * v1 + f2[2] * v2 + f2[3] * v3) % ell
-        w3 = (f3[0] * v0 + f3[1] * v1 + f3[2] * v2 + f3[3] * v3) % ell
-        out[idx] = w0 + powers[1] * w1 + powers[2] * w2 + powers[3] * w3
-    return tuple(out)
-
-
-def to_permutation_group(group: ImageGroup) -> PermGroup:
-    """The faithful action of a matrix group on the l^4 vectors of F_l^4."""
-    ell = group.ell
-    powers = [ell**i for i in range(4)]
-    elements = tuple(
-        _perm_from_flat(flat, ell, powers) for flat in group.element_flats()
-    )
-    gens = tuple(
-        _perm_from_flat(flat, ell, powers) for flat in group.generator_flats()
-    )
-    return PermGroup(ell**4, elements, gens)
-
-
-def permutation_character(perm_group: PermGroup) -> tuple:
-    """Fixed-point count of every element, aligned with the element order."""
-    return tuple(
-        sum(1 for i, x in enumerate(p) if x == i) for p in perm_group.elements
-    )
-
-
-def trivial_multiplicity(perm_group: PermGroup) -> int:
-    """Multiplicity of the trivial representation: the average fixed-point
-    count, an integer equal to the number of orbits."""
-    total = sum(permutation_character(perm_group))
-    if total % perm_group.order:
-        raise AssertionError("character sum is not divisible by the group order")
-    return total // perm_group.order
-
-
-def orbit_count(perm_group: PermGroup) -> int:
-    """Number of orbits, by closure over the generators (the independent
-    cross-check for trivial_multiplicity)."""
-    return len(_orbits(perm_group))
-
-
-def _orbits(perm_group: PermGroup):
-    """The orbits as sorted point lists, ordered by their smallest point."""
-    gens = perm_group.generators or perm_group.elements
-    orbits, seen = [], set()
-    for i in range(perm_group.degree):
-        if i not in seen:
-            orbit = closure([i], gens, lambda x, g: g[x])
-            seen |= orbit
-            orbits.append(sorted(orbit))
-    return orbits
-
-
-# -- permutation-group conjugacy ----------------------------------------------------
-
-
-def conjugates_by(sigma, p1: PermGroup, p2: PermGroup) -> bool:
-    """Whether the point map sigma conjugates p1 onto p2.
-
-    True exactly when sigma*p*sigma^-1 lies in p2 for every element p of p1
-    and the two orders are equal; conjugation is injective, so the image is
-    then all of p2.  Every element is checked, so the verdict does not rest
-    on ``PermGroup.generators``.
-    """
-    if p1.degree != p2.degree:
-        raise ValueError("permutation groups act on different degrees")
-    if sorted(sigma) != list(range(p1.degree)):
-        raise ValueError("sigma is not a permutation of the points")
-    if p1.order != p2.order:
-        return False
-    inverse = [0] * p1.degree
-    for i, x in enumerate(sigma):
-        inverse[x] = i
-    targets = set(p2.elements)
-    return all(_compose(sigma, _compose(p, inverse)) in targets for p in p1.elements)
 
 
 # -- stable lines and fixed vectors ---------------------------------------------------

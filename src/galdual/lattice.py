@@ -211,16 +211,6 @@ def _quotient_group(mat: LAdicMatrix, n: int) -> frozenset:
     return _span_mod(gens, m, mat.n)
 
 
-def _log_ell(value: int, ell: int) -> int:
-    k = 0
-    while value > 1:
-        if value % ell:
-            raise AssertionError("group order is not an l-power")
-        value //= ell
-        k += 1
-    return k
-
-
 def locally_contains_standard(mat: LAdicMatrix) -> bool:
     """Does the column lattice contain Z^dim locally at l?
 
@@ -244,9 +234,11 @@ def change_basis_from_kernel(ker: KernelSpec) -> LAdicMatrix:
     Columns span the overlattice T + sum Z * (lift(g)/l^n).  Each generator
     contributes the column lift(g)/l^n placed at the generator's highest
     coordinate carrying a unit, the remaining columns staying standard basis
-    vectors; when that placement is unavailable or produces the wrong index,
-    a Hermite-form completion is used instead.  For l^n <= 8 the result is
-    double-checked by brute-force quotient computation.
+    vectors.  That placement is kept only when its determinant is
+    +-l^(-n*r): the right index with no unit factor besides +-1, so that the
+    inverse lies in Z[1/l].  Otherwise a Hermite-form completion is used.
+    For l^n <= 8 the result is double-checked by brute-force quotient
+    computation.
     """
     r = len(ker.generators)
     if r == 0:
@@ -255,7 +247,7 @@ def change_basis_from_kernel(ker: KernelSpec) -> LAdicMatrix:
         raise LatticeError("generators not independent")
 
     mat = _primary_placement(ker)
-    if mat is not None and lval(mat.det(), ker.ell) != -ker.n * r:
+    if mat is not None and abs(mat.det() * ker.ell ** (ker.n * r)) != 1:
         mat = None
     if mat is None:
         mat = _fallback_basis(ker)
@@ -275,8 +267,10 @@ def change_basis_from_kernel(ker: KernelSpec) -> LAdicMatrix:
             )
         if not locally_contains_standard(mat):
             raise AssertionError("column lattice does not contain the standard one")
-        if lval(mat.det(), ker.ell) != -_log_ell(len(quotient), ker.ell):
-            raise AssertionError("column lattice has the wrong index")
+        if abs(mat.det() * len(quotient)) != 1:
+            raise AssertionError(
+                "column lattice has the wrong index or a non-unit determinant"
+            )
     return mat
 
 

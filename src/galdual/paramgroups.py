@@ -532,9 +532,6 @@ class ImageGroup:
     def order(self) -> int:
         return len(self.packed_elements)
 
-    def element_flats(self) -> Iterator[tuple]:
-        return (_unpack(p) for p in self.packed_elements)
-
     def generator_flats(self) -> tuple:
         return tuple(_unpack(p) for p in self.packed_generators)
 

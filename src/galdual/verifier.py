@@ -9,6 +9,7 @@ supported range {2, 3, 5, 7} produce a skipped report rather than an error.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -16,21 +17,17 @@ from typing import Callable, Optional
 from galdual import constants
 from galdual.exactmat import (
     LAdicMatrix,
+    ModMatrix,
     check_prime,
+    closure,
     format_matrix,
     smith_normal_form,
 )
 from galdual.groupengine import (
-    _perm_from_flat,
     common_stable_lines,
-    conjugates_by,
     fixed_vectors,
     intertwiner_space,
-    orbit_count,
-    permutation_character,
     representations_equivalent,
-    to_permutation_group,
-    trivial_multiplicity,
 )
 from galdual.lattice import (
     KernelSpec,
@@ -247,24 +244,34 @@ def _check_semisimp(ells, twists):
     return counts, None
 
 
-# The block swap S (e1 <-> e3, e2 <-> e4) as a flat 4x4 matrix.  Conjugating
-# by S carries the zero pattern and the diagonal equalities of
-# matches_image_shape onto the reflected pattern of the dual image, and at
-# the generic twist it maps the surface image onto the dual image.  The point map of S
-# on F_l^4 is then a conjugator of the permutation groups.  At the trivial
-# twist it is not (the orbit counts there are 9 and 11).
-_BLOCK_SWAP = (0, 0, 1, 0, 0, 0, 0, 1, 1, 0, 0, 0, 0, 1, 0, 0)
+# The block swap S (e1 <-> e3, e2 <-> e4), row by row.  Conjugating by S
+# carries the zero pattern and the diagonal equalities of matches_image_shape
+# onto the reflected pattern of the dual image, and at the generic twist it
+# maps the surface image onto the dual image.  At the trivial twist it does
+# not (the orbit counts there are 9 and 11).
+_BLOCK_SWAP = ((0, 0, 1, 0), (0, 0, 0, 1), (1, 0, 0, 0), (0, 1, 0, 0))
 
 
 def _check_perm_conj(ells, twists):
+    """The point map sigma of S conjugates the permutation action of the
+    surface image G_A on the l^4 vectors of F_l^4 onto that of the dual
+    image G_D.
+
+    Checked on matrices: for the action pi of GL4(F_l) on F_l^4,
+    sigma . pi(g) . sigma^-1 = pi(S g S^-1), and pi is faithful, so
+    S G_A S^-1 = G_D as sets of matrices says exactly that sigma conjugates
+    pi(G_A) onto pi(G_D).  Every element of G_A is conjugated; the degree
+    reported is l^4, the size of the point set.
+    """
     counts = {}
     for ell in ells:
-        pa = to_permutation_group(image_rho_A(ell))
-        pd = to_permutation_group(image_rho_Adual_contragredient(ell))
-        counts[f"l{ell}_degree"] = pa.degree
-        counts[f"l{ell}_order"] = pa.order
-        sigma = _perm_from_flat(_BLOCK_SWAP, ell, [ell**i for i in range(4)])
-        verdict = conjugates_by(sigma, pa, pd)
+        surface = image_rho_A(ell).elements
+        dual = set(image_rho_Adual_contragredient(ell).elements)
+        s = ModMatrix.from_rows(_BLOCK_SWAP, ell)
+        s_inv = s.inv()
+        counts[f"l{ell}_degree"] = ell**4
+        counts[f"l{ell}_order"] = len(surface)
+        verdict = {s.mul(g).mul(s_inv) for g in surface} == dual
         counts[f"l{ell}_conjugate"] = int(verdict)
         if not verdict:
             raise _CheckFailed(
@@ -280,11 +287,43 @@ def _multiset(values) -> tuple:
     return tuple(sorted(out.items()))
 
 
+def _fixed_point_counts(group) -> list:
+    """The permutation character on F_l^4: g fixes l^dim ker(g - 1) vectors."""
+    return [group.ell ** fixed_vectors(group.ell, [g]) for g in group.elements]
+
+
+def _orbit_count(group) -> int:
+    """Orbits of the generators on the vectors of F_l^4, each found by
+    closure (the independent cross-check of the Burnside average)."""
+    ell = group.ell
+    gens = group.generator_flats()
+
+    def act(v, flat):
+        return tuple(
+            sum(flat[4 * i + j] * v[j] for j in range(4)) % ell for i in range(4)
+        )
+
+    seen: set = set()
+    count = 0
+    for v in itertools.product(range(ell), repeat=4):
+        if v not in seen:
+            seen |= closure([v], gens, act)
+            count += 1
+    return count
+
+
+def _burnside_average(group) -> int:
+    """Multiplicity of the trivial representation in the permutation module:
+    the average fixed-point count, an integer equal to the number of orbits."""
+    total = sum(_fixed_point_counts(group))
+    if total % group.order:
+        raise AssertionError("character sum is not divisible by the group order")
+    return total // group.order
+
+
 def _check_perm_char_distinct(ells, twists):
-    pa = to_permutation_group(image_rho_A(3, "trivial"))
-    pd = to_permutation_group(image_rho_Adual_contragredient(3, "trivial"))
-    ma = _multiset(permutation_character(pa))
-    md = _multiset(permutation_character(pd))
+    ma = _multiset(_fixed_point_counts(image_rho_A(3, "trivial")))
+    md = _multiset(_fixed_point_counts(image_rho_Adual_contragredient(3, "trivial")))
     counts = {
         "surface_value_classes": len(ma),
         "dual_value_classes": len(md),
@@ -300,9 +339,8 @@ def _check_perm_char_distinct(ells, twists):
 
 
 def _check_trivial_multiplicity(ells, twists):
-    pa = to_permutation_group(image_rho_A(3, "trivial"))
-    pd = to_permutation_group(image_rho_Adual_contragredient(3, "trivial"))
-    ma, md = trivial_multiplicity(pa), trivial_multiplicity(pd)
+    groups = (image_rho_A(3, "trivial"), image_rho_Adual_contragredient(3, "trivial"))
+    ma, md = (_burnside_average(g) for g in groups)
     counts = {"surface": ma, "dual": md}
     if (ma, md) != (
         constants.TRIVIAL_MULTIPLICITY_L3_TRIVIAL_SURFACE,
@@ -311,7 +349,7 @@ def _check_trivial_multiplicity(ells, twists):
         raise _CheckFailed(f"multiplicities drifted to ({ma}, {md})", counts)
     if ma == md:
         raise _CheckFailed("multiplicities coincide", counts)
-    if (orbit_count(pa), orbit_count(pd)) != (ma, md):
+    if tuple(_orbit_count(g) for g in groups) != (ma, md):
         raise _CheckFailed("Burnside average disagrees with orbit count", counts)
     return counts, None
 

@@ -9,15 +9,16 @@ import time
 
 from galdual import constants
 from galdual.exactmat import (
+    ClosureCapError,
     LAdicMatrix,
     format_matrix,
     smith_normal_form,
 )
 from galdual.groupengine import (
+    _f2_closure,
+    f2_unpack,
+    gl4_elements,
     intertwiner_space,
-    orbit_count,
-    to_permutation_group,
-    trivial_multiplicity,
 )
 from galdual.lattice import (
     KernelSpec,
@@ -27,13 +28,15 @@ from galdual.lattice import (
     pushforward_polarization,
 )
 from galdual.paramgroups import (
+    ImageGroup,
     _flat_to_mod,
     _image_group,
+    _pack,
     image_rho_A,
     image_rho_Adual_contragredient,
     sample_records,
 )
-from galdual.verifier import run_check
+from galdual.verifier import _burnside_average, _orbit_count, run_check
 
 PRIMES = (2, 3, 5, 7)
 
@@ -260,12 +263,15 @@ def test_criterion_9_property_batteries():
         cases += 1
     _battery("Smith invariance", cases, started)
 
-    # Burnside average equals the orbit count on random permutation groups
+    # Burnside average equals the orbit count on F_2^4 for random subgroups
+    # of GL4(F_2), each generated by one or two random elements
     started = time.monotonic()
     cases = 0
     while cases < 100:
-        perm_group = _random_perm_group(rng, degree=rng.randint(4, 7))
-        assert trivial_multiplicity(perm_group) == orbit_count(perm_group)
+        group = _random_gl4_f2_subgroup(rng)
+        if group is None:
+            continue
+        assert _burnside_average(group) == _orbit_count(group)
         cases += 1
     _battery("Burnside vs orbits", cases, started)
 
@@ -317,22 +323,19 @@ def _int_mul(a: list, b: list) -> list:
     ]
 
 
-def _random_perm_group(rng: random.Random, degree: int):
-    from galdual.groupengine import PermGroup
+def _random_gl4_f2_subgroup(rng: random.Random, cap: int = 2000):
+    """The subgroup of GL4(F_2) generated by one or two random elements, as
+    an ImageGroup, or None when it has more than ``cap`` elements (the
+    Burnside average visits every element, and GL4(F_2) has 20160)."""
+    gens = rng.sample(gl4_elements(), rng.randint(1, 2))
+    try:
+        elements = _f2_closure(gens, cap=cap)
+    except ClosureCapError:
+        return None
 
-    gens = []
-    for _ in range(2):
-        flat = list(range(degree))
-        rng.shuffle(flat)
-        gens.append(tuple(flat))
-    identity = tuple(range(degree))
-    elements = {identity}
-    frontier = [identity]
-    while frontier:
-        base = frontier.pop()
-        for g in gens:
-            nxt = tuple(g[base[i]] for i in range(degree))
-            if nxt not in elements:
-                elements.add(nxt)
-                frontier.append(nxt)
-    return PermGroup(degree, tuple(sorted(elements)), tuple(gens))
+    def packed(x):
+        return _pack(tuple(v for row in f2_unpack(x).entries for v in row))
+
+    return ImageGroup(
+        2, tuple(sorted(packed(x) for x in elements)), tuple(map(packed, gens))
+    )

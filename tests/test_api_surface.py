@@ -13,8 +13,10 @@ public API, and the few helpers kept for open ROADMAP items below.
 
 Fields of dataclasses and NamedTuples get the same guard: a field must be
 read as an attribute somewhere in src/galdual (its own class's methods
-count, since they are checked above), scripts/ or perfbench/.  A field that
-is only ever set is dead weight in every instance.  Like the definitions,
+count, since they are checked above), scripts/ or perfbench/.  Reads inside
+the class's own ``__post_init__`` do not count: a field that only its own
+validation reads is still never used.  A field that is only ever set is dead
+weight in every instance.  Like the definitions,
 fields are matched by name, so one that shares its name with an attribute
 read elsewhere passes.
 """
@@ -145,17 +147,27 @@ def _unread_fields() -> list:
         for directory in ("scripts", "perfbench")
         for path in sorted((ROOT / directory).glob("*.py"))
     ]
-    read = {
-        node.attr
-        for tree in trees
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute)
-    }
+    reads = set()  # (attribute, class whose __post_init__ reads it, or None)
+    for tree in trees:
+        in_post_init = {
+            id(node): cls.name
+            for cls in tree.body
+            if isinstance(cls, ast.ClassDef)
+            for item in cls.body
+            if isinstance(item, ast.FunctionDef) and item.name == "__post_init__"
+            for node in ast.walk(item)
+        }
+        reads.update(
+            (node.attr, in_post_init.get(id(node)))
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+        )
     return [
         f"{path.name}:{line} {cls}.{field}"
         for path, tree in modules.items()
         for cls, field, line in _fields(tree)
-        if field not in read and f"{cls}.{field}" not in FIELD_KEEPERS
+        if not any(attr == field and owner != cls for attr, owner in reads)
+        and f"{cls}.{field}" not in FIELD_KEEPERS
     ]
 
 

@@ -1,5 +1,5 @@
 """Tests for the group machinery: closures, intertwiners, permutation
-actions, conjugacy checks, stable lines."""
+actions read off matrices, the block-swap certificate, stable lines."""
 
 import functools
 import random
@@ -7,17 +7,15 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from galdual import constants
+from galdual import constants, verifier
 from galdual.exactmat import ClosureCapError, ModMatrix, closure
 from galdual.groupengine import (
     _IDENT,
     IntertwinerSpace,
-    PermGroup,
     _eigenvalue,
     _f2_intertwiner_basis,
     _gl4_table,
     common_stable_lines,
-    conjugates_by,
     f2_intertwiner,
     f2_inv,
     f2_mul,
@@ -28,21 +26,25 @@ from galdual.groupengine import (
     gl4_elements,
     intertwiner_space,
     matrix_subgroups_conjugate,
-    orbit_count,
-    permutation_character,
     projective_points,
     representations_equivalent,
-    to_permutation_group,
-    trivial_multiplicity,
 )
 from galdual.paramgroups import (
+    ImageGroup,
     _flat_to_mod,
+    _pack,
     image_rho_A,
     image_rho_Adual_contragredient,
     paired_generators,
     sample_records,
     shape_parameters,
     slab_records,
+)
+from galdual.verifier import (
+    _burnside_average,
+    _fixed_point_counts,
+    _orbit_count,
+    run_check,
 )
 
 
@@ -417,7 +419,10 @@ def test_matrix_not_conjugate_different_fixed_spaces():
     assert matrix_subgroups_conjugate(_packed_closure(t), _packed_closure(s)) is False
 
 
-# -- permutation actions -----------------------------------------------------------
+# -- permutation actions, read off the matrices --------------------------------------
+# GL4(F_l) acts faithfully on the l^4 vectors of F_l^4.  The verifier reads
+# every permutation statement off the matrices; _point_map, the action itself,
+# is the oracle here.
 
 
 def test_vector_indexing_round_trip():
@@ -425,114 +430,6 @@ def test_vector_indexing_round_trip():
         for idx in range(0, ell**4, 7):
             assert vector_index(index_vector(idx, ell), ell) == idx
     assert vector_index((1, 2, 0, 0), 3) == 1 + 2 * 3
-
-
-def test_identity_becomes_identity_permutation():
-    g = image_rho_A(2)
-    perm = to_permutation_group(g)
-    assert tuple(range(16)) in perm.elements
-
-
-def test_diagonal_matrix_fixed_count():
-    # diag(2,1,1,1) over F_3 fixes exactly the 27 vectors with v1 = 0
-    d = mod([[2, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], 3)
-    from galdual.groupengine import _perm_from_flat
-
-    flat = tuple(v for row in d.entries for v in row)
-    perm = _perm_from_flat(flat, 3, [1, 3, 9, 27])
-    assert sum(1 for i, x in enumerate(perm) if x == i) == 27
-
-
-def test_image_groups_become_degree16_order32():
-    for builder in (image_rho_A, image_rho_Adual_contragredient):
-        perm = to_permutation_group(builder(2))
-        assert perm.degree == 16
-        assert perm.order == 32
-
-
-def test_perm_group_requires_identity():
-    with pytest.raises(ValueError, match="identity"):
-        PermGroup(3, ((1, 2, 0),), ())
-
-
-def test_perm_group_rejects_degree_mismatch():
-    with pytest.raises(ValueError, match="degree"):
-        PermGroup(3, ((0, 1, 2), (1, 0)), ())
-
-
-# -- characters and multiplicities -----------------------------------------------
-
-
-def test_character_of_identity_is_degree():
-    perm = to_permutation_group(image_rho_A(2))
-    counts = permutation_character(perm)
-    ident_pos = perm.elements.index(tuple(range(16)))
-    assert counts[ident_pos] == 16
-
-
-def test_character_equals_ell_power_nullity():
-    """The two independent computations of the character agree."""
-    group = image_rho_A(3, "trivial")
-    perm = to_permutation_group(group)
-    counts = permutation_character(perm)
-    from galdual.exactmat import _rank_mod
-
-    for flat, count in zip(group.element_flats(), counts):
-        rows = [
-            [(flat[4 * i + j] - (1 if i == j else 0)) % 3 for j in range(4)]
-            for i in range(4)
-        ]
-        nullity = 4 - _rank_mod(rows, 4, 3)
-        assert count == 3**nullity
-
-
-def _multiset(counts):
-    out = {}
-    for c in counts:
-        out[c] = out.get(c, 0) + 1
-    return tuple(sorted(out.items()))
-
-
-def test_character_multisets_l3_trivial_frozen():
-    pa = to_permutation_group(image_rho_A(3, "trivial"))
-    pd = to_permutation_group(image_rho_Adual_contragredient(3, "trivial"))
-    ma = _multiset(permutation_character(pa))
-    md = _multiset(permutation_character(pd))
-    assert ma == constants.PERM_CHARACTER_MULTISET_L3_TRIVIAL_SURFACE
-    assert md == constants.PERM_CHARACTER_MULTISET_L3_TRIVIAL_DUAL
-    assert ma != md
-
-
-def test_trivial_multiplicities_l3_trivial_frozen():
-    pa = to_permutation_group(image_rho_A(3, "trivial"))
-    pd = to_permutation_group(image_rho_Adual_contragredient(3, "trivial"))
-    ma, md = trivial_multiplicity(pa), trivial_multiplicity(pd)
-    assert ma == constants.TRIVIAL_MULTIPLICITY_L3_TRIVIAL_SURFACE
-    assert md == constants.TRIVIAL_MULTIPLICITY_L3_TRIVIAL_DUAL
-    assert ma != md
-
-
-def test_trivial_multiplicity_matches_orbit_count():
-    for group in (
-        image_rho_A(2),
-        image_rho_A(3, "trivial"),
-        image_rho_Adual_contragredient(3, "trivial"),
-    ):
-        perm = to_permutation_group(group)
-        assert trivial_multiplicity(perm) == orbit_count(perm)
-
-
-def test_trivial_group_multiplicity_is_degree():
-    ident = tuple(range(16))
-    perm = PermGroup(16, (ident,), ())
-    assert trivial_multiplicity(perm) == 16
-    assert orbit_count(perm) == 16
-
-
-# -- permutation-group conjugacy ----------------------------------------------------
-
-# The block swap e1 <-> e3, e2 <-> e4, row by row.
-_BLOCK_SWAP = ((0, 0, 1, 0), (0, 0, 0, 1), (1, 0, 0, 0), (0, 1, 0, 0))
 
 
 def _point_map(rows, ell):
@@ -545,19 +442,146 @@ def _point_map(rows, ell):
     )
 
 
-def test_perm_conjugate_reflexive():
-    perm = to_permutation_group(image_rho_A(2))
-    assert conjugates_by(tuple(range(16)), perm, perm) is True
+def _compose(p, q):
+    """p after q: (p*q)(i) = p(q(i)), matching matrix products."""
+    return tuple(p[x] for x in q)
+
+
+def _fixed_points(perm) -> int:
+    return sum(1 for i, x in enumerate(perm) if x == i)
+
+
+def _image_group(ell, matrices, generators=()) -> ImageGroup:
+    """An ImageGroup holding the given ModMatrix elements and generators."""
+    def packed(m):
+        return _pack(tuple(v for row in m.entries for v in row))
+
+    return ImageGroup(
+        ell, tuple(sorted(packed(m) for m in matrices)), tuple(map(packed, generators))
+    )
+
+
+def test_identity_becomes_identity_permutation():
+    identity = ModMatrix.identity(4, 2)
+    assert identity in image_rho_A(2).elements
+    assert _point_map(identity.entries, 2) == tuple(range(16))
+
+
+def test_diagonal_matrix_fixed_count():
+    # diag(2,1,1,1) over F_3 fixes exactly the 27 vectors with v1 = 0
+    d = mod([[2, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], 3)
+    assert _fixed_points(_point_map(d.entries, 3)) == 27
+    assert 3 ** fixed_vectors(3, [d]) == 27
+
+
+def test_image_groups_become_degree16_order32():
+    for builder in (image_rho_A, image_rho_Adual_contragredient):
+        group = builder(2)
+        perms = {_point_map(g.entries, 2) for g in group.elements}
+        assert group.order == 32
+        assert len(perms) == 32  # the action is faithful
+        assert all(sorted(p) == list(range(16)) for p in perms)
+
+
+# -- characters and multiplicities -----------------------------------------------
+
+
+def test_character_of_identity_is_degree():
+    group = image_rho_A(2)
+    counts = _fixed_point_counts(group)
+    assert counts[group.elements.index(ModMatrix.identity(4, 2))] == 16
+
+
+def test_character_equals_ell_power_nullity():
+    """The fixed-point counts read off the matrices equal those of the point
+    maps and l^nullity(g - 1), element by element."""
+    from galdual.exactmat import _rank_mod
+
+    for ell, twist in ((2, "generic"), (3, "generic"), (3, "trivial")):
+        for builder in (image_rho_A, image_rho_Adual_contragredient):
+            group = builder(ell, twist)
+            for g, count in zip(group.elements, _fixed_point_counts(group)):
+                assert count == _fixed_points(_point_map(g.entries, ell))
+                rows = [
+                    [(v - (1 if i == j else 0)) % ell for j, v in enumerate(row)]
+                    for i, row in enumerate(g.entries)
+                ]
+                assert count == ell ** (4 - _rank_mod(rows, 4, ell))
+
+
+def _multiset(counts):
+    out = {}
+    for c in counts:
+        out[c] = out.get(c, 0) + 1
+    return tuple(sorted(out.items()))
+
+
+def test_character_multisets_l3_trivial_frozen():
+    ma = _multiset(_fixed_point_counts(image_rho_A(3, "trivial")))
+    md = _multiset(_fixed_point_counts(image_rho_Adual_contragredient(3, "trivial")))
+    assert ma == constants.PERM_CHARACTER_MULTISET_L3_TRIVIAL_SURFACE
+    assert md == constants.PERM_CHARACTER_MULTISET_L3_TRIVIAL_DUAL
+    assert ma != md
+
+
+def test_trivial_multiplicities_l3_trivial_frozen():
+    ma = _burnside_average(image_rho_A(3, "trivial"))
+    md = _burnside_average(image_rho_Adual_contragredient(3, "trivial"))
+    assert ma == constants.TRIVIAL_MULTIPLICITY_L3_TRIVIAL_SURFACE
+    assert md == constants.TRIVIAL_MULTIPLICITY_L3_TRIVIAL_DUAL
+    assert ma != md
+
+
+def test_trivial_multiplicity_matches_orbit_count():
+    """Burnside average, orbit count by closure over the generators, and the
+    orbits of the point maps of every element all agree."""
+    for group in (
+        image_rho_A(2),
+        image_rho_A(3, "trivial"),
+        image_rho_Adual_contragredient(3, "trivial"),
+    ):
+        perms = [_point_map(g.entries, group.ell) for g in group.elements]
+        orbits = {frozenset(p[i] for p in perms) for i in range(group.ell**4)}
+        assert _burnside_average(group) == _orbit_count(group) == len(orbits)
+
+
+def test_trivial_group_multiplicity_is_degree():
+    trivial = _image_group(2, [ModMatrix.identity(4, 2)])
+    assert _burnside_average(trivial) == 16
+    assert _orbit_count(trivial) == 16
+
+
+# -- the block-swap certificate ---------------------------------------------------
+
+# The block swap e1 <-> e3, e2 <-> e4, row by row.
+_BLOCK_SWAP = ((0, 0, 1, 0), (0, 0, 0, 1), (1, 0, 0, 0), (0, 1, 0, 0))
+_IDENTITY_ROWS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+
+
+def test_perm_conjugate_reflexive(monkeypatch):
+    """perm-conj accepts the identity as a conjugator of a group onto itself."""
+    monkeypatch.setattr(verifier, "_BLOCK_SWAP", _IDENTITY_ROWS)
+    monkeypatch.setattr(verifier, "image_rho_Adual_contragredient", image_rho_A)
+    assert run_check("perm-conj").status == "pass"
 
 
 def _assert_block_swap_conjugates(ell):
-    """The block swap conjugates the surface group onto the dual group at
-    the generic twist, in both directions (S is its own inverse)."""
-    pa = to_permutation_group(image_rho_A(ell))
-    pd = to_permutation_group(image_rho_Adual_contragredient(ell))
+    """The point map sigma of S conjugates the action of the surface group
+    onto that of the dual group, in both directions (S is its own inverse);
+    each conjugate sigma pi(g) sigma^-1 is the point map of S g S^-1."""
+    s = mod(_BLOCK_SWAP, ell)
     sigma = _point_map(_BLOCK_SWAP, ell)
-    assert conjugates_by(sigma, pa, pd) is True
-    assert conjugates_by(sigma, pd, pa) is True
+    assert _compose(sigma, sigma) == tuple(range(ell**4))
+    surface = image_rho_A(ell).elements
+    dual = image_rho_Adual_contragredient(ell).elements
+    for one, other in ((surface, dual), (dual, surface)):
+        conjugates = set()
+        for g in one:
+            p = _compose(sigma, _compose(_point_map(g.entries, ell), sigma))
+            assert p == _point_map(s.mul(g).mul(s).entries, ell)
+            conjugates.add(p)
+        assert conjugates == {_point_map(h.entries, ell) for h in other}
+    assert run_check("perm-conj", ell=ell).status == "pass"
 
 
 def test_perm_conjugate_l2_pair():
@@ -569,79 +593,92 @@ def test_block_swap_conjugates_l3_generic():
 
 
 def test_block_swap_rejected_at_trivial_twist():
-    pa = to_permutation_group(image_rho_A(3, "trivial"))
-    pd = to_permutation_group(image_rho_Adual_contragredient(3, "trivial"))
-    assert pa.order == pd.order
-    assert conjugates_by(_point_map(_BLOCK_SWAP, 3), pa, pd) is False
+    s = mod(_BLOCK_SWAP, 3)
+    sigma = _point_map(_BLOCK_SWAP, 3)
+    surface = image_rho_A(3, "trivial").elements
+    dual = image_rho_Adual_contragredient(3, "trivial").elements
+    assert len(surface) == len(dual)
+    assert {s.mul(g).mul(s) for g in surface} != set(dual)
+    conjugates = {
+        _compose(sigma, _compose(_point_map(g.entries, 3), sigma)) for g in surface
+    }
+    assert conjugates != {_point_map(h.entries, 3) for h in dual}
 
 
-def test_perm_conjugate_degree_mismatch():
-    p16 = PermGroup(16, (tuple(range(16)),), ())
-    p81 = PermGroup(81, (tuple(range(81)),), ())
-    with pytest.raises(ValueError, match="degree"):
-        conjugates_by(tuple(range(16)), p16, p81)
+def _dropping_one_element(builder):
+    """An image-group builder that leaves out the group's largest element."""
+    def build(ell, twist="generic"):
+        group = builder(ell, twist)
+        return ImageGroup(ell, group.packed_elements[:-1], group.packed_generators)
+
+    return build
 
 
-def test_conjugates_by_rejects_a_non_permutation():
-    perm = PermGroup(16, (tuple(range(16)),), ())
-    with pytest.raises(ValueError, match="permutation"):
-        conjugates_by((0,) + tuple(range(15)), perm, perm)
-    with pytest.raises(ValueError, match="permutation"):
-        conjugates_by(tuple(range(15)), perm, perm)
+def test_perm_conjugate_order_mismatch(monkeypatch):
+    """A group missing one element is conjugate to neither image group: the
+    certificate maps a short surface group into the dual group but not onto
+    it, and the full surface group past a short dual group."""
+    for side in ("image_rho_A", "image_rho_Adual_contragredient"):
+        with monkeypatch.context() as patch:
+            builder = getattr(verifier, side)
+            patch.setattr(verifier, side, _dropping_one_element(builder))
+            for ell in (2, 3):
+                report = run_check("perm-conj", ell=ell)
+                assert report.status == "fail"
+                assert dict(report.counts)[f"l{ell}_conjugate"] == 0
 
 
-def test_perm_conjugate_order_mismatch():
-    pa = to_permutation_group(image_rho_A(2))
-    ident = tuple(range(16))
-    trivial = PermGroup(16, (ident,), ())
-    assert conjugates_by(ident, pa, trivial) is False
-    # the trivial group maps into pa, but not onto it
-    assert conjugates_by(ident, trivial, pa) is False
+def _random_invertible(rng, ell):
+    while True:
+        x = mod([[rng.randrange(ell) for _ in range(4)] for _ in range(4)], ell)
+        if x.det():
+            return x
 
 
-def test_perm_conjugate_relabeled_groups():
-    """A random point relabeling conjugates a group onto its relabeled copy,
-    and its inverse conjugates back."""
+def test_perm_conjugate_relabeled_groups(monkeypatch):
+    """A random X in GL4(F_l) conjugates the surface group onto its conjugate
+    copy, and perm-conj accepts X as the certificate; the point map of X
+    conjugates the two actions."""
     rng = random.Random(17)
-    pa = to_permutation_group(image_rho_A(2))
-    for _ in range(4):
-        relabel = list(range(16))
-        rng.shuffle(relabel)
-        inverse = [0] * 16
-        for i, x in enumerate(relabel):
-            inverse[x] = i
-        conj = tuple(
-            tuple(relabel[p[inverse[i]]] for i in range(16)) for p in pa.elements
-        )
-        other = PermGroup(16, conj, ())
-        assert conjugates_by(tuple(relabel), pa, other) is True
-        assert conjugates_by(tuple(inverse), other, pa) is True
+    for ell in (2, 3):
+        surface = image_rho_A(ell).elements
+        for _ in range(2):
+            x = _random_invertible(rng, ell)
+            xi = x.inv()
+            copy = [x.mul(g).mul(xi) for g in surface]
+            monkeypatch.setattr(verifier, "_BLOCK_SWAP", x.entries)
+            monkeypatch.setattr(
+                verifier,
+                "image_rho_Adual_contragredient",
+                lambda ell_, twist="generic", copy=copy: _image_group(ell_, copy),
+            )
+            assert run_check("perm-conj", ell=ell).status == "pass"
+            relabel = _point_map(x.entries, ell)
+            inverse = _point_map(xi.entries, ell)
+            assert {
+                _compose(relabel, _compose(_point_map(g.entries, ell), inverse))
+                for g in surface
+            } == {_point_map(h.entries, ell) for h in copy}
 
 
-def test_perm_not_conjugate_different_cycle_structure():
-    # C4 with one 4-cycle vs C4 with two 2-cycles in its square's support
-    a = tuple([1, 2, 3, 0] + list(range(4, 16)))
-    b = tuple([1, 2, 3, 0, 5, 6, 7, 4] + list(range(8, 16)))
-    ga = PermGroup(16, tuple(sorted(_cyclic(a))), (a,))
-    gb = PermGroup(16, tuple(sorted(_cyclic(b))), (b,))
+def test_perm_not_conjugate_different_cycle_structure(monkeypatch):
+    """At (3, trivial) the surface and dual actions have 9 and 11 orbits, so
+    no matrix conjugates one group onto the other: identity, S and six
+    random invertible matrices are all refused."""
     rng = random.Random(5)
-    sigmas = [tuple(range(16)), tuple(range(15, -1, -1))]
-    for _ in range(6):
-        sigma = list(range(16))
-        rng.shuffle(sigma)
-        sigmas.append(tuple(sigma))
-    for sigma in sigmas:
-        assert conjugates_by(sigma, ga, gb) is False
-        assert conjugates_by(sigma, gb, ga) is False
-
-
-def _cyclic(p):
-    out = [tuple(range(len(p)))]
-    cur = p
-    while cur != out[0]:
-        out.append(cur)
-        cur = tuple(p[x] for x in cur)
-    return out
+    candidates = [mod(_IDENTITY_ROWS, 3), mod(_BLOCK_SWAP, 3)]
+    candidates += [_random_invertible(rng, 3) for _ in range(6)]
+    for builder in (image_rho_A, image_rho_Adual_contragredient):
+        monkeypatch.setattr(
+            verifier,
+            builder.__name__,
+            lambda ell, twist="generic", builder=builder: builder(ell, "trivial"),
+        )
+    for x in candidates:
+        monkeypatch.setattr(verifier, "_BLOCK_SWAP", x.entries)
+        report = run_check("perm-conj", ell=3)
+        assert report.status == "fail"
+        assert "not conjugate" in report.witness
 
 
 # -- stable lines ------------------------------------------------------------------

@@ -660,7 +660,7 @@ def test_image_group_membership():
 def test_generators_are_members():
     for ell, twist in [(2, "generic"), (3, "generic"), (3, "trivial"), (5, "generic")]:
         g = image_rho_A(ell, twist)
-        assert set(g.generator_flats()) <= set(g.element_flats())
+        assert set(g.packed_generators) <= set(g.packed_elements)
 
 
 # -- paired API --------------------------------------------------------------------

@@ -259,14 +259,28 @@ def test_check_failure_surfaces_witness_and_partial_counts(monkeypatch):
 
 def test_perm_conj_fails_without_the_block_swap(monkeypatch):
     # The identity relabels nothing, and the surface and dual groups are
-    # different sets, so the certificate must be refused.
-    identity = (1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1)
+    # different sets at l = 2 and at l = 3, so the certificate must be refused.
+    identity = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
     monkeypatch.setattr(verifier, "_BLOCK_SWAP", identity)
-    report = run_check("perm-conj", ell=3)
+    for ell, order in ((2, 32), (3, 972)):
+        report = run_check("perm-conj", ell=ell)
+        assert report.status == "fail"
+        assert "not conjugate" in report.witness
+        assert dict(report.counts) == {
+            f"l{ell}_degree": ell**4,
+            f"l{ell}_order": order,
+            f"l{ell}_conjugate": 0,
+        }
+        assert_report_grammar(format_report(report))
+
+
+def test_trivial_multiplicity_fails_when_the_orbit_count_disagrees(monkeypatch):
+    # The Burnside average is cross-checked against an independent orbit count.
+    monkeypatch.setattr(verifier, "_orbit_count", lambda group: 0)
+    report = run_check("trivial-multiplicity")
     assert report.status == "fail"
-    assert "not conjugate" in report.witness
-    assert dict(report.counts) == {"l3_degree": 81, "l3_order": 972, "l3_conjugate": 0}
-    assert_report_grammar(format_report(report))
+    assert "disagrees with orbit count" in report.witness
+    assert dict(report.counts) == {"surface": 9, "dual": 11}
 
 
 def test_unexpected_exceptions_propagate(monkeypatch):
