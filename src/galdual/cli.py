@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from typing import Optional
 
 from galdual.exactmat import format_matrix, parse_ladic
@@ -135,8 +136,18 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_verify_all(args) -> int:
+    started = time.monotonic()
     reports = run_all(args.profile)
+    elapsed = time.monotonic() - started
     sys.stdout.write(format_reports(reports))
+    tally = {"pass": 0, "fail": 0, "skipped": 0}
+    for report in reports:
+        tally[report.status] += 1
+    print(
+        f"{args.profile}: {tally['pass']} pass, {tally['fail']} fail, "
+        f"{tally['skipped']} skipped in {elapsed:.1f}s",
+        file=sys.stderr,
+    )
     return 0 if all_passed(reports) else 1
 
 

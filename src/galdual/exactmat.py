@@ -1,14 +1,15 @@
-"""Exact linear algebra over F_l, Z/l^k Z, and rationals with l-power denominators.
+"""Exact linear algebra over F_l and over rationals with l-power denominators.
 
 Everything here is exact: matrices are immutable tuples of Python integers
 (arbitrary precision), so there is no overflow and no floating point anywhere.
 It is the package's one home for linear algebra, with one routine per kind:
-``_int_det`` (Bareiss elimination) and ``int_adj`` (fraction-free
-Gauss-Jordan) for integer rows, which both matrix kinds share, and
-``_echelon_mod`` for residue rows over F_l.  A Z[1/l] matrix is stored as
-its integer rows R over one power l^k, and every product, determinant,
-inverse and Smith form works on R and k directly, so no arithmetic runs on
-fractions.  Two matrix kinds are provided.
+``_int_det`` (Bareiss elimination) for the determinant of ``LAdicMatrix``,
+``int_adj`` (fraction-free Gauss-Jordan) for integer rows, which both
+matrix kinds invert with, and ``_echelon_mod`` for residue rows over F_l.
+A Z[1/l] matrix is stored as its integer rows R over one power l^k, and
+every product, determinant, inverse and Smith form works on R and k
+directly, so no arithmetic runs on fractions.  Two matrix kinds are
+provided.
 
 ``LAdicMatrix``
     Entries are rationals whose denominator is a power of a fixed prime l,
@@ -17,7 +18,7 @@ fractions.  Two matrix kinds are provided.
     matrices of l-power isogenies.
 
 ``ModMatrix``
-    Entries are residues mod ``l**k``.  Used for torsion representations.
+    Entries are residues mod l.  Used for the l-torsion representations.
 
 The module also owns the plain-text matrix format used by the command line
 tool and by golden files: rows separated by ``;``, entries by ``,``, each
@@ -303,10 +304,8 @@ class LAdicMatrix:
             ell, tuple(tuple(a // u for a in row) for row in adj), v - k
         )
 
-    def reduce_mod(self, k: int) -> "ModMatrix":
-        """Reduce an integral-at-l matrix mod l^k."""
-        if k < 1:
-            raise ExactMatError("need k >= 1")
+    def reduce_mod(self) -> "ModMatrix":
+        """Reduce an integral-at-l matrix mod l."""
         ell, den = self.ell, self.ell**self.k
         for i, row in enumerate(self.entries):
             for j, x in enumerate(row):
@@ -317,139 +316,74 @@ class LAdicMatrix:
                         f"{num}/{ell}^{e}, not integral at {ell}",
                         position=(i, j),
                     )
-        m = ell**k
-        return ModMatrix(
-            ell, k, tuple(tuple(x % m for x in row) for row in self.entries)
-        )
+        return ModMatrix.from_rows(self.entries, ell)
 
 
 @dataclass(frozen=True)
 class ModMatrix:
-    """Square matrix over Z / l^k Z, entries stored as canonical residues."""
+    """Square matrix over F_l, entries stored as residues mod l."""
 
     ell: int
-    k: int
     entries: tuple
 
     def __post_init__(self):
-        check_prime(self.ell)
-        if self.k < 1:
-            raise ExactMatError("modulus exponent must be >= 1")
+        ell = check_prime(self.ell)
         n = len(self.entries)
         if n == 0 or any(len(row) != n for row in self.entries):
             raise DimensionMismatchError("matrix must be square and nonempty")
-        m = self.modulus
-        if any(not (0 <= v < m) for row in self.entries for v in row):
-            raise ExactMatError("entries must be canonical residues")
-
-    @property
-    def modulus(self) -> int:
-        return self.ell**self.k
+        if any(not (0 <= v < ell) for row in self.entries for v in row):
+            raise ExactMatError("entries must be residues mod l")
 
     @property
     def n(self) -> int:
         return len(self.entries)
 
     @staticmethod
-    def from_rows(rows: Sequence[Sequence[int]], ell: int, k: int = 1) -> "ModMatrix":
-        """Reduce integer rows mod l^k; any other entry raises TypeError."""
-        m = ell**k
+    def from_rows(rows: Sequence[Sequence[int]], ell: int) -> "ModMatrix":
+        """Reduce integer rows mod l; any other entry raises TypeError."""
         return ModMatrix(
-            ell, k, tuple(tuple(operator.index(v) % m for v in row) for row in rows)
+            ell, tuple(tuple(operator.index(v) % ell for v in row) for row in rows)
         )
 
     @staticmethod
-    def identity(n: int, ell: int, k: int = 1) -> "ModMatrix":
+    def identity(n: int, ell: int) -> "ModMatrix":
         return ModMatrix.from_rows(
-            [[1 if i == j else 0 for j in range(n)] for i in range(n)], ell, k
+            [[1 if i == j else 0 for j in range(n)] for i in range(n)], ell
         )
 
     def transpose(self) -> "ModMatrix":
-        n = self.n
-        return ModMatrix(
-            self.ell,
-            self.k,
-            tuple(tuple(self.entries[j][i] for j in range(n)) for i in range(n)),
-        )
+        return ModMatrix(self.ell, tuple(zip(*self.entries)))
 
     def mul(self, other: "ModMatrix") -> "ModMatrix":
         if (
             not isinstance(other, ModMatrix)
             or other.ell != self.ell
-            or other.k != self.k
             or other.n != self.n
         ):
             raise DimensionMismatchError("operands must live in the same ring")
-        m = self.modulus
+        ell = self.ell
         bt = list(zip(*other.entries))
         return ModMatrix(
-            self.ell,
-            self.k,
+            ell,
             tuple(
-                tuple(sum(x * y for x, y in zip(row, col)) % m for col in bt)
+                tuple(sum(x * y for x, y in zip(row, col)) % ell for col in bt)
                 for row in self.entries
             ),
         )
 
-    def scale(self, c: int) -> "ModMatrix":
-        m = self.modulus
-        c %= m
-        return ModMatrix(
-            self.ell,
-            self.k,
-            tuple(tuple((c * v) % m for v in row) for row in self.entries),
-        )
-
-    def det(self) -> int:
-        return _int_det(self.entries) % self.modulus
-
     def inv(self) -> "ModMatrix":
-        """Inverse mod l^k: adj * det^-1 for the residues as integers.
-
-        A unit determinant mod l is invertible mod l^k; otherwise the matrix
-        is singular mod l^k.
-        """
-        m = self.modulus
-        singular = f"matrix is singular mod {self.ell}**{self.k}"
+        """Inverse mod l: adj * det^-1 for the residues as integers."""
+        ell = self.ell
         try:
             d, adj = int_adj(self.entries)
         except SingularMatrixError:
-            raise SingularMatrixError(singular, determinant=0) from None
-        if d % self.ell == 0:
-            raise SingularMatrixError(singular, determinant=d % m)
-        d_inv = pow(d, -1, m)
+            d = 0
+        if d % ell == 0:
+            raise SingularMatrixError(f"matrix is singular mod {ell}", determinant=0)
+        d_inv = pow(d, -1, ell)
         return ModMatrix(
-            self.ell,
-            self.k,
-            tuple(tuple(a * d_inv % m for a in row) for row in adj),
+            ell, tuple(tuple(a * d_inv % ell for a in row) for row in adj)
         )
-
-    def charpoly(self) -> tuple:
-        """Characteristic polynomial coefficients, leading first, over F_l.
-
-        Only defined for a prime modulus (k == 1); for composite moduli the
-        notion used downstream is the mod-l one, so we refuse rather than
-        guess.
-        """
-        if self.k != 1:
-            raise ExactMatError("charpoly requires a prime modulus")
-        return charpoly_rows(self.entries, self.ell)
-
-
-def charpoly_rows(rows: Sequence[Sequence[int]], p: int) -> tuple:
-    """char poly of an n x n integer matrix mod prime p, via principal minors.
-
-    Coefficient of x^(n-k) is (-1)^k * (sum of principal k x k minors).
-    Returned leading-first, so the tuple starts with 1.
-    """
-    coeffs = [1]
-    for k in range(1, len(rows) + 1):
-        total = sum(
-            _int_det([[rows[i][j] for j in subset] for i in subset])
-            for subset in itertools.combinations(range(len(rows)), k)
-        )
-        coeffs.append((-1) ** k * total % p)
-    return tuple(coeffs)
 
 
 def _int_det(rows) -> int:
@@ -558,21 +492,6 @@ def _nullspace_mod(rows, ncols: int, ell: int):
             v[p] = (-row[f]) % ell
         basis.append(tuple(v))
     return basis
-
-
-# -- module-level operation names ------------------------------------------
-
-
-def det(a):
-    return a.det()
-
-
-def charpoly(a: ModMatrix) -> tuple:
-    return a.charpoly()
-
-
-def reduce_mod(a: LAdicMatrix, k: int) -> ModMatrix:
-    return a.reduce_mod(k)
 
 
 # -- Smith normal form, l-valuations only -----------------------------------
@@ -708,8 +627,3 @@ def parse_ladic(text: str, ell: int) -> LAdicMatrix:
             row.append((num, k))
         rows.append(row)
     return LAdicMatrix.from_rows(rows, ell)
-
-
-def parse_mod(text: str, ell: int, k: int = 1) -> ModMatrix:
-    lad = parse_ladic(text, ell)
-    return lad.reduce_mod(k)

@@ -59,7 +59,7 @@ class AlternatingForm:
 
     def __post_init__(self):
         m = self.matrix
-        if m.modulus != 2 or m.n != 4:
+        if m.ell != 2 or m.n != 4:
             raise ValueError("form must be a 4x4 matrix over F_2")
         e = m.entries
         if any(e[i][i] for i in range(4)):
@@ -79,13 +79,13 @@ class AlternatingForm:
 def glued_pairing_mod2() -> AlternatingForm:
     """The polarization pairing of the glued surface, reduced mod 2."""
     n_pol, _ = glued_polarization(2)
-    return AlternatingForm(n_pol.reduce_mod(1))
+    return AlternatingForm(n_pol.reduce_mod())
 
 
 @functools.cache
 def principal_pairing_mod2() -> AlternatingForm:
     """The nondegenerate product pairing mod 2 (symplectic cross-check)."""
-    return AlternatingForm(product_principal_polarization(2).reduce_mod(1))
+    return AlternatingForm(product_principal_polarization(2).reduce_mod())
 
 
 def alternating_forms() -> tuple:

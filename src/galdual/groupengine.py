@@ -50,7 +50,7 @@ def intertwiner_space(pairs: Sequence[tuple]) -> IntertwinerSpace:
     ell = pairs[0][0].ell
     n = pairs[0][0].n
     for g, g2 in pairs:
-        if g.ell != ell or g2.ell != ell or g.k != 1 or g2.k != 1:
+        if g.ell != ell or g2.ell != ell:
             raise ValueError("all pairs must share one prime modulus")
         if g.n != n or g2.n != n:
             raise ValueError("all pairs must share one matrix size")
@@ -347,7 +347,7 @@ def _eigenvalue(m: ModMatrix, v):
 def _check_generators(ell: int, generators) -> list:
     gens = list(generators)
     for g in gens:
-        if g.ell != ell or g.n != 4 or g.k != 1:
+        if g.ell != ell or g.n != 4:
             raise ValueError(f"generators must be 4x4 matrices mod {ell}")
     return gens
 

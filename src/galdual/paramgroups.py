@@ -630,7 +630,7 @@ def paired_generators(ell: int, twist: str = "generic") -> tuple:
 def matches_image_shape(m: ModMatrix) -> bool:
     """Shape of the glued-surface image: zeros at seven fixed positions,
     equal (1,1)/(3,3) and (2,2)/(4,4) unit entries."""
-    if m.k != 1 or m.n != 4:
+    if m.n != 4:
         return False
     e = m.entries
     zeros = (

@@ -9,6 +9,7 @@ supported range {2, 3, 5, 7} produce a skipped report rather than an error.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import time
 from dataclasses import dataclass
@@ -265,13 +266,13 @@ def _check_perm_conj(ells, twists):
     """
     counts = {}
     for ell in ells:
-        surface = image_rho_A(ell).elements
+        surface = image_rho_A(ell)
         dual = set(image_rho_Adual_contragredient(ell).elements)
         s = ModMatrix.from_rows(_BLOCK_SWAP, ell)
         s_inv = s.inv()
         counts[f"l{ell}_degree"] = ell**4
-        counts[f"l{ell}_order"] = len(surface)
-        verdict = {s.mul(g).mul(s_inv) for g in surface} == dual
+        counts[f"l{ell}_order"] = surface.order
+        verdict = {s.mul(g).mul(s_inv) for g in surface.elements} == dual
         counts[f"l{ell}_conjugate"] = int(verdict)
         if not verdict:
             raise _CheckFailed(
@@ -287,9 +288,22 @@ def _multiset(values) -> tuple:
     return tuple(sorted(out.items()))
 
 
-def _fixed_point_counts(group) -> list:
+def _fixed_point_counts(group) -> tuple:
     """The permutation character on F_l^4: g fixes l^dim ker(g - 1) vectors."""
-    return [group.ell ** fixed_vectors(group.ell, [g]) for g in group.elements]
+    return tuple(group.ell ** fixed_vectors(group.ell, [g]) for g in group.elements)
+
+
+@functools.cache
+def _permutation_characters(ell: int, twist: str) -> tuple:
+    """``(group, fixed-point counts)`` for the surface image, then the dual
+    image, at (l, twist); both permutation-module checks read them."""
+    return tuple(
+        (group, _fixed_point_counts(group))
+        for group in (
+            image_rho_A(ell, twist),
+            image_rho_Adual_contragredient(ell, twist),
+        )
+    )
 
 
 def _orbit_count(group) -> int:
@@ -312,18 +326,20 @@ def _orbit_count(group) -> int:
     return count
 
 
-def _burnside_average(group) -> int:
+def _burnside_average(counts) -> int:
     """Multiplicity of the trivial representation in the permutation module:
     the average fixed-point count, an integer equal to the number of orbits."""
-    total = sum(_fixed_point_counts(group))
-    if total % group.order:
+    total = sum(counts)
+    if total % len(counts):
         raise AssertionError("character sum is not divisible by the group order")
-    return total // group.order
+    return total // len(counts)
 
 
 def _check_perm_char_distinct(ells, twists):
-    ma = _multiset(_fixed_point_counts(image_rho_A(3, "trivial")))
-    md = _multiset(_fixed_point_counts(image_rho_Adual_contragredient(3, "trivial")))
+    (ell,), (twist,) = ells, twists
+    ma, md = (
+        _multiset(values) for _, values in _permutation_characters(ell, twist)
+    )
     counts = {
         "surface_value_classes": len(ma),
         "dual_value_classes": len(md),
@@ -339,8 +355,9 @@ def _check_perm_char_distinct(ells, twists):
 
 
 def _check_trivial_multiplicity(ells, twists):
-    groups = (image_rho_A(3, "trivial"), image_rho_Adual_contragredient(3, "trivial"))
-    ma, md = (_burnside_average(g) for g in groups)
+    (ell,), (twist,) = ells, twists
+    sides = _permutation_characters(ell, twist)
+    ma, md = (_burnside_average(values) for _, values in sides)
     counts = {"surface": ma, "dual": md}
     if (ma, md) != (
         constants.TRIVIAL_MULTIPLICITY_L3_TRIVIAL_SURFACE,
@@ -349,7 +366,7 @@ def _check_trivial_multiplicity(ells, twists):
         raise _CheckFailed(f"multiplicities drifted to ({ma}, {md})", counts)
     if ma == md:
         raise _CheckFailed("multiplicities coincide", counts)
-    if tuple(_orbit_count(g) for g in groups) != (ma, md):
+    if tuple(_orbit_count(group) for group, _ in sides) != (ma, md):
         raise _CheckFailed("Burnside average disagrees with orbit count", counts)
     return counts, None
 

@@ -8,8 +8,9 @@ class and every method against them.  A reference counts when it comes from
 scripts/, from perfbench/, or from src/ outside the definition's own body and
 outside ``__init__.py``, whose re-exports are no call.  Tests do not count.
 
-Exempt are dunder methods (Python calls them), the names the README lists as
-public API, and the few helpers kept for open ROADMAP items below.
+Exempt are dunder methods (Python calls them) and the few helpers kept for
+open ROADMAP items below.  The names the README lists as public API get no
+exemption: a public name needs a caller like every other definition.
 
 Fields of dataclasses and NamedTuples get the same guard: a field must be
 read as an attribute somewhere in src/galdual (its own class's methods
@@ -100,11 +101,10 @@ def _uncalled() -> list:
             outside.update(name for name, _ in _references(_parse(path)))
     refs = {path: list(_references(tree)) for path, tree in modules.items()}
 
-    exempt = _readme_public_api() | KEEPERS
     uncalled = []
     for path, tree in modules.items():
         for name, node in _definitions(tree):
-            if name in exempt or (name.startswith("__") and name.endswith("__")):
+            if name in KEEPERS or (name.startswith("__") and name.endswith("__")):
                 continue
             if name in outside:
                 continue

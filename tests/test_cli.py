@@ -117,9 +117,23 @@ def test_verify_all_exit_1_on_any_failure(capsys, fast_registry, monkeypatch):
         dataclasses.replace(verifier._REGISTRY["stable-lines"], body=fail),
     )
     assert main(["verify-all", "--profile", "full"]) == 1
-    out = capsys.readouterr().out
-    assert "  status fail" in out
-    assert out.count("check ") == len(FAST_IDS)
+    captured = capsys.readouterr()
+    assert "  status fail" in captured.out
+    assert captured.out.count("check ") == len(FAST_IDS)
+    assert captured.err.startswith(f"full: {len(FAST_IDS) - 1} pass, 1 fail, 0 skipped in ")
+
+
+def test_verify_all_tallies_on_stderr_and_prints_only_the_reports(capsys, fast_registry):
+    assert main(["verify-all"]) == 0
+    captured = capsys.readouterr()
+
+    def strip(text):
+        return re.sub(r"runtime_ms \d+", "runtime_ms", text)
+
+    assert strip(captured.out) == strip(verifier.format_reports(verifier.run_all("quick")))
+    assert re.fullmatch(
+        rf"quick: {len(FAST_IDS)} pass, 0 fail, 0 skipped in \d+\.\ds\n", captured.err
+    )
 
 
 def test_dump_group_is_sorted_and_complete(capsys):

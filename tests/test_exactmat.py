@@ -14,7 +14,6 @@ from galdual.exactmat import (
     NonIntegralEntryError,
     SingularMatrixError,
     UnrepresentableEntryError,
-    charpoly_rows,
     check_prime,
     closure,
     format_matrix,
@@ -22,10 +21,10 @@ from galdual.exactmat import (
     is_prime,
     lval,
     parse_ladic,
-    parse_mod,
     smith_normal_form,
 )
 from galdual.lattice import locally_contains_standard
+from oracles import charpoly_rows
 
 PRIMES = [2, 3, 5, 7]
 
@@ -348,32 +347,26 @@ def test_scale_rejects_a_float_in_a_pair():
 def test_reduce_mod_requires_integrality():
     m = ladic([[1, (1, 1)], [0, 1]], 3)
     with pytest.raises(NonIntegralEntryError) as exc:
-        m.reduce_mod(1)
+        m.reduce_mod()
     assert exc.value.position == (0, 1)
     assert "row 1, column 2" in str(exc.value)
 
 
 def test_reduce_mod_values():
     m = ladic([[7, -1], [10, 3]], 3)
-    r = m.reduce_mod(2)
-    assert r.entries == ((7, 8), (1, 3))
-    assert r.modulus == 9
+    r = m.reduce_mod()
+    assert r == ModMatrix(3, ((1, 2), (1, 0)))
 
 
 # -- ModMatrix ---------------------------------------------------------------
 
 
-def test_mod_inverse_prime_power():
-    m = ModMatrix.from_rows([[1, 3], [2, 1]], 3, 2)
-    inv = m.inv()
-    assert m.mul(inv) == ModMatrix.identity(2, 3, 2)
-    assert inv.mul(m) == ModMatrix.identity(2, 3, 2)
-
-
 def test_mod_inverse_singular():
-    m = ModMatrix.from_rows([[3, 0], [0, 1]], 3, 2)
-    with pytest.raises(SingularMatrixError):
-        m.inv()
+    # the first reduces to determinant 0; the second has determinant 3 = 0 mod 3
+    for rows in ([[3, 0], [0, 1]], [[2, 1], [1, 2]]):
+        with pytest.raises(SingularMatrixError) as exc:
+            ModMatrix.from_rows(rows, 3).inv()
+        assert exc.value.determinant == 0
 
 
 @pytest.mark.parametrize("bad", [2.7, Fraction(1, 2), "4"])
@@ -390,7 +383,6 @@ def test_mod_from_rows_reduces_integers():
 
 @given(
     st.sampled_from(PRIMES),
-    st.integers(1, 3),
     st.integers(1, 5).flatmap(
         lambda n: st.lists(
             st.lists(st.integers(0, 10**6), min_size=n, max_size=n),
@@ -400,33 +392,21 @@ def test_mod_from_rows_reduces_integers():
     ),
 )
 @settings(max_examples=200, deadline=None)
-def test_mod_inverse_both_sides_or_singular(ell, k, rows):
-    m = ModMatrix.from_rows(rows, ell, k)
-    if m.det() % ell:
+def test_mod_inverse_both_sides_or_singular(ell, rows):
+    m = ModMatrix.from_rows(rows, ell)
+    if _fraction_det(rows) % ell:
         inv = m.inv()
-        assert m.mul(inv) == ModMatrix.identity(m.n, ell, k)
-        assert inv.mul(m) == ModMatrix.identity(m.n, ell, k)
+        assert m.mul(inv) == ModMatrix.identity(m.n, ell)
+        assert inv.mul(m) == ModMatrix.identity(m.n, ell)
     else:
         with pytest.raises(SingularMatrixError) as exc:
             m.inv()
-        assert exc.value.determinant == m.det()
-
-
-def test_mod_det():
-    m = ModMatrix.from_rows([[2, 1], [1, 2]], 5)
-    assert m.det() == 3
+        assert exc.value.determinant == 0
 
 
 def test_charpoly_matches_textbook():
-    m = ModMatrix.from_rows([[1, 2], [3, 4]], 7)
     # x^2 - 5x - 2 = x^2 + 2x + 5 mod 7
-    assert m.charpoly() == (1, 2, 5)
-
-
-def test_charpoly_rejects_composite_modulus():
-    m = ModMatrix.from_rows([[1, 0], [0, 1]], 3, 2)
-    with pytest.raises(ExactMatError):
-        m.charpoly()
+    assert charpoly_rows([[1, 2], [3, 4]], 7) == (1, 2, 5)
 
 
 @given(
@@ -437,15 +417,13 @@ def test_charpoly_rejects_composite_modulus():
 def test_charpoly_cayley_hamilton(ell, flat):
     rows = [[flat[4 * i + j] % ell for j in range(4)] for i in range(4)]
     m = ModMatrix.from_rows(rows, ell)
-    coeffs = m.charpoly()
     acc = ModMatrix.from_rows([[0] * 4] * 4, ell)
-    for c in coeffs:
+    for c in charpoly_rows(rows, ell):  # Horner: acc <- acc * m + c * I
         acc = acc.mul(m)
-        cid = ModMatrix.identity(4, ell).scale(c)
         acc = ModMatrix.from_rows(
             [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(acc.entries, cid.entries)
+                [v + (c if i == j else 0) for j, v in enumerate(row)]
+                for i, row in enumerate(acc.entries)
             ],
             ell,
         )
@@ -466,9 +444,8 @@ def test_charpoly_conjugation_invariant(ell, flat_a, flat_x):
         xinv = xm.inv()
     except SingularMatrixError:
         return
-    am = ModMatrix.from_rows(a, ell)
-    conj = xinv.mul(am).mul(xm)
-    assert conj.charpoly() == am.charpoly()
+    conj = xinv.mul(ModMatrix.from_rows(a, ell)).mul(xm)
+    assert charpoly_rows(conj.entries, ell) == charpoly_rows(a, ell)
 
 
 # -- determinants --------------------------------------------------------------
@@ -531,23 +508,20 @@ def test_int_adj_is_the_adjugate(a):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from(PRIMES), st.integers(1, 3), st.data())
-def test_mod_det_and_inv_match_the_fraction_oracle(ell, k, data):
-    m = ell**k
+@given(st.sampled_from(PRIMES), st.data())
+def test_mod_det_and_inv_match_the_fraction_oracle(ell, data):
     n = data.draw(st.integers(1, 4))
     rows = data.draw(
-        st.lists(st.lists(st.integers(0, m - 1), min_size=n, max_size=n), min_size=n, max_size=n)
+        st.lists(st.lists(st.integers(0, ell - 1), min_size=n, max_size=n), min_size=n, max_size=n)
     )
-    a = ModMatrix.from_rows(rows, ell, k)
-    d = int(_fraction_det(rows)) % m
-    assert a.det() == d
-    if d % ell == 0:
+    a = ModMatrix.from_rows(rows, ell)
+    if _fraction_det(rows) % ell == 0:
         with pytest.raises(SingularMatrixError) as exc:
             a.inv()
-        assert exc.value.determinant == d
+        assert exc.value.determinant == 0
         return
     want = tuple(
-        tuple(v.numerator * pow(v.denominator, -1, m) % m for v in row)
+        tuple(v.numerator * pow(v.denominator, -1, ell) % ell for v in row)
         for row in _fraction_inv(rows)
     )
     assert a.inv().entries == want
@@ -771,7 +745,7 @@ def test_format_round_trip_ladic():
 def test_format_round_trip_mod():
     m = ModMatrix.from_rows([[1, 2], [3, 4]], 5)
     assert format_matrix(m) == "1,2;3,4"
-    assert parse_mod("1,2;3,4", 5) == m
+    assert parse_ladic("1,2;3,4", 5).reduce_mod() == m
 
 
 def test_parse_rejects_garbage():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from galdual import constants, verifier
-from galdual.exactmat import ClosureCapError, ModMatrix, closure
+from galdual.exactmat import ClosureCapError, ModMatrix, SingularMatrixError, closure
 from galdual.groupengine import (
     _IDENT,
     IntertwinerSpace,
@@ -186,12 +186,7 @@ def test_constructed_equivalence_found_with_witness():
     for _ in range(10):
         ell = rng.choice([2, 3, 5])
         gens = _sides(ell)[0]
-        while True:
-            x = mod(
-                [[rng.randrange(ell) for _ in range(4)] for _ in range(4)], ell
-            )
-            if x.det() != 0:
-                break
+        x = _random_invertible(rng, ell)
         x_inv = x.inv()
         pairs = [(g, x.mul(g).mul(x_inv)) for g in gens]
         verdict, witness = representations_equivalent(intertwiner_space(pairs))
@@ -240,10 +235,12 @@ def test_f2_inv_matches_modmatrix():
     while checked < 25:
         a = mod([[rng.randrange(2) for _ in range(4)] for _ in range(4)], 2)
         packed = f2_inv(f2_pack(a))
-        if a.det() == 0:
+        try:
+            want = a.inv()
+        except SingularMatrixError:
             assert packed is None
         else:
-            assert f2_unpack(packed) == a.inv()
+            assert f2_unpack(packed) == want
             checked += 1
 
 
@@ -525,8 +522,10 @@ def test_character_multisets_l3_trivial_frozen():
 
 
 def test_trivial_multiplicities_l3_trivial_frozen():
-    ma = _burnside_average(image_rho_A(3, "trivial"))
-    md = _burnside_average(image_rho_Adual_contragredient(3, "trivial"))
+    ma = _burnside_average(_fixed_point_counts(image_rho_A(3, "trivial")))
+    md = _burnside_average(
+        _fixed_point_counts(image_rho_Adual_contragredient(3, "trivial"))
+    )
     assert ma == constants.TRIVIAL_MULTIPLICITY_L3_TRIVIAL_SURFACE
     assert md == constants.TRIVIAL_MULTIPLICITY_L3_TRIVIAL_DUAL
     assert ma != md
@@ -542,12 +541,13 @@ def test_trivial_multiplicity_matches_orbit_count():
     ):
         perms = [_point_map(g.entries, group.ell) for g in group.elements]
         orbits = {frozenset(p[i] for p in perms) for i in range(group.ell**4)}
-        assert _burnside_average(group) == _orbit_count(group) == len(orbits)
+        average = _burnside_average(_fixed_point_counts(group))
+        assert average == _orbit_count(group) == len(orbits)
 
 
 def test_trivial_group_multiplicity_is_degree():
     trivial = _image_group(2, [ModMatrix.identity(4, 2)])
-    assert _burnside_average(trivial) == 16
+    assert _burnside_average(_fixed_point_counts(trivial)) == 16
     assert _orbit_count(trivial) == 16
 
 
@@ -631,8 +631,11 @@ def test_perm_conjugate_order_mismatch(monkeypatch):
 def _random_invertible(rng, ell):
     while True:
         x = mod([[rng.randrange(ell) for _ in range(4)] for _ in range(4)], ell)
-        if x.det():
-            return x
+        try:
+            x.inv()
+        except SingularMatrixError:
+            continue
+        return x
 
 
 def test_perm_conjugate_relabeled_groups(monkeypatch):
@@ -744,7 +747,7 @@ def test_character_product_is_similitude_scalar():
 
 
 @pytest.mark.parametrize(
-    "bad", [ModMatrix.identity(4, 5), ModMatrix.identity(3, 3), ModMatrix.identity(4, 3, 2)]
+    "bad", [ModMatrix.identity(4, 5), ModMatrix.identity(3, 3)]
 )
 def test_generator_checks_reject_a_foreign_generator(bad):
     gens = [*_sides(3)[0], bad]

@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from galdual import constants, paramgroups, verifier
-from galdual.exactmat import charpoly_rows
 from galdual.verifier import (
     CheckReport,
     all_passed,
@@ -21,6 +20,7 @@ from galdual.verifier import (
     run_all,
     run_check,
 )
+from oracles import charpoly_rows
 
 ALL_IDS = (
     "census-128",
@@ -281,6 +281,26 @@ def test_trivial_multiplicity_fails_when_the_orbit_count_disagrees(monkeypatch):
     assert report.status == "fail"
     assert "disagrees with orbit count" in report.witness
     assert dict(report.counts) == {"surface": 9, "dual": 11}
+
+
+def test_permutation_checks_share_one_set_of_fixed_point_counts(monkeypatch):
+    """perm-char-distinct and trivial-multiplicity read one cached pair of
+    fixed-point counts: one fixed_vectors call per element of each image."""
+    calls = []
+    real = verifier.fixed_vectors
+
+    def counted(ell, generators):
+        calls.append(ell)
+        return real(ell, generators)
+
+    monkeypatch.setattr(verifier, "fixed_vectors", counted)
+    verifier._permutation_characters.cache_clear()
+    try:
+        assert run_check("perm-char-distinct").status == "pass"
+        assert run_check("trivial-multiplicity").status == "pass"
+    finally:
+        verifier._permutation_characters.cache_clear()
+    assert len(calls) == 2 * constants.IMAGE_GROUP_ORDERS[(3, "trivial")]  # 2 x 486
 
 
 def test_unexpected_exceptions_propagate(monkeypatch):
