@@ -17,36 +17,32 @@ Two independent routes produce the dual image:
 Their agreement, element by element, is one of the verified claims, so
 the two computations are kept deliberately separate.
 
-Every record is built by one generated function per prime, on the twelve
-residues of a point.  The integer conjugator matrices are derived from
-the lattice module, never hardcoded, and the function is straight-line
-code over their nonzero terms.  It glues the family element with the 12
-gluing terms on its 8-entry support and divides exactly by l.  The gluing
-has no term in the lower-left 2x2 block at any l (the function is refused
-otherwise), so the glued element is block upper triangular,
-[[A, B], [0, D]], and its image mod l is inverted blockwise from det A,
-det D, the 2x2 adjugates and adj(A) B adj(D).  The isogeny conjugation
-reads the exact glued element only where the gluing reaches, 23 terms
-(27 on all twelve entries off the lower-left block, 36 on a full 4x4),
-and divides exactly by l again: the bases introduce a single factor 1/l,
-so the exact glued element determines the dual mod l.  Every division
-that is not exact raises ArithmeticError.  The function compares the two
-routes entry by entry and stores one dual tuple when they agree, both
-when they differ.  The tests compare the term lists against
-lattice.conjugate_by and the contragredient against the Fraction inverse
-of ModMatrix.
+Every record is built by one function generated per prime, on the twelve
+residues of a point, from the integer conjugator matrices, which are
+derived from the lattice module, never hardcoded.  Generating it expands
+each glued entry (12 gluing terms on the family's 8-entry support) and
+each isogeny entry (23 terms, on the 11 glued entries the gluing reaches)
+into an integer linear form in the residues and divides it by l, refusing
+with ArithmeticError a form that l does not divide: every division is
+proven once, and the function has no divisibility test.  The gluing has
+no term in the lower-left 2x2 block at any l (refused otherwise), so the
+image is block upper triangular, [[A, B], [0, D]], and the function
+inverts it blockwise from det A, det D, the 2x2 adjugates and
+adj(A) B adj(D).  It compares that contragredient entry by entry with the
+folded isogeny dual.  Records hold packed flats, 3 bits per entry up to
+l = 7, and one dual int when the routes agree.  The tests compare the
+term lists with lattice.conjugate_by and the contragredient with the
+Fraction inverse of ModMatrix.
 
 Seeded samples draw each residue below n as CPython's randrange does,
 from getrandbits(n.bit_length()) repeated until it is below n, so the
 pinned l = 7 samples rest on CPython's getrandbits stream.
 
-slab_records builds its tuple with the cyclic garbage collector paused
-and then calls gc.freeze().  PointRecords are NamedTuples, not exact
-tuples, so CPython never untracks them, and every collection during or
-after the build would rescan all of them without reclaiming anything:
-they hold no cycles, and functools.cache keeps them for the life of the
-process.  Freezing moves every object alive at that moment out of all
-later collections.
+slab_records builds its tuple with the cyclic garbage collector paused,
+then calls gc.freeze().  CPython never untracks NamedTuples, so every
+collection during or after the build would rescan all the records and
+reclaim nothing: they hold no cycles, and functools.cache keeps them for
+the life of the process.  Freezing moves them out of all later collections.
 """
 
 from __future__ import annotations
@@ -191,7 +187,7 @@ def glued_polarization_change_of_basis(ell: int) -> LAdicMatrix:
     return change_basis_from_transformation(glued_polarization(ell)[0])
 
 
-# -- flat 4x4 integer helpers ---------------------------------------------------
+# -- flat 4x4 integer helpers and packed flats ------------------------------------
 
 
 def _flat_of(mat: LAdicMatrix):
@@ -200,10 +196,27 @@ def _flat_of(mat: LAdicMatrix):
     return tuple(v for row in mat.entries for v in row)
 
 
-def _flat_to_mod(flat, ell: int) -> ModMatrix:
-    return ModMatrix.from_rows(
-        [flat[0:4], flat[4:8], flat[8:12], flat[12:16]], ell
-    )
+def _field_width(ell: int) -> int:
+    """Bits per entry of a packed flat: 3 up to l = 7, wider only past it."""
+    return max(3, (ell - 1).bit_length())
+
+
+def unpack_flat(packed: int, ell: int) -> tuple:
+    """The flat 4x4 of residues mod l that ``packed`` holds, entry i at bit i * width."""
+    width = _field_width(ell)
+    mask = (1 << width) - 1
+    return tuple(packed >> (width * i) & mask for i in range(16))
+
+
+def position_mask(positions, ell: int) -> int:
+    """The bits of a packed flat at prime l that hold the given flat positions."""
+    width = _field_width(ell)
+    return sum(((1 << width) - 1) << (width * pos) for pos in positions)
+
+
+def _packed_to_mod(packed: int, ell: int) -> ModMatrix:
+    flat = unpack_flat(packed, ell)
+    return ModMatrix.from_rows([flat[0:4], flat[4:8], flat[8:12], flat[12:16]], ell)
 
 
 @functools.cache
@@ -250,13 +263,12 @@ def _sparse_terms(left, right, inputs):
 
 
 def _kernel_terms(ell: int):
-    """``(glue, live, isogeny)``: the terms the record kernel runs at prime l.
+    """``(glue, live, isogeny)``: the terms the record kernel folds at prime l.
 
-    ``glue`` holds the terms of the gluing conjugation on the family's
-    support, ``live`` the flat positions they reach, and ``isogeny`` the
-    terms of the isogeny conjugation read at ``live`` only, the glued
-    element being zero everywhere else.  Raises ArithmeticError when a glue
-    term reaches the lower-left block, which the block inverse rules out.
+    ``glue`` holds the gluing conjugation's terms on the family's support,
+    ``live`` the flat positions they reach, and ``isogeny`` the isogeny's
+    terms read at ``live`` only.  Raises ArithmeticError when a glue term
+    reaches the lower-left block, which the block inverse rules out.
     """
     mq_inv, mq_l, n_pol, mlam_l = _conjugator_data(ell)
     glue = _sparse_terms(mq_inv, mq_l, _FAMILY_SUPPORT)
@@ -266,34 +278,44 @@ def _kernel_terms(ell: int):
     return glue, live, _sparse_terms(n_pol, mlam_l, live)
 
 
-def _not_divisible(entries, ell: int):
-    v = next(v for v in entries if v % ell)
-    raise ArithmeticError(f"entry {v} not divisible by {ell}")
+# the twelve residues of a point, in ParamPoint's field order, and the family
+# entries f0 ... f7 as (unit residue, l-adic digit): a + l x1, b1 + l y1, l w1, ...
+_RESIDUES = ("a", "d", "b1", "b2", "w1", "w2", "x1", "x2", "y1", "y2", "z1", "z2")
+_FAMILY = (
+    ("a", "x1"), ("b1", "y1"), ("", "w1"), ("d", "z1"),
+    ("a", "x2"), ("b2", "y2"), ("", "w2"), ("d", "z2"),
+)
 
 
-def _linear_form(terms) -> str:
-    """Source text of sum(c * v) over ``(v, c)`` pairs, e.g. 'f0 - 3 * f2'."""
-    text = ""
-    for v, c in terms:
-        sign = "-" if c < 0 else "+"
-        mag = v if abs(c) == 1 else f"{abs(c)} * {v}"
-        text = f"{sign}{mag}" if not text else f"{text} {sign} {mag}"
-    return text.lstrip("+")
-
-
-def _divisible_sums(terms, names, ell: int, prefix: str):
-    """``(outputs, lines)``: source lines setting ``prefix``k to the sum of the
-    terms at each output k, then raising ArithmeticError unless l divides
-    every sum.  ``names[n]`` is the variable holding input n."""
-    sums = {}
+def _divided_forms(terms, inputs, ell: int, what: str) -> dict:
+    """``{output: form / l}`` for the sums of the terms over the input forms,
+    each form its integer coefficients over _RESIDUES.  l divides a sum on
+    every input exactly when it divides every coefficient; a sum where it
+    does not is refused with ArithmeticError."""
+    sums: dict = {}
     for out, n, c in terms:
-        sums.setdefault(out, []).append((names[n], c))
-    outputs = sorted(sums)
-    return outputs, [
-        *(f"    {prefix}{out} = {_linear_form(sums[out])}" for out in outputs),
-        f"    if {' or '.join(f'{prefix}{out} % {ell}' for out in outputs)}:",
-        f"        _not_divisible(({', '.join(f'{prefix}{out}' for out in outputs)},), {ell})",
-    ]
+        sums[out] = [s + c * k for s, k in zip(sums.get(out, [0] * 12), inputs[n])]
+    for out, form in sums.items():
+        if any(k % ell for k in form):
+            form = {v: k for v, k in zip(_RESIDUES, form) if k}
+            raise ArithmeticError(f"{what} entry {out} = {form} is not divisible by {ell}")
+    return {out: [k // ell for k in form] for out, form in sums.items()}
+
+
+def _residue_text(form, ell: int) -> str:
+    """Source text of a form mod l, e.g. '(x1 - x2) % 7', its coefficients
+    between -l/2 and l/2.  A lone residue is left unreduced, being in [0, l)."""
+    terms = [(v, c % ell - ell * (2 * (c % ell) > ell)) for v, c in zip(_RESIDUES, form)]
+    terms = [v if c == 1 else f"-{v}" if c == -1 else f"{c} * {v}" for v, c in terms if c]
+    if len(terms) == 1 and terms[0] in _RESIDUES:
+        return terms[0]
+    return f"({' + '.join(terms)}) % {ell}".replace("+ -", "- ") if terms else "0"
+
+
+def _packed_text(names, ell: int) -> str:
+    """Source text packing a flat of variable names (or "0") into one int."""
+    w = _field_width(ell)
+    return " | ".join(f"{v} << {w * pos}" if pos else v for pos, v in enumerate(names) if v != "0")
 
 
 # eps * transpose(m^-1) for the block upper triangular image m = [[A, B], [0, D]]:
@@ -315,19 +337,18 @@ _CONTRAGREDIENT = """\
     c12, c13 = c * (p0 * m11 - p1 * m10) % {l}, c * (p2 * m11 - p3 * m10) % {l}
     c14, c15 = -ca * m11 % {l}, ca * m10 % {l}"""
 
-_CONTRAGREDIENT_LIVE = (0, 1, 4, 5, 8, 9, 10, 11, 12, 13, 14, 15)
-
 
 class PointRecord(NamedTuple):
     """Mod-l data of one family element: image, both dual routes, and (a, d).
 
-    When the two routes agree, ``dual_contragredient`` and ``dual_isogeny``
-    are one tuple object; a record whose routes differ keeps both.
+    The three matrices are packed flats (``unpack_flat`` reads them), built
+    by a kernel whose divisions by l were proven when it was generated.
+    When the routes agree, both dual fields are one int object.
     """
 
-    image: tuple
-    dual_contragredient: tuple
-    dual_isogeny: tuple
+    image: int
+    dual_contragredient: int
+    dual_isogeny: int
     a: int
     d: int
 
@@ -337,52 +358,36 @@ def _record_kernel(ell: int):
     """The one way records are built at prime l: from the twelve residues of a point.
 
     ``record(a, d, b1, b2, w1, w2, x1, x2, y1, y2, z1, z2)`` is generated
-    straight-line code.  It checks the mod-l determinant constraint, glues
-    the family element exactly (dividing by l, or raising ArithmeticError),
-    reduces it mod l to the image, and computes both dual routes apart: the
-    twisted contragredient of the image by its block inverse, and the
-    isogeny conjugation of the exact glued element (again dividing by l).
-    It compares the routes entry by entry and stores one dual tuple when
-    they agree.  The residues are taken as given; ParamPoint validates
-    their ranges.
+    straight-line code: the mod-l determinant constraint, the image and the
+    isogeny dual as forms mod l (folded here, see the module docstring), the
+    contragredient by block inverse, and the comparison of the two duals.
+    The residues are taken as given; ParamPoint validates their ranges.
     """
     check_prime(ell)
     glue, live, isogeny = _kernel_terms(ell)
-    family = [
-        f"a + x1 * {ell}", f"b1 + y1 * {ell}", f"w1 * {ell}", f"d + z1 * {ell}",
-        f"a + x2 * {ell}", f"b2 + y2 * {ell}", f"w2 * {ell}", f"d + z2 * {ell}",
-    ]
-    _, glue_lines = _divisible_sums(glue, [f"f{n}" for n in range(8)], ell, "e")
-    dual_live, isogeny_lines = _divisible_sums(
-        isogeny, [f"g{pos}" for pos in live], ell, "s"
-    )
-    image = [f"m{pos}" if pos not in _LOWER_LEFT else "0" for pos in range(16)]
-    contra = [f"c{pos}" if pos in _CONTRAGREDIENT_LIVE else "0" for pos in range(16)]
-    dual = [f"v{pos}" if pos in dual_live else "0" for pos in range(16)]
-    agree = [f"{c} == {v}" for c, v in zip(contra, dual) if c != v]
+    family = [[(v == unit) + ell * (v == digit) for v in _RESIDUES] for unit, digit in _FAMILY]
+    glued = _divided_forms(glue, family, ell, "glued")
+    dual = _divided_forms(isogeny, [glued[pos] for pos in live], ell, "isogeny")
+    reduced = [_residue_text(glued.get(pos, ()), ell) for pos in range(16)]
+    folded = [_residue_text(dual.get(pos, ()), ell) for pos in range(16)]
+    image = [f"m{pos}" if text != "0" else "0" for pos, text in enumerate(reduced)]
+    contra = [f"c{pos}" if pos not in (2, 3, 6, 7) else "0" for pos in range(16)]
+    isog = [f"v{pos}" if text != "0" else "0" for pos, text in enumerate(folded)]
+    agree = [f"{c} == {v}" for c, v in zip(contra, isog) if c != v]
     lines = [
         "def record(a, d, b1, b2, w1, w2, x1, x2, y1, y2, z1, z2):",
         f"    if (a * (z1 - z2) - b1 * w1 + b2 * w2 + d * (x1 - x2)) % {ell}:",
         f'        raise ValueError("determinant constraint violated mod {ell}")',
-        *(f"    f{n} = {expr}" for n, expr in enumerate(family)),
-        *glue_lines,
-        *(f"    g{pos} = e{pos} // {ell}" for pos in live),
-        *(
-            f"    m{pos} = g{pos} % {ell}" if pos in live else f"    m{pos} = 0"
-            for pos in range(16)
-            if pos not in _LOWER_LEFT
-        ),
+        *(f"    m{pos} = {reduced[pos]}" for pos in range(16) if pos not in _LOWER_LEFT),
         _CONTRAGREDIENT.format(l=ell),
-        *isogeny_lines,
-        *(f"    v{pos} = s{pos} // {ell} % {ell}" for pos in dual_live),
-        f"    image = ({', '.join(image)})",
-        f"    dual = ({', '.join(contra)})",
+        *(f"    v{pos} = {text}" for pos, text in enumerate(folded) if text != "0"),
+        f"    image = {_packed_text(image, ell)}",
+        f"    dual = {_packed_text(contra, ell)}",
         f"    if {' and '.join(agree)}:",
         "        return PointRecord(image, dual, dual, a, d)",
-        f"    return PointRecord(image, dual, ({', '.join(dual)}), a, d)",
+        f"    return PointRecord(image, dual, {_packed_text(isog, ell)}, a, d)",
     ]
     namespace = {
-        "_not_divisible": _not_divisible,
         "PointRecord": PointRecord,
         "INVERSES": (0, *(pow(u, -1, ell) for u in range(1, ell))),
     }
@@ -470,9 +475,6 @@ def slab_records(ell: int, twist: str = "generic"):
             "full enumeration is only cached for l <= 5; "
             "use iter_slab_records or sample_records"
         )
-    # The collector never untracks NamedTuples, so each collection would
-    # rescan every record built so far and reclaim nothing: pause it, and
-    # freeze the cached records out of every later collection.
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -499,22 +501,11 @@ def sample_records(ell: int, twist: str, count: int, seed) -> list:
 # -- image groups ------------------------------------------------------------------
 
 
-def _pack(flat) -> int:
-    p = 0
-    for v in reversed(flat):
-        p = (p << 3) | v
-    return p
-
-
-def _unpack(packed: int):
-    return tuple((packed >> (3 * i)) & 7 for i in range(16))
-
-
 @dataclass(frozen=True)
 class ImageGroup:
     """A finite subgroup of GL4(F_l) with the generators it was built from.
 
-    Every element is enumerated and stored packed (3 bits per entry, sorted);
+    Every element is enumerated and stored as a packed flat, sorted;
     ``elements`` materializes them as ModMatrix values on first use.
     """
 
@@ -524,16 +515,14 @@ class ImageGroup:
 
     @functools.cached_property
     def elements(self) -> tuple:
-        return tuple(
-            _flat_to_mod(_unpack(p), self.ell) for p in self.packed_elements
-        )
+        return tuple(_packed_to_mod(p, self.ell) for p in self.packed_elements)
 
     @property
     def order(self) -> int:
         return len(self.packed_elements)
 
     def generator_flats(self) -> tuple:
-        return tuple(_unpack(p) for p in self.packed_generators)
+        return tuple(unpack_flat(p, self.ell) for p in self.packed_generators)
 
 
 def _primitive_root(ell: int) -> int:
@@ -579,27 +568,24 @@ def _routes_checked(records, ell: int, twist: str) -> Iterator[PointRecord]:
     for r in records:
         if r.dual_isogeny != r.dual_contragredient:
             raise RouteDisagreementError(
-                f"dual routes disagree at l={ell}, twist={twist}: "
-                f"isogeny {r.dual_isogeny} vs contragredient {r.dual_contragredient}"
+                f"dual routes disagree at l={ell}, twist={twist}: isogeny"
+                f" {unpack_flat(r.dual_isogeny, ell)} vs contragredient"
+                f" {unpack_flat(r.dual_contragredient, ell)}"
             )
         yield r
 
 
 def _image_group(ell, twist, field) -> ImageGroup:
-    """One image group, reading ``field`` of each PointRecord.
+    """One image group, from the packed ``field`` of each PointRecord.
 
-    Every element is enumerated from slab_records, which refuses l > 5
-    before anything is packed; every record read, generators included, is
-    checked for dual-route agreement.
+    Every element is enumerated from slab_records, which refuses l > 5;
+    every record read, generators included, is checked for dual-route
+    agreement.
     """
     records = _routes_checked(slab_records(ell, twist), ell, twist)
-    packed = tuple(sorted({_pack(getattr(r, field)) for r in records}))
+    packed = tuple(sorted({getattr(r, field) for r in records}))
     generators = _routes_checked(_generator_records(ell, twist), ell, twist)
-    return ImageGroup(
-        ell=ell,
-        packed_elements=packed,
-        packed_generators=tuple(_pack(getattr(r, field)) for r in generators),
-    )
+    return ImageGroup(ell, packed, tuple(getattr(r, field) for r in generators))
 
 
 def image_rho_A(ell: int, twist: str = "generic") -> ImageGroup:
@@ -619,7 +605,7 @@ def paired_generators(ell: int, twist: str = "generic") -> tuple:
     """Simultaneous pairs for the canonical generator points, each record
     checked for dual-route agreement."""
     return tuple(
-        (_flat_to_mod(r.image, ell), _flat_to_mod(r.dual_contragredient, ell))
+        (_packed_to_mod(r.image, ell), _packed_to_mod(r.dual_contragredient, ell))
         for r in _routes_checked(_generator_records(ell, twist), ell, twist)
     )
 
@@ -705,7 +691,7 @@ def generator_word(m: ModMatrix, twist: str = "generic"):
 def evaluate_word(word, ell: int, twist: str = "generic") -> ModMatrix:
     """Multiply out a generator word (for tests certifying generation)."""
     gens = {
-        name: _flat_to_mod(_record(p).image, ell)
+        name: _packed_to_mod(_record(p).image, ell)
         for name, p in canonical_generator_points(ell, twist)
     }
     acc = ModMatrix.identity(4, ell)

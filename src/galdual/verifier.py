@@ -44,9 +44,11 @@ from galdual.paramgroups import (
     image_rho_A,
     image_rho_Adual_contragredient,
     paired_generators,
+    position_mask,
     sample_records,
     shape_parameters,
     slab_records,
+    unpack_flat,
 )
 
 SUPPORTED_PRIMES = (2, 3, 5, 7)
@@ -75,31 +77,42 @@ class _CheckFailed(Exception):
 # -- small shared helpers ---------------------------------------------------------
 
 
-def _charpoly_matches_squares(flat, a: int, d: int, ell: int) -> bool:
-    """Whether det(xI - M) = (x-a)^2 (x-d)^2 over F_l, for M block triangular.
+def _charpoly_prover(ell: int):
+    """``prove(packed, a, d)``: whether det(xI - M) = (x-a)^2 (x-d)^2 over
+    F_l for the packed flat M, by a block-triangular proof.
 
-    ``flat`` holds residues mod l.  When M's lower-left 2x2 block (flat 8,
-    9, 12, 13) or its upper-right one (flat 2, 3, 6, 7) is zero,
-    det(xI - M) = det(xI - A) det(xI - D) for the diagonal blocks A and D.
-    With traces t1, t2 and determinants n1, n2 of A and D, the quartic is
+    When M's lower-left 2x2 block (flat 8, 9, 12, 13) or its upper-right one
+    (flat 2, 3, 6, 7) is zero, det(xI - M) = det(xI - A) det(xI - D) for the
+    diagonal blocks A and D, with traces t1, t2 and determinants n1, n2:
     x^4 - e1 x^3 + e2 x^2 - e3 x + e4 with e1 = t1 + t2, e2 = n1 + n2 +
-    t1 t2, e3 = t1 n2 + t2 n1 and e4 = n1 n2, and comparing these with
-    (x-a)^2 (x-d)^2 = x^4 - 2(a+d) x^3 + (a^2 + 4ad + d^2) x^2 - 2ad(a+d) x
-    + a^2 d^2 mod l is a complete proof at every l.  A flat with both
-    off-diagonal blocks nonzero has no such proof, and the answer is False.
+    t1 t2, e3 = t1 n2 + t2 n1 and e4 = n1 n2.  (x-a)^2 (x-d)^2 is the
+    quartic of aI and dI, so comparing the e_i mod l is a complete proof at
+    every l; with both off-diagonal blocks nonzero the answer is False.  The
+    e_i depend only on the diagonal blocks' bits, each pair expanded once.
     """
-    m0, m1, m2, m3, m4, m5, m6, m7, m8, m9, m10, m11, m12, m13, m14, m15 = flat
-    if (m8 or m9 or m12 or m13) and (m2 or m3 or m6 or m7):
-        return False
-    t1, t2 = m0 + m5, m10 + m15
-    n1, n2 = m0 * m5 - m1 * m4, m10 * m15 - m11 * m14
-    ad = a * d
-    return (
-        (t1 + t2 - 2 * (a + d)) % ell == 0
-        and (n1 + n2 + t1 * t2 - a * a - 4 * ad - d * d) % ell == 0
-        and (t1 * n2 + t2 * n1 - 2 * ad * (a + d)) % ell == 0
-        and (n1 * n2 - ad * ad) % ell == 0
+    lower_left, upper_right, diagonal = (
+        position_mask(block, ell)
+        for block in ((8, 9, 12, 13), (2, 3, 6, 7), (0, 1, 4, 5, 10, 11, 14, 15))
     )
+
+    def quartic(t1, n1, t2, n2) -> tuple:
+        return tuple(e % ell for e in (t1 + t2, n1 + n2 + t1 * t2, t1 * n2 + t2 * n1, n1 * n2))
+
+    squares = [[quartic(2 * a, a * a, 2 * d, d * d) for d in range(ell)] for a in range(ell)]
+    known: dict = {}
+
+    def expand(blocks: int) -> tuple:
+        m0, m1, _, _, m4, m5, _, _, _, _, m10, m11, _, _, m14, m15 = unpack_flat(blocks, ell)
+        known[blocks] = q = quartic(m0 + m5, m0 * m5 - m1 * m4, m10 + m15, m10 * m15 - m11 * m14)
+        return q
+
+    def prove(packed: int, a: int, d: int) -> bool:
+        if packed & lower_left and packed & upper_right:
+            return False
+        blocks = packed & diagonal
+        return (known.get(blocks) or expand(blocks)) == squares[a][d]
+
+    return prove
 
 
 def _records(ell: int, twist: str, seed_tag: str):
@@ -174,7 +187,7 @@ def _check_dual_route_agreement(ells, twists):
             for rec in _records(ell, twist, "dual-route-agreement"):
                 if rec.dual_contragredient != rec.dual_isogeny:
                     raise _CheckFailed(
-                        f"l={ell} {twist}: routes differ at image {rec.image}",
+                        f"l={ell} {twist}: routes differ at image {unpack_flat(rec.image, ell)}",
                         counts,
                     )
                 n += 1
@@ -227,17 +240,15 @@ def _check_stable_lines(ells, twists):
 def _check_semisimp(ells, twists):
     counts = {}
     for ell in ells:
+        prove = _charpoly_prover(ell)
         for twist in twists:
             n = 0
             for image, dual, _, a, d in _records(ell, twist, "semisimp-charpoly"):
-                if not (
-                    _charpoly_matches_squares(image, a, d, ell)
-                    and _charpoly_matches_squares(dual, a, d, ell)
-                ):
+                if not (prove(image, a, d) and prove(dual, a, d)):
                     raise _CheckFailed(
                         f"l={ell} {twist}: no block-triangular proof that the charpoly"
-                        f" is (x-a)^2 (x-d)^2 at a={a} d={d} image {image}"
-                        f" contragredient {dual}",
+                        f" is (x-a)^2 (x-d)^2 at a={a} d={d} image {unpack_flat(image, ell)}"
+                        f" contragredient {unpack_flat(dual, ell)}",
                         counts,
                     )
                 n += 1

@@ -4,6 +4,7 @@ import itertools
 from typing import Sequence
 
 from galdual.exactmat import _int_det
+from galdual.paramgroups import _field_width
 
 
 def charpoly_rows(rows: Sequence[Sequence[int]], p: int) -> tuple:
@@ -20,3 +21,13 @@ def charpoly_rows(rows: Sequence[Sequence[int]], p: int) -> tuple:
         )
         coeffs.append((-1) ** k * total % p)
     return tuple(coeffs)
+
+
+def pack_flat(flat: Sequence[int], ell: int) -> int:
+    """A flat 4x4 of residues mod l packed as the records pack it: entry i in
+    the field at bit i * width, 3 bits wide up to l = 7."""
+    width = _field_width(ell)
+    p = 0
+    for v in reversed(flat):
+        p = (p << width) | v
+    return p

@@ -29,9 +29,8 @@ from galdual.lattice import (
 )
 from galdual.paramgroups import (
     ImageGroup,
-    _flat_to_mod,
     _image_group,
-    _pack,
+    _packed_to_mod,
     image_rho_A,
     image_rho_Adual_contragredient,
     sample_records,
@@ -42,6 +41,7 @@ from galdual.verifier import (
     _orbit_count,
     run_check,
 )
+from oracles import pack_flat
 
 PRIMES = (2, 3, 5, 7)
 
@@ -285,7 +285,7 @@ def test_criterion_9_property_batteries():
     cases = 0
     def sample_pairs(count, seed):
         return [
-            (_flat_to_mod(r.image, 3), _flat_to_mod(r.dual_contragredient, 3))
+            (_packed_to_mod(r.image, 3), _packed_to_mod(r.dual_contragredient, 3))
             for r in sample_records(3, "generic", count, seed)
         ]
 
@@ -339,7 +339,7 @@ def _random_gl4_f2_subgroup(rng: random.Random, cap: int = 2000):
         return None
 
     def packed(x):
-        return _pack(tuple(v for row in f2_unpack(x).entries for v in row))
+        return pack_flat([v for row in f2_unpack(x).entries for v in row], 2)
 
     return ImageGroup(
         2, tuple(sorted(packed(x) for x in elements)), tuple(map(packed, gens))

@@ -31,8 +31,7 @@ from galdual.groupengine import (
 )
 from galdual.paramgroups import (
     ImageGroup,
-    _flat_to_mod,
-    _pack,
+    _packed_to_mod,
     image_rho_A,
     image_rho_Adual_contragredient,
     paired_generators,
@@ -46,6 +45,7 @@ from galdual.verifier import (
     _orbit_count,
     run_check,
 )
+from oracles import pack_flat
 
 
 def mod(rows, ell):
@@ -60,7 +60,7 @@ def _sides(ell, twist="generic"):
 def _pairs(records, ell):
     """(image, contragredient dual) ModMatrix pairs of some point records."""
     return [
-        (_flat_to_mod(r.image, ell), _flat_to_mod(r.dual_contragredient, ell))
+        (_packed_to_mod(r.image, ell), _packed_to_mod(r.dual_contragredient, ell))
         for r in records
     ]
 
@@ -451,7 +451,7 @@ def _fixed_points(perm) -> int:
 def _image_group(ell, matrices, generators=()) -> ImageGroup:
     """An ImageGroup holding the given ModMatrix elements and generators."""
     def packed(m):
-        return _pack(tuple(v for row in m.entries for v in row))
+        return pack_flat([v for row in m.entries for v in row], ell)
 
     return ImageGroup(
         ell, tuple(sorted(packed(m) for m in matrices)), tuple(map(packed, generators))

@@ -29,16 +29,14 @@ from galdual.paramgroups import (
     _conjugator_data,
     _draw_residues,
     _flat_of,
-    _flat_to_mod,
     _generator_records,
     _image_group,
     _kernel_terms,
-    _pack,
+    _packed_to_mod,
     _record,
     _record_kernel,
     _slab_residues,
     _sparse_terms,
-    _unpack,
     canonical_generator_points,
     evaluate_word,
     generator_word,
@@ -56,9 +54,10 @@ from galdual.paramgroups import (
     sample_records,
     shape_parameters,
     slab_records,
+    unpack_flat,
 )
 from galdual.verifier import run_check
-from oracles import charpoly_rows
+from oracles import charpoly_rows, pack_flat
 
 PRIMES = [2, 3, 5, 7]
 
@@ -146,11 +145,11 @@ def random_param_point(rng, ell, twist="generic"):
 
 
 def image_element(p: ParamPoint) -> ModMatrix:
-    return _flat_to_mod(_record(p).image, p.ell)
+    return _packed_to_mod(_record(p).image, p.ell)
 
 
 def dual_element_isogeny(p: ParamPoint) -> ModMatrix:
-    return _flat_to_mod(_record(p).dual_isogeny, p.ell)
+    return _packed_to_mod(_record(p).dual_isogeny, p.ell)
 
 
 def image_rho_Adual_isogeny(ell, twist="generic"):
@@ -403,13 +402,8 @@ def test_dual_group_orders_match(ell, twist):
 @pytest.mark.parametrize("ell,twist", [(2, "generic"), (3, "generic"), (3, "trivial")])
 def test_shapes_hold_on_full_slab(ell, twist):
     for r in slab_records(ell, twist):
-        m = ModMatrix.from_rows(
-            [r.image[0:4], r.image[4:8], r.image[8:12], r.image[12:16]], ell
-        )
-        dm = ModMatrix.from_rows(
-            [r.dual_isogeny[0:4], r.dual_isogeny[4:8],
-             r.dual_isogeny[8:12], r.dual_isogeny[12:16]], ell
-        )
+        m = _packed_to_mod(r.image, ell)
+        dm = _packed_to_mod(r.dual_isogeny, ell)
         assert matches_image_shape(m)
         assert matches_dual_shape(dm)
         a, d, *_ = shape_parameters(m)
@@ -468,21 +462,16 @@ def test_functional_dual_oracle_full_l3():
     """The dual image is the closed-form reflection of the image, including
     the solved (3,1) entry."""
     for r in slab_records(3, "generic"):
-        m = ModMatrix.from_rows(
-            [r.image[0:4], r.image[4:8], r.image[8:12], r.image[12:16]], 3
-        )
-        dm = expected_dual_of(m)
-        assert tuple(v for row in dm.entries for v in row) == r.dual_isogeny
+        dm = expected_dual_of(_packed_to_mod(r.image, 3))
+        assert tuple(v for row in dm.entries for v in row) == unpack_flat(r.dual_isogeny, 3)
 
 
 def test_functional_dual_oracle_sampled_l5_l7():
     for ell in (5, 7):
         for r in sample_records(ell, "generic", 200, seed=ell):
-            m = ModMatrix.from_rows(
-                [r.image[0:4], r.image[4:8], r.image[8:12], r.image[12:16]], ell
-            )
-            dm = expected_dual_of(m)
-            assert tuple(v for row in dm.entries for v in row) == r.dual_contragredient
+            dm = expected_dual_of(_packed_to_mod(r.image, ell))
+            flat = unpack_flat(r.dual_contragredient, ell)
+            assert tuple(v for row in dm.entries for v in row) == flat
 
 
 # -- characteristic polynomials -------------------------------------------------
@@ -502,7 +491,7 @@ def _square_product_coeffs(a, d, ell):
 @pytest.mark.parametrize("ell,twist", [(2, "generic"), (3, "generic"), (3, "trivial")])
 def test_charpoly_is_square_pair_full(ell, twist):
     for r in slab_records(ell, twist):
-        rows = [r.image[0:4], r.image[4:8], r.image[8:12], r.image[12:16]]
+        rows = _packed_to_mod(r.image, ell).entries
         assert charpoly_rows(rows, ell) == _square_product_coeffs(r.a, r.d, ell)
 
 
@@ -510,8 +499,8 @@ def test_charpoly_is_square_pair_sampled():
     for ell in (5, 7):
         for r in sample_records(ell, "generic", 150, seed=100 + ell):
             want = _square_product_coeffs(r.a, r.d, ell)
-            for flat in (r.image, r.dual_isogeny):
-                rows = [flat[0:4], flat[4:8], flat[8:12], flat[12:16]]
+            for packed in (r.image, r.dual_isogeny):
+                rows = _packed_to_mod(packed, ell).entries
                 assert charpoly_rows(rows, ell) == want
 
 
@@ -546,9 +535,7 @@ def test_canonical_generators_generate(ell, twist, order):
 @pytest.mark.parametrize("ell,twist", [(3, "generic"), (3, "trivial")])
 def test_generator_word_round_trip_full(ell, twist):
     for r in slab_records(ell, twist):
-        m = ModMatrix.from_rows(
-            [r.image[0:4], r.image[4:8], r.image[8:12], r.image[12:16]], ell
-        )
+        m = _packed_to_mod(r.image, ell)
         word = generator_word(m, twist)
         assert evaluate_word(word, ell, twist).entries == m.entries
 
@@ -558,9 +545,7 @@ def test_generator_word_round_trip_sampled_l5_l7():
     too large to enumerate in a test."""
     for ell in (5, 7):
         for r in sample_records(ell, "generic", 100, seed=200 + ell):
-            m = ModMatrix.from_rows(
-                [r.image[0:4], r.image[4:8], r.image[8:12], r.image[12:16]], ell
-            )
+            m = _packed_to_mod(r.image, ell)
             word = generator_word(m)
             assert evaluate_word(word, ell).entries == m.entries
 
@@ -602,17 +587,22 @@ def test_image_group_rejects_primes_past_packed_width(builder, ell):
 
 @given(
     st.sampled_from([2, 3, 5, 7]).flatmap(
-        lambda ell: st.lists(st.integers(0, ell - 1), min_size=16, max_size=16)
+        lambda ell: st.tuples(
+            st.just(ell), st.lists(st.integers(0, ell - 1), min_size=16, max_size=16)
+        )
     )
 )
 @settings(max_examples=200, deadline=None)
-def test_pack_round_trips_every_residue_up_to_seven(flat):
-    assert _unpack(_pack(tuple(flat))) == tuple(flat)
+def test_pack_round_trips_every_residue_up_to_seven(case):
+    ell, flat = case
+    assert pack_flat(flat, ell) == pack_flat(flat, 2)  # 3-bit fields up to l = 7
+    assert unpack_flat(pack_flat(flat, ell), ell) == tuple(flat)
 
 
 @given(
     st.sampled_from([11, 13]).flatmap(
         lambda ell: st.tuples(
+            st.just(ell),
             st.lists(st.integers(0, ell - 1), min_size=16, max_size=16),
             st.integers(0, 15),
             st.integers(8, ell - 1),
@@ -621,10 +611,11 @@ def test_pack_round_trips_every_residue_up_to_seven(flat):
 )
 @settings(max_examples=200, deadline=None)
 def test_pack_loses_a_residue_of_eight_or_more(case):
-    # a 3-bit field cannot hold 8..l-1, so packing is exact only for l <= 7
-    flat, pos, big = case
+    # a 3-bit field cannot hold 8..l-1, so the fields are wider past l = 7
+    ell, flat, pos, big = case
     flat[pos] = big
-    assert _unpack(_pack(tuple(flat))) != tuple(flat)
+    assert unpack_flat(pack_flat(flat, 7), 7) != tuple(flat)
+    assert unpack_flat(pack_flat(flat, ell), ell) == tuple(flat)
 
 
 def test_image_group_generators_match_points_at_seven():
@@ -703,7 +694,7 @@ def param_points(draw, primes=(2, 3, 5, 7)):
 def test_property_shapes_and_agreement(p):
     m = image_element(p)
     di = dual_element_isogeny(p)
-    dc = _flat_to_mod(_record(p).dual_contragredient, p.ell)
+    dc = _packed_to_mod(_record(p).dual_contragredient, p.ell)
     assert matches_image_shape(m)
     assert matches_dual_shape(di)
     assert di.entries == dc.entries
@@ -823,8 +814,19 @@ def _divided(flat, ell):
     return tuple(v // ell for v in flat)
 
 
-def _records_sha256(records) -> str:
-    rows = [(r.image, r.dual_contragredient, r.dual_isogeny, r.a, r.d) for r in records]
+def _records_sha256(records, ell) -> str:
+    """sha256 of the records with their three packed fields unpacked, the
+    rows the pins below were measured on."""
+    rows = [
+        (
+            unpack_flat(r.image, ell),
+            unpack_flat(r.dual_contragredient, ell),
+            unpack_flat(r.dual_isogeny, ell),
+            r.a,
+            r.d,
+        )
+        for r in records
+    ]
     return hashlib.sha256(repr(rows).encode()).hexdigest()
 
 
@@ -856,9 +858,9 @@ def test_contragredient_flat_matches_the_fraction_inverse(p):
     """The kernel's block-inverse contragredient against
     a * d * transpose(ModMatrix.inv()) of its image."""
     r = _record(p)
-    inv = _flat_to_mod(r.image, p.ell).inv()
+    inv = _packed_to_mod(r.image, p.ell).inv()
     want = tuple(p.a * p.d * inv.entries[j][i] % p.ell for i in range(4) for j in range(4))
-    assert r.dual_contragredient == want
+    assert unpack_flat(r.dual_contragredient, p.ell) == want
 
 
 @pytest.mark.parametrize("twist", TWISTS)
@@ -882,8 +884,29 @@ def test_compiled_conjugations_match_conjugate_by(ell, twist):
         dual = _divided(_evaluate(isogeny, [glued[k] for k in live]), ell)
         assert dual == _flat_of(conjugate_by(mlam, glued_exact))
         r = record(*residues)
-        assert r.image == tuple(v % ell for v in glued)
-        assert r.dual_isogeny == tuple(v % ell for v in dual)
+        assert unpack_flat(r.image, ell) == tuple(v % ell for v in glued)
+        assert unpack_flat(r.dual_isogeny, ell) == tuple(v % ell for v in dual)
+
+
+@pytest.mark.parametrize("twist", TWISTS)
+@pytest.mark.parametrize("ell", [2, 3, 5, 7, 11, 13])
+def test_folded_kernel_matches_exact_term_evaluation(ell, twist):
+    """The kernel folds its terms into forms mod l when it is generated; on
+    random points it equals the term lists run on the exact lift: integer
+    products, exact division by l, and only then reduction mod l."""
+    glue, live, isogeny = _kernel_terms(ell)
+    record = _record_kernel(ell)
+    rng = random.Random(f"folded:{ell}:{twist}")
+    for _ in range(200):
+        residues = _draw_residues(rng, ell, twist)
+        rows = g_ell_element(ParamPoint(ell, *residues, twist=twist))
+        flat = [v for row in rows for v in row]
+        glued = _divided(_evaluate(glue, [flat[k] for k in _FAMILY_SUPPORT]), ell)
+        dual = _divided(_evaluate(isogeny, [glued[k] for k in live]), ell)
+        r = record(*residues)
+        assert unpack_flat(r.image, ell) == tuple(v % ell for v in glued)
+        assert unpack_flat(r.dual_isogeny, ell) == tuple(v % ell for v in dual)
+        assert r.dual_contragredient is r.dual_isogeny
 
 
 @settings(max_examples=100, deadline=None)
@@ -911,6 +934,7 @@ def test_agreeing_records_share_their_dual_tuple(ell, twist):
         slab_records(ell, twist) if ell <= 5
         else sample_records(ell, twist, 500, f"shared:{ell}:{twist}")
     )
+    assert all(type(v) is int for r in records for v in r[:3])
     assert all(r.dual_isogeny is r.dual_contragredient for r in records)
 
 
@@ -949,7 +973,7 @@ L7_SAMPLE_SHA256 = {
 @pytest.mark.parametrize("tag,twist", sorted(L7_SAMPLE_SHA256))
 def test_l7_sample_sequence_is_pinned(tag, twist):
     records = sample_records(7, twist, 10000, f"{tag}:7:{twist}")
-    assert _records_sha256(records) == L7_SAMPLE_SHA256[(tag, twist)]
+    assert _records_sha256(records, 7) == L7_SAMPLE_SHA256[(tag, twist)]
 
 
 # sha256 of slab_records(l, twist), measured with the dense adjugate contragredient
@@ -965,7 +989,7 @@ SLAB_SHA256 = {
 
 @pytest.mark.parametrize("ell,twist", sorted(SLAB_SHA256))
 def test_slab_records_are_pinned(ell, twist):
-    assert _records_sha256(slab_records(ell, twist)) == SLAB_SHA256[(ell, twist)]
+    assert _records_sha256(slab_records(ell, twist), ell) == SLAB_SHA256[(ell, twist)]
 
 
 @pytest.mark.parametrize("enabled", [True, False])
@@ -983,7 +1007,7 @@ def test_slab_records_leave_the_collector_as_they_found_it(enabled):
         assert gc.isenabled() is enabled
     finally:
         gc.enable()
-    assert _records_sha256(records) == SLAB_SHA256[(3, "generic")]
+    assert _records_sha256(records, 3) == SLAB_SHA256[(3, "generic")]
 
 
 def _draw_residues_by_randrange(rng, ell, twist):

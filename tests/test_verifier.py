@@ -20,7 +20,8 @@ from galdual.verifier import (
     run_all,
     run_check,
 )
-from oracles import charpoly_rows
+from galdual.paramgroups import unpack_flat
+from oracles import charpoly_rows, pack_flat
 
 ALL_IDS = (
     "census-128",
@@ -449,6 +450,11 @@ def _diag_rows(a, d):
     return [[a, 0, 0, 0], [0, a, 0, 0], [0, 0, d, 0], [0, 0, 0, d]]
 
 
+def _proves(flat, a, d, ell):
+    """The charpoly proof's verdict on the flat, read as a packed flat."""
+    return verifier._charpoly_prover(ell)(pack_flat(flat, ell), a, d)
+
+
 @pytest.mark.parametrize("ell", [2, 3, 5, 7])
 def test_charpoly_proof_accepts_the_squares(ell):
     # (x-a)^2 times (x-d)^2 as well as (x-a)(x-d) twice: the claim is about
@@ -460,7 +466,7 @@ def test_charpoly_proof_accepts_the_squares(ell):
         ):
             for upper in (True, False):
                 flat = _block_companion(q1, q2, ell, upper)
-                assert verifier._charpoly_matches_squares(flat, a, d, ell)
+                assert _proves(flat, a, d, ell)
 
 
 def _blocks_wrong_only_at(index, a, d, ell):
@@ -494,16 +500,17 @@ def test_charpoly_proof_rejects_a_wrong_middle_coefficient(ell, middle):
                 flat = _block_companion(q1, q2, ell, upper)
                 got, want = charpoly_rows(_rows(flat), ell), charpoly_rows(_diag_rows(a, d), ell)
                 assert [i for i in range(5) if got[i] != want[i]] == [middle + 1]
-                assert not verifier._charpoly_matches_squares(flat, a, d, ell)
+                assert not _proves(flat, a, d, ell)
                 cases += 1
     assert bool(cases) == (middle == 1 or ell > 3)
 
 
 @st.composite
 def block_triangular_case(draw):
-    """(l, flat, a, d): a block upper or lower triangular flat of residues
-    whose diagonal entries are often a or d, so both verdicts are common."""
-    ell = draw(st.sampled_from([2, 3, 5, 7]))
+    """(l, packed, a, d): a block upper or lower triangular flat of residues,
+    packed as the records pack it, whose diagonal entries are often a or d,
+    so both verdicts are common.  l = 11 and 13 take 4-bit fields."""
+    ell = draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
     a, d = draw(st.integers(1, ell - 1)), draw(st.integers(1, ell - 1))
     residue = st.integers(0, ell - 1)
     near = st.one_of(st.sampled_from([a, d]), residue)
@@ -518,15 +525,16 @@ def block_triangular_case(draw):
         flat = (a0, a1, o0, o1, a2, a3, o2, o3, 0, 0, d0, d1, 0, 0, d2, d3)
     else:
         flat = (a0, a1, 0, 0, a2, a3, 0, 0, o0, o1, d0, d1, o2, o3, d2, d3)
-    return ell, flat, a, d
+    return ell, pack_flat(flat, ell), a, d
 
 
 @given(block_triangular_case())
 @settings(max_examples=400, deadline=None)
 def test_charpoly_proof_agrees_with_charpoly_rows(case):
-    ell, flat, a, d = case
-    want = charpoly_rows(_rows(flat), ell) == charpoly_rows(_diag_rows(a, d), ell)
-    assert verifier._charpoly_matches_squares(flat, a, d, ell) == want
+    ell, packed, a, d = case
+    rows = _rows(unpack_flat(packed, ell))
+    want = charpoly_rows(rows, ell) == charpoly_rows(_diag_rows(a, d), ell)
+    assert verifier._charpoly_prover(ell)(packed, a, d) == want
 
 
 def test_charpoly_proof_refuses_a_flat_that_is_not_block_triangular():
@@ -536,14 +544,14 @@ def test_charpoly_proof_refuses_a_flat_that_is_not_block_triangular():
     ell, a, d = 5, 1, 2
     flat = (0, 0, 1, 0, 0, 1, 0, 0, 3, 0, 3, 0, 0, 0, 0, 2)
     assert charpoly_rows(_rows(flat), ell) == charpoly_rows(_diag_rows(a, d), ell)
-    assert not verifier._charpoly_matches_squares(flat, a, d, ell)
+    assert not _proves(flat, a, d, ell)
 
 
 @pytest.fixture
 def one_changed_record(monkeypatch):
     """``patch(change)`` makes the record kernel build the first record whose
-    image ``change(image, l)`` alters with the altered image, which it
-    appends to the returned list.  The slab cache is cleared around it."""
+    unpacked image ``change(image, l)`` alters with the altered image, which
+    it appends to the returned list.  The slab cache is cleared around it."""
     kernel = paramgroups._record_kernel
     changed = []
 
@@ -553,11 +561,12 @@ def one_changed_record(monkeypatch):
 
             def build(*residues):
                 rec = record(*residues)
-                image = change(rec.image, ell)
-                if changed or image == rec.image:
+                flat = unpack_flat(rec.image, ell)
+                image = change(flat, ell)
+                if changed or image == flat:
                     return rec
                 changed.append(image)
-                return rec._replace(image=image)
+                return rec._replace(image=pack_flat(image, ell))
 
             return build
 
