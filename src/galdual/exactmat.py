@@ -4,8 +4,8 @@ Everything here is exact: matrices are immutable tuples of Python integers
 (arbitrary precision), so there is no overflow and no floating point anywhere.
 It is the package's one home for linear algebra, with one routine per kind:
 ``_int_det`` (Bareiss elimination) for the determinant of ``LAdicMatrix``,
-``int_adj`` (fraction-free Gauss-Jordan) for integer rows, which both
-matrix kinds invert with, and ``_echelon_mod`` for residue rows over F_l.
+``int_adj`` (fraction-free Gauss-Jordan) for integer rows, which
+``LAdicMatrix`` inverts with, and ``_echelon_mod`` for residue rows over F_l.
 A Z[1/l] matrix is stored as its integer rows R over one power l^k, and
 every product, determinant, inverse and Smith form works on R and k
 directly, so no arithmetic runs on fractions.  Two matrix kinds are
@@ -19,6 +19,13 @@ provided.
 
 ``ModMatrix``
     Entries are residues mod l.  Used for the l-torsion representations.
+
+A 4x4 matrix over F_l has one packed form, an int whose field of
+w = (l - 1).bit_length() bits at bit (4i + j) * w holds entry (i, j), flat
+position 4i + j.  ``field_width``, ``pack_flat``, ``unpack_flat`` and
+``position_mask`` define it; ``ModMatrix.packed`` and ``from_packed`` convert.
+At l = 2 it is the 16-bit layout that groupengine's GL4(F_2) kernels compute
+on, and paramgroups keeps its image groups and records in it at every l.
 
 The module also owns the plain-text matrix format used by the command line
 tool and by golden files: rows separated by ``;``, entries by ``,``, each
@@ -371,19 +378,49 @@ class ModMatrix:
             ),
         )
 
-    def inv(self) -> "ModMatrix":
-        """Inverse mod l: adj * det^-1 for the residues as integers."""
-        ell = self.ell
-        try:
-            d, adj = int_adj(self.entries)
-        except SingularMatrixError:
-            d = 0
-        if d % ell == 0:
-            raise SingularMatrixError(f"matrix is singular mod {ell}", determinant=0)
-        d_inv = pow(d, -1, ell)
-        return ModMatrix(
-            ell, tuple(tuple(a * d_inv % ell for a in row) for row in adj)
-        )
+    def packed(self) -> int:
+        """This 4x4 matrix in the packed format (see the module docstring)."""
+        if self.n != 4:
+            raise DimensionMismatchError("only 4x4 matrices have a packed form")
+        return pack_flat([v for row in self.entries for v in row], self.ell)
+
+    @staticmethod
+    def from_packed(packed: int, ell: int) -> "ModMatrix":
+        """The 4x4 matrix mod l that ``packed`` holds; a field holding l or
+        more raises ExactMatError."""
+        flat = unpack_flat(packed, ell)
+        return ModMatrix(ell, (flat[0:4], flat[4:8], flat[8:12], flat[12:16]))
+
+
+# -- the packed 4x4 format ------------------------------------------------------
+
+
+def field_width(ell: int) -> int:
+    """Bits per entry of a packed 4x4 matrix mod l, the bits of l - 1."""
+    return (ell - 1).bit_length()
+
+
+def pack_flat(flat: Sequence[int], ell: int) -> int:
+    """The 16 residues mod l of a flat 4x4 as one int, entry i in the
+    field at bit i * field_width(l)."""
+    width = field_width(ell)
+    packed = 0
+    for v in reversed(flat):
+        packed = packed << width | v
+    return packed
+
+
+def unpack_flat(packed: int, ell: int) -> tuple:
+    """The flat 4x4 that ``packed`` holds, field by field."""
+    width = field_width(ell)
+    mask = (1 << width) - 1
+    return tuple(packed >> (width * i) & mask for i in range(16))
+
+
+def position_mask(positions, ell: int) -> int:
+    """The bits of a packed 4x4 mod l that hold the given flat positions."""
+    width = field_width(ell)
+    return sum(((1 << width) - 1) << (width * pos) for pos in positions)
 
 
 def _int_det(rows) -> int:

@@ -11,8 +11,9 @@ its contragredient h -> (h^-1)^T.  Over F_2 the similitude scaling and the
 character twist are both trivial, so "up to scaling" means plain
 preservation and the twisted contragredient is the inverse-transpose.
 
-Group elements are packed 16-bit integers throughout (bit 4i+j holds entry
-(i, j)), matching the GL4(F_2) machinery in groupengine.
+Group elements are 4x4 matrices over F_2 in exactmat's packed format
+throughout (a 16-bit int at l = 2, bit 4i + j holding entry (i, j)), the
+format groupengine's GL4(F_2) machinery computes on.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from galdual.exactmat import (
     _nullspace_mod,
     _rank_mod,
     closure,
+    format_matrix,
     is_prime,
 )
 from galdual.groupengine import (
@@ -39,9 +41,7 @@ from galdual.groupengine import (
     f2_intertwiner,
     f2_inv,
     f2_mul,
-    f2_pack,
     f2_transpose,
-    f2_unpack,
     gl4_elements,
     matrix_subgroups_conjugate,
 )
@@ -66,9 +66,6 @@ class AlternatingForm:
             raise ValueError("alternating form needs a zero diagonal")
         if m != m.transpose():
             raise ValueError("alternating form over F_2 must be symmetric")
-
-    def packed(self) -> int:
-        return f2_pack(self.matrix)
 
     def radical_basis(self) -> tuple:
         """Echelonized basis of {v : J(v, .) = 0}."""
@@ -102,7 +99,7 @@ def alternating_forms() -> tuple:
 
 def form_orbit(j: AlternatingForm) -> frozenset:
     """Packed congruence orbit {g^T J g : g in GL4(F_2)}."""
-    jp = j.packed()
+    jp = j.matrix.packed()
     return frozenset(
         f2_mul(f2_mul(f2_transpose(g), jp), g) for g in gl4_elements()
     )
@@ -117,7 +114,7 @@ def similitude_stabilizer(j: AlternatingForm) -> frozenset:
     256-entry table of its values on pairs of vectors.  Both sides are
     alternating, so the six entries above the diagonal decide equality.
     """
-    jp = j.packed()
+    jp = j.matrix.packed()
     images = _vector_images(jp)
     # value[u << 4 | v] = u^T J v for column vectors u, v of F_2^4
     value = bytes(
@@ -215,7 +212,7 @@ def radical_split_extension(elements: frozenset, form: AlternatingForm) -> Split
             break
         if _rank_mod(basis + [list(cand)], 4, 2) > len(basis):
             basis.append(list(cand))
-    p = f2_pack([[basis[j][i] for j in range(4)] for i in range(4)])
+    p = ModMatrix.from_rows(basis, 2).transpose().packed()
     p_inv = f2_inv(p)
 
     # in the basis (radical, complement) every element is block upper
@@ -600,18 +597,12 @@ def stabilizer_census() -> CensusResult:
 # -- report format ---------------------------------------------------------------
 
 
-def _dump_packed(g: int) -> str:
-    from galdual.exactmat import format_matrix
-
-    return format_matrix(f2_unpack(g))
-
-
 def format_census(result: CensusResult) -> str:
     """One line per class plus its generators, stably ordered."""
     blocks = []
     for rec in result.records:
         gens = sorted(
-            _dump_packed(g)
+            format_matrix(ModMatrix.from_packed(g, 2))
             for g in (_f2_small_generating_set(rec.representative) or [_IDENT])
         )
         head = (

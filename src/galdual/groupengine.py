@@ -114,25 +114,10 @@ def representations_equivalent(space: IntertwinerSpace):
 
 # -- packed GL4(F2) utilities -----------------------------------------------------
 
-# A 4x4 matrix over F_2 is a 16-bit int: bit 4*i + j holds entry (i, j).
+# A 4x4 matrix over F_2 is in exactmat's packed format: at l = 2 a 16-bit
+# int whose bit 4*i + j holds entry (i, j) (ModMatrix.packed, from_packed).
 
 _IDENT = 0x8421  # packed identity: bits 0, 5, 10, 15
-
-
-def f2_pack(m) -> int:
-    rows = m.entries if isinstance(m, ModMatrix) else m
-    x = 0
-    for i, row in enumerate(rows):
-        for j, v in enumerate(row):
-            if v & 1:
-                x |= 1 << (4 * i + j)
-    return x
-
-
-def f2_unpack(x: int) -> ModMatrix:
-    return ModMatrix.from_rows(
-        [[(x >> (4 * i + j)) & 1 for j in range(4)] for i in range(4)], 2
-    )
 
 
 def f2_mul(a: int, b: int) -> int:

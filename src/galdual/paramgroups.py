@@ -24,15 +24,14 @@ each glued entry (12 gluing terms on the family's 8-entry support) and
 each isogeny entry (23 terms, on the 11 glued entries the gluing reaches)
 into an integer linear form in the residues and divides it by l, refusing
 with ArithmeticError a form that l does not divide: every division is
-proven once, and the function has no divisibility test.  The gluing has
-no term in the lower-left 2x2 block at any l (refused otherwise), so the
-image is block upper triangular, [[A, B], [0, D]], and the function
-inverts it blockwise from det A, det D, the 2x2 adjugates and
-adj(A) B adj(D).  It compares that contragredient entry by entry with the
-folded isogeny dual.  Records hold packed flats, 3 bits per entry up to
-l = 7, and one dual int when the routes agree.  The tests compare the
-term lists with lattice.conjugate_by and the contragredient with the
-Fraction inverse of ModMatrix.
+proven once, and the function has no divisibility test.  The image is
+[[A, B], [0, D]], A upper and D lower triangular, B zero at flat 7 (a
+gluing term in the lower-left block or a folded entry at flat 4, 7 or 11
+is refused), and the function inverts it blockwise, touching no entry
+that is always zero.  It compares that contragredient entry by entry with
+the folded isogeny dual.  Records hold exactmat's packed 4x4 ints, one
+dual int when the routes agree.  The tests compare the term lists with
+lattice.conjugate_by and the contragredient with the reference inverse.
 
 Seeded samples draw each residue below n as CPython's randrange does,
 from getrandbits(n.bit_length()) repeated until it is below n, so the
@@ -54,7 +53,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
-from galdual.exactmat import LAdicMatrix, ModMatrix, check_prime
+from galdual.exactmat import LAdicMatrix, ModMatrix, check_prime, field_width, unpack_flat
 from galdual.lattice import (
     KernelSpec,
     change_basis_from_kernel,
@@ -187,36 +186,13 @@ def glued_polarization_change_of_basis(ell: int) -> LAdicMatrix:
     return change_basis_from_transformation(glued_polarization(ell)[0])
 
 
-# -- flat 4x4 integer helpers and packed flats ------------------------------------
+# -- flat 4x4 integer helpers -------------------------------------------------------
 
 
 def _flat_of(mat: LAdicMatrix):
     if not mat.is_integral():
         raise ArithmeticError("conjugator matrix must be integral")
     return tuple(v for row in mat.entries for v in row)
-
-
-def _field_width(ell: int) -> int:
-    """Bits per entry of a packed flat: 3 up to l = 7, wider only past it."""
-    return max(3, (ell - 1).bit_length())
-
-
-def unpack_flat(packed: int, ell: int) -> tuple:
-    """The flat 4x4 of residues mod l that ``packed`` holds, entry i at bit i * width."""
-    width = _field_width(ell)
-    mask = (1 << width) - 1
-    return tuple(packed >> (width * i) & mask for i in range(16))
-
-
-def position_mask(positions, ell: int) -> int:
-    """The bits of a packed flat at prime l that hold the given flat positions."""
-    width = _field_width(ell)
-    return sum(((1 << width) - 1) << (width * pos) for pos in positions)
-
-
-def _packed_to_mod(packed: int, ell: int) -> ModMatrix:
-    flat = unpack_flat(packed, ell)
-    return ModMatrix.from_rows([flat[0:4], flat[4:8], flat[8:12], flat[12:16]], ell)
 
 
 @functools.cache
@@ -245,6 +221,11 @@ _FAMILY_SUPPORT = (0, 1, 4, 5, 10, 11, 14, 15)
 
 # the lower-left 2x2 block, where no glued element has a term
 _LOWER_LEFT = (8, 9, 12, 13)
+
+# the other flats where the folded image is zero (A[1][0], B[1][1], D[0][1]),
+# and the flats where the contragredient is therefore zero
+_TRIANGULAR_ZEROS = (4, 7, 11)
+_CONTRAGREDIENT_ZEROS = (1, 2, 3, 6, 7, 13, 14)
 
 
 def _sparse_terms(left, right, inputs):
@@ -314,34 +295,31 @@ def _residue_text(form, ell: int) -> str:
 
 def _packed_text(names, ell: int) -> str:
     """Source text packing a flat of variable names (or "0") into one int."""
-    w = _field_width(ell)
+    w = field_width(ell)
     return " | ".join(f"{v} << {w * pos}" if pos else v for pos, v in enumerate(names) if v != "0")
 
 
-# eps * transpose(m^-1) for the block upper triangular image m = [[A, B], [0, D]]:
-# m^-1 = [[A^-1, -A^-1 B D^-1], [0, D^-1]], so every entry comes from det A,
-# det D, the 2x2 adjugates and adj(A) B adj(D) (rows p0, p1 and p2, p3).
+# eps * transpose(m^-1) for the image m = [[A, B], [0, D]] (see the module
+# docstring): m^-1 = [[A^-1, -A^-1 B D^-1], [0, D^-1]], so every entry comes
+# from det A = m0 m5, det D = m10 m15 and adj(A) B = [[p0, p1], [p2, 0]].
 _CONTRAGREDIENT = """\
-    det_a = m0 * m5 - m1 * m4
-    det_d = m10 * m15 - m11 * m14
+    det_a, det_d = m0 * m5, m10 * m15
     u = det_a * det_d % {l}
     if not u:
         raise ArithmeticError("image element is singular; cannot happen")
     c = a * d * INVERSES[u]
     ca, cd = c * det_a % {l}, c * det_d % {l}
-    p0, p1 = m5 * m2 - m1 * m6, m5 * m3 - m1 * m7
-    p2, p3 = m0 * m6 - m4 * m2, m0 * m7 - m4 * m3
-    c0, c1, c4, c5 = cd * m5 % {l}, -cd * m4 % {l}, -cd * m1 % {l}, cd * m0 % {l}
-    c8, c9 = c * (p1 * m14 - p0 * m15) % {l}, c * (p3 * m14 - p2 * m15) % {l}
+    p0, p1, p2 = m5 * m2 - m1 * m6, m5 * m3, m0 * m6
+    c0, c4, c5 = cd * m5 % {l}, -cd * m1 % {l}, cd * m0 % {l}
+    c8, c9 = c * (p1 * m14 - p0 * m15) % {l}, -c * p2 * m15 % {l}
     c10, c11 = ca * m15 % {l}, -ca * m14 % {l}
-    c12, c13 = c * (p0 * m11 - p1 * m10) % {l}, c * (p2 * m11 - p3 * m10) % {l}
-    c14, c15 = -ca * m11 % {l}, ca * m10 % {l}"""
+    c12, c15 = -c * p1 * m10 % {l}, ca * m10 % {l}"""
 
 
 class PointRecord(NamedTuple):
     """Mod-l data of one family element: image, both dual routes, and (a, d).
 
-    The three matrices are packed flats (``unpack_flat`` reads them), built
+    The three matrices are packed 4x4s (``unpack_flat`` reads them), built
     by a kernel whose divisions by l were proven when it was generated.
     When the routes agree, both dual fields are one int object.
     """
@@ -367,18 +345,21 @@ def _record_kernel(ell: int):
     glue, live, isogeny = _kernel_terms(ell)
     family = [[(v == unit) + ell * (v == digit) for v in _RESIDUES] for unit, digit in _FAMILY]
     glued = _divided_forms(glue, family, ell, "glued")
-    dual = _divided_forms(isogeny, [glued[pos] for pos in live], ell, "isogeny")
     reduced = [_residue_text(glued.get(pos, ()), ell) for pos in range(16)]
+    bad = next((pos for pos in _TRIANGULAR_ZEROS if reduced[pos] != "0"), None)
+    if bad is not None:
+        raise ArithmeticError(f"glued entry {bad} = {reduced[bad]} breaks the block inverse")
+    dual = _divided_forms(isogeny, [glued[pos] for pos in live], ell, "isogeny")
     folded = [_residue_text(dual.get(pos, ()), ell) for pos in range(16)]
     image = [f"m{pos}" if text != "0" else "0" for pos, text in enumerate(reduced)]
-    contra = [f"c{pos}" if pos not in (2, 3, 6, 7) else "0" for pos in range(16)]
+    contra = [f"c{pos}" if pos not in _CONTRAGREDIENT_ZEROS else "0" for pos in range(16)]
     isog = [f"v{pos}" if text != "0" else "0" for pos, text in enumerate(folded)]
     agree = [f"{c} == {v}" for c, v in zip(contra, isog) if c != v]
     lines = [
         "def record(a, d, b1, b2, w1, w2, x1, x2, y1, y2, z1, z2):",
         f"    if (a * (z1 - z2) - b1 * w1 + b2 * w2 + d * (x1 - x2)) % {ell}:",
         f'        raise ValueError("determinant constraint violated mod {ell}")',
-        *(f"    m{pos} = {reduced[pos]}" for pos in range(16) if pos not in _LOWER_LEFT),
+        *(f"    m{pos} = {text}" for pos, text in enumerate(reduced) if text != "0"),
         _CONTRAGREDIENT.format(l=ell),
         *(f"    v{pos} = {text}" for pos, text in enumerate(folded) if text != "0"),
         f"    image = {_packed_text(image, ell)}",
@@ -505,8 +486,8 @@ def sample_records(ell: int, twist: str, count: int, seed) -> list:
 class ImageGroup:
     """A finite subgroup of GL4(F_l) with the generators it was built from.
 
-    Every element is enumerated and stored as a packed flat, sorted;
-    ``elements`` materializes them as ModMatrix values on first use.
+    Every element is enumerated and stored packed (exactmat's format),
+    sorted; ``elements`` materializes them as ModMatrix values on first use.
     """
 
     ell: int
@@ -515,14 +496,11 @@ class ImageGroup:
 
     @functools.cached_property
     def elements(self) -> tuple:
-        return tuple(_packed_to_mod(p, self.ell) for p in self.packed_elements)
+        return tuple(ModMatrix.from_packed(p, self.ell) for p in self.packed_elements)
 
     @property
     def order(self) -> int:
         return len(self.packed_elements)
-
-    def generator_flats(self) -> tuple:
-        return tuple(unpack_flat(p, self.ell) for p in self.packed_generators)
 
 
 def _primitive_root(ell: int) -> int:
@@ -605,7 +583,7 @@ def paired_generators(ell: int, twist: str = "generic") -> tuple:
     """Simultaneous pairs for the canonical generator points, each record
     checked for dual-route agreement."""
     return tuple(
-        (_packed_to_mod(r.image, ell), _packed_to_mod(r.dual_contragredient, ell))
+        (ModMatrix.from_packed(r.image, ell), ModMatrix.from_packed(r.dual_contragredient, ell))
         for r in _routes_checked(_generator_records(ell, twist), ell, twist)
     )
 
@@ -691,7 +669,7 @@ def generator_word(m: ModMatrix, twist: str = "generic"):
 def evaluate_word(word, ell: int, twist: str = "generic") -> ModMatrix:
     """Multiply out a generator word (for tests certifying generation)."""
     gens = {
-        name: _packed_to_mod(_record(p).image, ell)
+        name: ModMatrix.from_packed(_record(p).image, ell)
         for name, p in canonical_generator_points(ell, twist)
     }
     acc = ModMatrix.identity(4, ell)

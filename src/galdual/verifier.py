@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import time
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -18,11 +19,13 @@ from typing import Callable, Optional
 from galdual import constants
 from galdual.exactmat import (
     LAdicMatrix,
-    ModMatrix,
     check_prime,
     closure,
     format_matrix,
+    pack_flat,
+    position_mask,
     smith_normal_form,
+    unpack_flat,
 )
 from galdual.groupengine import (
     common_stable_lines,
@@ -44,11 +47,9 @@ from galdual.paramgroups import (
     image_rho_A,
     image_rho_Adual_contragredient,
     paired_generators,
-    position_mask,
     sample_records,
     shape_parameters,
     slab_records,
-    unpack_flat,
 )
 
 SUPPORTED_PRIMES = (2, 3, 5, 7)
@@ -256,12 +257,12 @@ def _check_semisimp(ells, twists):
     return counts, None
 
 
-# The block swap S (e1 <-> e3, e2 <-> e4), row by row.  Conjugating by S
-# carries the zero pattern and the diagonal equalities of matches_image_shape
-# onto the reflected pattern of the dual image, and at the generic twist it
-# maps the surface image onto the dual image.  At the trivial twist it does
-# not (the orbit counts there are 9 and 11).
-_BLOCK_SWAP = ((0, 0, 1, 0), (0, 0, 0, 1), (1, 0, 0, 0), (0, 1, 0, 0))
+# The block swap S (e1 <-> e3, e2 <-> e4) as a coordinate permutation s.
+# Conjugating by S carries the zero pattern and the diagonal equalities of
+# matches_image_shape onto the reflected pattern of the dual image, and at
+# the generic twist it maps the surface image onto the dual image.  At the
+# trivial twist it does not (the orbit counts there are 9 and 11).
+_BLOCK_SWAP = (2, 3, 0, 1)
 
 
 def _check_perm_conj(ells, twists):
@@ -272,18 +273,24 @@ def _check_perm_conj(ells, twists):
     Checked on matrices: for the action pi of GL4(F_l) on F_l^4,
     sigma . pi(g) . sigma^-1 = pi(S g S^-1), and pi is faithful, so
     S G_A S^-1 = G_D as sets of matrices says exactly that sigma conjugates
-    pi(G_A) onto pi(G_D).  Every element of G_A is conjugated; the degree
-    reported is l^4, the size of the point set.
+    pi(G_A) onto pi(G_D).  Row i of S is e_s(i), so S g S^-1 has g[s(i)][s(j)]
+    at (i, j): every packed element of G_A is conjugated by reading flat
+    position 4 s(i) + s(j) into 4 i + j.  The degree reported is l^4, the
+    size of the point set.  Raises ValueError when s is not a permutation.
     """
+    s = _BLOCK_SWAP
+    if sorted(s) != [0, 1, 2, 3]:
+        raise ValueError(f"certificate {s} is not a permutation of the coordinates")
+    conjugate = operator.itemgetter(*(4 * s[i] + s[j] for i in range(4) for j in range(4)))
     counts = {}
     for ell in ells:
         surface = image_rho_A(ell)
-        dual = set(image_rho_Adual_contragredient(ell).elements)
-        s = ModMatrix.from_rows(_BLOCK_SWAP, ell)
-        s_inv = s.inv()
+        dual = set(image_rho_Adual_contragredient(ell).packed_elements)
         counts[f"l{ell}_degree"] = ell**4
         counts[f"l{ell}_order"] = surface.order
-        verdict = {s.mul(g).mul(s_inv) for g in surface.elements} == dual
+        verdict = {
+            pack_flat(conjugate(unpack_flat(g, ell)), ell) for g in surface.packed_elements
+        } == dual
         counts[f"l{ell}_conjugate"] = int(verdict)
         if not verdict:
             raise _CheckFailed(
@@ -321,7 +328,7 @@ def _orbit_count(group) -> int:
     """Orbits of the generators on the vectors of F_l^4, each found by
     closure (the independent cross-check of the Burnside average)."""
     ell = group.ell
-    gens = group.generator_flats()
+    gens = [unpack_flat(p, ell) for p in group.packed_generators]
 
     def act(v, flat):
         return tuple(

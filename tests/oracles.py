@@ -3,8 +3,7 @@
 import itertools
 from typing import Sequence
 
-from galdual.exactmat import _int_det
-from galdual.paramgroups import _field_width
+from galdual.exactmat import ModMatrix, SingularMatrixError, _int_det, int_adj
 
 
 def charpoly_rows(rows: Sequence[Sequence[int]], p: int) -> tuple:
@@ -23,11 +22,16 @@ def charpoly_rows(rows: Sequence[Sequence[int]], p: int) -> tuple:
     return tuple(coeffs)
 
 
-def pack_flat(flat: Sequence[int], ell: int) -> int:
-    """A flat 4x4 of residues mod l packed as the records pack it: entry i in
-    the field at bit i * width, 3 bits wide up to l = 7."""
-    width = _field_width(ell)
-    p = 0
-    for v in reversed(flat):
-        p = (p << width) | v
-    return p
+def mod_inv(m: ModMatrix) -> ModMatrix:
+    """The inverse of a square matrix mod l, adj * det^-1 for its residues
+    as integers; raises SingularMatrixError(determinant=0) when l divides
+    the determinant."""
+    ell = m.ell
+    try:
+        d, adj = int_adj(m.entries)
+    except SingularMatrixError:
+        d = 0
+    if d % ell == 0:
+        raise SingularMatrixError(f"matrix is singular mod {ell}", determinant=0)
+    d_inv = pow(d, -1, ell)
+    return ModMatrix(ell, tuple(tuple(a * d_inv % ell for a in row) for row in adj))

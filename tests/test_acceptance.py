@@ -11,12 +11,12 @@ from galdual import constants
 from galdual.exactmat import (
     ClosureCapError,
     LAdicMatrix,
+    ModMatrix,
     format_matrix,
     smith_normal_form,
 )
 from galdual.groupengine import (
     _f2_closure,
-    f2_unpack,
     gl4_elements,
     intertwiner_space,
 )
@@ -30,7 +30,6 @@ from galdual.lattice import (
 from galdual.paramgroups import (
     ImageGroup,
     _image_group,
-    _packed_to_mod,
     image_rho_A,
     image_rho_Adual_contragredient,
     sample_records,
@@ -41,7 +40,6 @@ from galdual.verifier import (
     _orbit_count,
     run_check,
 )
-from oracles import pack_flat
 
 PRIMES = (2, 3, 5, 7)
 
@@ -285,7 +283,7 @@ def test_criterion_9_property_batteries():
     cases = 0
     def sample_pairs(count, seed):
         return [
-            (_packed_to_mod(r.image, 3), _packed_to_mod(r.dual_contragredient, 3))
+            (ModMatrix.from_packed(r.image, 3), ModMatrix.from_packed(r.dual_contragredient, 3))
             for r in sample_records(3, "generic", count, seed)
         ]
 
@@ -331,16 +329,11 @@ def _int_mul(a: list, b: list) -> list:
 def _random_gl4_f2_subgroup(rng: random.Random, cap: int = 2000):
     """The subgroup of GL4(F_2) generated by one or two random elements, as
     an ImageGroup, or None when it has more than ``cap`` elements (the
-    Burnside average visits every element, and GL4(F_2) has 20160)."""
+    Burnside average visits every element, and GL4(F_2) has 20160).
+    GL4(F_2) and the image groups share one packed format."""
     gens = rng.sample(gl4_elements(), rng.randint(1, 2))
     try:
         elements = _f2_closure(gens, cap=cap)
     except ClosureCapError:
         return None
-
-    def packed(x):
-        return pack_flat([v for row in f2_unpack(x).entries for v in row], 2)
-
-    return ImageGroup(
-        2, tuple(sorted(packed(x) for x in elements)), tuple(map(packed, gens))
-    )
+    return ImageGroup(2, tuple(sorted(elements)), tuple(gens))

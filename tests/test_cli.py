@@ -2,6 +2,7 @@
 argv lists and asserting on exit codes and captured output."""
 
 import dataclasses
+import hashlib
 import re
 import shlex
 from pathlib import Path
@@ -153,6 +154,28 @@ def test_dump_group_dual_side_and_twist(capsys):
         for m in image_rho_Adual_contragredient(2, "trivial").elements
     )
     assert lines == expected
+
+
+# sha256 of the `galdual dump-group` output at each (l, side, twist); the CI
+# smoke job checks (3, Adual, trivial) on the installed package too.
+DUMP_GROUP_SHA256 = {
+    (2, "A", "generic"): "f343e368561c0e5b388481a933389b98b0b4ce45ed876b85a865e75ffe3caf09",
+    (2, "A", "trivial"): "f343e368561c0e5b388481a933389b98b0b4ce45ed876b85a865e75ffe3caf09",
+    (2, "Adual", "generic"): "7093b460f388316ccc9abd8a3d1f5edf8ba6d2e816a518554871f555ae3627fc",
+    (2, "Adual", "trivial"): "7093b460f388316ccc9abd8a3d1f5edf8ba6d2e816a518554871f555ae3627fc",
+    (3, "A", "generic"): "e71ad1025cae8f9a9dc1d48e1bffc068108420eedb8145a2b185d05e7d6c86ba",
+    (3, "A", "trivial"): "a8e76440d9738096ccbd46cebc5aa50df552f488d4bf221808e603ca74d22fd5",
+    (3, "Adual", "generic"): "3643d97c7fcfc632d5f1d6110f12c9876d4cb210469edf7e00b6801743915405",
+    (3, "Adual", "trivial"): "110658c4d0881b92338e0a89de0427ee7c54395dd97841841f45258e83847fc3",
+}
+
+
+@pytest.mark.parametrize("ell,side,twist", sorted(DUMP_GROUP_SHA256))
+def test_dump_group_output_is_pinned(ell, side, twist, capsys):
+    argv = ["dump-group", "--ell", str(ell), "--side", side, "--twist", twist]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == DUMP_GROUP_SHA256[(ell, side, twist)]
 
 
 def test_dump_group_rejects_non_enumerable_prime(capsys):

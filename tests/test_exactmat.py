@@ -24,7 +24,7 @@ from galdual.exactmat import (
     smith_normal_form,
 )
 from galdual.lattice import locally_contains_standard
-from oracles import charpoly_rows
+from oracles import charpoly_rows, mod_inv
 
 PRIMES = [2, 3, 5, 7]
 
@@ -365,8 +365,20 @@ def test_mod_inverse_singular():
     # the first reduces to determinant 0; the second has determinant 3 = 0 mod 3
     for rows in ([[3, 0], [0, 1]], [[2, 1], [1, 2]]):
         with pytest.raises(SingularMatrixError) as exc:
-            ModMatrix.from_rows(rows, 3).inv()
+            mod_inv(ModMatrix.from_rows(rows, 3))
         assert exc.value.determinant == 0
+
+
+def test_packed_form_is_for_4x4_matrices_only():
+    with pytest.raises(DimensionMismatchError, match="4x4"):
+        ModMatrix.identity(3, 5).packed()
+
+
+def test_from_packed_refuses_a_field_that_is_not_a_residue():
+    # at l = 3 each entry takes 2 bits, and the field value 3 is not a residue
+    assert ModMatrix.from_packed(2, 3) == ModMatrix(3, ((2, 0, 0, 0),) + ((0,) * 4,) * 3)
+    with pytest.raises(ExactMatError, match="residues"):
+        ModMatrix.from_packed(3, 3)
 
 
 @pytest.mark.parametrize("bad", [2.7, Fraction(1, 2), "4"])
@@ -395,12 +407,12 @@ def test_mod_from_rows_reduces_integers():
 def test_mod_inverse_both_sides_or_singular(ell, rows):
     m = ModMatrix.from_rows(rows, ell)
     if _fraction_det(rows) % ell:
-        inv = m.inv()
+        inv = mod_inv(m)
         assert m.mul(inv) == ModMatrix.identity(m.n, ell)
         assert inv.mul(m) == ModMatrix.identity(m.n, ell)
     else:
         with pytest.raises(SingularMatrixError) as exc:
-            m.inv()
+            mod_inv(m)
         assert exc.value.determinant == 0
 
 
@@ -441,7 +453,7 @@ def test_charpoly_conjugation_invariant(ell, flat_a, flat_x):
     x = [[flat_x[4 * i + j] for j in range(4)] for i in range(4)]
     xm = ModMatrix.from_rows(x, ell)
     try:
-        xinv = xm.inv()
+        xinv = mod_inv(xm)
     except SingularMatrixError:
         return
     conj = xinv.mul(ModMatrix.from_rows(a, ell)).mul(xm)
@@ -517,14 +529,14 @@ def test_mod_det_and_inv_match_the_fraction_oracle(ell, data):
     a = ModMatrix.from_rows(rows, ell)
     if _fraction_det(rows) % ell == 0:
         with pytest.raises(SingularMatrixError) as exc:
-            a.inv()
+            mod_inv(a)
         assert exc.value.determinant == 0
         return
     want = tuple(
         tuple(v.numerator * pow(v.denominator, -1, ell) % ell for v in row)
         for row in _fraction_inv(rows)
     )
-    assert a.inv().entries == want
+    assert mod_inv(a).entries == want
 
 
 @settings(max_examples=200, deadline=None)

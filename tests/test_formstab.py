@@ -38,9 +38,7 @@ from galdual.groupengine import (
     f2_intertwiner,
     f2_inv,
     f2_mul,
-    f2_pack,
     f2_transpose,
-    f2_unpack,
     intertwiner_space,
     matrix_subgroups_conjugate,
     representations_equivalent,
@@ -60,7 +58,7 @@ def _rank(form):
 
 
 def packed_group(*gen_rows):
-    gens = [f2_pack(mod2(r)) for r in gen_rows]
+    gens = [mod2(r).packed() for r in gen_rows]
     return _f2_closure(gens, cap=10000)
 
 
@@ -140,13 +138,13 @@ def test_sixty_four_forms_by_rank():
 
 def test_glued_form_orbit_is_every_degenerate_nonzero_form():
     orbit = form_orbit(glued_pairing_mod2())
-    rank2 = {f.packed() for f in alternating_forms() if _rank(f) == 2}
+    rank2 = {f.matrix.packed() for f in alternating_forms() if _rank(f) == 2}
     assert orbit == rank2
 
 
 def test_nondegenerate_orbit_is_every_rank_four_form():
     orbit = form_orbit(principal_pairing_mod2())
-    rank4 = {f.packed() for f in alternating_forms() if _rank(f) == 4}
+    rank4 = {f.matrix.packed() for f in alternating_forms() if _rank(f) == 4}
     assert orbit == rank4
 
 
@@ -164,7 +162,7 @@ def test_stabilizer_preserves_form_by_matrix_arithmetic():
     j = glued_pairing_mod2().matrix
     sample = sorted(glued_form_stabilizer())[::17]
     for g in sample:
-        m = f2_unpack(g)
+        m = ModMatrix.from_packed(g, 2)
         assert m.transpose().mul(j).mul(m) == j
 
 
@@ -181,7 +179,7 @@ def test_stabilizer_is_a_group():
 def test_nonmember_moves_form():
     from galdual.groupengine import f2_transpose, gl4_elements
 
-    j = glued_pairing_mod2().packed()
+    j = glued_pairing_mod2().matrix.packed()
     stab = glued_form_stabilizer()
     outside = next(g for g in gl4_elements() if g not in stab)
     assert f2_mul(f2_mul(f2_transpose(outside), j), outside) != j
@@ -324,9 +322,9 @@ def test_enumeration_budget():
 
 def test_enumeration_requires_identity():
     with pytest.raises(ValueError, match="identity"):
-        subgroup_conjugacy_classes(frozenset({f2_pack(mod2(
+        subgroup_conjugacy_classes(frozenset({mod2(
             [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
-        ))}))
+        ).packed()}))
 
 
 def test_enumeration_rejects_a_set_not_closed_under_products():
@@ -441,7 +439,9 @@ def test_packed_intertwiner_matches_the_generic_solver_on_every_class():
     for rec in stabilizer_class_list():
         gens = _f2_small_generating_set(rec.representative) or [_IDENT]
         pairs = [(g, f2_transpose(f2_inv(g))) for g in gens]
-        space = intertwiner_space([(f2_unpack(g), f2_unpack(g2)) for g, g2 in pairs])
+        space = intertwiner_space(
+            [(ModMatrix.from_packed(g, 2), ModMatrix.from_packed(g2, 2)) for g, g2 in pairs]
+        )
         assert len(_f2_intertwiner_basis(pairs)) == len(space.basis)
         verdict, _ = representations_equivalent(space)
         assert (f2_intertwiner(pairs) is not None) is verdict
@@ -516,7 +516,7 @@ def test_property_stabilizer_closed_and_form_preserving(seed):
     g, h = rng.choice(stab), rng.choice(stab)
     prod = f2_mul(g, h)
     assert prod in glued_form_stabilizer()
-    m = f2_unpack(prod)
+    m = ModMatrix.from_packed(prod, 2)
     assert m.transpose().mul(j).mul(m) == j
 
 

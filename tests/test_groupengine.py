@@ -2,13 +2,22 @@
 actions read off matrices, the block-swap certificate, stable lines."""
 
 import functools
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from galdual import constants, verifier
-from galdual.exactmat import ClosureCapError, ModMatrix, SingularMatrixError, closure
+from galdual.exactmat import (
+    ClosureCapError,
+    ModMatrix,
+    SingularMatrixError,
+    closure,
+    field_width,
+    pack_flat,
+    unpack_flat,
+)
 from galdual.groupengine import (
     _IDENT,
     IntertwinerSpace,
@@ -19,9 +28,7 @@ from galdual.groupengine import (
     f2_intertwiner,
     f2_inv,
     f2_mul,
-    f2_pack,
     f2_transpose,
-    f2_unpack,
     fixed_vectors,
     gl4_elements,
     intertwiner_space,
@@ -31,7 +38,6 @@ from galdual.groupengine import (
 )
 from galdual.paramgroups import (
     ImageGroup,
-    _packed_to_mod,
     image_rho_A,
     image_rho_Adual_contragredient,
     paired_generators,
@@ -45,7 +51,7 @@ from galdual.verifier import (
     _orbit_count,
     run_check,
 )
-from oracles import pack_flat
+from oracles import mod_inv
 
 
 def mod(rows, ell):
@@ -60,7 +66,7 @@ def _sides(ell, twist="generic"):
 def _pairs(records, ell):
     """(image, contragredient dual) ModMatrix pairs of some point records."""
     return [
-        (_packed_to_mod(r.image, ell), _packed_to_mod(r.dual_contragredient, ell))
+        (ModMatrix.from_packed(r.image, ell), ModMatrix.from_packed(r.dual_contragredient, ell))
         for r in records
     ]
 
@@ -72,7 +78,7 @@ def _matrix_closure(gens, cap=None):
 
 def _packed_closure(*mats):
     """The subgroup of GL4(F_2) generated by mod-2 matrices, packed."""
-    return closure([_IDENT], [f2_pack(m) for m in mats], f2_mul)
+    return closure([_IDENT], [m.packed() for m in mats], f2_mul)
 
 
 # Vectors of F_l^4 are indexed by v -> v[0] + v[1]*l + v[2]*l^2 + v[3]*l^3.
@@ -187,7 +193,7 @@ def test_constructed_equivalence_found_with_witness():
         ell = rng.choice([2, 3, 5])
         gens = _sides(ell)[0]
         x = _random_invertible(rng, ell)
-        x_inv = x.inv()
+        x_inv = mod_inv(x)
         pairs = [(g, x.mul(g).mul(x_inv)) for g in gens]
         verdict, witness = representations_equivalent(intertwiner_space(pairs))
         assert verdict is True
@@ -215,10 +221,16 @@ def test_span_walk_reaches_lines_with_a_leading_zero():
 
 
 def test_f2_pack_round_trip():
+    """At l = 2 the shared packed format is the 16-bit layout: bit 4i + j
+    holds entry (i, j)."""
     rng = random.Random(9)
+    assert field_width(2) == 1
     for _ in range(30):
         m = mod([[rng.randrange(2) for _ in range(4)] for _ in range(4)], 2)
-        assert f2_unpack(f2_pack(m)) == m
+        packed = m.packed()
+        assert packed == sum(m.entries[i][j] << (4 * i + j) for i in range(4) for j in range(4))
+        assert ModMatrix.from_packed(packed, 2) == m
+    assert ModMatrix.identity(4, 2).packed() == _IDENT
 
 
 def test_f2_mul_matches_modmatrix():
@@ -226,7 +238,7 @@ def test_f2_mul_matches_modmatrix():
     for _ in range(50):
         a = mod([[rng.randrange(2) for _ in range(4)] for _ in range(4)], 2)
         b = mod([[rng.randrange(2) for _ in range(4)] for _ in range(4)], 2)
-        assert f2_unpack(f2_mul(f2_pack(a), f2_pack(b))) == a.mul(b)
+        assert ModMatrix.from_packed(f2_mul(a.packed(), b.packed()), 2) == a.mul(b)
 
 
 def test_f2_inv_matches_modmatrix():
@@ -234,19 +246,29 @@ def test_f2_inv_matches_modmatrix():
     checked = 0
     while checked < 25:
         a = mod([[rng.randrange(2) for _ in range(4)] for _ in range(4)], 2)
-        packed = f2_inv(f2_pack(a))
+        packed = f2_inv(a.packed())
         try:
-            want = a.inv()
+            want = mod_inv(a)
         except SingularMatrixError:
             assert packed is None
         else:
-            assert f2_unpack(packed) == want
+            assert ModMatrix.from_packed(packed, 2) == want
             checked += 1
 
 
 def test_f2_transpose():
     m = mod([[1, 1, 0, 0], [0, 1, 0, 1], [0, 0, 1, 0], [1, 0, 0, 1]], 2)
-    assert f2_unpack(f2_transpose(f2_pack(m))) == m.transpose()
+    assert ModMatrix.from_packed(f2_transpose(m.packed()), 2) == m.transpose()
+
+
+@pytest.mark.parametrize("twist", ["generic", "trivial"])
+def test_l2_image_groups_lie_in_the_packed_gl4(twist):
+    """The image groups at l = 2 and the GL4(F_2) table share one packing."""
+    gl4 = set(gl4_elements())
+    for builder in (image_rho_A, image_rho_Adual_contragredient):
+        group = builder(2, twist)
+        assert group.order == 32
+        assert set(group.packed_elements) <= gl4
 
 
 def _f2_inv_by_elimination(a):
@@ -321,7 +343,7 @@ def test_gl4_table_matches_the_brute_force_filter():
 def _embed_gl3(a):
     """diag(1, A) for a 3x3 matrix A over F_2, packed."""
     rows = [[1, 0, 0, 0]] + [[0] + list(r) for r in a]
-    return f2_pack(mod(rows, 2))
+    return mod(rows, 2).packed()
 
 
 # GL3(F_2) is generated by a 3-cycle and a transvection; it acts absolutely
@@ -339,7 +361,9 @@ def test_packed_span_of_e00_has_no_invertible_element():
     pairs = [(g, f2_transpose(f2_inv(g))) for g in gens]
     assert _f2_intertwiner_basis(pairs) == (_E00,)
     assert f2_intertwiner(pairs) is None
-    space = intertwiner_space([(f2_unpack(g), f2_unpack(g2)) for g, g2 in pairs])
+    space = intertwiner_space(
+        [(ModMatrix.from_packed(g, 2), ModMatrix.from_packed(g2, 2)) for g, g2 in pairs]
+    )
     assert representations_equivalent(space) == (False, None)
 
 
@@ -355,7 +379,7 @@ def test_packed_span_of_e00_and_identity_yields_the_identity():
 
 def test_packed_intertwiner_finds_a_constructed_conjugator():
     rng = random.Random(17)
-    gens = [f2_pack(g) for g in _sides(2)[0]]
+    gens = [g.packed() for g in _sides(2)[0]]
     for _ in range(20):
         x = rng.choice(gl4_elements())
         xi = f2_inv(x)
@@ -404,7 +428,7 @@ def test_matrix_conjugate_constructed_pair():
 
 
 def test_matrix_conjugate_trivial_group_only_to_itself():
-    x = f2_pack(mod([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], 2))
+    x = mod([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], 2).packed()
     assert matrix_subgroups_conjugate({_IDENT}, {x}) is False
     assert matrix_subgroups_conjugate({_IDENT}, {_IDENT}) is True
 
@@ -450,11 +474,10 @@ def _fixed_points(perm) -> int:
 
 def _image_group(ell, matrices, generators=()) -> ImageGroup:
     """An ImageGroup holding the given ModMatrix elements and generators."""
-    def packed(m):
-        return pack_flat([v for row in m.entries for v in row], ell)
-
     return ImageGroup(
-        ell, tuple(sorted(packed(m) for m in matrices)), tuple(map(packed, generators))
+        ell,
+        tuple(sorted(m.packed() for m in matrices)),
+        tuple(m.packed() for m in generators),
     )
 
 
@@ -553,14 +576,19 @@ def test_trivial_group_multiplicity_is_degree():
 
 # -- the block-swap certificate ---------------------------------------------------
 
-# The block swap e1 <-> e3, e2 <-> e4, row by row.
-_BLOCK_SWAP = ((0, 0, 1, 0), (0, 0, 0, 1), (1, 0, 0, 0), (0, 1, 0, 0))
-_IDENTITY_ROWS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+# The block swap e1 <-> e3, e2 <-> e4 as the coordinate permutation s that
+# perm-conj reads; its permutation matrix has row i equal to e_s(i).
+_BLOCK_SWAP = (2, 3, 0, 1)
+_IDENTITY_PERMUTATION = (0, 1, 2, 3)
+
+
+def _permutation_matrix(s, ell):
+    return mod([[int(j == s[i]) for j in range(4)] for i in range(4)], ell)
 
 
 def test_perm_conjugate_reflexive(monkeypatch):
     """perm-conj accepts the identity as a conjugator of a group onto itself."""
-    monkeypatch.setattr(verifier, "_BLOCK_SWAP", _IDENTITY_ROWS)
+    monkeypatch.setattr(verifier, "_BLOCK_SWAP", _IDENTITY_PERMUTATION)
     monkeypatch.setattr(verifier, "image_rho_Adual_contragredient", image_rho_A)
     assert run_check("perm-conj").status == "pass"
 
@@ -569,8 +597,8 @@ def _assert_block_swap_conjugates(ell):
     """The point map sigma of S conjugates the action of the surface group
     onto that of the dual group, in both directions (S is its own inverse);
     each conjugate sigma pi(g) sigma^-1 is the point map of S g S^-1."""
-    s = mod(_BLOCK_SWAP, ell)
-    sigma = _point_map(_BLOCK_SWAP, ell)
+    s = _permutation_matrix(_BLOCK_SWAP, ell)
+    sigma = _point_map(s.entries, ell)
     assert _compose(sigma, sigma) == tuple(range(ell**4))
     surface = image_rho_A(ell).elements
     dual = image_rho_Adual_contragredient(ell).elements
@@ -593,8 +621,8 @@ def test_block_swap_conjugates_l3_generic():
 
 
 def test_block_swap_rejected_at_trivial_twist():
-    s = mod(_BLOCK_SWAP, 3)
-    sigma = _point_map(_BLOCK_SWAP, 3)
+    s = _permutation_matrix(_BLOCK_SWAP, 3)
+    sigma = _point_map(s.entries, 3)
     surface = image_rho_A(3, "trivial").elements
     dual = image_rho_Adual_contragredient(3, "trivial").elements
     assert len(surface) == len(dual)
@@ -632,24 +660,27 @@ def _random_invertible(rng, ell):
     while True:
         x = mod([[rng.randrange(ell) for _ in range(4)] for _ in range(4)], ell)
         try:
-            x.inv()
+            mod_inv(x)
         except SingularMatrixError:
             continue
         return x
 
 
 def test_perm_conjugate_relabeled_groups(monkeypatch):
-    """A random X in GL4(F_l) conjugates the surface group onto its conjugate
-    copy, and perm-conj accepts X as the certificate; the point map of X
+    """A random coordinate permutation s relabels the surface group into a
+    conjugate copy, built by ModMatrix products with its permutation matrix
+    X, and perm-conj accepts s as the certificate; the point map of X
     conjugates the two actions."""
     rng = random.Random(17)
     for ell in (2, 3):
         surface = image_rho_A(ell).elements
         for _ in range(2):
-            x = _random_invertible(rng, ell)
-            xi = x.inv()
+            s = tuple(rng.sample(range(4), 4))
+            x = _permutation_matrix(s, ell)
+            xi = x.transpose()
+            assert x.mul(xi) == ModMatrix.identity(4, ell)
             copy = [x.mul(g).mul(xi) for g in surface]
-            monkeypatch.setattr(verifier, "_BLOCK_SWAP", x.entries)
+            monkeypatch.setattr(verifier, "_BLOCK_SWAP", s)
             monkeypatch.setattr(
                 verifier,
                 "image_rho_Adual_contragredient",
@@ -666,22 +697,38 @@ def test_perm_conjugate_relabeled_groups(monkeypatch):
 
 def test_perm_not_conjugate_different_cycle_structure(monkeypatch):
     """At (3, trivial) the surface and dual actions have 9 and 11 orbits, so
-    no matrix conjugates one group onto the other: identity, S and six
-    random invertible matrices are all refused."""
-    rng = random.Random(5)
-    candidates = [mod(_IDENTITY_ROWS, 3), mod(_BLOCK_SWAP, 3)]
-    candidates += [_random_invertible(rng, 3) for _ in range(6)]
+    no matrix conjugates one group onto the other: all 24 coordinate
+    permutations are refused."""
     for builder in (image_rho_A, image_rho_Adual_contragredient):
         monkeypatch.setattr(
             verifier,
             builder.__name__,
             lambda ell, twist="generic", builder=builder: builder(ell, "trivial"),
         )
-    for x in candidates:
-        monkeypatch.setattr(verifier, "_BLOCK_SWAP", x.entries)
+    for s in itertools.permutations(range(4)):
+        monkeypatch.setattr(verifier, "_BLOCK_SWAP", s)
         report = run_check("perm-conj", ell=3)
         assert report.status == "fail"
         assert "not conjugate" in report.witness
+
+
+@pytest.mark.parametrize("ell", [2, 3])
+def test_exactly_two_coordinate_permutations_certify_the_generic_twist(ell, monkeypatch):
+    """Of the 24 coordinate permutations, the block swap and (2, 1, 0, 3),
+    which also swaps e1 and e3 but fixes e2 and e4, are the certificates
+    perm-conj accepts."""
+    passing = []
+    for s in itertools.permutations(range(4)):
+        monkeypatch.setattr(verifier, "_BLOCK_SWAP", s)
+        if run_check("perm-conj", ell=ell).status == "pass":
+            passing.append(s)
+    assert passing == [(2, 1, 0, 3), _BLOCK_SWAP]
+
+
+def test_perm_conj_refuses_a_certificate_that_is_not_a_permutation(monkeypatch):
+    monkeypatch.setattr(verifier, "_BLOCK_SWAP", (2, 2, 0, 1))
+    with pytest.raises(ValueError, match="not a permutation"):
+        run_check("perm-conj", ell=2)
 
 
 # -- stable lines ------------------------------------------------------------------
@@ -799,5 +846,5 @@ def test_property_intertwiner_basis_intertwines(seed, ell):
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 2**16 - 1), st.integers(0, 2**16 - 1))
 def test_property_f2_mul_matches_reference(a, b):
-    ma, mb = f2_unpack(a & 0xFFFF), f2_unpack(b & 0xFFFF)
-    assert f2_unpack(f2_mul(a & 0xFFFF, b & 0xFFFF)) == ma.mul(mb)
+    ma, mb = ModMatrix.from_packed(a & 0xFFFF, 2), ModMatrix.from_packed(b & 0xFFFF, 2)
+    assert ModMatrix.from_packed(f2_mul(a & 0xFFFF, b & 0xFFFF), 2) == ma.mul(mb)

@@ -17,7 +17,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from galdual import paramgroups
-from galdual.exactmat import LAdicMatrix, ModMatrix, is_prime
+from galdual.exactmat import (
+    LAdicMatrix,
+    ModMatrix,
+    field_width,
+    is_prime,
+    pack_flat,
+    unpack_flat,
+)
 from galdual.lattice import conjugate_by
 from galdual.paramgroups import (
     _FAMILY_SUPPORT,
@@ -32,7 +39,6 @@ from galdual.paramgroups import (
     _generator_records,
     _image_group,
     _kernel_terms,
-    _packed_to_mod,
     _record,
     _record_kernel,
     _slab_residues,
@@ -54,10 +60,9 @@ from galdual.paramgroups import (
     sample_records,
     shape_parameters,
     slab_records,
-    unpack_flat,
 )
 from galdual.verifier import run_check
-from oracles import charpoly_rows, pack_flat
+from oracles import charpoly_rows, mod_inv
 
 PRIMES = [2, 3, 5, 7]
 
@@ -145,11 +150,11 @@ def random_param_point(rng, ell, twist="generic"):
 
 
 def image_element(p: ParamPoint) -> ModMatrix:
-    return _packed_to_mod(_record(p).image, p.ell)
+    return ModMatrix.from_packed(_record(p).image, p.ell)
 
 
 def dual_element_isogeny(p: ParamPoint) -> ModMatrix:
-    return _packed_to_mod(_record(p).dual_isogeny, p.ell)
+    return ModMatrix.from_packed(_record(p).dual_isogeny, p.ell)
 
 
 def image_rho_Adual_isogeny(ell, twist="generic"):
@@ -402,8 +407,8 @@ def test_dual_group_orders_match(ell, twist):
 @pytest.mark.parametrize("ell,twist", [(2, "generic"), (3, "generic"), (3, "trivial")])
 def test_shapes_hold_on_full_slab(ell, twist):
     for r in slab_records(ell, twist):
-        m = _packed_to_mod(r.image, ell)
-        dm = _packed_to_mod(r.dual_isogeny, ell)
+        m = ModMatrix.from_packed(r.image, ell)
+        dm = ModMatrix.from_packed(r.dual_isogeny, ell)
         assert matches_image_shape(m)
         assert matches_dual_shape(dm)
         a, d, *_ = shape_parameters(m)
@@ -462,14 +467,14 @@ def test_functional_dual_oracle_full_l3():
     """The dual image is the closed-form reflection of the image, including
     the solved (3,1) entry."""
     for r in slab_records(3, "generic"):
-        dm = expected_dual_of(_packed_to_mod(r.image, 3))
+        dm = expected_dual_of(ModMatrix.from_packed(r.image, 3))
         assert tuple(v for row in dm.entries for v in row) == unpack_flat(r.dual_isogeny, 3)
 
 
 def test_functional_dual_oracle_sampled_l5_l7():
     for ell in (5, 7):
         for r in sample_records(ell, "generic", 200, seed=ell):
-            dm = expected_dual_of(_packed_to_mod(r.image, ell))
+            dm = expected_dual_of(ModMatrix.from_packed(r.image, ell))
             flat = unpack_flat(r.dual_contragredient, ell)
             assert tuple(v for row in dm.entries for v in row) == flat
 
@@ -491,7 +496,7 @@ def _square_product_coeffs(a, d, ell):
 @pytest.mark.parametrize("ell,twist", [(2, "generic"), (3, "generic"), (3, "trivial")])
 def test_charpoly_is_square_pair_full(ell, twist):
     for r in slab_records(ell, twist):
-        rows = _packed_to_mod(r.image, ell).entries
+        rows = ModMatrix.from_packed(r.image, ell).entries
         assert charpoly_rows(rows, ell) == _square_product_coeffs(r.a, r.d, ell)
 
 
@@ -500,7 +505,7 @@ def test_charpoly_is_square_pair_sampled():
         for r in sample_records(ell, "generic", 150, seed=100 + ell):
             want = _square_product_coeffs(r.a, r.d, ell)
             for packed in (r.image, r.dual_isogeny):
-                rows = _packed_to_mod(packed, ell).entries
+                rows = ModMatrix.from_packed(packed, ell).entries
                 assert charpoly_rows(rows, ell) == want
 
 
@@ -535,7 +540,7 @@ def test_canonical_generators_generate(ell, twist, order):
 @pytest.mark.parametrize("ell,twist", [(3, "generic"), (3, "trivial")])
 def test_generator_word_round_trip_full(ell, twist):
     for r in slab_records(ell, twist):
-        m = _packed_to_mod(r.image, ell)
+        m = ModMatrix.from_packed(r.image, ell)
         word = generator_word(m, twist)
         assert evaluate_word(word, ell, twist).entries == m.entries
 
@@ -545,7 +550,7 @@ def test_generator_word_round_trip_sampled_l5_l7():
     too large to enumerate in a test."""
     for ell in (5, 7):
         for r in sample_records(ell, "generic", 100, seed=200 + ell):
-            m = _packed_to_mod(r.image, ell)
+            m = ModMatrix.from_packed(r.image, ell)
             word = generator_word(m)
             assert evaluate_word(word, ell).entries == m.entries
 
@@ -572,7 +577,7 @@ def test_image_group_materializes_elements():
     g = image_rho_A(2)
     assert len(g.elements) == 32
     assert all(isinstance(m, ModMatrix) and m.ell == 2 for m in g.elements)
-    assert len(g.generator_flats()) == 5
+    assert len(g.packed_generators) == 5
 
 
 @pytest.mark.parametrize(
@@ -586,17 +591,21 @@ def test_image_group_rejects_primes_past_packed_width(builder, ell):
 
 
 @given(
-    st.sampled_from([2, 3, 5, 7]).flatmap(
+    st.sampled_from([2, 3, 5, 7, 11, 13]).flatmap(
         lambda ell: st.tuples(
             st.just(ell), st.lists(st.integers(0, ell - 1), min_size=16, max_size=16)
         )
     )
 )
 @settings(max_examples=200, deadline=None)
-def test_pack_round_trips_every_residue_up_to_seven(case):
+def test_packed_round_trips_every_matrix_at_its_field_width(case):
+    """Each entry takes the bits of l - 1, and from_packed inverts packed."""
     ell, flat = case
-    assert pack_flat(flat, ell) == pack_flat(flat, 2)  # 3-bit fields up to l = 7
-    assert unpack_flat(pack_flat(flat, ell), ell) == tuple(flat)
+    m = ModMatrix.from_rows([flat[0:4], flat[4:8], flat[8:12], flat[12:16]], ell)
+    assert field_width(ell) == (ell - 1).bit_length()
+    assert m.packed() == pack_flat(flat, ell) < 1 << 16 * field_width(ell)
+    assert ModMatrix.from_packed(m.packed(), ell) == m
+    assert unpack_flat(m.packed(), ell) == tuple(flat)
 
 
 @given(
@@ -611,7 +620,7 @@ def test_pack_round_trips_every_residue_up_to_seven(case):
 )
 @settings(max_examples=200, deadline=None)
 def test_pack_loses_a_residue_of_eight_or_more(case):
-    # a 3-bit field cannot hold 8..l-1, so the fields are wider past l = 7
+    # l = 7's 3-bit field cannot hold 8..l-1, so the fields are wider past it
     ell, flat, pos, big = case
     flat[pos] = big
     assert unpack_flat(pack_flat(flat, 7), 7) != tuple(flat)
@@ -694,7 +703,7 @@ def param_points(draw, primes=(2, 3, 5, 7)):
 def test_property_shapes_and_agreement(p):
     m = image_element(p)
     di = dual_element_isogeny(p)
-    dc = _packed_to_mod(_record(p).dual_contragredient, p.ell)
+    dc = ModMatrix.from_packed(_record(p).dual_contragredient, p.ell)
     assert matches_image_shape(m)
     assert matches_dual_shape(di)
     assert di.entries == dc.entries
@@ -783,6 +792,27 @@ def test_compiled_conjugation_raises_on_an_entry_not_divisible(patched_conjugato
                 _record_kernel(ell)(1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)
 
 
+def _unit_added(pos):
+    """The flat identity with 1 added at flat position ``pos``."""
+    return tuple(v + (i == pos) for i, v in enumerate(IDENTITY))
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_compiled_conjugation_refuses_an_image_off_the_triangular_shape(side, patched_conjugators):
+    """Adding row 0 of every glued element to row 1 (flat 4 becomes a) or
+    column 2 to column 3 (flat 7 becomes w1, flat 11 becomes a) keeps every
+    division by l exact and the lower-left block empty, but breaks the
+    triangular diagonal blocks and the zero at flat 7 that the block inverse
+    is written for: the kernel is refused when it is generated."""
+    if side == "left":
+        patched_conjugators(lambda ell, data: (_mul(_unit_added(4), data[0]), *data[1:]))
+    else:
+        patched_conjugators(lambda ell, data: (data[0], _mul(data[1], _unit_added(11)), *data[2:]))
+    for ell in (2, 3, 5, 7):
+        with pytest.raises(ArithmeticError, match="block inverse"):
+            _record_kernel(ell)
+
+
 def test_record_kernel_rejects_a_violated_constraint():
     with pytest.raises(ValueError, match="determinant constraint"):
         _record_kernel(3)(1, 1, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0)
@@ -856,9 +886,9 @@ def test_glue_has_no_lower_left_terms(ell):
 @given(param_points(primes=(2, 3, 5, 7, 11, 13)))
 def test_contragredient_flat_matches_the_fraction_inverse(p):
     """The kernel's block-inverse contragredient against
-    a * d * transpose(ModMatrix.inv()) of its image."""
+    a * d * transpose(mod_inv(image)), the reference inverse."""
     r = _record(p)
-    inv = _packed_to_mod(r.image, p.ell).inv()
+    inv = mod_inv(ModMatrix.from_packed(r.image, p.ell))
     want = tuple(p.a * p.d * inv.entries[j][i] % p.ell for i in range(4) for j in range(4))
     assert unpack_flat(r.dual_contragredient, p.ell) == want
 

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from galdual import constants, paramgroups, verifier
+from galdual.exactmat import pack_flat, unpack_flat
 from galdual.verifier import (
     CheckReport,
     all_passed,
@@ -20,8 +21,7 @@ from galdual.verifier import (
     run_all,
     run_check,
 )
-from galdual.paramgroups import unpack_flat
-from oracles import charpoly_rows, pack_flat
+from oracles import charpoly_rows
 
 ALL_IDS = (
     "census-128",
@@ -259,10 +259,10 @@ def test_check_failure_surfaces_witness_and_partial_counts(monkeypatch):
 
 
 def test_perm_conj_fails_without_the_block_swap(monkeypatch):
-    # The identity relabels nothing, and the surface and dual groups are
-    # different sets at l = 2 and at l = 3, so the certificate must be refused.
-    identity = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
-    monkeypatch.setattr(verifier, "_BLOCK_SWAP", identity)
+    # The identity permutation relabels nothing, and the surface and dual
+    # groups are different sets at l = 2 and at l = 3, so the certificate
+    # must be refused.
+    monkeypatch.setattr(verifier, "_BLOCK_SWAP", (0, 1, 2, 3))
     for ell, order in ((2, 32), (3, 972)):
         report = run_check("perm-conj", ell=ell)
         assert report.status == "fail"
