@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from array import array
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -328,8 +329,13 @@ def _group_tables(elems: list, index: dict) -> tuple:
     Only the generators' rows are computed by matrix products.  Both
     g -> mul[g] and g -> conj[g] are homomorphisms into permutations of the
     positions, so every other row is composed from them along one
-    breadth-first walk: row(g s)[x] = row(g)[row(s)[x]].  Raises ValueError
-    when the elements do not form a group.
+    breadth-first walk: row(g s)[x] = row(g)[row(s)[x]].  Each composition
+    is one C-level gather: the generator's row is turned once into an
+    ``operator.itemgetter`` over its positions, which applied to row(g)
+    returns row(g)[row(s)[0]], row(g)[row(s)[1]], ... as a tuple that goes
+    straight into a new array.  A group of order 1 has no generators, so
+    every getter takes at least two positions and returns a tuple, not a
+    scalar.  Raises ValueError when the elements do not form a group.
     """
     gen_rows = []
     try:
@@ -339,8 +345,8 @@ def _group_tables(elems: list, index: dict) -> tuple:
                 raise ValueError("element set is not a group: an element has no inverse")
             gen_rows.append((
                 index[s],
-                array("H", [index[f2_mul(s, x)] for x in elems]),
-                array("H", [index[f2_mul(f2_mul(s, x), si)] for x in elems]),
+                operator.itemgetter(*[index[f2_mul(s, x)] for x in elems]),
+                operator.itemgetter(*[index[f2_mul(f2_mul(s, x), si)] for x in elems]),
             ))
     except (ClosureCapError, KeyError):
         raise ValueError("element set is not a group: not closed under products") from None
@@ -351,11 +357,11 @@ def _group_tables(elems: list, index: dict) -> tuple:
     queue = [e0]
     for g in queue:  # the queue grows while it is walked; it reaches every element
         row, conj_row = mul[g], conj[g]
-        for s, s_row, s_conj_row in gen_rows:
+        for s, take, take_conj in gen_rows:
             gs = row[s]
             if mul[gs] is None:
-                mul[gs] = array("H", map(row.__getitem__, s_row))
-                conj[gs] = array("H", map(conj_row.__getitem__, s_conj_row))
+                mul[gs] = array("H", take(row))
+                conj[gs] = array("H", take_conj(conj_row))
                 queue.append(gs)
     return mul, conj, [s for s, _, _ in gen_rows]
 
@@ -367,6 +373,13 @@ def subgroup_conjugacy_classes(elements: frozenset) -> list:
     quotients, so repeatedly extending each known class representative H by
     coset generators x of prime order in N(H)/H reaches every class.  New
     subgroups are deduplicated by registering their whole conjugation orbit.
+
+    N(H) is read off the conjugation table: g normalizes H exactly when it
+    conjugates each generator x of H into H.  For each x the column
+    g -> pos(g x g^-1) is gathered once, and the candidates are filtered by
+    membership of their column entries in H with itertools.compress, so the
+    normalizer comes out as ascending positions without a Python-level loop
+    over G.  Orbit size times normalizer size must equal |G|.
     """
     elems = sorted(elements)
     n = len(elems)
@@ -383,8 +396,12 @@ def subgroup_conjugacy_classes(elements: frozenset) -> list:
 
     def register(h: frozenset, hgens: tuple):
         orbit = closure([h], gens, lambda hg, s: frozenset(map(conj[s].__getitem__, hg)))
-        # g normalizes H when it conjugates H's generators into H
-        normalizer = [g for g in range(n) if h.issuperset(map(conj[g].__getitem__, hgens))]
+        normalizer = range(n)
+        for x in hgens:
+            column = array("H", map(operator.itemgetter(x), conj))
+            normalizer = list(itertools.compress(
+                normalizer, map(h.__contains__, map(column.__getitem__, normalizer))
+            ))
         for hg in orbit:
             registry[hg] = len(classes)
         if len(orbit) * len(normalizer) != n:

@@ -121,20 +121,22 @@ _IDENT = 0x8421  # packed identity: bits 0, 5, 10, 15
 
 
 def f2_mul(a: int, b: int) -> int:
-    out = 0
-    for i in (0, 4, 8, 12):
-        ra = (a >> i) & 15
-        acc = 0
-        if ra & 1:
-            acc = b & 15
-        if ra & 2:
-            acc ^= (b >> 4) & 15
-        if ra & 4:
-            acc ^= (b >> 8) & 15
-        if ra & 8:
-            acc ^= (b >> 12) & 15
-        out |= acc << i
-    return out
+    """Product of two packed matrices by the row-broadcast identity
+
+        a*b = XOR over k of (((a >> k) & 0x1111) * 15) & (((b >> 4k) & 15) * 0x1111).
+
+    Row i of a*b is the XOR over k of a[i][k] times row k of b.  The left
+    factor spreads each bit a[i][k] over all of nibble i, the right one
+    copies row k of b into every nibble, so their AND is the k-th term in
+    all four rows at once, with no branch.  Only the low 16 bits of a and b
+    are read.
+    """
+    return (
+        (((a & 0x1111) * 15) & ((b & 15) * 0x1111))
+        ^ ((((a >> 1) & 0x1111) * 15) & (((b >> 4) & 15) * 0x1111))
+        ^ ((((a >> 2) & 0x1111) * 15) & (((b >> 8) & 15) * 0x1111))
+        ^ ((((a >> 3) & 0x1111) * 15) & (((b >> 12) & 15) * 0x1111))
+    )
 
 
 def f2_inv(a: int) -> Optional[int]:
@@ -178,7 +180,7 @@ def _gl4_table() -> tuple:
     def choose(row, packed, coords):
         if row < 0:
             elements.append(packed)
-            inverses.append(sum(coords[1 << i] << (4 * i) for i in range(4)))
+            inverses.append(coords[1] | coords[2] << 4 | coords[4] << 8 | coords[8] << 12)
             return
         for r in range(1, 16):
             if coords[r] is None:

@@ -83,6 +83,15 @@ def dihedral8_group():
     )
 
 
+def trivial_group():
+    return frozenset({_IDENT})
+
+
+def involution_group():
+    # {I, a transvection}: the smallest tables, two positions per row
+    return packed_group([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+
+
 def elementary16_group():
     rows = []
     for i in (0, 1):
@@ -91,6 +100,18 @@ def elementary16_group():
             m[i][j] = 1
             rows.append(m)
     return packed_group(*rows)
+
+
+# the two smallest groups pin the edges of the table gathers
+TABLE_GROUPS = [
+    trivial_group,
+    involution_group,
+    klein_group,
+    sym3_group,
+    dihedral8_group,
+    elementary16_group,
+    glued_form_stabilizer,
+]
 
 
 # -- forms -----------------------------------------------------------------------
@@ -338,19 +359,32 @@ def test_enumeration_rejects_a_singular_element():
         subgroup_conjugacy_classes(frozenset({_IDENT, 0}))
 
 
-@pytest.mark.parametrize(
-    "builder",
-    [klein_group, sym3_group, dihedral8_group, elementary16_group, glued_form_stabilizer],
-)
+@pytest.mark.parametrize("builder", TABLE_GROUPS)
 def test_group_tables_match_f2_arithmetic(builder):
     elems = sorted(builder())
     index = {g: i for i, g in enumerate(elems)}
     mul, conj, gens = _group_tables(elems, index)
+    assert all(row.typecode == "H" for row in mul + conj)  # 16-bit rows, not tuples
     for i, g in enumerate(elems):
         gi = f2_inv(g)
         assert [elems[k] for k in mul[i]] == [f2_mul(g, x) for x in elems]
         assert [elems[k] for k in conj[i]] == [f2_mul(f2_mul(g, x), gi) for x in elems]
     assert _f2_closure([elems[s] for s in gens], cap=len(elems)) == frozenset(elems)
+
+
+@pytest.mark.parametrize("builder", TABLE_GROUPS)
+def test_class_sizes_are_normalizer_indices(builder):
+    # N_G(H) by brute force: every g of G that conjugates each generator of
+    # H into H, with products taken by f2_mul, independent of the tables
+    group = builder()
+    for rec in subgroup_conjugacy_classes(group):
+        h = rec.representative
+        hgens = _f2_small_generating_set(h)
+        normalizer = [
+            g for g in group
+            if all(f2_mul(f2_mul(g, x), f2_inv(g)) in h for x in hgens)
+        ]
+        assert rec.class_size * len(normalizer) == len(group)
 
 
 def test_stabilizer_class_list_is_pinned():

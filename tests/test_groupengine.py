@@ -241,6 +241,25 @@ def test_f2_mul_matches_modmatrix():
         assert ModMatrix.from_packed(f2_mul(a.packed(), b.packed()), 2) == a.mul(b)
 
 
+def test_f2_mul_of_unit_matrices():
+    # E_ij * E_km = E_im when j == k and 0 otherwise, for all 256 pairs
+    for i, j, k, m in itertools.product(range(4), repeat=4):
+        want = 1 << (4 * i + m) if j == k else 0
+        assert f2_mul(1 << (4 * i + j), 1 << (4 * k + m)) == want
+
+
+def test_f2_mul_is_linear_in_each_argument():
+    # with the unit products above, XOR-linearity in a and in b fixes every
+    # product; bits above the low 16 of either argument are ignored
+    rng = random.Random(12)
+    for _ in range(2000):
+        a, b, c = (rng.getrandbits(16) for _ in range(3))
+        assert f2_mul(a ^ b, c) == f2_mul(a, c) ^ f2_mul(b, c)
+        assert f2_mul(a, b ^ c) == f2_mul(a, b) ^ f2_mul(a, c)
+        high = rng.getrandbits(24) << 16
+        assert f2_mul(a | high, b | high) == f2_mul(a, b)
+
+
 def test_f2_inv_matches_modmatrix():
     rng = random.Random(11)
     checked = 0
