@@ -361,59 +361,12 @@ def test_reduce_mod_values():
 # -- ModMatrix ---------------------------------------------------------------
 
 
-def test_oracles_mod_inv_inverts_or_reports_singular():
-    """tests/oracles.mod_inv, the reference inverse mod l: it inverts on
-    both sides, agrees with the Fraction inverse, and reports a singular
-    matrix with determinant 0."""
+def test_mod_inverse_singular():
     # the first reduces to determinant 0; the second has determinant 3 = 0 mod 3
     for rows in ([[3, 0], [0, 1]], [[2, 1], [1, 2]]):
         with pytest.raises(SingularMatrixError) as exc:
             mod_inv(ModMatrix.from_rows(rows, 3))
         assert exc.value.determinant == 0
-
-    @given(
-        st.sampled_from(PRIMES),
-        st.integers(1, 5).flatmap(
-            lambda n: st.lists(
-                st.lists(st.integers(0, 10**6), min_size=n, max_size=n),
-                min_size=n,
-                max_size=n,
-            )
-        ),
-    )
-    @settings(max_examples=200, deadline=None)
-    def inverts_on_both_sides_or_reports_singular(ell, rows):
-        m = ModMatrix.from_rows(rows, ell)
-        if _fraction_det(rows) % ell:
-            inv = mod_inv(m)
-            assert m.mul(inv) == ModMatrix.identity(m.n, ell)
-            assert inv.mul(m) == ModMatrix.identity(m.n, ell)
-        else:
-            with pytest.raises(SingularMatrixError) as exc:
-                mod_inv(m)
-            assert exc.value.determinant == 0
-
-    @settings(max_examples=300, deadline=None)
-    @given(st.sampled_from(PRIMES), st.data())
-    def matches_the_fraction_inverse(ell, data):
-        n = data.draw(st.integers(1, 4))
-        rows = data.draw(
-            st.lists(st.lists(st.integers(0, ell - 1), min_size=n, max_size=n), min_size=n, max_size=n)
-        )
-        a = ModMatrix.from_rows(rows, ell)
-        if _fraction_det(rows) % ell == 0:
-            with pytest.raises(SingularMatrixError) as exc:
-                mod_inv(a)
-            assert exc.value.determinant == 0
-            return
-        want = tuple(
-            tuple(v.numerator * pow(v.denominator, -1, ell) % ell for v in row)
-            for row in _fraction_inv(rows)
-        )
-        assert mod_inv(a).entries == want
-
-    inverts_on_both_sides_or_reports_singular()
-    matches_the_fraction_inverse()
 
 
 def test_packed_form_is_for_4x4_matrices_only():
@@ -438,6 +391,29 @@ def test_mod_from_rows_rejects_non_integer_entries(bad):
 
 def test_mod_from_rows_reduces_integers():
     assert ModMatrix.from_rows([[-1, 10], [4, 9]], 3).entries == ((2, 1), (1, 0))
+
+
+@given(
+    st.sampled_from(PRIMES),
+    st.integers(1, 5).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(0, 10**6), min_size=n, max_size=n),
+            min_size=n,
+            max_size=n,
+        )
+    ),
+)
+@settings(max_examples=200, deadline=None)
+def test_mod_inverse_both_sides_or_singular(ell, rows):
+    m = ModMatrix.from_rows(rows, ell)
+    if _fraction_det(rows) % ell:
+        inv = mod_inv(m)
+        assert m.mul(inv) == ModMatrix.identity(m.n, ell)
+        assert inv.mul(m) == ModMatrix.identity(m.n, ell)
+    else:
+        with pytest.raises(SingularMatrixError) as exc:
+            mod_inv(m)
+        assert exc.value.determinant == 0
 
 
 def test_charpoly_matches_textbook():
@@ -541,6 +517,26 @@ def test_int_adj_is_the_adjugate(a):
         [sum(adj[i][k] * rows[k][j] for k in range(n)) for j in range(n)]
         for i in range(n)
     ] == [[d if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(PRIMES), st.data())
+def test_mod_det_and_inv_match_the_fraction_oracle(ell, data):
+    n = data.draw(st.integers(1, 4))
+    rows = data.draw(
+        st.lists(st.lists(st.integers(0, ell - 1), min_size=n, max_size=n), min_size=n, max_size=n)
+    )
+    a = ModMatrix.from_rows(rows, ell)
+    if _fraction_det(rows) % ell == 0:
+        with pytest.raises(SingularMatrixError) as exc:
+            mod_inv(a)
+        assert exc.value.determinant == 0
+        return
+    want = tuple(
+        tuple(v.numerator * pow(v.denominator, -1, ell) % ell for v in row)
+        for row in _fraction_inv(rows)
+    )
+    assert mod_inv(a).entries == want
 
 
 @settings(max_examples=200, deadline=None)
