@@ -5,15 +5,18 @@ The glued surface's polarization pairing reduces mod 2 to a nonzero
 alternating form with a 2-dimensional radical.  This module filters
 GL4(F_2) for the elements preserving that form, verifies the stabilizer's
 structure (a solvable group of order 576, an extension of S_3 x S_3 by an
-elementary-abelian kernel of order 16, split), enumerates its 128 subgroup
-conjugacy classes by cyclic extension, and classifies every class against
-its contragredient h -> (h^-1)^T.  Over F_2 the similitude scaling and the
-character twist are both trivial, so "up to scaling" means plain
+elementary-abelian kernel of order 16, split by the elements that are block
+diagonal in a basis adapted to the form's radical), enumerates its 128
+subgroup conjugacy classes by cyclic extension, and classifies every class
+against its contragredient h -> (h^-1)^T.  Over F_2 the similitude scaling
+and the character twist are both trivial, so "up to scaling" means plain
 preservation and the twisted contragredient is the inverse-transpose.
 
 Group elements are 4x4 matrices over F_2 in exactmat's packed format
 throughout (a 16-bit int at l = 2, bit 4i + j holding entry (i, j)), the
-format groupengine's GL4(F_2) machinery computes on.
+format groupengine's GL4(F_2) machinery computes on.  Every walk here
+(generated and derived subgroups, element orders, the multiplication
+tables, the cyclic extension, subspace spans) is one exactmat.closure call.
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ from galdual.exactmat import (
 )
 from galdual.groupengine import (
     _IDENT,
-    _f2_closure,
     _f2_small_generating_set,
     f2_intertwiner,
     f2_inv,
@@ -144,14 +146,6 @@ def glued_form_stabilizer() -> frozenset:
 # -- structure of the stabilizer ------------------------------------------------
 
 
-def _element_order(x: int) -> int:
-    n, y = 1, x
-    while y != _IDENT:
-        y = f2_mul(y, x)
-        n += 1
-    return n
-
-
 def _derived_subgroup(elements: frozenset) -> frozenset:
     """Commutator subgroup: normal closure of generator-pair commutators."""
     gens = _f2_small_generating_set(elements)
@@ -166,7 +160,7 @@ def _derived_subgroup(elements: frozenset) -> frozenset:
     # close the seed under conjugation by the generators: the subgroup it
     # then generates is invariant under all of G, hence the normal closure
     conj = closure(seed, gens, lambda x, g: f2_mul(f2_mul(g, x), inv[g]))
-    return _f2_closure(conj, cap=len(elements))
+    return closure([_IDENT], conj, f2_mul, len(elements))
 
 
 @dataclass(frozen=True)
@@ -201,8 +195,11 @@ def radical_split_extension(elements: frozenset, form: AlternatingForm) -> Split
     V/R; the kernel of the combined action is checked to be elementary
     abelian of order 16, the image to be the full S_3 x S_3 (each factor
     acting as the symmetric group on the three nonzero vectors of its
-    plane), and a complement is found by lifting a small generating set of
-    the image.  Raises ValueError when any structural claim fails.
+    plane).  In a basis that starts with R every element is block upper
+    triangular, and the complement is read off without a search: it is the
+    set of elements that are block diagonal there, checked to have 36
+    elements, to meet the kernel only in the identity and to equal its own
+    closure.  Raises ValueError when any structural claim fails.
     """
     radical = form.radical_basis()
     if len(radical) != 2:
@@ -218,32 +215,25 @@ def radical_split_extension(elements: frozenset, form: AlternatingForm) -> Split
 
     # in the basis (radical, complement) every element is block upper
     # triangular; its action on R and V/R is the block-diagonal part
-    action = {}
+    adapted = {}
     for g in elements:
         gp = f2_mul(f2_mul(p_inv, g), p)
         if gp & 0x3300:
             raise ValueError("an element does not preserve the form radical")
-        action[g] = gp & 0xCC33
+        adapted[g] = gp
 
-    kernel = frozenset(g for g, ad in action.items() if ad == _IDENT)
+    kernel = frozenset(g for g, gp in adapted.items() if gp & 0xCC33 == _IDENT)
     if len(kernel) != 16:
         raise ValueError(f"action kernel has order {len(kernel)}, not 16")
-    for x in kernel:
-        if f2_mul(x, x) != _IDENT:
-            raise ValueError("action kernel is not of exponent 2")
-        for y in kernel:
-            if f2_mul(x, y) not in kernel:
-                raise ValueError("action kernel is not closed under products")
+    if any(f2_mul(x, x) != _IDENT for x in kernel):
+        raise ValueError("action kernel is not of exponent 2")
+    if closure([_IDENT], kernel, f2_mul) != kernel:
+        raise ValueError("action kernel is not closed under products")
     gens = _f2_small_generating_set(elements)
-    for g in gens:
-        gi = f2_inv(g)
-        for x in kernel:
-            if f2_mul(f2_mul(g, x), gi) not in kernel:
-                raise ValueError("action kernel is not normal")
+    if closure(kernel, gens, lambda x, g: f2_mul(f2_mul(g, x), f2_inv(g))) != kernel:
+        raise ValueError("action kernel is not normal")
 
-    image = {}
-    for g, ad in action.items():
-        image.setdefault(ad, []).append(g)
+    image = {gp & 0xCC33 for gp in adapted.values()}
     if len(image) != 36:
         raise ValueError(f"action image has order {len(image)}, not 36")
     for mask, plane in ((0x0033, (1, 2, 3)), (0xCC00, (4, 8, 12))):
@@ -252,15 +242,12 @@ def radical_split_extension(elements: frozenset, form: AlternatingForm) -> Split
         if len(proj) != 6 or len(perms) != 6:
             raise ValueError("a projection is not the full symmetric group S_3")
 
-    image_gens = _f2_small_generating_set(frozenset(image))
-    for lift in itertools.product(*(sorted(image[s]) for s in image_gens)):
-        try:
-            h = _f2_closure(lift, cap=36)
-        except ClosureCapError:
-            continue
-        if len(h) == 36 and len(h & kernel) == 1:
-            return SplitExtension(kernel, h, (6, 6))
-    raise ValueError("no complement to the action kernel was found")
+    # the upper-right block (rows of R, columns of V/R) is bits 2, 3, 6, 7
+    complement = frozenset(g for g, gp in adapted.items() if not gp & 0x00CC)
+    closed = closure([_IDENT], complement, f2_mul) == complement
+    if len(complement) != 36 or complement & kernel != {_IDENT} or not closed:
+        raise ValueError("the block-diagonal elements are not a complement to the action kernel")
+    return SplitExtension(kernel, complement, (6, 6))
 
 
 def structure_invariants(
@@ -271,12 +258,10 @@ def structure_invariants(
     elements = frozenset(elements)  # the generating-set cache needs it hashable
     if len(elements) > 10_000:
         raise ValueError("group order over budget for structure invariants")
-    # a singular element's powers never reach the identity
+    # a singular element has no order: its powers never reach the identity
     if any(f2_inv(x) is None for x in elements):
         raise ValueError("structure invariants need invertible elements")
-    exponent = 1
-    for x in elements:
-        exponent = math.lcm(exponent, _element_order(x))
+    exponent = math.lcm(*(len(closure([_IDENT], [x], f2_mul)) for x in elements))
     series = [len(elements)]
     cur = elements
     while True:
@@ -328,9 +313,10 @@ def _group_tables(elems: list, index: dict) -> tuple:
 
     Only the generators' rows are computed by matrix products.  Both
     g -> mul[g] and g -> conj[g] are homomorphisms into permutations of the
-    positions, so every other row is composed from them along one
-    breadth-first walk: row(g s)[x] = row(g)[row(s)[x]].  Each composition
-    is one C-level gather: the generator's row is turned once into an
+    positions, so every other row is composed from them inside the act of
+    one exactmat.closure walk, the first time g s is reached:
+    row(g s)[x] = row(g)[row(s)[x]].  Each composition is one C-level
+    gather: the generator's row is turned once into an
     ``operator.itemgetter`` over its positions, which applied to row(g)
     returns row(g)[row(s)[0]], row(g)[row(s)[1]], ... as a tuple that goes
     straight into a new array.  A group of order 1 has no generators, so
@@ -354,15 +340,16 @@ def _group_tables(elems: list, index: dict) -> tuple:
     mul = [None] * len(elems)
     conj = [None] * len(elems)
     mul[e0] = conj[e0] = array("H", range(len(elems)))
-    queue = [e0]
-    for g in queue:  # the queue grows while it is walked; it reaches every element
-        row, conj_row = mul[g], conj[g]
-        for s, take, take_conj in gen_rows:
-            gs = row[s]
-            if mul[gs] is None:
-                mul[gs] = array("H", take(row))
-                conj[gs] = array("H", take_conj(conj_row))
-                queue.append(gs)
+
+    def compose(g, gen):
+        s, take, take_conj = gen
+        gs = mul[g][s]
+        if mul[gs] is None:
+            mul[gs] = array("H", take(mul[g]))
+            conj[gs] = array("H", take_conj(conj[g]))
+        return gs
+
+    closure([e0], gen_rows, compose)
     return mul, conj, [s for s, _, _ in gen_rows]
 
 
@@ -371,7 +358,9 @@ def subgroup_conjugacy_classes(elements: frozenset) -> list:
 
     Every subgroup of a solvable group tops a chain with prime cyclic
     quotients, so repeatedly extending each known class representative H by
-    coset generators x of prime order in N(H)/H reaches every class.  New
+    coset generators x of prime order in N(H)/H reaches every class.  Since
+    x normalizes H, the extension H<x> is the closure of H under right
+    multiplication by x, and the order of xH is |H<x>| / |H|.  New
     subgroups are deduplicated by registering their whole conjugation orbit.
 
     N(H) is read off the conjugation table: g normalizes H exactly when it
@@ -416,22 +405,9 @@ def subgroup_conjugacy_classes(elements: frozenset) -> list:
         for x in normalizer:
             if x in seen:
                 continue
-            # order of the coset xH in N(H)/H
-            m, y = 1, x
-            while y not in h:
-                y = mul[y][x]
-                m += 1
-            coset = frozenset(mul[e][x] for e in h)
-            seen |= coset
-            if not is_prime(m):
-                continue
-            ext = set(h)
-            y = x
-            for _ in range(m - 1):
-                ext.update(mul[e][y] for e in h)
-                y = mul[y][x]
-            ext = frozenset(ext)
-            if ext not in registry:
+            seen.update(mul[e][x] for e in h)  # the coset xH
+            ext = closure(h, [x], lambda e, g: mul[e][g])
+            if is_prime(len(ext) // len(h)) and ext not in registry:
                 queue.append(len(classes))
                 register(ext, hgens + (x,))
 
@@ -484,9 +460,7 @@ def _f2_subspaces() -> tuple:
     spans = {}
     for k in (1, 2, 3):
         for basis in itertools.combinations(range(1, 16), k):
-            span = {0}
-            for b in basis:
-                span |= {v ^ b for v in span}
+            span = closure([0], basis, operator.xor)
             if len(span) == 1 << k:
                 mask = sum(1 << v for v in span)
                 spans.setdefault(mask, (k, mask, basis))

@@ -20,7 +20,7 @@ import itertools
 import random
 from array import array
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from galdual.exactmat import ModMatrix, _nullspace_mod, _rank_mod, closure
 
@@ -250,10 +250,6 @@ def f2_intertwiner(pairs: Sequence[tuple]) -> Optional[int]:
     return None
 
 
-def _f2_closure(gens: Iterable[int], cap: int = 30000) -> frozenset:
-    return closure([_IDENT], gens, f2_mul, cap)
-
-
 @functools.cache
 def _f2_small_generating_set(elements: frozenset) -> tuple:
     """A small generating set of a packed-F_2 subgroup, computed once per
@@ -268,14 +264,14 @@ def _f2_small_generating_set(elements: frozenset) -> tuple:
     if target > 2 and len(ordered) >= 2:
         for _ in range(24):
             pair = rng.sample(ordered, 2)
-            if len(_f2_closure(pair, cap=target)) == target:
+            if len(closure([_IDENT], pair, f2_mul, target)) == target:
                 return tuple(pair)
     gens: list = []
     closed = {_IDENT}
     for x in ordered:
         if x not in closed:
             gens.append(x)
-            closed = _f2_closure(gens, cap=target)
+            closed = closure([_IDENT], gens, f2_mul, target)
             if len(closed) == target:
                 break
     return tuple(gens)
@@ -318,7 +314,6 @@ class StableLine:
     character pairs each group generator with its eigenvalue on the line.
     """
 
-    ell: int
     line: tuple
     character: tuple
 
@@ -351,7 +346,7 @@ def common_stable_lines(ell: int, generators: Sequence[ModMatrix]) -> tuple:
     for v in projective_points(ell):
         character = tuple((g, _eigenvalue(g, v)) for g in gens)
         if all(s is not None for _, s in character):
-            out.append(StableLine(ell, v, character))
+            out.append(StableLine(v, character))
     return tuple(out)
 
 

@@ -53,7 +53,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
-from galdual.exactmat import LAdicMatrix, ModMatrix, check_prime, field_width, unpack_flat
+from galdual.exactmat import LAdicMatrix, ModMatrix, check_prime, closure, field_width, unpack_flat
 from galdual.lattice import (
     KernelSpec,
     change_basis_from_kernel,
@@ -129,8 +129,11 @@ class ParamPoint:
         """Build a point with z1 chosen to satisfy the determinant constraint."""
         if z1 is not None:
             raise TypeError("solved() computes z1; do not pass it")
+        check_prime(ell)
         probe = {k: kwargs.get(k, 0) for k in ("b1", "b2", "w1", "w2", "x1", "x2")}
         a = kwargs.get("a", 1)
+        if not 1 <= a <= ell - 1:  # validated before it is inverted below
+            raise ValueError(f"a={a} is not a unit representative mod {ell}")
         d = kwargs.get("d", 1)
         z2 = kwargs.get("z2", 0)
         rhs = (
@@ -505,11 +508,7 @@ class ImageGroup:
 
 def _primitive_root(ell: int) -> int:
     for r in range(2, ell):
-        seen, v = set(), 1
-        for _ in range(ell - 1):
-            v = v * r % ell
-            seen.add(v)
-        if len(seen) == ell - 1:
+        if len(closure([1], [r], lambda v, g: v * g % ell)) == ell - 1:
             return r
     return 1  # ell = 2
 

@@ -12,11 +12,13 @@ from galdual.exactmat import (
     ClosureCapError,
     LAdicMatrix,
     ModMatrix,
+    closure,
     format_matrix,
     smith_normal_form,
 )
 from galdual.groupengine import (
-    _f2_closure,
+    _IDENT,
+    f2_mul,
     gl4_elements,
     intertwiner_space,
 )
@@ -333,7 +335,7 @@ def _random_gl4_f2_subgroup(rng: random.Random, cap: int = 2000):
     GL4(F_2) and the image groups share one packed format."""
     gens = rng.sample(gl4_elements(), rng.randint(1, 2))
     try:
-        elements = _f2_closure(gens, cap=cap)
+        elements = closure([_IDENT], gens, f2_mul, cap)
     except ClosureCapError:
         return None
     return ImageGroup(2, tuple(sorted(elements)), tuple(gens))

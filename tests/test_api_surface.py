@@ -17,9 +17,12 @@ read as an attribute somewhere in src/galdual (its own class's methods
 count, since they are checked above), scripts/ or perfbench/.  Reads inside
 the class's own ``__post_init__`` do not count: a field that only its own
 validation reads is still never used.  A field that is only ever set is dead
-weight in every instance.  Like the definitions,
-fields are matched by name, so one that shares its name with an attribute
-read elsewhere passes.
+weight in every instance.  Like the definitions, fields are matched by name,
+so one that shares its name with an attribute read elsewhere would pass.
+Hence every field whose name two or more record classes declare must be
+listed in SHARED_FIELD_READERS, with a function that reads it; the guard
+fails on a shared field that is not listed, on a stale entry and on a
+listed function that does not read the field.
 """
 
 import ast
@@ -45,9 +48,33 @@ KEEPERS = {
 
 # Fields kept without a reader outside the tests, as "Class.field".
 FIELD_KEEPERS = {
-    # Smith certificate, ROADMAP item 5
+    # Smith certificate, ROADMAP item 5: the transforms and the prime they
+    # are integral at, which a re-verification needs
+    "SmithForm.ell",
     "SmithForm.left",
     "SmithForm.right",
+}
+
+# Fields whose name another record class also declares, as "Class.field",
+# each with a function that reads it on an instance of that class:
+# "path from the repo root:function", or "path:Class.method".
+SHARED_FIELD_READERS = {
+    "ParamPoint.a": "src/galdual/paramgroups.py:_record",
+    "PointRecord.a": "perfbench/workloads.py:_check_records",
+    "ParamPoint.d": "src/galdual/paramgroups.py:_record",
+    "PointRecord.d": "perfbench/workloads.py:_check_records",
+    "ParamPoint.ell": "src/galdual/paramgroups.py:_record",
+    "LAdicMatrix.ell": "src/galdual/exactmat.py:LAdicMatrix.inv",
+    "ModMatrix.ell": "src/galdual/exactmat.py:ModMatrix.mul",
+    "IntertwinerSpace.ell": "src/galdual/groupengine.py:representations_equivalent",
+    "KernelSpec.ell": "src/galdual/lattice.py:change_basis_from_kernel",
+    "ImageGroup.ell": "src/galdual/verifier.py:_orbit_count",
+    "LAdicMatrix.entries": "src/galdual/exactmat.py:LAdicMatrix.det",
+    "ModMatrix.entries": "src/galdual/exactmat.py:ModMatrix.mul",
+    "IntertwinerSpace.n": "src/galdual/groupengine.py:representations_equivalent",
+    "KernelSpec.n": "src/galdual/lattice.py:change_basis_from_kernel",
+    "StructureInvariants.order": "src/galdual/verifier.py:_check_census_576",
+    "SubgroupClassRecord.order": "src/galdual/formstab.py:format_census",
 }
 
 
@@ -171,12 +198,66 @@ def _unread_fields() -> list:
     ]
 
 
+def _shared_fields() -> set:
+    """"Class.field" for every field whose name two or more record classes declare."""
+    declared = [
+        (cls, field)
+        for path in PACKAGE.glob("*.py")
+        for cls, field, _ in _fields(_parse(path))
+    ]
+    names = [field for _, field in declared]
+    return {f"{cls}.{field}" for cls, field in declared if names.count(field) > 1}
+
+
+def _function(tree: ast.Module, qualname: str):
+    """The module-level function or the method ``Class.method`` named, or None."""
+    node = tree
+    for part in qualname.split("."):
+        node = next(
+            (
+                item
+                for item in node.body
+                if isinstance(item, (ast.FunctionDef, ast.ClassDef)) and item.name == part
+            ),
+            None,
+        )
+        if node is None:
+            return None
+    return node if isinstance(node, ast.FunctionDef) else None
+
+
+def _shared_field_problems() -> list:
+    shared = _shared_fields()
+    problems = [
+        f"{name}: shared field with no entry in SHARED_FIELD_READERS"
+        for name in sorted(shared - set(SHARED_FIELD_READERS) - FIELD_KEEPERS)
+    ]
+    for name, where in sorted(SHARED_FIELD_READERS.items()):
+        if name not in shared or name in FIELD_KEEPERS:
+            problems.append(f"{name}: stale entry, not a shared unkept field")
+            continue
+        field = name.partition(".")[2]
+        path, _, qualname = where.partition(":")
+        func = _function(_parse(ROOT / path), qualname) if (ROOT / path).is_file() else None
+        if func is None or func.name == "__post_init__":
+            problems.append(f"{name}: {where} is not a function outside __post_init__")
+        elif not any(
+            isinstance(node, ast.Attribute) and node.attr == field for node in ast.walk(func)
+        ):
+            problems.append(f"{name}: {where} does not read .{field}")
+    return problems
+
+
 def test_every_definition_has_a_caller_outside_the_tests():
     assert _uncalled() == []
 
 
 def test_every_field_is_read_outside_the_tests():
     assert _unread_fields() == []
+
+
+def test_every_shared_field_names_where_it_is_read():
+    assert _shared_field_problems() == []
 
 
 def test_readme_public_api_is_the_package_all():

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from galdual import constants, formstab
-from galdual.exactmat import ModMatrix, _rank_mod
+from galdual.exactmat import ModMatrix, _rank_mod, closure
 from galdual.formstab import (
     _group_tables,
     _IDENT,
@@ -32,7 +32,6 @@ from galdual.formstab import (
     subgroup_conjugacy_classes,
 )
 from galdual.groupengine import (
-    _f2_closure,
     _f2_intertwiner_basis,
     _f2_small_generating_set,
     f2_intertwiner,
@@ -59,7 +58,7 @@ def _rank(form):
 
 def packed_group(*gen_rows):
     gens = [mod2(r).packed() for r in gen_rows]
-    return _f2_closure(gens, cap=10000)
+    return closure([_IDENT], gens, f2_mul, 10000)
 
 
 def klein_group():
@@ -224,6 +223,27 @@ def test_structure_of_the_stabilizer():
     assert products == glued_form_stabilizer()
 
 
+def test_split_complement_is_the_block_diagonal_elements():
+    # the radical-adapted basis is the radical, then the first standard
+    # vectors that complete it; the blocks are read from ModMatrix entries
+    form = glued_pairing_mod2()
+    basis = [list(v) for v in form.radical_basis()]
+    for e in ([1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]):
+        if len(basis) < 4 and _rank_mod(basis + [e], 4, 2) > len(basis):
+            basis.append(e)
+    p = mod2(basis).transpose()
+    p_inv = ModMatrix.from_packed(f2_inv(p.packed()), 2)
+
+    def block_diagonal(g):
+        e = p_inv.mul(ModMatrix.from_packed(g, 2)).mul(p).entries
+        return not any(e[i][j] for i in (0, 1) for j in (2, 3))
+
+    stab = glued_form_stabilizer()
+    complement = structure_invariants(stab, form=form).split_extension.complement
+    assert complement == frozenset(filter(block_diagonal, stab))
+    assert closure([_IDENT], complement, f2_mul) == complement
+
+
 def test_structure_of_sym3():
     si = structure_invariants(sym3_group())
     assert si.order == 6
@@ -274,7 +294,7 @@ def brute_force_subgroups(elements):
     out = set()
     for r in range(5):
         for combo in itertools.combinations(elems, r):
-            out.add(_f2_closure(list(combo), cap=len(elems)))
+            out.add(closure([_IDENT], combo, f2_mul, len(elems)))
     return out
 
 
@@ -369,7 +389,7 @@ def test_group_tables_match_f2_arithmetic(builder):
         gi = f2_inv(g)
         assert [elems[k] for k in mul[i]] == [f2_mul(g, x) for x in elems]
         assert [elems[k] for k in conj[i]] == [f2_mul(f2_mul(g, x), gi) for x in elems]
-    assert _f2_closure([elems[s] for s in gens], cap=len(elems)) == frozenset(elems)
+    assert closure([_IDENT], [elems[s] for s in gens], f2_mul, len(elems)) == frozenset(elems)
 
 
 @pytest.mark.parametrize("builder", TABLE_GROUPS)

@@ -214,6 +214,18 @@ def test_solved_rejects_explicit_z1():
         ParamPoint.solved(3, z1=1)
 
 
+@pytest.mark.parametrize("a", [0, 3])
+def test_solved_rejects_a_that_is_not_a_unit(a):
+    # checked before a is inverted, so pow's own message never shows
+    with pytest.raises(ValueError, match=f"^a={a} is not a unit representative mod 3$"):
+        ParamPoint.solved(3, a=a)
+
+
+def test_solved_rejects_a_composite_modulus():
+    with pytest.raises(ValueError, match="^not a prime: 4$"):
+        ParamPoint.solved(4, a=2)
+
+
 def test_block_determinants_agree_mod_ell_squared():
     # the constraint is exactly equality of the two block determinants
     rng = random.Random(11)
