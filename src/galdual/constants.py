@@ -36,7 +36,7 @@ PERM_CHARACTER_MULTISET_L3_TRIVIAL_DUAL = ((9, 435), (27, 50), (81, 1))
 
 # Multiplicity of the trivial representation in those two permutation
 # representations (Burnside average of the character, equal to the orbit
-# count computed independently by union-find).
+# count computed independently by closing orbits under the generators).
 TRIVIAL_MULTIPLICITY_L3_TRIVIAL_SURFACE = 9
 TRIVIAL_MULTIPLICITY_L3_TRIVIAL_DUAL = 11
 

@@ -212,16 +212,13 @@ class LAdicMatrix:
             f = ell**-k
             rows = tuple(tuple(x * f for x in row) for row in rows)
             k = 0
-        g = math.gcd(*(x for row in rows for x in row))
-        drop = 0
-        while drop < k and g % ell == 0:  # g == 0 only for the zero matrix
-            g //= ell
-            drop += 1
-        if drop:
-            f = ell**drop
+        # g == 0 only for the zero matrix, which comes out with k = 0
+        _, lowest = _lowest_terms(math.gcd(*(x for row in rows for x in row)), k, ell)
+        if lowest < k:
+            f = ell ** (k - lowest)
             rows = tuple(tuple(x // f for x in row) for row in rows)
         object.__setattr__(self, "entries", rows)
-        object.__setattr__(self, "k", k - drop)
+        object.__setattr__(self, "k", lowest)
 
     # -- constructors ------------------------------------------------------
 
@@ -338,8 +335,14 @@ class ModMatrix:
         n = len(self.entries)
         if n == 0 or any(len(row) != n for row in self.entries):
             raise DimensionMismatchError("matrix must be square and nonempty")
-        if any(not (0 <= v < ell) for row in self.entries for v in row):
+        try:
+            rows = tuple(tuple(map(operator.index, row)) for row in self.entries)
+        except TypeError:
+            bad = next(v for row in self.entries for v in row if not hasattr(v, "__index__"))
+            raise ExactMatError(f"entry {bad!r} is not an integer") from None
+        if any(not (0 <= v < ell) for row in rows for v in row):
             raise ExactMatError("entries must be residues mod l")
+        object.__setattr__(self, "entries", rows)
 
     @property
     def n(self) -> int:

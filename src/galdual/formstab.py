@@ -254,13 +254,22 @@ def structure_invariants(
     elements: frozenset, form: Optional[AlternatingForm] = None
 ) -> StructureInvariants:
     """Order, exponent, solvability, derived series; optionally the
-    kernel/complement decomposition with respect to a form's radical."""
+    kernel/complement decomposition with respect to a form's radical.
+    Raises ValueError unless the elements are invertible and form a group."""
     elements = frozenset(elements)  # the generating-set cache needs it hashable
     if len(elements) > 10_000:
         raise ValueError("group order over budget for structure invariants")
     # a singular element has no order: its powers never reach the identity
     if any(f2_inv(x) is None for x in elements):
         raise ValueError("structure invariants need invertible elements")
+    # the closure starts at the identity, so a set without it fails here too
+    try:
+        gens = _f2_small_generating_set(elements)
+        closed = closure([_IDENT], gens, f2_mul, len(elements)) == elements
+    except ClosureCapError:
+        closed = False
+    if not closed:
+        raise ValueError("element set is not a group")
     exponent = math.lcm(*(len(closure([_IDENT], [x], f2_mul)) for x in elements))
     series = [len(elements)]
     cur = elements
@@ -364,11 +373,11 @@ def subgroup_conjugacy_classes(elements: frozenset) -> list:
     subgroups are deduplicated by registering their whole conjugation orbit.
 
     N(H) is read off the conjugation table: g normalizes H exactly when it
-    conjugates each generator x of H into H.  For each x the column
-    g -> pos(g x g^-1) is gathered once, and the candidates are filtered by
-    membership of their column entries in H with itertools.compress, so the
-    normalizer comes out as ascending positions without a Python-level loop
-    over G.  Orbit size times normalizer size must equal |G|.
+    conjugates each generator x of H into H.  For each x the entries
+    conj[g][x] are gathered only at the candidates g left by the generators
+    before it, and filtered by membership in H with itertools.compress, so
+    the normalizer comes out as ascending positions without a Python-level
+    loop over G.  Orbit size times normalizer size must equal |G|.
     """
     elems = sorted(elements)
     n = len(elems)
@@ -387,10 +396,8 @@ def subgroup_conjugacy_classes(elements: frozenset) -> list:
         orbit = closure([h], gens, lambda hg, s: frozenset(map(conj[s].__getitem__, hg)))
         normalizer = range(n)
         for x in hgens:
-            column = array("H", map(operator.itemgetter(x), conj))
-            normalizer = list(itertools.compress(
-                normalizer, map(h.__contains__, map(column.__getitem__, normalizer))
-            ))
+            images = map(operator.itemgetter(x), map(conj.__getitem__, normalizer))
+            normalizer = list(itertools.compress(normalizer, map(h.__contains__, images)))
         for hg in orbit:
             registry[hg] = len(classes)
         if len(orbit) * len(normalizer) != n:

@@ -117,7 +117,7 @@ def representations_equivalent(space: IntertwinerSpace):
 # A 4x4 matrix over F_2 is in exactmat's packed format: at l = 2 a 16-bit
 # int whose bit 4*i + j holds entry (i, j) (ModMatrix.packed, from_packed).
 
-_IDENT = 0x8421  # packed identity: bits 0, 5, 10, 15
+_IDENT = ModMatrix.identity(4, 2).packed()
 
 
 def f2_mul(a: int, b: int) -> int:

@@ -304,6 +304,9 @@ def pushforward_polarization(
         raise LatticeError("polarization matrix must be alternating")
     if n_pol.n != ker.dim or n_iso.n != ker.dim:
         raise LatticeError("dimension mismatch")
+    for mat in (n_pol, n_iso):
+        if mat.ell != ker.ell:
+            raise LatticeError(f"kernel is over l = {ker.ell}, a matrix over l = {mat.ell}")
     # n_pol = P / l^k: each paired value is an integer x standing for
     # x / l^k, which lies in c * Z exactly when c * l^k divides x
     ell, lifts = ker.ell, ker.generators

@@ -49,6 +49,7 @@ from __future__ import annotations
 import functools
 import gc
 import itertools
+import operator
 import random
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
@@ -101,12 +102,15 @@ class ParamPoint:
         check_prime(self.ell)
         ell = self.ell
         _check_twist(self.twist)
-        for name in ("a", "d"):
+        for name in _RESIDUES:
             v = getattr(self, name)
-            if not 1 <= v <= ell - 1:
+            try:
+                v = operator.index(v)
+            except TypeError:
+                raise ValueError(f"{name}={v!r} is not an integer") from None
+            object.__setattr__(self, name, v)
+            if name in ("a", "d") and not 1 <= v <= ell - 1:
                 raise ValueError(f"{name}={v} is not a unit representative mod {ell}")
-        for name in ("b1", "b2", "w1", "w2", "x1", "x2", "y1", "y2", "z1", "z2"):
-            v = getattr(self, name)
             if not 0 <= v <= ell - 1:
                 raise ValueError(f"{name}={v} out of range mod {ell}")
         if self.twist == "trivial" and self.a != 1:
@@ -132,7 +136,7 @@ class ParamPoint:
         check_prime(ell)
         probe = {k: kwargs.get(k, 0) for k in ("b1", "b2", "w1", "w2", "x1", "x2")}
         a = kwargs.get("a", 1)
-        if not 1 <= a <= ell - 1:  # validated before it is inverted below
+        if not isinstance(a, int) or not 1 <= a <= ell - 1:  # validated before pow inverts it
             raise ValueError(f"a={a} is not a unit representative mod {ell}")
         d = kwargs.get("d", 1)
         z2 = kwargs.get("z2", 0)
@@ -454,9 +458,9 @@ def _draw_residues(rng: random.Random, ell: int, twist: str) -> tuple:
 @functools.cache
 def slab_records(ell: int, twist: str = "generic"):
     """All per-point records over the transversal; cached for l <= 5."""
-    if ell > 5:
+    if check_prime(ell) > 5:
         raise ValueError(
-            "full enumeration is only cached for l <= 5; "
+            "full enumeration is only supported for ell in (2, 3, 5), l <= 5; "
             "use iter_slab_records or sample_records"
         )
     enabled = gc.isenabled()
@@ -596,13 +600,8 @@ def matches_image_shape(m: ModMatrix) -> bool:
     if m.n != 4:
         return False
     e = m.entries
-    zeros = (
-        e[1][0] == e[2][0] == e[3][0] == 0
-        and e[2][1] == e[3][1] == 0
-        and e[1][3] == e[2][3] == 0
-    )
     return (
-        zeros
+        not any(e[pos // 4][pos % 4] for pos in _LOWER_LEFT + _TRIANGULAR_ZEROS)
         and e[0][0] == e[2][2]
         and e[1][1] == e[3][3]
         and e[0][0] % m.ell != 0

@@ -13,6 +13,7 @@ import functools
 import itertools
 import operator
 import time
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -299,13 +300,6 @@ def _check_perm_conj(ells, twists):
     return counts, None
 
 
-def _multiset(values) -> tuple:
-    out: dict = {}
-    for v in values:
-        out[v] = out.get(v, 0) + 1
-    return tuple(sorted(out.items()))
-
-
 def _fixed_point_counts(group) -> tuple:
     """The permutation character on F_l^4: g fixes l^dim ker(g - 1) vectors."""
     return tuple(group.ell ** fixed_vectors(group.ell, [g]) for g in group.elements)
@@ -355,9 +349,7 @@ def _burnside_average(counts) -> int:
 
 def _check_perm_char_distinct(ells, twists):
     (ell,), (twist,) = ells, twists
-    ma, md = (
-        _multiset(values) for _, values in _permutation_characters(ell, twist)
-    )
+    ma, md = (tuple(sorted(Counter(v).items())) for _, v in _permutation_characters(ell, twist))
     counts = {
         "surface_value_classes": len(ma),
         "dual_value_classes": len(md),

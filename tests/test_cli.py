@@ -183,6 +183,11 @@ def test_dump_group_rejects_non_enumerable_prime(capsys):
     assert "only supported for ell in (2, 3, 5)" in capsys.readouterr().err
 
 
+def test_dump_group_rejects_a_composite_ell(capsys):
+    assert main(["dump-group", "--ell", "4", "--side", "A"]) == 2
+    assert "not a prime: 4" in capsys.readouterr().err
+
+
 def lattice_output(capsys, *argv) -> str:
     assert main(["lattice", *argv]) == 0
     return capsys.readouterr().out
@@ -224,6 +229,20 @@ def test_lattice_pushforward_reports_matrix_and_degree(capsys):
         "--kernel", "ell=3 n=1 dim=2 gens=(1,0)",
     )
     assert out == "0,1;-1,0\ndegree=3\n"
+
+
+def test_lattice_pushforward_rejects_a_kernel_over_another_prime(capsys):
+    argv = [
+        "lattice", "pushforward",
+        "--ell", "3",
+        "--pol", "0,1;-1,0",
+        "--iso", "1,0;0,1",
+        "--kernel", "ell=5 n=1 dim=2 gens=(1,0)",
+    ]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "kernel is over l = 5, a matrix over l = 3" in captured.err
 
 
 def test_lattice_type_of_glued_pairing(capsys):

@@ -389,6 +389,17 @@ def test_mod_from_rows_rejects_non_integer_entries(bad):
         ModMatrix.from_rows([[1, bad], [0, 1]], 3)
 
 
+def test_mod_matrix_rejects_a_non_integer_entry():
+    with pytest.raises(ExactMatError, match=r"^entry 1\.0 is not an integer$"):
+        ModMatrix(3, ((1.0, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
+
+
+def test_mod_matrix_stores_list_rows_as_tuples():
+    m = ModMatrix(3, [[1, 0], [0, 1]])
+    assert m.entries == ((1, 0), (0, 1))
+    assert {m} == {ModMatrix.identity(2, 3)}
+
+
 def test_mod_from_rows_reduces_integers():
     assert ModMatrix.from_rows([[-1, 10], [4, 9]], 3).entries == ((2, 1), (1, 0))
 

@@ -270,6 +270,19 @@ def test_structure_rejects_a_singular_element():
         structure_invariants(frozenset({_IDENT, 0}))
 
 
+@pytest.mark.parametrize(
+    "members", ["", "t", "Itc", "Ic"],
+    ids=["empty", "involution-alone", "not-closed", "order-3-without-its-square"],
+)
+def test_structure_rejects_a_set_that_is_not_a_group(members):
+    # t an involution and c of order 3, both in S_3
+    t = next(x for x in sym3_group() if x != _IDENT and f2_mul(x, x) == _IDENT)
+    c = next(x for x in sym3_group() if f2_mul(x, x) != _IDENT)
+    named = {"I": _IDENT, "t": t, "c": c}
+    with pytest.raises(ValueError, match="not a group"):
+        structure_invariants(frozenset(named[m] for m in members))
+
+
 def test_structure_invariants_accept_a_set_or_a_list():
     stab = glued_form_stabilizer()
     form = glued_pairing_mod2()

@@ -327,6 +327,13 @@ def test_pushforward_rejects_nonisotropic_kernel():
         pushforward_polarization(j, diag([3, 3], 3), ker)
 
 
+def test_pushforward_rejects_a_kernel_over_another_prime():
+    j = ladic([[0, 1], [-1, 0]], 3)
+    ker = KernelSpec(5, 1, 2, ((1, 0),))
+    with pytest.raises(LatticeError, match="kernel is over l = 5, a matrix over l = 3"):
+        pushforward_polarization(j, LAdicMatrix.identity(2, 3), ker)
+
+
 def test_pushforward_mismatched_isogeny_matrix():
     # kernel of order l but an isogeny matrix of multiplication by l:
     # transported pairing leaves the lattice

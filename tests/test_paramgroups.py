@@ -221,6 +221,15 @@ def test_solved_rejects_a_that_is_not_a_unit(a):
         ParamPoint.solved(3, a=a)
 
 
+def test_param_point_rejects_a_non_integer_residue():
+    with pytest.raises(ValueError, match=r"^b1=1\.0 is not an integer$"):
+        ParamPoint.solved(3, b1=1.0)
+    with pytest.raises(ValueError, match=r"^d=2\.0 is not an integer$"):
+        ParamPoint(3, d=2.0)
+    with pytest.raises(ValueError, match=r"^a=1\.0 is not a unit representative mod 3$"):
+        ParamPoint.solved(3, a=1.0)
+
+
 def test_solved_rejects_a_composite_modulus():
     with pytest.raises(ValueError, match="^not a prime: 4$"):
         ParamPoint.solved(4, a=2)
