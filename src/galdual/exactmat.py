@@ -323,6 +323,15 @@ class LAdicMatrix:
         return ModMatrix.from_rows(self.entries, ell)
 
 
+def _integer_rows(rows) -> tuple:
+    """The rows as tuples of ints; ExactMatError names a non-integer entry."""
+    try:
+        return tuple(tuple(map(operator.index, row)) for row in rows)
+    except TypeError:
+        bad = next(v for row in rows for v in row if not hasattr(v, "__index__"))
+        raise ExactMatError(f"entry {bad!r} is not an integer") from None
+
+
 @dataclass(frozen=True)
 class ModMatrix:
     """Square matrix over F_l, entries stored as residues mod l."""
@@ -335,11 +344,7 @@ class ModMatrix:
         n = len(self.entries)
         if n == 0 or any(len(row) != n for row in self.entries):
             raise DimensionMismatchError("matrix must be square and nonempty")
-        try:
-            rows = tuple(tuple(map(operator.index, row)) for row in self.entries)
-        except TypeError:
-            bad = next(v for row in self.entries for v in row if not hasattr(v, "__index__"))
-            raise ExactMatError(f"entry {bad!r} is not an integer") from None
+        rows = _integer_rows(self.entries)
         if any(not (0 <= v < ell) for row in rows for v in row):
             raise ExactMatError("entries must be residues mod l")
         object.__setattr__(self, "entries", rows)
@@ -350,9 +355,10 @@ class ModMatrix:
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[int]], ell: int) -> "ModMatrix":
-        """Reduce integer rows mod l; any other entry raises TypeError."""
+        """Reduce integer rows mod l; any other entry raises ExactMatError,
+        as the constructor does."""
         return ModMatrix(
-            ell, tuple(tuple(operator.index(v) % ell for v in row) for row in rows)
+            ell, tuple(tuple(v % ell for v in row) for row in _integer_rows(rows))
         )
 
     @staticmethod

@@ -2,8 +2,9 @@
 subgroup census.
 
 The glued surface's polarization pairing reduces mod 2 to a nonzero
-alternating form with a 2-dimensional radical.  This module filters
-GL4(F_2) for the elements preserving that form, verifies the stabilizer's
+alternating form with a 2-dimensional radical.  This module finds the
+elements of GL4(F_2) preserving that form by a column-by-column walk that
+prunes every prefix the form rules out, verifies the stabilizer's
 structure (a solvable group of order 576, an extension of S_3 x S_3 by an
 elementary-abelian kernel of order 16, split by the elements that are block
 diagonal in a basis adapted to the form's radical), enumerates its 128
@@ -111,31 +112,39 @@ def form_orbit(j: AlternatingForm) -> frozenset:
 def similitude_stabilizer(j: AlternatingForm) -> frozenset:
     """All of GL4(F_2) preserving the form up to scaling, as packed ints.
 
-    The only scalar over F_2 is 1, so the condition is g^T J g = J,
-    checked exhaustively over the 20160 invertible matrices.  Entry (i, k)
-    of g^T J g is the form's value on columns i and k of g, read from a
-    256-entry table of its values on pairs of vectors.  Both sides are
-    alternating, so the six entries above the diagonal decide equality.
+    The only scalar over F_2 is 1, so the condition is g^T J g = J, whose
+    entry (p, i) says that the form takes the value J[p][i] on columns p
+    and i of g.  Both sides are alternating, so the entries above the
+    diagonal decide equality.  The columns c0, c1, c2, c3 are chosen in
+    turn, each outside the span of the ones before it, so g is invertible;
+    column i keeps only the vectors v on which the form takes the value
+    J[p][i] with every earlier column c_p.  Every g with g^T J g = J passes
+    each of these prefix tests, so the result is checked exhaustively over
+    the 20160 invertible matrices, while the walk visits only the column
+    prefixes that pass them.
     """
     jp = j.matrix.packed()
     images = _vector_images(jp)
-    # value[u << 4 | v] = u^T J v for column vectors u, v of F_2^4
-    value = bytes(
-        bin(u & images[v]).count("1") & 1 for u in range(16) for v in range(16)
-    )
-    want = tuple(
-        (jp >> (4 * i + k)) & 1 for i, k in itertools.combinations(range(4), 2)
-    )
+    # agree[u][b]: the nonzero column vectors v with u^T J v = b
+    agree = [(set(), set()) for _ in range(16)]
+    for u in range(16):
+        for v in range(1, 16):
+            agree[u][bin(u & images[v]).count("1") & 1].add(v)
+    found = []
 
-    def preserves(g):
-        t = f2_transpose(g)  # row i of g^T is column i of g
-        c0, c1, c2, c3 = t & 15, (t >> 4) & 15, (t >> 8) & 15, t >> 12
-        return (
-            value[c0 << 4 | c1], value[c0 << 4 | c2], value[c0 << 4 | c3],
-            value[c1 << 4 | c2], value[c1 << 4 | c3], value[c2 << 4 | c3],
-        ) == want
+    def extend(i, cols, span):
+        # cols holds c0 .. c(i-1) as nibbles, the rows of g^T
+        if i == 4:
+            found.append(f2_transpose(cols))
+            return
+        cands = set(range(1, 16)) - span
+        for p in range(i):
+            cands &= agree[(cols >> 4 * p) & 15][(jp >> (4 * p + i)) & 1]
+        for v in cands:
+            extend(i + 1, cols | v << 4 * i, span | {u ^ v for u in span})
 
-    return frozenset(filter(preserves, gl4_elements()))
+    extend(0, 0, {0})
+    return frozenset(found)
 
 
 @functools.cache
@@ -250,26 +259,34 @@ def radical_split_extension(elements: frozenset, form: AlternatingForm) -> Split
     return SplitExtension(kernel, complement, (6, 6))
 
 
-def structure_invariants(
-    elements: frozenset, form: Optional[AlternatingForm] = None
-) -> StructureInvariants:
-    """Order, exponent, solvability, derived series; optionally the
-    kernel/complement decomposition with respect to a form's radical.
-    Raises ValueError unless the elements are invertible and form a group."""
-    elements = frozenset(elements)  # the generating-set cache needs it hashable
-    if len(elements) > 10_000:
-        raise ValueError("group order over budget for structure invariants")
-    # a singular element has no order: its powers never reach the identity
+def _require_group(elements: frozenset) -> None:
+    """Raise ValueError unless the packed elements form a group: they must
+    hold the identity, be invertible (a finite set closed under products
+    may hold a singular matrix) and equal the closure of their generating
+    set.  Every message says "not a group" and why."""
+    if _IDENT not in elements:
+        raise ValueError("element set is not a group: it does not contain the identity")
     if any(f2_inv(x) is None for x in elements):
-        raise ValueError("structure invariants need invertible elements")
-    # the closure starts at the identity, so a set without it fails here too
+        raise ValueError("element set is not a group: an element is not invertible")
     try:
         gens = _f2_small_generating_set(elements)
         closed = closure([_IDENT], gens, f2_mul, len(elements)) == elements
     except ClosureCapError:
         closed = False
     if not closed:
-        raise ValueError("element set is not a group")
+        raise ValueError("element set is not a group: not closed under products")
+
+
+def structure_invariants(
+    elements: frozenset, form: Optional[AlternatingForm] = None
+) -> StructureInvariants:
+    """Order, exponent, solvability, derived series; optionally the
+    kernel/complement decomposition with respect to a form's radical.
+    Raises ValueError unless the elements form a group."""
+    elements = frozenset(elements)  # the generating-set cache needs it hashable
+    if len(elements) > 10_000:
+        raise ValueError("group order over budget for structure invariants")
+    _require_group(elements)
     exponent = math.lcm(*(len(closure([_IDENT], [x], f2_mul)) for x in elements))
     series = [len(elements)]
     cur = elements
@@ -299,15 +316,19 @@ class SubgroupClassRecord:
     """One conjugacy class of subgroups, with its census verdicts.
 
     ``representative`` is a frozenset of packed elements; ``class_size`` is
-    the number of distinct conjugates (the normalizer's index).  The two
-    booleans stay None until contragredient_census fills them, together
-    with ``conjugacy_evidence``, the kind of proof that settled
+    the number of distinct conjugates (the normalizer's index).
+    ``chain_generators`` are the packed elements x_1, ..., x_k by which
+    subgroup_conjugacy_classes reached the representative from {I}, each
+    extension <H, x> of prime index, so they generate it (empty for {I}).
+    The two booleans stay None until contragredient_census fills them,
+    together with ``conjugacy_evidence``, the kind of proof that settled
     ``image_conjugate_to_dual`` (one of EVIDENCE_KINDS).
     """
 
     representative: frozenset
     order: int
     class_size: int
+    chain_generators: tuple
     self_dual_as_rep: Optional[bool] = None
     image_conjugate_to_dual: Optional[bool] = None
     conjugacy_evidence: Optional[str] = None
@@ -330,21 +351,16 @@ def _group_tables(elems: list, index: dict) -> tuple:
     returns row(g)[row(s)[0]], row(g)[row(s)[1]], ... as a tuple that goes
     straight into a new array.  A group of order 1 has no generators, so
     every getter takes at least two positions and returns a tuple, not a
-    scalar.  Raises ValueError when the elements do not form a group.
+    scalar.  The elements must form a group (see _require_group).
     """
     gen_rows = []
-    try:
-        for s in _f2_small_generating_set(frozenset(elems)):
-            si = f2_inv(s)
-            if si is None:
-                raise ValueError("element set is not a group: an element has no inverse")
-            gen_rows.append((
-                index[s],
-                operator.itemgetter(*[index[f2_mul(s, x)] for x in elems]),
-                operator.itemgetter(*[index[f2_mul(f2_mul(s, x), si)] for x in elems]),
-            ))
-    except (ClosureCapError, KeyError):
-        raise ValueError("element set is not a group: not closed under products") from None
+    for s in _f2_small_generating_set(frozenset(elems)):
+        si = f2_inv(s)
+        gen_rows.append((
+            index[s],
+            operator.itemgetter(*[index[f2_mul(s, x)] for x in elems]),
+            operator.itemgetter(*[index[f2_mul(f2_mul(s, x), si)] for x in elems]),
+        ))
     e0 = index[_IDENT]
     mul = [None] * len(elems)
     conj = [None] * len(elems)
@@ -378,14 +394,18 @@ def subgroup_conjugacy_classes(elements: frozenset) -> list:
     before it, and filtered by membership in H with itertools.compress, so
     the normalizer comes out as ascending positions without a Python-level
     loop over G.  Orbit size times normalizer size must equal |G|.
+
+    Each record keeps the chain x_1, ..., x_k of coset generators that
+    built its representative as ``chain_generators``.  Raises ValueError
+    unless the elements form a group.
     """
+    elements = frozenset(elements)
     elems = sorted(elements)
     n = len(elems)
     if n > 1200:
         raise ValueError("group order over budget for subgroup enumeration")
+    _require_group(elements)
     index = {g: i for i, g in enumerate(elems)}
-    if _IDENT not in index:
-        raise ValueError("element set does not contain the identity")
     mul, conj, gens = _group_tables(elems, index)
     e0 = index[_IDENT]
 
@@ -423,8 +443,9 @@ def subgroup_conjugacy_classes(elements: frozenset) -> list:
             representative=frozenset(elems[i] for i in h),
             order=len(h),
             class_size=size,
+            chain_generators=tuple(elems[i] for i in hgens),
         )
-        for h, size, _, _ in classes
+        for h, size, _, hgens in classes
     ]
     records.sort(key=lambda r: (r.order, tuple(sorted(r.representative))))
     return records
@@ -485,18 +506,21 @@ def _vector_images(x: int) -> tuple:
     return tuple(images)
 
 
-def duality_signature(h) -> tuple:
+def duality_signature(h, generators) -> tuple:
     """Sorted (dim W, |ker H -> GL(W)|, |ker H -> GL(V/W)|) over the
     H-invariant proper nonzero subspaces W of V = F_2^4.
 
-    A conjugacy invariant of H inside GL4(F_2); contragredient_census
-    explains how it compares with dual_signature.
+    W is H-invariant when ``generators``, a generating set of H, map it
+    into itself, so only they are tested; the kernel orders count every
+    element.  A conjugacy invariant of H inside GL4(F_2);
+    contragredient_census explains how it compares with dual_signature.
     """
     images = [_vector_images(x) for x in h]
+    gen_images = [_vector_images(x) for x in generators]
     standard_basis = (1, 2, 4, 8)
     sig = []
     for dim, mask, basis in _f2_subspaces():
-        if any(not (mask >> im[v]) & 1 for im in images for v in basis):
+        if any(not (mask >> im[v]) & 1 for im in gen_images for v in basis):
             continue
         kernel_w = sum(all(im[v] == v for v in basis) for im in images)
         kernel_q = sum(
@@ -522,6 +546,12 @@ def contragredient_census(classes, j: AlternatingForm) -> CensusResult:
     elimination and every nonzero element of it is tried, in Gray-code
     order, for invertibility, so a negative verdict is a proof.  (ii) Is
     the image H* = {(h^-1)^T} at least a conjugate subgroup inside GL4(F_2)?
+
+    The generators are the class record's ``chain_generators``, found once
+    by subgroup_conjugacy_classes, so no generating set is searched here.
+    Intertwining and invariance of a subspace hold for H once they hold
+    for a generating set; every check that counts or re-checks elements
+    still runs over all of H.
 
     The form ``j`` does not affect the result.  It would fix the twist
     character, which is trivial over F_2; the parameter stays for callers
@@ -555,7 +585,7 @@ def contragredient_census(classes, j: AlternatingForm) -> CensusResult:
     for rec in classes:
         h = rec.representative
         dual = contragredient_subgroup(h)
-        gens = _f2_small_generating_set(h) or [_IDENT]
+        gens = rec.chain_generators or (_IDENT,)
         witness = f2_intertwiner([(g, f2_transpose(f2_inv(g))) for g in gens])
         equivalent = witness is not None
         if equivalent:
@@ -564,7 +594,7 @@ def contragredient_census(classes, j: AlternatingForm) -> CensusResult:
                 raise AssertionError("equivalence witness does not conjugate the subgroup")
             conjugate, evidence = True, "witness"
         else:
-            sig = duality_signature(h)
+            sig = duality_signature(h, gens)
             if sig != dual_signature(sig):
                 conjugate, evidence = False, "invariant"
             else:

@@ -169,28 +169,38 @@ def _gl4_table() -> tuple:
     """GL4(F_2) in packed order and the inverse of each element, position by
     position, kept in 16-bit arrays.
 
-    Rows are chosen from the top (row 3, the high nibble) down, each outside
-    the span of the rows above it, so the packed values come out ascending.
-    ``coords[v]`` holds the coordinates of each span vector v in the chosen
-    rows (bit k for row k) and is None off the span.  Since I = A^-1 A, row i
-    of A^-1 is the coordinate vector of e_i in the rows of A.
+    Rows are chosen level by level from the top (row 3, the high nibble)
+    down, each outside the span of the rows above it, so the packed values
+    come out ascending, the order f2_inv's binary search needs.  Each level
+    keeps its span as a small dict from a span vector to its coordinates in
+    the chosen rows (bit k for row k).  Since I = A^-1 A, row i of A^-1 is
+    the coordinate vector of e_i in the rows of A.  At a leaf the span s of
+    rows 3, 2 and 1 has 8 vectors and row 0, r0, lies outside it, so every
+    vector outside s is r0 plus one inside: e_i has coordinates s[e_i] if it
+    is in s, else s[e_i ^ r0] | 1, and row 0's span is never built.
     """
     elements, inverses = array("H"), array("H")
-
-    def choose(row, packed, coords):
-        if row < 0:
-            elements.append(packed)
-            inverses.append(coords[1] | coords[2] << 4 | coords[4] << 8 | coords[8] << 12)
-            return
-        for r in range(1, 16):
-            if coords[r] is None:
-                spanned = list(coords)
-                for v, c in enumerate(coords):
-                    if c is not None:
-                        spanned[v ^ r] = c | (1 << row)
-                choose(row - 1, packed | (r << (4 * row)), spanned)
-
-    choose(3, 0, [0] + [None] * 15)
+    for r3 in range(1, 16):
+        s3 = {0: 0, r3: 8}
+        for r2 in range(1, 16):
+            if r2 in s3:
+                continue
+            s2 = s3 | {v ^ r2: c | 4 for v, c in s3.items()}
+            for r1 in range(1, 16):
+                if r1 in s2:
+                    continue
+                s = s2 | {v ^ r1: c | 2 for v, c in s2.items()}
+                head = r3 << 12 | r2 << 8 | r1 << 4
+                for r0 in range(1, 16):
+                    if r0 in s:
+                        continue
+                    elements.append(head | r0)
+                    inverses.append(
+                        (s[1] if 1 in s else s[1 ^ r0] | 1)
+                        | (s[2] if 2 in s else s[2 ^ r0] | 1) << 4
+                        | (s[4] if 4 in s else s[4 ^ r0] | 1) << 8
+                        | (s[8] if 8 in s else s[8 ^ r0] | 1) << 12
+                    )
     return elements, inverses
 
 
@@ -253,7 +263,9 @@ def f2_intertwiner(pairs: Sequence[tuple]) -> Optional[int]:
 @functools.cache
 def _f2_small_generating_set(elements: frozenset) -> tuple:
     """A small generating set of a packed-F_2 subgroup, computed once per
-    subgroup: the census, its listing and the conjugacy scan all ask.
+    subgroup: the census listing, the conjugacy scan and the group checks
+    of formstab all ask.  The census verdicts do not: they read the chain
+    generators that the subgroup enumeration keeps on each class record.
 
     First up to 24 seeded random pairs of elements are tried; failing that,
     the set is grown greedily along the elements in ascending order.

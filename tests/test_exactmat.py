@@ -1,4 +1,5 @@
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -385,7 +386,7 @@ def test_from_packed_refuses_a_field_that_is_not_a_residue():
 def test_mod_from_rows_rejects_non_integer_entries(bad):
     # truncating these would give 2, 0 and 1 mod 3; the true residue of
     # 1/2 mod 3 is 2, so none of them may pass silently
-    with pytest.raises(TypeError):
+    with pytest.raises(ExactMatError, match=rf"^entry {re.escape(repr(bad))} is not an integer$"):
         ModMatrix.from_rows([[1, bad], [0, 1]], 3)
 
 

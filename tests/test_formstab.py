@@ -5,6 +5,7 @@ classification."""
 import hashlib
 import itertools
 import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -38,6 +39,7 @@ from galdual.groupengine import (
     f2_inv,
     f2_mul,
     f2_transpose,
+    gl4_elements,
     intertwiner_space,
     matrix_subgroups_conjugate,
     representations_equivalent,
@@ -177,6 +179,38 @@ def test_stabilizer_orders():
     assert len(similitude_stabilizer(zero_form())) == constants.GL4_F2_ORDER
 
 
+def test_similitude_stabilizer_matches_the_filter_over_gl4_on_every_form():
+    # the filter the column walk replaced, g^T J g = J over all of GL4(F_2),
+    # for the 64 forms at once: g^T J g is linear in J, so the image of the
+    # form with bits m is the XOR of the images of the unit forms it sums
+    units = [1 << (4 * i + k) | 1 << (4 * k + i) for i, k in itertools.combinations(range(4), 2)]
+    forms = [0] * 64
+    for m in range(1, 64):
+        low = m & -m
+        forms[m] = forms[m ^ low] ^ units[low.bit_length() - 1]
+    assert sorted(forms) == sorted(f.matrix.packed() for f in alternating_forms())
+    stabilizers = [set() for _ in forms]
+    orbits = [set() for _ in forms]
+    for g in gl4_elements():
+        t = f2_transpose(g)
+        unit_images = [f2_mul(f2_mul(t, u), g) for u in units]
+        images = [0] * 64
+        for m in range(1, 64):
+            low = m & -m
+            images[m] = images[m ^ low] ^ unit_images[low.bit_length() - 1]
+        for m, image in enumerate(images):
+            orbits[m].add(image)
+            if image == forms[m]:
+                stabilizers[m].add(g)
+    for form in alternating_forms():
+        m = forms.index(form.matrix.packed())
+        assert similitude_stabilizer(form) == stabilizers[m]
+        assert len(orbits[m]) * len(stabilizers[m]) == constants.GL4_F2_ORDER
+    assert {len(found) for found in stabilizers} == {
+        constants.GL4_F2_ORDER, constants.FORM_STABILIZER_ORDER, constants.SP4_F2_ORDER
+    }
+
+
 def test_stabilizer_preserves_form_by_matrix_arithmetic():
     """Re-verify membership with plain ModMatrix products."""
     j = glued_pairing_mod2().matrix
@@ -279,8 +313,13 @@ def test_structure_rejects_a_set_that_is_not_a_group(members):
     t = next(x for x in sym3_group() if x != _IDENT and f2_mul(x, x) == _IDENT)
     c = next(x for x in sym3_group() if f2_mul(x, x) != _IDENT)
     named = {"I": _IDENT, "t": t, "c": c}
-    with pytest.raises(ValueError, match="not a group"):
-        structure_invariants(frozenset(named[m] for m in members))
+    elements = frozenset(named[m] for m in members)
+    with pytest.raises(ValueError, match="not a group") as invariants:
+        structure_invariants(elements)
+    # the subgroup enumeration refuses the same set with the same message
+    with pytest.raises(ValueError) as enumeration:
+        subgroup_conjugacy_classes(elements)
+    assert str(enumeration.value) == str(invariants.value)
 
 
 def test_structure_invariants_accept_a_set_or_a_list():
@@ -420,6 +459,14 @@ def test_class_sizes_are_normalizer_indices(builder):
         assert rec.class_size * len(normalizer) == len(group)
 
 
+@pytest.mark.parametrize("builder", TABLE_GROUPS)
+def test_chain_generators_generate_each_representative(builder):
+    for rec in subgroup_conjugacy_classes(builder()):
+        h = rec.representative
+        assert set(rec.chain_generators) <= h
+        assert closure([_IDENT], rec.chain_generators, f2_mul, len(h)) == h
+
+
 def test_stabilizer_class_list_is_pinned():
     # sha256 of the (order, class size, sorted representative) triples,
     # recorded before the product table was composed from generator rows
@@ -514,6 +561,33 @@ def test_packed_intertwiner_matches_the_generic_solver_on_every_class():
         assert (f2_intertwiner(pairs) is not None) is verdict
 
 
+def test_census_from_chain_generators_matches_the_small_generating_sets():
+    # the census reads each class's chain generators; the generating sets
+    # _f2_small_generating_set searches must give the same verdicts, the
+    # same evidence and the same signatures
+    census = stabilizer_census()
+    searched = contragredient_census(
+        [
+            replace(rec, chain_generators=_f2_small_generating_set(rec.representative))
+            for rec in stabilizer_class_list()
+        ],
+        glued_pairing_mod2(),
+    )
+    verdicts = [
+        (r.representative, r.self_dual_as_rep, r.image_conjugate_to_dual, r.conjugacy_evidence)
+        for r in census.records
+    ]
+    assert verdicts == [
+        (r.representative, r.self_dual_as_rep, r.image_conjugate_to_dual, r.conjugacy_evidence)
+        for r in searched.records
+    ]
+    for rec in stabilizer_class_list():
+        h = rec.representative
+        sig = duality_signature(h, h)  # every element tested for invariance
+        assert duality_signature(h, rec.chain_generators) == sig
+        assert duality_signature(h, _f2_small_generating_set(h)) == sig
+
+
 def test_census_rejects_a_witness_that_does_not_conjugate(monkeypatch):
     # the identity is invertible but maps no transvection group of the
     # Klein group onto its transpose
@@ -524,7 +598,7 @@ def test_census_rejects_a_witness_that_does_not_conjugate(monkeypatch):
 
 
 def test_duality_signature_of_the_trivial_group_lists_every_subspace():
-    sig = duality_signature(frozenset({_IDENT}))
+    sig = duality_signature(frozenset({_IDENT}), ())
     dims = [d for d, _, _ in sig]
     assert (dims.count(1), dims.count(2), dims.count(3)) == (15, 35, 15)
     assert all(kw == kq == 1 for _, kw, kq in sig)
@@ -535,9 +609,8 @@ def test_duality_signature_of_the_dual_is_the_dual_signature():
     # subspaces onto the H*-invariant ones with both kernels swapped
     for rec in stabilizer_class_list():
         h = rec.representative
-        assert duality_signature(contragredient_subgroup(h)) == dual_signature(
-            duality_signature(h)
-        )
+        dual = contragredient_subgroup(h)
+        assert duality_signature(dual, dual) == dual_signature(duality_signature(h, h))
 
 
 def test_census_listing_is_pinned():

@@ -356,6 +356,22 @@ def test_gl4_table_matches_the_brute_force_filter():
     assert list(table_inverses) == inverses
 
 
+def test_gl4_table_holds_exactly_what_the_reference_inverse_inverts():
+    # the level-by-level table against tests/oracles.mod_inv, the adjugate
+    # inverse, on every one of the 2^16 packed matrices: a value is listed
+    # exactly when it inverts, with that inverse, in ascending order
+    elements, inverses = _gl4_table()
+    position = 0
+    for x in range(1 << 16):
+        try:
+            xi = mod_inv(ModMatrix.from_packed(x, 2)).packed()
+        except SingularMatrixError:
+            continue
+        assert (elements[position], inverses[position]) == (x, xi)
+        position += 1
+    assert position == len(elements) == len(inverses) == constants.GL4_F2_ORDER
+
+
 # -- packed intertwiners ------------------------------------------------------------
 
 
