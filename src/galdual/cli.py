@@ -32,6 +32,33 @@ from galdual.verifier import (
 )
 
 
+def _pairing_type(mat) -> tuple:
+    if mat.n % 2:
+        raise ValueError("pairing matrix must have even size")
+    return polarization_type(mat, mat.n // 2)
+
+
+# Each lattice subcommand: its help, the function it runs, and the options
+# passed to that function in order, each with any further add_argument
+# keywords.  Every subcommand but change-basis-kernel also takes --ell.
+_LATTICE_COMMANDS = {
+    "change-basis-transformation": ("basis matrix of an isogeny from its transformation matrix",
+                                    change_basis_from_transformation, {"--matrix": {}}),
+    "change-basis-kernel": ("basis matrix of an isogeny from its kernel", change_basis_from_kernel,
+                            {"--kernel": {"help": 'e.g. "ell=3 n=1 dim=2 gens=(1,0)"'}}),
+    "dual": ("transformation matrix of the dual isogeny", dual_isogeny_matrix, {"--matrix": {}}),
+    "pullback": ("pull a pairing back along an isogeny", pullback_polarization,
+                 {"--pol": {}, "--iso": {}}),
+    "pushforward": ("push d times a pairing forward along an isogeny with a kernel",
+                    pushforward_polarization, {"--pol": {}, "--iso": {}, "--kernel": {}}),
+    "type": ("type (d_1,...,d_g) of a pairing matrix", _pairing_type, {"--matrix": {}}),
+    "standard-pol": ("block pairing matrix ((0,D),(-D,0)) for a type", standard_polarization_matrix,
+                     {"--type": {"dest": "divisors", "help": 'e.g. "1,3"'}}),
+    "conjugate": ("rewrite a matrix in the coordinates of a basis", conjugate_by,
+                  {"--basis": {}, "--matrix": {}}),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="galdual",
@@ -69,55 +96,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "lattice", help="lattice calculus on matrices in the text format"
     )
     lat_sub = lattice.add_subparsers(dest="lattice_command", required=True)
-
-    p = lat_sub.add_parser(
-        "change-basis-transformation",
-        help="basis matrix of an isogeny from its transformation matrix",
-    )
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--matrix", required=True)
-
-    p = lat_sub.add_parser(
-        "change-basis-kernel", help="basis matrix of an isogeny from its kernel"
-    )
-    p.add_argument(
-        "--kernel", required=True, help='e.g. "ell=3 n=1 dim=2 gens=(1,0)"'
-    )
-
-    p = lat_sub.add_parser("dual", help="transformation matrix of the dual isogeny")
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--matrix", required=True)
-
-    p = lat_sub.add_parser("pullback", help="pull a pairing back along an isogeny")
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--pol", required=True)
-    p.add_argument("--iso", required=True)
-
-    p = lat_sub.add_parser(
-        "pushforward",
-        help="push d times a pairing forward along an isogeny with a kernel",
-    )
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--pol", required=True)
-    p.add_argument("--iso", required=True)
-    p.add_argument("--kernel", required=True)
-
-    p = lat_sub.add_parser("type", help="type (d_1,...,d_g) of a pairing matrix")
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--matrix", required=True)
-
-    p = lat_sub.add_parser(
-        "standard-pol", help="block pairing matrix ((0,D),(-D,0)) for a type"
-    )
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--type", dest="divisors", required=True, help='e.g. "1,3"')
-
-    p = lat_sub.add_parser(
-        "conjugate", help="rewrite a matrix in the coordinates of a basis"
-    )
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--basis", required=True)
-    p.add_argument("--matrix", required=True)
+    for name, (help_text, _, options) in _LATTICE_COMMANDS.items():
+        p = lat_sub.add_parser(name, help=help_text)
+        if list(options) != ["--kernel"]:
+            p.add_argument("--ell", type=int, required=True)
+        for flag, keywords in options.items():
+            p.add_argument(flag, required=True, **keywords)
 
     return parser
 
@@ -158,40 +142,25 @@ def _cmd_dump_group(args) -> int:
 
 
 def _cmd_lattice(args) -> int:
-    cmd = args.lattice_command
-    if cmd == "change-basis-transformation":
-        out = change_basis_from_transformation(parse_ladic(args.matrix, args.ell))
-    elif cmd == "change-basis-kernel":
-        out = change_basis_from_kernel(parse_kernel(args.kernel))
-    elif cmd == "dual":
-        out = dual_isogeny_matrix(parse_ladic(args.matrix, args.ell))
-    elif cmd == "pullback":
-        out = pullback_polarization(
-            parse_ladic(args.pol, args.ell), parse_ladic(args.iso, args.ell)
-        )
-    elif cmd == "pushforward":
-        pushed, degree = pushforward_polarization(
-            parse_ladic(args.pol, args.ell),
-            parse_ladic(args.iso, args.ell),
-            parse_kernel(args.kernel),
-        )
-        sys.stdout.write(format_matrix(pushed) + "\n" + f"degree={degree}\n")
-        return 0
-    elif cmd == "type":
-        mat = parse_ladic(args.matrix, args.ell)
-        if mat.n % 2:
-            raise ValueError("pairing matrix must have even size")
-        ptype = polarization_type(mat, mat.n // 2)
-        sys.stdout.write(",".join(str(d) for d in ptype) + "\n")
-        return 0
-    elif cmd == "standard-pol":
-        divisors = [int(d) for d in args.divisors.split(",")]
-        out = standard_polarization_matrix(divisors, args.ell)
-    else:  # conjugate
-        out = conjugate_by(
-            parse_ladic(args.basis, args.ell), parse_ladic(args.matrix, args.ell)
-        )
-    sys.stdout.write(format_matrix(out) + "\n")
+    _, run, options = _LATTICE_COMMANDS[args.lattice_command]
+    values = []
+    for flag, keywords in options.items():
+        text = getattr(args, keywords.get("dest", flag[2:]))
+        if flag == "--kernel":
+            values.append(parse_kernel(text))
+        elif flag == "--type":  # the divisors, then the prime of Z[1/l]
+            values += ([int(d) for d in text.split(",")], args.ell)
+        else:
+            values.append(parse_ladic(text, args.ell))
+    out = run(*values)
+    if args.lattice_command == "pushforward":
+        pushed, degree = out
+        text = f"{format_matrix(pushed)}\ndegree={degree}"
+    elif args.lattice_command == "type":
+        text = ",".join(str(d) for d in out)
+    else:
+        text = format_matrix(out)
+    sys.stdout.write(text + "\n")
     return 0
 
 

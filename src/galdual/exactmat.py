@@ -23,7 +23,9 @@ provided.
 A 4x4 matrix over F_l has one packed form, an int whose field of
 w = (l - 1).bit_length() bits at bit (4i + j) * w holds entry (i, j), flat
 position 4i + j.  ``field_width``, ``pack_flat``, ``unpack_flat`` and
-``position_mask`` define it; ``ModMatrix.packed`` and ``from_packed`` convert.
+``position_mask`` define it, and ``UPPER_LEFT``, ``UPPER_RIGHT``, ``LOWER_LEFT``
+and ``LOWER_RIGHT`` name its 2x2 blocks; ``ModMatrix.packed`` and
+``from_packed`` convert.
 At l = 2 it is the 16-bit layout that groupengine's GL4(F_2) kernels compute
 on, and paramgroups keeps its image groups and records in it at every l.
 
@@ -430,6 +432,12 @@ def position_mask(positions, ell: int) -> int:
     """The bits of a packed 4x4 mod l that hold the given flat positions."""
     width = field_width(ell)
     return sum(((1 << width) - 1) << (width * pos) for pos in positions)
+
+
+# the 2x2 blocks of a flat 4x4, as flat positions; position_mask gives the
+# bits of a block, or of blocks joined with +, at any l
+UPPER_LEFT, UPPER_RIGHT = (0, 1, 4, 5), (2, 3, 6, 7)
+LOWER_LEFT, LOWER_RIGHT = (8, 9, 12, 13), (10, 11, 14, 15)
 
 
 def _int_det(rows) -> int:

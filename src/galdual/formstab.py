@@ -31,6 +31,10 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from galdual.exactmat import (
+    LOWER_LEFT,
+    LOWER_RIGHT,
+    UPPER_LEFT,
+    UPPER_RIGHT,
     ClosureCapError,
     ModMatrix,
     _nullspace_mod,
@@ -38,6 +42,7 @@ from galdual.exactmat import (
     closure,
     format_matrix,
     is_prime,
+    position_mask,
 )
 from galdual.groupengine import (
     _IDENT,
@@ -224,14 +229,18 @@ def radical_split_extension(elements: frozenset, form: AlternatingForm) -> Split
 
     # in the basis (radical, complement) every element is block upper
     # triangular; its action on R and V/R is the block-diagonal part
+    upper_left, upper_right, lower_left, lower_right = (
+        position_mask(block, 2) for block in (UPPER_LEFT, UPPER_RIGHT, LOWER_LEFT, LOWER_RIGHT)
+    )
+    diagonal = upper_left | lower_right
     adapted = {}
     for g in elements:
         gp = f2_mul(f2_mul(p_inv, g), p)
-        if gp & 0x3300:
+        if gp & lower_left:
             raise ValueError("an element does not preserve the form radical")
         adapted[g] = gp
 
-    kernel = frozenset(g for g, gp in adapted.items() if gp & 0xCC33 == _IDENT)
+    kernel = frozenset(g for g, gp in adapted.items() if gp & diagonal == _IDENT)
     if len(kernel) != 16:
         raise ValueError(f"action kernel has order {len(kernel)}, not 16")
     if any(f2_mul(x, x) != _IDENT for x in kernel):
@@ -242,17 +251,16 @@ def radical_split_extension(elements: frozenset, form: AlternatingForm) -> Split
     if closure(kernel, gens, lambda x, g: f2_mul(f2_mul(g, x), f2_inv(g))) != kernel:
         raise ValueError("action kernel is not normal")
 
-    image = {gp & 0xCC33 for gp in adapted.values()}
+    image = {gp & diagonal for gp in adapted.values()}
     if len(image) != 36:
         raise ValueError(f"action image has order {len(image)}, not 36")
-    for mask, plane in ((0x0033, (1, 2, 3)), (0xCC00, (4, 8, 12))):
+    for mask, plane in ((upper_left, (1, 2, 3)), (lower_right, (4, 8, 12))):
         proj = {ad & mask for ad in image}
         perms = {tuple(_vector_images(m)[v] for v in plane) for m in proj}
         if len(proj) != 6 or len(perms) != 6:
             raise ValueError("a projection is not the full symmetric group S_3")
 
-    # the upper-right block (rows of R, columns of V/R) is bits 2, 3, 6, 7
-    complement = frozenset(g for g, gp in adapted.items() if not gp & 0x00CC)
+    complement = frozenset(g for g, gp in adapted.items() if not gp & upper_right)
     closed = closure([_IDENT], complement, f2_mul) == complement
     if len(complement) != 36 or complement & kernel != {_IDENT} or not closed:
         raise ValueError("the block-diagonal elements are not a complement to the action kernel")
@@ -577,7 +585,8 @@ def contragredient_census(classes, j: AlternatingForm) -> CensusResult:
       invariant subspaces to invariant subspaces of equal dimension and
       kernel orders, so a conjugate H* would force sig(H*) = sig(H).
     - ``scan``: matrix_subgroups_conjugate, the exhaustive walk of
-      GL4(F_2), for the classes the other two leave open.
+      GL4(F_2) on the chain generators, for the classes the other two leave
+      open.
     """
     filled = []
     not_equiv = 0
@@ -598,7 +607,7 @@ def contragredient_census(classes, j: AlternatingForm) -> CensusResult:
             if sig != dual_signature(sig):
                 conjugate, evidence = False, "invariant"
             else:
-                conjugate, evidence = matrix_subgroups_conjugate(h, dual), "scan"
+                conjugate, evidence = matrix_subgroups_conjugate(h, dual, gens), "scan"
         not_equiv += not equivalent
         not_conj += not conjugate
         filled.append(

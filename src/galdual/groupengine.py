@@ -263,9 +263,9 @@ def f2_intertwiner(pairs: Sequence[tuple]) -> Optional[int]:
 @functools.cache
 def _f2_small_generating_set(elements: frozenset) -> tuple:
     """A small generating set of a packed-F_2 subgroup, computed once per
-    subgroup: the census listing, the conjugacy scan and the group checks
-    of formstab all ask.  The census verdicts do not: they read the chain
-    generators that the subgroup enumeration keeps on each class record.
+    subgroup: the census listing and the group checks of formstab ask.
+    The census verdicts do not: they read the chain generators that the
+    subgroup enumeration keeps on each class record.
 
     First up to 24 seeded random pairs of elements are tried; failing that,
     the set is grown greedily along the elements in ascending order.
@@ -289,24 +289,22 @@ def _f2_small_generating_set(elements: frozenset) -> tuple:
     return tuple(gens)
 
 
-def matrix_subgroups_conjugate(h1, h2) -> bool:
+def matrix_subgroups_conjugate(h1, h2, gens) -> bool:
     """Whether two subgroups of GL4(F_2), as sets of packed matrices, are
-    conjugate inside it.
+    conjugate inside it; ``gens`` generates h1 and is not checked.
 
     Exhaustive scan over GL4(F_2) (the decided algorithm at this size): X
     conjugates H1 into H2 iff it does so on a generating set, orders being
-    equal.
+    equal, so any generating set gives the same verdict.
     """
     set1, set2 = frozenset(h1), frozenset(h2)
     if len(set1) != len(set2):
         return False
     if set1 == set2:
         return True
-    gens = _f2_small_generating_set(set1)
     if not gens:  # set1 is {I}, which only {I} is conjugate to
         return False
-    g0 = gens[0]
-    rest = gens[1:]
+    g0, *rest = gens
     for x, xi in zip(*_gl4_table()):
         if f2_mul(f2_mul(x, g0), xi) not in set2:
             continue

@@ -54,7 +54,17 @@ import random
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
-from galdual.exactmat import LAdicMatrix, ModMatrix, check_prime, closure, field_width, unpack_flat
+from galdual.exactmat import (
+    LOWER_LEFT,
+    LOWER_RIGHT,
+    UPPER_LEFT,
+    LAdicMatrix,
+    ModMatrix,
+    check_prime,
+    closure,
+    field_width,
+    unpack_flat,
+)
 from galdual.lattice import (
     KernelSpec,
     change_basis_from_kernel,
@@ -138,16 +148,13 @@ class ParamPoint:
         a = kwargs.get("a", 1)
         if not isinstance(a, int) or not 1 <= a <= ell - 1:  # validated before pow inverts it
             raise ValueError(f"a={a} is not a unit representative mod {ell}")
-        d = kwargs.get("d", 1)
-        z2 = kwargs.get("z2", 0)
-        rhs = (
-            probe["b1"] * probe["w1"]
-            - probe["b2"] * probe["w2"]
-            - d * probe["x1"]
-            + d * probe["x2"]
-        )
-        z1 = (z2 + pow(a, -1, ell) * rhs) % ell
+        z1 = _solve_z1(ell, pow(a, -1, ell), kwargs.get("d", 1), kwargs.get("z2", 0), **probe)
         return cls(ell, z1=z1, **kwargs)
+
+
+def _solve_z1(ell, a_inv, d, z2, b1, b2, w1, w2, x1, x2) -> int:
+    """The z1 that satisfies the determinant constraint mod l, a_inv = a^-1."""
+    return (z2 + a_inv * (b1 * w1 - b2 * w2 - d * x1 + d * x2)) % ell
 
 
 # -- gluing data, all derived through the lattice module -----------------------
@@ -222,12 +229,12 @@ def _conjugator_data(ell: int):
 
 # -- the generated record kernel ---------------------------------------------------
 
-# the flat positions where a family element can be nonzero, in the order
-# the record kernel names them f0 ... f7
-_FAMILY_SUPPORT = (0, 1, 4, 5, 10, 11, 14, 15)
+# the flat positions where a family element can be nonzero, its diagonal
+# blocks, in the order the record kernel names them f0 ... f7
+_FAMILY_SUPPORT = UPPER_LEFT + LOWER_RIGHT
 
 # the lower-left 2x2 block, where no glued element has a term
-_LOWER_LEFT = (8, 9, 12, 13)
+_LOWER_LEFT = LOWER_LEFT
 
 # the other flats where the folded image is zero (A[1][0], B[1][1], D[0][1]),
 # and the flats where the contragredient is therefore zero
@@ -419,7 +426,7 @@ def _slab_residues(ell: int, twist: str) -> Iterator[tuple]:
         a_inv = pow(a, -1, ell)
         for d in range(1, ell):
             for b1, b2, w1, w2, x1 in itertools.product(range(ell), repeat=5):
-                z1 = (a_inv * (b1 * w1 - b2 * w2 - d * x1)) % ell
+                z1 = _solve_z1(ell, a_inv, d, 0, b1, b2, w1, w2, x1, 0)
                 yield (a, d, b1, b2, w1, w2, x1, 0, 0, 0, z1, 0)
 
 
@@ -451,7 +458,7 @@ def _draw_residues(rng: random.Random, ell: int, twist: str) -> tuple:
         d = bits(k_unit)
     d += 1
     b1, b2, w1, w2, x1, x2, y1, y2, z2 = free
-    z1 = (z2 + pow(a, -1, ell) * (b1 * w1 - b2 * w2 - d * x1 + d * x2)) % ell
+    z1 = _solve_z1(ell, pow(a, -1, ell), d, z2, b1, b2, w1, w2, x1, x2)
     return (a, d, b1, b2, w1, w2, x1, x2, y1, y2, z1, z2)
 
 

@@ -19,6 +19,10 @@ from typing import Callable, Optional
 
 from galdual import constants
 from galdual.exactmat import (
+    LOWER_LEFT,
+    LOWER_RIGHT,
+    UPPER_LEFT,
+    UPPER_RIGHT,
     LAdicMatrix,
     check_prime,
     closure,
@@ -94,7 +98,7 @@ def _charpoly_prover(ell: int):
     """
     lower_left, upper_right, diagonal = (
         position_mask(block, ell)
-        for block in ((8, 9, 12, 13), (2, 3, 6, 7), (0, 1, 4, 5, 10, 11, 14, 15))
+        for block in (LOWER_LEFT, UPPER_RIGHT, UPPER_LEFT + LOWER_RIGHT)
     )
 
     def quartic(t1, n1, t2, n2) -> tuple:

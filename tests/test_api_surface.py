@@ -23,6 +23,10 @@ Hence every field whose name two or more record classes declare must be
 listed in SHARED_FIELD_READERS, with a function that reads it; the guard
 fails on a shared field that is not listed, on a stale entry and on a
 listed function that does not read the field.
+
+The library computes exactly, so a last guard rejects floating point in
+src/galdual: float and complex literals, calls of ``float`` and true
+division, ``/`` and ``/=``.
 """
 
 import ast
@@ -248,6 +252,20 @@ def _shared_field_problems() -> list:
     return problems
 
 
+def _floating_point() -> list:
+    """Float literals, float() calls and true divisions in src/galdual."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(_parse(path)):
+            if (
+                (isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)))
+                or (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "float")
+                or (isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div))
+            ):
+                found.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+    return found
+
+
 def test_every_definition_has_a_caller_outside_the_tests():
     assert _uncalled() == []
 
@@ -277,3 +295,7 @@ def test_keepers_are_still_defined():
         for cls, field, _ in _fields(_parse(path))
     }
     assert FIELD_KEEPERS <= fields
+
+
+def test_the_library_uses_no_floating_point():
+    assert _floating_point() == []

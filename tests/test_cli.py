@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line interface, driving main() with
 argv lists and asserting on exit codes and captured output."""
 
+import argparse
 import dataclasses
 import hashlib
 import re
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from galdual import verifier
-from galdual.cli import main
+from galdual.cli import _build_parser, main
 from galdual.exactmat import format_matrix
 from galdual.paramgroups import image_rho_A, image_rho_Adual_contragredient
 
@@ -191,6 +192,77 @@ def test_dump_group_rejects_a_composite_ell(capsys):
 def lattice_output(capsys, *argv) -> str:
     assert main(["lattice", *argv]) == 0
     return capsys.readouterr().out
+
+
+def _subcommands(parser):
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+
+
+# each lattice subcommand's help and its options as (option strings, dest,
+# required, type, help); --help output also holds these, but its wrapping
+# changes with the Python version
+_ELL = (("--ell",), "ell", True, int, None)
+LATTICE_OPTIONS = {
+    "change-basis-transformation": (
+        "basis matrix of an isogeny from its transformation matrix",
+        [_ELL, (("--matrix",), "matrix", True, None, None)],
+    ),
+    "change-basis-kernel": (
+        "basis matrix of an isogeny from its kernel",
+        [(("--kernel",), "kernel", True, None, 'e.g. "ell=3 n=1 dim=2 gens=(1,0)"')],
+    ),
+    "dual": (
+        "transformation matrix of the dual isogeny",
+        [_ELL, (("--matrix",), "matrix", True, None, None)],
+    ),
+    "pullback": (
+        "pull a pairing back along an isogeny",
+        [_ELL, (("--pol",), "pol", True, None, None), (("--iso",), "iso", True, None, None)],
+    ),
+    "pushforward": (
+        "push d times a pairing forward along an isogeny with a kernel",
+        [
+            _ELL,
+            (("--pol",), "pol", True, None, None),
+            (("--iso",), "iso", True, None, None),
+            (("--kernel",), "kernel", True, None, None),
+        ],
+    ),
+    "type": (
+        "type (d_1,...,d_g) of a pairing matrix",
+        [_ELL, (("--matrix",), "matrix", True, None, None)],
+    ),
+    "standard-pol": (
+        "block pairing matrix ((0,D),(-D,0)) for a type",
+        [_ELL, (("--type",), "divisors", True, None, 'e.g. "1,3"')],
+    ),
+    "conjugate": (
+        "rewrite a matrix in the coordinates of a basis",
+        [
+            _ELL,
+            (("--basis",), "basis", True, None, None),
+            (("--matrix",), "matrix", True, None, None),
+        ],
+    ),
+}
+
+
+def test_lattice_subcommands_declare_their_pinned_options():
+    lattice = _subcommands(_subcommands(_build_parser()).choices["lattice"])
+    helps = {action.dest: action.help for action in lattice._choices_actions}
+    declared = {
+        name: (
+            helps[name],
+            [
+                (tuple(a.option_strings), a.dest, a.required, a.type, a.help)
+                for a in parser._actions
+                if not isinstance(a, argparse._HelpAction)
+            ],
+        )
+        for name, parser in lattice.choices.items()
+    }
+    assert list(declared) == list(LATTICE_OPTIONS)
+    assert declared == LATTICE_OPTIONS
 
 
 def test_lattice_change_basis_transformation(capsys):

@@ -7,6 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from galdual.exactmat import (
+    LOWER_LEFT,
+    LOWER_RIGHT,
+    UPPER_LEFT,
+    UPPER_RIGHT,
     ClosureCapError,
     DimensionMismatchError,
     ExactMatError,
@@ -22,6 +26,7 @@ from galdual.exactmat import (
     is_prime,
     lval,
     parse_ladic,
+    position_mask,
     smith_normal_form,
 )
 from galdual.lattice import locally_contains_standard
@@ -373,6 +378,15 @@ def test_mod_inverse_singular():
 def test_packed_form_is_for_4x4_matrices_only():
     with pytest.raises(DimensionMismatchError, match="4x4"):
         ModMatrix.identity(3, 5).packed()
+
+
+def test_block_masks_at_two_are_the_sixteen_bit_masks():
+    # flat position i is bit i at l = 2
+    assert position_mask(LOWER_LEFT, 2) == 0x3300
+    assert position_mask(UPPER_LEFT + LOWER_RIGHT, 2) == 0xCC33
+    assert position_mask(UPPER_RIGHT, 2) == 0x00CC
+    assert position_mask(UPPER_LEFT, 2) == 0x0033
+    assert position_mask(LOWER_RIGHT, 2) == 0xCC00
 
 
 def test_from_packed_refuses_a_field_that_is_not_a_residue():

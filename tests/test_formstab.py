@@ -10,7 +10,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from galdual import constants, formstab
+from galdual import constants, formstab, groupengine
 from galdual.exactmat import ModMatrix, _rank_mod, closure
 from galdual.formstab import (
     _group_tables,
@@ -530,7 +530,7 @@ def test_census_verdicts_match_exhaustive_scan():
     for rec in census.records:
         h = rec.representative
         assert rec.image_conjugate_to_dual == matrix_subgroups_conjugate(
-            h, contragredient_subgroup(h)
+            h, contragredient_subgroup(h), _f2_small_generating_set(h)
         )
 
 
@@ -586,6 +586,22 @@ def test_census_from_chain_generators_matches_the_small_generating_sets():
         sig = duality_signature(h, h)  # every element tested for invariance
         assert duality_signature(h, rec.chain_generators) == sig
         assert duality_signature(h, _f2_small_generating_set(h)) == sig
+
+
+def test_census_searches_no_generating_set(monkeypatch):
+    # every verdict, the 26 scans included, reads the chain generators
+    classes = stabilizer_class_list()
+    calls = []
+
+    def counted(elements):
+        calls.append(elements)
+        return _f2_small_generating_set(elements)
+
+    monkeypatch.setattr(groupengine, "_f2_small_generating_set", counted)
+    monkeypatch.setattr(formstab, "_f2_small_generating_set", counted)
+    census = contragredient_census(classes, glued_pairing_mod2())
+    assert census.evidence_tally["scan"] == 26
+    assert calls == []
 
 
 def test_census_rejects_a_witness_that_does_not_conjugate(monkeypatch):

@@ -23,6 +23,7 @@ from galdual.groupengine import (
     IntertwinerSpace,
     _eigenvalue,
     _f2_intertwiner_basis,
+    _f2_small_generating_set,
     _gl4_table,
     common_stable_lines,
     f2_intertwiner,
@@ -441,14 +442,14 @@ def _transvection_subgroup():
 
 def test_matrix_conjugate_to_itself():
     h = _transvection_subgroup()
-    assert matrix_subgroups_conjugate(h, h) is True
+    assert matrix_subgroups_conjugate(h, h, _f2_small_generating_set(h)) is True
 
 
 def test_matrix_conjugate_order_mismatch():
     h1 = _transvection_subgroup()
     r = mod([[0, 1, 0, 0], [0, 0, 1, 0], [1, 0, 0, 0], [0, 0, 0, 1]], 2)
     h2 = _packed_closure(r)  # order 3
-    assert matrix_subgroups_conjugate(h1, h2) is False
+    assert matrix_subgroups_conjugate(h1, h2, _f2_small_generating_set(h1)) is False
 
 
 def test_matrix_conjugate_constructed_pair():
@@ -458,21 +459,21 @@ def test_matrix_conjugate_constructed_pair():
         x = rng.choice(gl4_elements())
         xi = f2_inv(x)
         h2 = [f2_mul(f2_mul(x, g), xi) for g in h1]
-        assert matrix_subgroups_conjugate(h1, h2) is True
-        assert matrix_subgroups_conjugate(h2, h1) is True
+        assert matrix_subgroups_conjugate(h1, h2, _f2_small_generating_set(frozenset(h1))) is True
+        assert matrix_subgroups_conjugate(h2, h1, _f2_small_generating_set(frozenset(h2))) is True
 
 
 def test_matrix_conjugate_trivial_group_only_to_itself():
     x = mod([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], 2).packed()
-    assert matrix_subgroups_conjugate({_IDENT}, {x}) is False
-    assert matrix_subgroups_conjugate({_IDENT}, {_IDENT}) is True
+    assert matrix_subgroups_conjugate({_IDENT}, {x}, ()) is False
+    assert matrix_subgroups_conjugate({_IDENT}, {_IDENT}, ()) is True
 
 
 def test_matrix_not_conjugate_different_fixed_spaces():
     # an involution fixing a 3-space vs one fixing a 2-space
     t = mod([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], 2)
     s = mod([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1], [0, 0, 0, 1]], 2)
-    assert matrix_subgroups_conjugate(_packed_closure(t), _packed_closure(s)) is False
+    assert matrix_subgroups_conjugate(_packed_closure(t), _packed_closure(s), [t.packed()]) is False
 
 
 # -- permutation actions, read off the matrices --------------------------------------

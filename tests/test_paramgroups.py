@@ -42,6 +42,7 @@ from galdual.paramgroups import (
     _record,
     _record_kernel,
     _slab_residues,
+    _solve_z1,
     _sparse_terms,
     canonical_generator_points,
     evaluate_word,
@@ -207,6 +208,22 @@ def test_trivial_twist_forces_a_equal_one():
 def test_solved_fills_z1():
     p = ParamPoint.solved(5, a=2, d=3, b1=1, w1=4, x1=2)
     assert (p.a * (p.z1 - p.z2) - (p.b1 * p.w1 - p.d * p.x1)) % 5 == 0
+
+
+@given(
+    st.sampled_from([2, 3, 5, 7, 11, 13]).flatmap(
+        lambda ell: st.tuples(
+            st.just(ell),
+            st.integers(1, ell - 1),
+            st.lists(st.integers(0, ell - 1), min_size=8, max_size=8),
+        )
+    )
+)
+def test_solve_z1_satisfies_the_determinant_constraint(case):
+    ell, a, (d, z2, b1, b2, w1, w2, x1, x2) = case
+    z1 = _solve_z1(ell, pow(a, -1, ell), d, z2, b1, b2, w1, w2, x1, x2)
+    assert 0 <= z1 < ell
+    assert (a * (z1 - z2) - (b1 * w1 - b2 * w2 - d * x1 + d * x2)) % ell == 0
 
 
 def test_solved_rejects_explicit_z1():

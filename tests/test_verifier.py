@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from galdual import constants, paramgroups, verifier
-from galdual.exactmat import pack_flat, unpack_flat
+from galdual.exactmat import pack_flat, position_mask, unpack_flat
 from galdual.verifier import (
     CheckReport,
     all_passed,
@@ -535,6 +535,16 @@ def test_charpoly_proof_agrees_with_charpoly_rows(case):
     rows = _rows(unpack_flat(packed, ell))
     want = charpoly_rows(rows, ell) == charpoly_rows(_diag_rows(a, d), ell)
     assert verifier._charpoly_prover(ell)(packed, a, d) == want
+
+
+@pytest.mark.parametrize("ell", [2, 3, 5, 7])
+def test_charpoly_proof_masks_the_blocks_by_flat_position(ell):
+    prove = verifier._charpoly_prover(ell)
+    cells = dict(zip(prove.__code__.co_freevars, (c.cell_contents for c in prove.__closure__)))
+    assert (cells["lower_left"], cells["upper_right"], cells["diagonal"]) == tuple(
+        position_mask(block, ell)
+        for block in ((8, 9, 12, 13), (2, 3, 6, 7), (0, 1, 4, 5, 10, 11, 14, 15))
+    )
 
 
 def test_charpoly_proof_refuses_a_flat_that_is_not_block_triangular():
