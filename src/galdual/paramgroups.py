@@ -17,8 +17,8 @@ Two independent routes produce the dual image:
 Their agreement, element by element, is one of the verified claims, so
 the two computations are kept deliberately separate.
 
-Every record is built by one function generated per prime, on the twelve
-residues of a point, from the integer conjugator matrices, which are
+Every record is built by code generated per prime from one statement
+list, from the integer conjugator matrices, which are
 derived from the lattice module, never hardcoded.  Generating it expands
 each glued entry (12 gluing terms on the family's 8-entry support) and
 each isogeny entry (23 terms, on the 11 glued entries the gluing reaches)
@@ -33,6 +33,18 @@ the folded isogeny dual.  Records hold exactmat's packed 4x4 ints, one
 dual int when the routes agree.  The tests compare the term lists with
 lattice.conjugate_by and the contragredient with the reference inverse.
 
+The statement list becomes two functions.  ``record`` runs it straight
+through on the twelve residues of one point.  ``walk`` runs it over the
+slab transversal: nested loops over a, d, b1, b2, w1, w2, x1, outermost
+first, with x2 = y1 = y2 = z2 = 0 substituted and z1 solved in the
+innermost loop.  Each statement goes at the shallowest loop where all of
+its inputs are bound, so the (a, d) inverses, most contragredient entries
+and most packed fields are computed once per outer residue; the three
+packed ints and the route comparison are split into one partial OR or
+AND per loop.  The walk keeps every check of ``record``: the determinant
+constraint on each record, the singular-element check, and the refusals
+made while generating, which cover both functions.
+
 Seeded samples draw each residue below n as CPython's randrange does,
 from getrandbits(n.bit_length()) repeated until it is below n, so the
 pinned l = 7 samples rest on CPython's getrandbits stream.
@@ -46,13 +58,13 @@ the life of the process.  Freezing moves them out of all later collections.
 
 from __future__ import annotations
 
+import ast
 import functools
 import gc
-import itertools
 import operator
 import random
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from galdual.exactmat import (
     LOWER_LEFT,
@@ -113,11 +125,7 @@ class ParamPoint:
         ell = self.ell
         _check_twist(self.twist)
         for name in _RESIDUES:
-            v = getattr(self, name)
-            try:
-                v = operator.index(v)
-            except TypeError:
-                raise ValueError(f"{name}={v!r} is not an integer") from None
+            v = _integer(name, getattr(self, name))
             object.__setattr__(self, name, v)
             if name in ("a", "d") and not 1 <= v <= ell - 1:
                 raise ValueError(f"{name}={v} is not a unit representative mod {ell}")
@@ -150,6 +158,15 @@ class ParamPoint:
             raise ValueError(f"a={a} is not a unit representative mod {ell}")
         z1 = _solve_z1(ell, pow(a, -1, ell), kwargs.get("d", 1), kwargs.get("z2", 0), **probe)
         return cls(ell, z1=z1, **kwargs)
+
+
+def _integer(name: str, v) -> int:
+    """``v`` as an int; a value that is not an integer is refused with a
+    ValueError that names it."""
+    try:
+        return operator.index(v)
+    except TypeError:
+        raise ValueError(f"{name}={v!r} is not an integer") from None
 
 
 def _solve_z1(ell, a_inv, d, z2, b1, b2, w1, w2, x1, x2) -> int:
@@ -297,37 +314,56 @@ def _divided_forms(terms, inputs, ell: int, what: str) -> dict:
     return {out: [k // ell for k in form] for out, form in sums.items()}
 
 
-def _residue_text(form, ell: int) -> str:
+def _residue_text(form, ell: int, zero=()) -> str:
     """Source text of a form mod l, e.g. '(x1 - x2) % 7', its coefficients
-    between -l/2 and l/2.  A lone residue is left unreduced, being in [0, l)."""
-    terms = [(v, c % ell - ell * (2 * (c % ell) > ell)) for v, c in zip(_RESIDUES, form)]
+    between -l/2 and l/2 and the residues in ``zero`` dropped.  A lone
+    residue is left unreduced, being in [0, l)."""
+    terms = [
+        (v, c % ell - ell * (2 * (c % ell) > ell))
+        for v, c in zip(_RESIDUES, form)
+        if v not in zero
+    ]
     terms = [v if c == 1 else f"-{v}" if c == -1 else f"{c} * {v}" for v, c in terms if c]
     if len(terms) == 1 and terms[0] in _RESIDUES:
         return terms[0]
     return f"({' + '.join(terms)}) % {ell}".replace("+ -", "- ") if terms else "0"
 
 
-def _packed_text(names, ell: int) -> str:
-    """Source text packing a flat of variable names (or "0") into one int."""
+def _packed_terms(names, ell: int) -> list:
+    """The terms packing a flat of variable names (or "0") into one int,
+    each as (names read, source text)."""
     w = field_width(ell)
-    return " | ".join(f"{v} << {w * pos}" if pos else v for pos, v in enumerate(names) if v != "0")
+    return [((v,), f"{v} << {w * pos}" if pos else v) for pos, v in enumerate(names) if v != "0"]
 
 
 # eps * transpose(m^-1) for the image m = [[A, B], [0, D]] (see the module
 # docstring): m^-1 = [[A^-1, -A^-1 B D^-1], [0, D^-1]], so every entry comes
 # from det A = m0 m5, det D = m10 m15 and adj(A) B = [[p0, p1], [p2, 0]].
+# One statement a line, so that the walk places each on its own; c8 =
+# c (p1 m14 - p0 m15) is written with p0 = m5 m2 - m1 m6 expanded, so that
+# only its m2 term is left for the walk's innermost loop.
 _CONTRAGREDIENT = """\
-    det_a, det_d = m0 * m5, m10 * m15
-    u = det_a * det_d % {l}
-    if not u:
-        raise ArithmeticError("image element is singular; cannot happen")
-    c = a * d * INVERSES[u]
-    ca, cd = c * det_a % {l}, c * det_d % {l}
-    p0, p1, p2 = m5 * m2 - m1 * m6, m5 * m3, m0 * m6
-    c0, c4, c5 = cd * m5 % {l}, -cd * m1 % {l}, cd * m0 % {l}
-    c8, c9 = c * (p1 * m14 - p0 * m15) % {l}, -c * p2 * m15 % {l}
-    c10, c11 = ca * m15 % {l}, -ca * m14 % {l}
-    c12, c15 = -c * p1 * m10 % {l}, ca * m10 % {l}"""
+det_a = m0 * m5
+det_d = m10 * m15
+u = det_a * det_d % {l}
+if not u:
+    raise ArithmeticError("image element is singular; cannot happen")
+c = a * d * INVERSES[u]
+ca = c * det_a % {l}
+cd = c * det_d % {l}
+p1 = m5 * m3
+p2 = m0 * m6
+c0 = cd * m5 % {l}
+c4 = -cd * m1 % {l}
+c5 = cd * m0 % {l}
+k8 = c * (p1 * m14 + m1 * m6 * m15)
+e8 = c * m5 * m15
+c8 = (k8 - e8 * m2) % {l}
+c9 = -c * p2 * m15 % {l}
+c10 = ca * m15 % {l}
+c11 = -ca * m14 % {l}
+c12 = -c * p1 * m10 % {l}
+c15 = ca * m10 % {l}"""
 
 
 class PointRecord(NamedTuple):
@@ -345,15 +381,100 @@ class PointRecord(NamedTuple):
     d: int
 
 
+class _Kernel(NamedTuple):
+    """The two functions generated at one prime from one statement list."""
+
+    record: Callable[..., PointRecord]
+    walk: Callable[..., Iterator[PointRecord]]
+
+
+# the walk's loops, outermost first, in the order of the slab transversal,
+# and the residues the transversal fixes at zero (see iter_slab_records)
+_WALK_LOOPS = ("a", "d", "b1", "b2", "w1", "w2", "x1")
+_WALK_ZEROS = ("x2", "y1", "y2", "z2")
+
+
+def _kernel_source(ell: int, images: dict, folded: dict, loops: tuple) -> str:
+    """Source of ``record`` when ``loops`` is empty, else of ``walk``.
+
+    ``images`` and ``folded`` map the flats where the image and the isogeny
+    dual are nonzero to their forms.  The walk fixes _WALK_ZEROS at zero
+    and solves z1 in the innermost loop.  Each statement goes at the
+    shallowest loop where all of its inputs are bound, and each packed int
+    and the route comparison is split into one partial OR or AND per loop;
+    without loops everything is straight-line code.
+    """
+    zero = _WALK_ZEROS if loops else ()
+    solve = ("a_inv = INVERSES[a]", f"z1 = a_inv * rhs % {ell}") if loops else ()
+    source = "\n".join([
+        "bw = b1 * w1 - b2 * w2",
+        f"rhs = bw - d * {'x1' if loops else '(x1 - x2)'}",
+        *solve,
+        f"if (a * {'z1' if loops else '(z1 - z2)'} - rhs) % {ell}:",
+        f'    raise ValueError("determinant constraint violated mod {ell}")',
+        *(f"m{pos} = {_residue_text(form, ell, zero)}" for pos, form in images.items()),
+        _CONTRAGREDIENT.format(l=ell),
+        *(f"v{pos} = {_residue_text(form, ell, zero)}" for pos, form in folded.items()),
+    ])
+    depth = {v: k for k, v in enumerate(loops, 1)}
+    levels = [[] for _ in range(len(loops) + 1)]
+    lines = source.splitlines()
+    for node in ast.parse(source).body:
+        names = [n for n in ast.walk(node) if isinstance(n, ast.Name)]
+        k = max((depth.get(n.id, 0) for n in names if isinstance(n.ctx, ast.Load)), default=0)
+        depth.update((n.id, k) for n in names if isinstance(n.ctx, ast.Store))
+        levels[k] += lines[node.lineno - 1 : node.end_lineno]
+
+    def partials(name, op, terms):
+        """Place one partial ``name<k>`` per level k of the terms but the
+        deepest; return that level and the expression that completes them."""
+        groups = {}
+        for names, text in terms:
+            groups.setdefault(max(depth.get(n, 0) for n in names), []).append(text)
+        *outer, last = sorted(groups)
+        done = []
+        for k in outer:
+            levels[k].append(f"{name}{k} = {f' {op} '.join(done + groups[k])}")
+            done = [f"{name}{k}"]
+        return last, f" {op} ".join(done + groups[last])
+
+    image = [f"m{pos}" if pos in images else "0" for pos in range(16)]
+    contra = [f"c{pos}" if pos not in _CONTRAGREDIENT_ZEROS else "0" for pos in range(16)]
+    isog = [f"v{pos}" if pos in folded else "0" for pos in range(16)]
+    for name, names in (("image", image), ("dual", contra)):
+        k, packed = partials(name, "|", _packed_terms(names, ell))
+        levels[k].append(f"{name} = {packed}")
+    agree = [((c, v), f"{c} == {v}") for c, v in zip(contra, isog) if c != v]
+    isog_packed = partials("isog", "|", _packed_terms(isog, ell))[1]
+    verb = "yield" if loops else "return"
+    levels[-1] += [
+        f"if {partials('same', 'and', agree)[1]}:",
+        f"    {verb} NEW(PointRecord, (image, dual, dual, a, d))",
+        "else:",
+        f"    {verb} NEW(PointRecord, (image, dual, {isog_packed}, a, d))",
+    ]
+    ranges = {"a": "a_range", "d": f"range(1, {ell})"}
+    out = ["def walk(a_range):" if loops else f"def record({', '.join(_RESIDUES)}):"]
+    for k, placed in enumerate(levels):
+        if k:
+            v = loops[k - 1]
+            out.append("    " * k + f"for {v} in {ranges.get(v, f'range({ell})')}:")
+        out += ["    " * (k + 1) + line for line in placed]
+    return "\n".join(out)
+
+
 @functools.cache
-def _record_kernel(ell: int):
-    """The one way records are built at prime l: from the twelve residues of a point.
+def _record_kernel(ell: int) -> _Kernel:
+    """The one way records are built at prime l: both functions of _Kernel.
 
     ``record(a, d, b1, b2, w1, w2, x1, x2, y1, y2, z1, z2)`` is generated
     straight-line code: the mod-l determinant constraint, the image and the
     isogeny dual as forms mod l (folded here, see the module docstring), the
     contragredient by block inverse, and the comparison of the two duals.
     The residues are taken as given; ParamPoint validates their ranges.
+    ``walk(a_range)`` runs the same statements over the slab transversal
+    with a in ``a_range`` and yields its records in order (see
+    _kernel_source), so both share every check and every refusal here.
     """
     check_prime(ell)
     glue, live, isogeny = _kernel_terms(ell)
@@ -364,34 +485,20 @@ def _record_kernel(ell: int):
     if bad is not None:
         raise ArithmeticError(f"glued entry {bad} = {reduced[bad]} breaks the block inverse")
     dual = _divided_forms(isogeny, [glued[pos] for pos in live], ell, "isogeny")
-    folded = [_residue_text(dual.get(pos, ()), ell) for pos in range(16)]
-    image = [f"m{pos}" if text != "0" else "0" for pos, text in enumerate(reduced)]
-    contra = [f"c{pos}" if pos not in _CONTRAGREDIENT_ZEROS else "0" for pos in range(16)]
-    isog = [f"v{pos}" if text != "0" else "0" for pos, text in enumerate(folded)]
-    agree = [f"{c} == {v}" for c, v in zip(contra, isog) if c != v]
-    lines = [
-        "def record(a, d, b1, b2, w1, w2, x1, x2, y1, y2, z1, z2):",
-        f"    if (a * (z1 - z2) - b1 * w1 + b2 * w2 + d * (x1 - x2)) % {ell}:",
-        f'        raise ValueError("determinant constraint violated mod {ell}")',
-        *(f"    m{pos} = {text}" for pos, text in enumerate(reduced) if text != "0"),
-        _CONTRAGREDIENT.format(l=ell),
-        *(f"    v{pos} = {text}" for pos, text in enumerate(folded) if text != "0"),
-        f"    image = {_packed_text(image, ell)}",
-        f"    dual = {_packed_text(contra, ell)}",
-        f"    if {' and '.join(agree)}:",
-        "        return PointRecord(image, dual, dual, a, d)",
-        f"    return PointRecord(image, dual, {_packed_text(isog, ell)}, a, d)",
-    ]
+    images = {pos: glued[pos] for pos, text in enumerate(reduced) if text != "0"}
+    folded = {pos: form for pos, form in sorted(dual.items()) if _residue_text(form, ell) != "0"}
     namespace = {
         "PointRecord": PointRecord,
+        "NEW": tuple.__new__,  # what PointRecord(...) calls, without its Python frame
         "INVERSES": (0, *(pow(u, -1, ell) for u in range(1, ell))),
     }
-    exec(compile("\n".join(lines), f"<record l={ell}>", "exec"), namespace)
-    return namespace["record"]
+    source = "\n".join(_kernel_source(ell, images, folded, loops) for loops in ((), _WALK_LOOPS))
+    exec(compile(source, f"<record kernel l={ell}>", "exec"), namespace)
+    return _Kernel(namespace["record"], namespace["walk"])
 
 
 def _record(p: ParamPoint) -> PointRecord:
-    return _record_kernel(p.ell)(
+    return _record_kernel(p.ell).record(
         p.a, p.d, p.b1, p.b2, p.w1, p.w2, p.x1, p.x2, p.y1, p.y2, p.z1, p.z2
     )
 
@@ -409,25 +516,6 @@ def parameter_count(ell: int, twist: str = "generic") -> int:
 def _check_twist(twist: str) -> None:
     if twist not in TWISTS:
         raise ValueError(f"unknown twist {twist!r}")
-
-
-def _slab_residues(ell: int, twist: str) -> Iterator[tuple]:
-    """A transversal of the family: one point per distinct mod-l image pair.
-
-    The mod-l images depend only on (a, d, b1, b2, w1, w2, x1 - x2) and
-    z1 - z2 is then forced, so fixing x2 = y1 = y2 = z2 = 0 and solving z1
-    walks each image pair exactly once.  Yields the twelve residues in
-    ParamPoint's field order.
-    """
-    check_prime(ell)
-    _check_twist(twist)
-    a_range = (1,) if twist == "trivial" else range(1, ell)
-    for a in a_range:
-        a_inv = pow(a, -1, ell)
-        for d in range(1, ell):
-            for b1, b2, w1, w2, x1 in itertools.product(range(ell), repeat=5):
-                z1 = _solve_z1(ell, a_inv, d, 0, b1, b2, w1, w2, x1, 0)
-                yield (a, d, b1, b2, w1, w2, x1, 0, 0, 0, z1, 0)
 
 
 def _draw_residues(rng: random.Random, ell: int, twist: str) -> tuple:
@@ -482,13 +570,25 @@ def slab_records(ell: int, twist: str = "generic"):
 
 
 def iter_slab_records(ell: int, twist: str = "generic") -> Iterator[PointRecord]:
-    return itertools.starmap(_record_kernel(ell), _slab_residues(ell, twist))
+    """The records of a transversal of the family: one per distinct mod-l image pair.
+
+    The mod-l images depend only on (a, d, b1, b2, w1, w2, x1 - x2) and
+    z1 - z2 is then forced, so the generated walk fixes x2 = y1 = y2 = z2 = 0,
+    loops over a, d, b1, b2, w1, w2, x1 (outermost first) and solves z1:
+    it meets each image pair exactly once.  The prime and the twist are
+    checked when this is called, before any record is built.
+    """
+    _check_twist(twist)
+    return _record_kernel(ell).walk((1,) if twist == "trivial" else range(1, ell))
 
 
 def sample_records(ell: int, twist: str, count: int, seed) -> list:
     """Records of seeded random family elements (all ten residues free)."""
     _check_twist(twist)
-    record = _record_kernel(ell)
+    count = _integer("count", count)
+    if count < 0:
+        raise ValueError(f"count={count} is negative")
+    record = _record_kernel(ell).record
     rng = random.Random(seed)
     return [record(*_draw_residues(rng, ell, twist)) for _ in range(count)]
 

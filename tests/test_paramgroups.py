@@ -41,7 +41,6 @@ from galdual.paramgroups import (
     _kernel_terms,
     _record,
     _record_kernel,
-    _slab_residues,
     _solve_z1,
     _sparse_terms,
     canonical_generator_points,
@@ -138,6 +137,19 @@ def expected_dual_of(m: ModMatrix) -> ModMatrix:
 
 
 # -- points and records, read through the residue kernel
+
+
+def _slab_residues(ell, twist):
+    """The reference transversal: the residues of one point per distinct
+    mod-l image pair, x2 = y1 = y2 = z2 = 0 and z1 solved, in the order
+    the generated walk visits them (a, d, b1, b2, w1, w2, x1, outermost first)."""
+    a_range = (1,) if twist == "trivial" else range(1, ell)
+    for a in a_range:
+        a_inv = pow(a, -1, ell)
+        for d in range(1, ell):
+            for b1, b2, w1, w2, x1 in itertools.product(range(ell), repeat=5):
+                z1 = _solve_z1(ell, a_inv, d, 0, b1, b2, w1, w2, x1, 0)
+                yield (a, d, b1, b2, w1, w2, x1, 0, 0, 0, z1, 0)
 
 
 def slab_points(ell, twist="generic"):
@@ -802,9 +814,12 @@ def patched_conjugators(monkeypatch):
 def test_contragredient_flat_raises_on_a_singular_element(ell):
     """a = 0 meets the constraint with every other residue zero, and det A = 0
     then makes the image singular: the kernel names it with an
-    ArithmeticError before it looks up an inverse."""
+    ArithmeticError before it looks up an inverse.  The walk, whose check
+    sits in its d loop, names it before it yields a record."""
     with pytest.raises(ArithmeticError, match="singular"):
-        _record_kernel(ell)(0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)
+        _record_kernel(ell).record(0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)
+    with pytest.raises(ArithmeticError, match="singular"):
+        next(_record_kernel(ell).walk((0,)))
 
 
 @pytest.mark.parametrize("pos", _LOWER_LEFT)
@@ -827,7 +842,7 @@ def test_compiled_conjugation_raises_on_an_entry_not_divisible(patched_conjugato
         patched_conjugators(change)
         for ell in (2, 3, 5, 7):
             with pytest.raises(ArithmeticError, match="not divisible"):
-                _record_kernel(ell)(1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)
+                _record_kernel(ell).record(1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)
 
 
 def _unit_added(pos):
@@ -853,7 +868,63 @@ def test_compiled_conjugation_refuses_an_image_off_the_triangular_shape(side, pa
 
 def test_record_kernel_rejects_a_violated_constraint():
     with pytest.raises(ValueError, match="determinant constraint"):
-        _record_kernel(3)(1, 1, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0)
+        _record_kernel(3).record(1, 1, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0)
+
+
+@pytest.mark.parametrize(
+    "change,match",
+    [
+        (lambda ell, data: (_unit_added(8), IDENTITY, *data[2:]), "not block upper triangular"),
+        (lambda ell, data: (IDENTITY, IDENTITY, *data[2:]), "not divisible"),
+        (lambda ell, data: (*data[:2], IDENTITY, IDENTITY), "not divisible"),
+        (lambda ell, data: (_mul(_unit_added(4), data[0]), *data[1:]), "block inverse"),
+        (
+            lambda ell, data: (data[0], _mul(data[1], _unit_added(11)), *data[2:]),
+            "block inverse",
+        ),
+    ],
+    ids=["lower-left", "glue-not-divisible", "isogeny-not-divisible", "flat-4", "flat-11"],
+)
+def test_walk_refuses_the_conjugators_the_record_function_refuses(
+    change, match, patched_conjugators
+):
+    """The refusals of the tests above, met by the walk, when it is asked for:
+    both functions come from one generation."""
+    patched_conjugators(change)
+    for twist in TWISTS:
+        with pytest.raises(ArithmeticError, match=match):
+            _record(ParamPoint(5, twist=twist))
+        with pytest.raises(ArithmeticError, match=match):
+            iter_slab_records(5, twist)
+        with pytest.raises(ArithmeticError, match=match):
+            slab_records(5, twist)
+
+
+def test_walk_checks_the_determinant_constraint(monkeypatch):
+    """With a wrong inverse table the walk solves z1 wrongly, and the
+    record function's constraint check, which the walk runs on every
+    record, refuses the first such record."""
+    walk = _record_kernel(5).walk
+    monkeypatch.setitem(walk.__globals__, "INVERSES", (0, 1, 1, 1, 1))
+    with pytest.raises(ValueError, match="determinant constraint violated mod 5"):
+        list(walk((2,)))
+
+
+def test_slab_arguments_are_checked_when_called():
+    with pytest.raises(ValueError, match="unknown twist 'weird'"):
+        iter_slab_records(3, "weird")
+    with pytest.raises(ValueError):
+        iter_slab_records(4, "generic")
+
+
+@pytest.mark.parametrize("count", [-5, -1, 2.5, "3", None])
+def test_sample_records_refuses_a_count_that_is_not_a_size(count):
+    with pytest.raises(ValueError, match=f"count={count!r}"):
+        sample_records(7, "generic", count, 1)
+
+
+def test_sample_records_takes_a_zero_count():
+    assert sample_records(7, "generic", 0, 1) == []
 
 
 # -- the record kernel: its terms and its dual routes -----------------------------
@@ -937,7 +1008,7 @@ def test_compiled_conjugations_match_conjugate_by(ell, twist):
     """The kernel's terms agree exactly with the lattice route before any
     reduction, and its records are their reductions mod l."""
     glue, live, isogeny = _kernel_terms(ell)
-    record = _record_kernel(ell)
+    record = _record_kernel(ell).record
     mq = gluing_change_of_basis(ell)
     mlam = glued_polarization_change_of_basis(ell)
     rng = random.Random(f"compiled:{ell}:{twist}")
@@ -963,7 +1034,7 @@ def test_folded_kernel_matches_exact_term_evaluation(ell, twist):
     random points it equals the term lists run on the exact lift: integer
     products, exact division by l, and only then reduction mod l."""
     glue, live, isogeny = _kernel_terms(ell)
-    record = _record_kernel(ell)
+    record = _record_kernel(ell).record
     rng = random.Random(f"folded:{ell}:{twist}")
     for _ in range(200):
         residues = _draw_residues(rng, ell, twist)
@@ -1111,3 +1182,53 @@ def test_point_routes_match_the_residue_path(ell, twist):
     rng = random.Random(ell)
     by_point = [_record(random_param_point(rng, ell, twist)) for _ in range(500)]
     assert by_point == sample_records(ell, twist, 500, ell)
+
+
+def _pointwise_slab(ell, twist, count=None):
+    """The record function on the first ``count`` points of the reference transversal."""
+    residues = itertools.islice(_slab_residues(ell, twist), count)
+    return list(itertools.starmap(_record_kernel(ell).record, residues))
+
+
+def _assert_same_records(walked, pointwise):
+    """Equal records in the same order, sharing their dual int exactly where
+    the record function shares it."""
+    assert walked == pointwise
+    assert [r.dual_isogeny is r.dual_contragredient for r in walked] == [
+        r.dual_isogeny is r.dual_contragredient for r in pointwise
+    ]
+
+
+@pytest.mark.parametrize("twist", TWISTS)
+@pytest.mark.parametrize("ell", [2, 3, 5, 7])
+def test_walk_is_the_record_function_on_the_reference_transversal(ell, twist):
+    """The generated walk against starmap(record, _slab_residues): every
+    record at l <= 5, the first 20 000 at l = 7."""
+    count = 20000 if ell == 7 else None
+    walked = list(itertools.islice(iter_slab_records(ell, twist), count))
+    _assert_same_records(walked, _pointwise_slab(ell, twist, count))
+    assert len(walked) == (count or FROZEN_ORDERS[(ell, twist)])
+
+
+@pytest.mark.parametrize("ell", [3, 5])
+def test_walk_is_the_record_function_when_the_routes_differ(ell, patched_conjugators):
+    """With the isogeny route patched to return the image, the walk's
+    partial comparisons and partial isogeny ints still give the record
+    function's records, both duals kept where they differ."""
+    patched_conjugators(
+        lambda ell, data: (*data[:2], tuple(ell * v for v in IDENTITY), IDENTITY)
+    )
+    walked = list(iter_slab_records(ell, "generic"))
+    assert any(r.dual_isogeny != r.dual_contragredient for r in walked)
+    _assert_same_records(walked, _pointwise_slab(ell, "generic"))
+
+
+def test_l7_trivial_slab_is_injective_and_its_routes_agree():
+    """Every record of the streamed (7, trivial) slab: the two dual routes
+    agree and the 100 842 images are distinct, so the slab is injective."""
+    images, count = set(), 0
+    for r in iter_slab_records(7, "trivial"):
+        assert r.dual_isogeny == r.dual_contragredient
+        images.add(r.image)
+        count += 1
+    assert len(images) == count == FROZEN_ORDERS[(7, "trivial")] == parameter_count(7, "trivial")

@@ -559,7 +559,7 @@ def test_charpoly_proof_refuses_a_flat_that_is_not_block_triangular():
 
 @pytest.fixture
 def one_changed_record(monkeypatch):
-    """``patch(change)`` makes the record kernel build the first record whose
+    """``patch(change)`` makes the slab walk yield the first record whose
     unpacked image ``change(image, l)`` alters with the altered image, which
     it appends to the returned list.  The slab cache is cleared around it."""
     kernel = paramgroups._record_kernel
@@ -567,18 +567,19 @@ def one_changed_record(monkeypatch):
 
     def patch(change):
         def patched_kernel(ell):
-            record = kernel(ell)
+            walk = kernel(ell).walk
 
-            def build(*residues):
-                rec = record(*residues)
-                flat = unpack_flat(rec.image, ell)
-                image = change(flat, ell)
-                if changed or image == flat:
-                    return rec
-                changed.append(image)
-                return rec._replace(image=pack_flat(image, ell))
+            def changed_walk(a_range):
+                for rec in walk(a_range):
+                    flat = unpack_flat(rec.image, ell)
+                    image = change(flat, ell)
+                    if changed or image == flat:
+                        yield rec
+                    else:
+                        changed.append(image)
+                        yield rec._replace(image=pack_flat(image, ell))
 
-            return build
+            return kernel(ell)._replace(walk=changed_walk)
 
         monkeypatch.setattr(paramgroups, "_record_kernel", patched_kernel)
         return changed
