@@ -349,14 +349,21 @@ def common_stable_lines(ell: int, generators: Sequence[ModMatrix]) -> tuple:
 
     Stability under the generators suffices: the stabilizer of a line is a
     subgroup.  With no generators every one of the (l^4 - 1)/(l - 1) lines
-    is stable.  Raises ValueError on a generator that is not 4x4 mod l.
+    is stable.  A line is dropped at the first generator that moves it, so
+    the character is built only for the lines every generator keeps.
+    Raises ValueError on a generator that is not 4x4 mod l.
     """
     gens = _check_generators(ell, generators)
     out = []
     for v in projective_points(ell):
-        character = tuple((g, _eigenvalue(g, v)) for g in gens)
-        if all(s is not None for _, s in character):
-            out.append(StableLine(v, character))
+        character = []
+        for g in gens:
+            s = _eigenvalue(g, v)
+            if s is None:
+                break
+            character.append((g, s))
+        else:
+            out.append(StableLine(v, tuple(character)))
     return tuple(out)
 
 

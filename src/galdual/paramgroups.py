@@ -33,7 +33,7 @@ the folded isogeny dual.  Records hold exactmat's packed 4x4 ints, one
 dual int when the routes agree.  The tests compare the term lists with
 lattice.conjugate_by and the contragredient with the reference inverse.
 
-The statement list becomes two functions.  ``record`` runs it straight
+The statement list becomes three functions.  ``record`` runs it straight
 through on the twelve residues of one point.  ``walk`` runs it over the
 slab transversal: nested loops over a, d, b1, b2, w1, w2, x1, outermost
 first, with x2 = y1 = y2 = z2 = 0 substituted and z1 solved in the
@@ -41,13 +41,14 @@ innermost loop.  Each statement goes at the shallowest loop where all of
 its inputs are bound, so the (a, d) inverses, most contragredient entries
 and most packed fields are computed once per outer residue; the three
 packed ints and the route comparison are split into one partial OR or
-AND per loop.  The walk keeps every check of ``record``: the determinant
-constraint on each record, the singular-element check, and the refusals
-made while generating, which cover both functions.
-
-Seeded samples draw each residue below n as CPython's randrange does,
-from getrandbits(n.bit_length()) repeated until it is below n, so the
-pinned l = 7 samples rest on CPython's getrandbits stream.
+AND per loop.  ``sample`` runs it straight through once per seeded
+sample, after drawing the residues inline: each residue below n is drawn
+as CPython's randrange does, getrandbits(n.bit_length()) repeated until
+it is below n, so the pinned l = 7 samples rest on CPython's getrandbits
+stream; z1 is then solved.  The walk and the sample keep every check of
+``record``: the determinant constraint on each record, the
+singular-element check, the route comparison, and the refusals made
+while generating, which cover all three functions.
 
 slab_records builds its tuple with the cyclic garbage collector paused,
 then calls gc.freeze().  CPython never untracks NamedTuples, so every
@@ -382,10 +383,11 @@ class PointRecord(NamedTuple):
 
 
 class _Kernel(NamedTuple):
-    """The two functions generated at one prime from one statement list."""
+    """The three functions generated at one prime from one statement list."""
 
     record: Callable[..., PointRecord]
     walk: Callable[..., Iterator[PointRecord]]
+    sample: Callable[..., list]
 
 
 # the walk's loops, outermost first, in the order of the slab transversal,
@@ -393,31 +395,65 @@ class _Kernel(NamedTuple):
 _WALK_LOOPS = ("a", "d", "b1", "b2", "w1", "w2", "x1")
 _WALK_ZEROS = ("x2", "y1", "y2", "z2")
 
+# the residues a sample draws, in the order it draws them; z1 is solved
+_DRAWN = ("a", "b1", "b2", "w1", "w2", "x1", "x2", "y1", "y2", "z2", "d")
 
-def _kernel_source(ell: int, images: dict, folded: dict, loops: tuple) -> str:
-    """Source of ``record`` when ``loops`` is empty, else of ``walk``.
+
+def _draw_lines(ell: int) -> list:
+    """The sample's draws of one point, as CPython's ``Random.randrange``
+    makes them: a residue below n is ``bits(n.bit_length())``, repeated
+    until it is below n, with n = l - 1 (then shifted up by one) for a and
+    d and n = l for the rest.  The trivial twist draws no a."""
+    lines = ["if trivial:", "    a = 1", "else:"]
+    for v in _DRAWN:
+        unit = v in ("a", "d")
+        draw = f"bits({(ell - 1 if unit else ell).bit_length()}){' + 1' if unit else ''}"
+        indent = "    " if v == "a" else ""
+        draws = (f"{v} = {draw}", f"while {v} >= {ell}:", f"    {v} = {draw}")
+        lines += [indent + line for line in draws]
+    return lines
+
+
+def _kernel_source(ell: int, images: dict, folded: dict, kind: str) -> str:
+    """Source of the function ``kind`` of _Kernel: record, walk or sample.
 
     ``images`` and ``folded`` map the flats where the image and the isogeny
-    dual are nonzero to their forms.  The walk fixes _WALK_ZEROS at zero
-    and solves z1 in the innermost loop.  Each statement goes at the
-    shallowest loop where all of its inputs are bound, and each packed int
-    and the route comparison is split into one partial OR or AND per loop;
-    without loops everything is straight-line code.
+    dual are nonzero to their forms.  ``record`` is straight-line code.
+    The walk fixes _WALK_ZEROS at zero and solves z1 in the innermost loop.
+    The sample has one loop over the samples, which draws the residues
+    (_draw_lines), solves z1 and appends each record.  Each statement goes
+    at the shallowest loop where all of its inputs are bound, and each
+    packed int and the route comparison is split into one partial OR or
+    AND per loop.
     """
-    zero = _WALK_ZEROS if loops else ()
-    solve = ("a_inv = INVERSES[a]", f"z1 = a_inv * rhs % {ell}") if loops else ()
+    walk = kind == "walk"
+    zero = _WALK_ZEROS if walk else ()
+    solve = {
+        "record": (),
+        "walk": ("a_inv = INVERSES[a]", f"z1 = a_inv * rhs % {ell}"),
+        "sample": (f"z1 = (z2 + INVERSES[a] * rhs) % {ell}",),
+    }[kind]
     source = "\n".join([
         "bw = b1 * w1 - b2 * w2",
-        f"rhs = bw - d * {'x1' if loops else '(x1 - x2)'}",
+        f"rhs = bw - d * {'x1' if walk else '(x1 - x2)'}",
         *solve,
-        f"if (a * {'z1' if loops else '(z1 - z2)'} - rhs) % {ell}:",
+        f"if (a * {'z1' if walk else '(z1 - z2)'} - rhs) % {ell}:",
         f'    raise ValueError("determinant constraint violated mod {ell}")',
         *(f"m{pos} = {_residue_text(form, ell, zero)}" for pos, form in images.items()),
         _CONTRAGREDIENT.format(l=ell),
         *(f"v{pos} = {_residue_text(form, ell, zero)}" for pos, form in folded.items()),
     ])
-    depth = {v: k for k, v in enumerate(loops, 1)}
+    ranges = {"a": "a_range", "d": f"range(1, {ell})"}
+    loops = {
+        "record": [],
+        "walk": [(f"for {v} in {ranges.get(v, f'range({ell})')}:", (v,)) for v in _WALK_LOOPS],
+        "sample": [("for _ in range(count):", _DRAWN)],
+    }[kind]
+    depth = {v: k for k, (_, bound) in enumerate(loops, 1) for v in bound}
     levels = [[] for _ in range(len(loops) + 1)]
+    if kind == "sample":
+        levels[0] += ["records = []", "append = records.append"]
+        levels[1] += _draw_lines(ell)
     lines = source.splitlines()
     for node in ast.parse(source).body:
         names = [n for n in ast.walk(node) if isinstance(n, ast.Name)]
@@ -446,26 +482,27 @@ def _kernel_source(ell: int, images: dict, folded: dict, loops: tuple) -> str:
         levels[k].append(f"{name} = {packed}")
     agree = [((c, v), f"{c} == {v}") for c, v in zip(contra, isog) if c != v]
     isog_packed = partials("isog", "|", _packed_terms(isog, ell))[1]
-    verb = "yield" if loops else "return"
+    emit = {"record": "return {}", "walk": "yield {}", "sample": "append({})"}[kind]
     levels[-1] += [
         f"if {partials('same', 'and', agree)[1]}:",
-        f"    {verb} NEW(PointRecord, (image, dual, dual, a, d))",
+        "    " + emit.format("NEW(PointRecord, (image, dual, dual, a, d))"),
         "else:",
-        f"    {verb} NEW(PointRecord, (image, dual, {isog_packed}, a, d))",
+        "    " + emit.format(f"NEW(PointRecord, (image, dual, {isog_packed}, a, d))"),
     ]
-    ranges = {"a": "a_range", "d": f"range(1, {ell})"}
-    out = ["def walk(a_range):" if loops else f"def record({', '.join(_RESIDUES)}):"]
+    params = {"record": ", ".join(_RESIDUES), "walk": "a_range", "sample": "bits, count, trivial"}
+    out = [f"def {kind}({params[kind]}):"]
     for k, placed in enumerate(levels):
         if k:
-            v = loops[k - 1]
-            out.append("    " * k + f"for {v} in {ranges.get(v, f'range({ell})')}:")
+            out.append("    " * k + loops[k - 1][0])
         out += ["    " * (k + 1) + line for line in placed]
+    if kind == "sample":
+        out.append("    return records")
     return "\n".join(out)
 
 
 @functools.cache
 def _record_kernel(ell: int) -> _Kernel:
-    """The one way records are built at prime l: both functions of _Kernel.
+    """The one way records are built at prime l: the functions of _Kernel.
 
     ``record(a, d, b1, b2, w1, w2, x1, x2, y1, y2, z1, z2)`` is generated
     straight-line code: the mod-l determinant constraint, the image and the
@@ -473,8 +510,11 @@ def _record_kernel(ell: int) -> _Kernel:
     contragredient by block inverse, and the comparison of the two duals.
     The residues are taken as given; ParamPoint validates their ranges.
     ``walk(a_range)`` runs the same statements over the slab transversal
-    with a in ``a_range`` and yields its records in order (see
-    _kernel_source), so both share every check and every refusal here.
+    with a in ``a_range`` and yields its records in order.
+    ``sample(bits, count, trivial)`` draws ``count`` points from the word
+    source ``bits`` (a bound ``Random.getrandbits``), a = 1 when
+    ``trivial``, and returns their records (see _kernel_source).  All three
+    share every check and every refusal here.
     """
     check_prime(ell)
     glue, live, isogeny = _kernel_terms(ell)
@@ -492,9 +532,9 @@ def _record_kernel(ell: int) -> _Kernel:
         "NEW": tuple.__new__,  # what PointRecord(...) calls, without its Python frame
         "INVERSES": (0, *(pow(u, -1, ell) for u in range(1, ell))),
     }
-    source = "\n".join(_kernel_source(ell, images, folded, loops) for loops in ((), _WALK_LOOPS))
+    source = "\n".join(_kernel_source(ell, images, folded, kind) for kind in _Kernel._fields)
     exec(compile(source, f"<record kernel l={ell}>", "exec"), namespace)
-    return _Kernel(namespace["record"], namespace["walk"])
+    return _Kernel(*(namespace[kind] for kind in _Kernel._fields))
 
 
 def _record(p: ParamPoint) -> PointRecord:
@@ -509,6 +549,7 @@ def _record(p: ParamPoint) -> PointRecord:
 def parameter_count(ell: int, twist: str = "generic") -> int:
     """Number of distinct mod-l image elements (= distinct image pairs)."""
     check_prime(ell)
+    _check_twist(twist)
     units = 1 if twist == "trivial" else ell - 1
     return units * (ell - 1) * ell**5
 
@@ -516,38 +557,6 @@ def parameter_count(ell: int, twist: str = "generic") -> int:
 def _check_twist(twist: str) -> None:
     if twist not in TWISTS:
         raise ValueError(f"unknown twist {twist!r}")
-
-
-def _draw_residues(rng: random.Random, ell: int, twist: str) -> tuple:
-    """The residues of a uniformly random family element, z1 solved.
-
-    Draws a (unless the twist is trivial), then b1 ... y2, z2, then d.  Each
-    residue below n takes the draw CPython's ``Random.randrange`` makes:
-    ``getrandbits(n.bit_length())``, repeated until it is below n, with
-    n = l - 1 (shifted up by one) for a and d and n = l for the rest.
-    Seeded samples are pinned to this stream.
-    """
-    bits = rng.getrandbits
-    units, k_unit, k = ell - 1, (ell - 1).bit_length(), ell.bit_length()
-    a = 1
-    if twist != "trivial":
-        a = bits(k_unit)
-        while a >= units:
-            a = bits(k_unit)
-        a += 1
-    free = []
-    for _ in range(9):
-        r = bits(k)
-        while r >= ell:
-            r = bits(k)
-        free.append(r)
-    d = bits(k_unit)
-    while d >= units:
-        d = bits(k_unit)
-    d += 1
-    b1, b2, w1, w2, x1, x2, y1, y2, z2 = free
-    z1 = _solve_z1(ell, pow(a, -1, ell), d, z2, b1, b2, w1, w2, x1, x2)
-    return (a, d, b1, b2, w1, w2, x1, x2, y1, y2, z1, z2)
 
 
 @functools.cache
@@ -583,14 +592,17 @@ def iter_slab_records(ell: int, twist: str = "generic") -> Iterator[PointRecord]
 
 
 def sample_records(ell: int, twist: str, count: int, seed) -> list:
-    """Records of seeded random family elements (all ten residues free)."""
+    """Records of seeded random family elements (all ten residues free).
+
+    The generated sample draws from ``random.Random(seed)`` as its
+    ``randrange`` would, so the seeded samples are pinned to CPython's
+    getrandbits stream.
+    """
     _check_twist(twist)
     count = _integer("count", count)
     if count < 0:
         raise ValueError(f"count={count} is negative")
-    record = _record_kernel(ell).record
-    rng = random.Random(seed)
-    return [record(*_draw_residues(rng, ell, twist)) for _ in range(count)]
+    return _record_kernel(ell).sample(random.Random(seed).getrandbits, count, twist == "trivial")
 
 
 # -- image groups ------------------------------------------------------------------
@@ -752,6 +764,7 @@ def generator_word(m: ModMatrix, twist: str = "generic"):
     this factorization for every shape matrix is what makes the canonical
     points a generating set.
     """
+    _check_twist(twist)
     a, d, b1, u, b2, w1, w2 = shape_parameters(m)
     ell = m.ell
     if twist == "trivial" and a != 1:

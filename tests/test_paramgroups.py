@@ -34,7 +34,6 @@ from galdual.paramgroups import (
     ParamPoint,
     RouteDisagreementError,
     _conjugator_data,
-    _draw_residues,
     _flat_of,
     _generator_records,
     _image_group,
@@ -152,6 +151,16 @@ def _slab_residues(ell, twist):
                 yield (a, d, b1, b2, w1, w2, x1, 0, 0, 0, z1, 0)
 
 
+def _draw_residues_by_randrange(rng, ell, twist):
+    """The reference draw, one rng.randrange per residue, z1 solved: the
+    draw the seeded samples were pinned with."""
+    a = 1 if twist == "trivial" else rng.randrange(1, ell)
+    b1, b2, w1, w2, x1, x2, y1, y2, z2 = [rng.randrange(ell) for _ in range(9)]
+    d = rng.randrange(1, ell)
+    z1 = (z2 + pow(a, -1, ell) * (b1 * w1 - b2 * w2 - d * x1 + d * x2)) % ell
+    return (a, d, b1, b2, w1, w2, x1, x2, y1, y2, z1, z2)
+
+
 def slab_points(ell, twist="generic"):
     """The slab transversal as validated ParamPoints."""
     return (ParamPoint(ell, *r, twist=twist) for r in _slab_residues(ell, twist))
@@ -159,7 +168,7 @@ def slab_points(ell, twist="generic"):
 
 def random_param_point(rng, ell, twist="generic"):
     """A uniformly random family element, drawn as sample_records draws it."""
-    return ParamPoint(ell, *_draw_residues(rng, ell, twist), twist=twist)
+    return ParamPoint(ell, *_draw_residues_by_randrange(rng, ell, twist), twist=twist)
 
 
 def image_element(p: ParamPoint) -> ModMatrix:
@@ -381,6 +390,11 @@ def test_image_group_orders(ell, twist):
 @pytest.mark.parametrize("twist", ["generic", "trivial"])
 def test_parameter_count_l7(twist):
     assert parameter_count(7, twist) == FROZEN_ORDERS[(7, twist)]
+
+
+def test_parameter_count_refuses_an_unknown_twist():
+    with pytest.raises(ValueError, match="unknown twist 'weird'"):
+        parameter_count(3, "weird")
 
 
 def test_twists_coincide_at_ell_two():
@@ -613,6 +627,16 @@ def test_generator_word_respects_trivial_twist():
         generator_word(m, "trivial")
 
 
+def test_generator_word_refuses_an_unknown_twist():
+    """An unknown twist is refused, not read as the trivial one without torus_a."""
+    m = ModMatrix.from_rows(
+        [[2, 0, 0, 0], [0, 1, 0, 0], [0, 0, 2, 0], [0, 0, 0, 1]], 3
+    )
+    assert generator_word(m) == [("torus_a", 1)]
+    with pytest.raises(ValueError, match="unknown twist 'weird'"):
+        generator_word(m, "weird")
+
+
 def test_canonical_generator_counts():
     assert len(canonical_generator_points(2)) == 5
     assert len(canonical_generator_points(3)) == 7
@@ -815,11 +839,14 @@ def test_contragredient_flat_raises_on_a_singular_element(ell):
     """a = 0 meets the constraint with every other residue zero, and det A = 0
     then makes the image singular: the kernel names it with an
     ArithmeticError before it looks up an inverse.  The walk, whose check
-    sits in its d loop, names it before it yields a record."""
+    sits in its d loop, names it before it yields a record, and so does the
+    sample on a word source that reads -1, which draws a = d = 0."""
     with pytest.raises(ArithmeticError, match="singular"):
         _record_kernel(ell).record(0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)
     with pytest.raises(ArithmeticError, match="singular"):
         next(_record_kernel(ell).walk((0,)))
+    with pytest.raises(ArithmeticError, match="singular"):
+        _record_kernel(ell).sample(lambda k: -1, 1, False)
 
 
 @pytest.mark.parametrize("pos", _LOWER_LEFT)
@@ -888,8 +915,8 @@ def test_record_kernel_rejects_a_violated_constraint():
 def test_walk_refuses_the_conjugators_the_record_function_refuses(
     change, match, patched_conjugators
 ):
-    """The refusals of the tests above, met by the walk, when it is asked for:
-    both functions come from one generation."""
+    """The refusals of the tests above, met by the walk and the sample, when
+    they are asked for: all three functions come from one generation."""
     patched_conjugators(change)
     for twist in TWISTS:
         with pytest.raises(ArithmeticError, match=match):
@@ -898,16 +925,20 @@ def test_walk_refuses_the_conjugators_the_record_function_refuses(
             iter_slab_records(5, twist)
         with pytest.raises(ArithmeticError, match=match):
             slab_records(5, twist)
+        with pytest.raises(ArithmeticError, match=match):
+            sample_records(5, twist, 1, 0)
 
 
 def test_walk_checks_the_determinant_constraint(monkeypatch):
-    """With a wrong inverse table the walk solves z1 wrongly, and the
-    record function's constraint check, which the walk runs on every
+    """With a wrong inverse table the walk and the sample solve z1 wrongly,
+    and the record function's constraint check, which both run on every
     record, refuses the first such record."""
-    walk = _record_kernel(5).walk
-    monkeypatch.setitem(walk.__globals__, "INVERSES", (0, 1, 1, 1, 1))
+    kernel = _record_kernel(5)
+    monkeypatch.setitem(kernel.walk.__globals__, "INVERSES", (0, 1, 1, 1, 1))
     with pytest.raises(ValueError, match="determinant constraint violated mod 5"):
-        list(walk((2,)))
+        list(kernel.walk((2,)))
+    with pytest.raises(ValueError, match="determinant constraint violated mod 5"):
+        sample_records(5, "generic", 100, 0)
 
 
 def test_slab_arguments_are_checked_when_called():
@@ -1013,7 +1044,7 @@ def test_compiled_conjugations_match_conjugate_by(ell, twist):
     mlam = glued_polarization_change_of_basis(ell)
     rng = random.Random(f"compiled:{ell}:{twist}")
     for _ in range(40):
-        residues = _draw_residues(rng, ell, twist)
+        residues = _draw_residues_by_randrange(rng, ell, twist)
         lifted = lift_element(ParamPoint(ell, *residues, twist=twist))
         flat = _flat_of(lifted)
         glued_exact = conjugate_by(mq, lifted)
@@ -1037,7 +1068,7 @@ def test_folded_kernel_matches_exact_term_evaluation(ell, twist):
     record = _record_kernel(ell).record
     rng = random.Random(f"folded:{ell}:{twist}")
     for _ in range(200):
-        residues = _draw_residues(rng, ell, twist)
+        residues = _draw_residues_by_randrange(rng, ell, twist)
         rows = g_ell_element(ParamPoint(ell, *residues, twist=twist))
         flat = [v for row in rows for v in row]
         glued = _divided(_evaluate(glue, [flat[k] for k in _FAMILY_SUPPORT]), ell)
@@ -1149,27 +1180,17 @@ def test_slab_records_leave_the_collector_as_they_found_it(enabled):
     assert _records_sha256(records, 3) == SLAB_SHA256[(3, "generic")]
 
 
-def _draw_residues_by_randrange(rng, ell, twist):
-    """The draw the seeded samples were pinned with, one rng.randrange per residue."""
-    a = 1 if twist == "trivial" else rng.randrange(1, ell)
-    b1, b2, w1, w2, x1, x2, y1, y2, z2 = [rng.randrange(ell) for _ in range(9)]
-    d = rng.randrange(1, ell)
-    z1 = (z2 + pow(a, -1, ell) * (b1 * w1 - b2 * w2 - d * x1 + d * x2)) % ell
-    return (a, d, b1, b2, w1, w2, x1, x2, y1, y2, z1, z2)
-
-
 @pytest.mark.parametrize("twist", TWISTS)
 @pytest.mark.parametrize("ell", [2, 3, 5, 7, 11, 13])
 def test_draws_match_randrange(ell, twist):
-    """Same residues, and the same generator state after 300 draws; at l = 2,
-    randrange(1, 2) still consumes getrandbits(1) until it reads 0."""
+    """The generated sample's records are the record function on the
+    reference draw, 300 points a seed; at l = 2 the draws of d, like
+    randrange(1, 2), still consume getrandbits(1) until it reads 0."""
+    record = _record_kernel(ell).record
     for seed in (0, 1, "draws"):
-        bits, ranged = random.Random(seed), random.Random(seed)
-        for _ in range(300):
-            assert _draw_residues(bits, ell, twist) == _draw_residues_by_randrange(
-                ranged, ell, twist
-            )
-        assert bits.getstate() == ranged.getstate()
+        ranged = random.Random(seed)
+        residues = [_draw_residues_by_randrange(ranged, ell, twist) for _ in range(300)]
+        _assert_same_records(sample_records(ell, twist, 300, seed), [record(*r) for r in residues])
 
 
 @pytest.mark.parametrize("twist", TWISTS)

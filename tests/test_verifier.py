@@ -612,3 +612,35 @@ def test_semisimp_charpoly_fails_when_no_block_is_zero(one_changed_record):
     assert "block-triangular" in report.witness
     assert f"image {changed[0]}" in report.witness
     assert_report_grammar(format_report(report))
+
+
+@pytest.mark.parametrize("twist", ["generic", "trivial"])
+@pytest.mark.parametrize("check_id", ["dual-route-agreement", "semisimp-charpoly"])
+def test_l7_sampled_checks_fail_on_one_changed_record(check_id, twist, monkeypatch):
+    """The kernel's sample, patched to move the diagonal entry d of its
+    first image and to give that record the moved image as its isogeny
+    dual, fails both sampled checks at l = 7, named by the moved image."""
+    kernel = paramgroups._record_kernel
+    changed = []
+
+    def patched_kernel(ell):
+        sample = kernel(ell).sample
+
+        def changed_sample(bits, count, trivial):
+            first, *rest = sample(bits, count, trivial)
+            image = unpack_flat(first.image, ell)
+            image = (*image[:5], (image[5] + 1) % ell, *image[6:])
+            changed.append(image)
+            packed = pack_flat(image, ell)
+            return [first._replace(image=packed, dual_isogeny=packed), *rest]
+
+        return kernel(ell)._replace(sample=changed_sample)
+
+    monkeypatch.setattr(paramgroups, "_record_kernel", patched_kernel)
+    report = run_check(check_id, ell=7, twist=twist)
+    assert report.status == "fail"
+    assert len(changed) == 1
+    assert f"l=7 {twist}: " in report.witness
+    assert f"image {changed[0]}" in report.witness
+    assert report.counts == ()
+    assert_report_grammar(format_report(report))
