@@ -22,9 +22,9 @@ IMAGE_GROUP_ORDERS = {
 }
 
 # Dimension of the space of matrices intertwining the surface image with
-# the dual image (generic twist), from the echelonized nullspace of the
-# generator-pair linear system.  The walk over each space finds no
-# invertible element at any of these primes.
+# the dual image (generic twist), solved on the canonical generator pairs
+# by groupengine.intertwiner_basis.  invertible_line walks every line of
+# each space and finds no invertible element at any of these primes.
 INTERTWINER_DIMENSIONS = {2: 3, 3: 2, 5: 2, 7: 2}
 
 # Permutation-character data of the l = 3 trivial-twist groups acting on

@@ -425,7 +425,7 @@ def unpack_flat(packed: int, ell: int) -> tuple:
     """The flat 4x4 that ``packed`` holds, field by field."""
     width = field_width(ell)
     mask = (1 << width) - 1
-    return tuple(packed >> (width * i) & mask for i in range(16))
+    return tuple([packed >> shift & mask for shift in range(0, 16 * width, width)])
 
 
 def position_mask(positions, ell: int) -> int:

@@ -47,11 +47,12 @@ from galdual.exactmat import (
 from galdual.groupengine import (
     _IDENT,
     _f2_small_generating_set,
-    f2_intertwiner,
     f2_inv,
     f2_mul,
     f2_transpose,
     gl4_elements,
+    intertwiner_basis,
+    invertible_line,
     matrix_subgroups_conjugate,
 )
 from galdual.paramgroups import glued_polarization, product_principal_polarization
@@ -549,10 +550,10 @@ def contragredient_census(classes, j: AlternatingForm) -> CensusResult:
     """Classify every subgroup class against its contragredient.
 
     For each class H: (i) is the inclusion representation H -> GL4(F_2)
-    equivalent to h -> (h^-1)^T?  Decided by f2_intertwiner on the packed
-    generator pairs (g, g^-T): the intertwiner span is solved by XOR
-    elimination and every nonzero element of it is tried, in Gray-code
-    order, for invertibility, so a negative verdict is a proof.  (ii) Is
+    equivalent to h -> (h^-1)^T?  Decided by groupengine's shared solver on
+    the packed generator pairs (g, g^-T): intertwiner_basis solves the span,
+    and invertible_line, the walk thm-main uses at every l, tries every line
+    of it for invertibility, so a negative verdict is a proof.  (ii) Is
     the image H* = {(h^-1)^T} at least a conjugate subgroup inside GL4(F_2)?
 
     The generators are the class record's ``chain_generators``, found once
@@ -595,7 +596,8 @@ def contragredient_census(classes, j: AlternatingForm) -> CensusResult:
         h = rec.representative
         dual = contragredient_subgroup(h)
         gens = rec.chain_generators or (_IDENT,)
-        witness = f2_intertwiner([(g, f2_transpose(f2_inv(g))) for g in gens])
+        pairs = [(g, f2_transpose(f2_inv(g))) for g in gens]
+        witness = invertible_line(2, intertwiner_basis(2, pairs))
         equivalent = witness is not None
         if equivalent:
             xi = f2_inv(witness)

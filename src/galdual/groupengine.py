@@ -1,10 +1,10 @@
 """Generic finite-group machinery over small prime fields.
 
-Linear-representation equivalence through intertwiner spaces, packed
-GL4(F_2) with its own intertwiner solve and subgroup conjugacy inside it,
-stable-line analysis and fixed-vector dimensions.  Everything here is
-exhaustive or certifying: a negative equivalence verdict is backed by a
-walk of every line of the intertwiner span.
+Linear-representation equivalence by one intertwiner solver on packed
+pairs at every l, which thm-main and the mod-2 census share, packed GL4(F_2)
+with subgroup conjugacy inside it, stable-line analysis and fixed-vector
+dimensions.  Everything here is exhaustive or certifying: a negative
+equivalence verdict is backed by a walk of every line of the intertwiner span.
 
 GL4(F_l) acts faithfully on the l^4 vectors of F_l^4, so the permutation
 modules of a matrix group are read off its matrices: g fixes
@@ -22,7 +22,15 @@ from array import array
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from galdual.exactmat import ModMatrix, _nullspace_mod, _rank_mod, closure
+from galdual.exactmat import (
+    ModMatrix,
+    _rank_mod,
+    closure,
+    field_width,
+    pack_flat,
+    position_mask,
+    unpack_flat,
+)
 
 
 # -- intertwiner spaces ---------------------------------------------------------
@@ -30,86 +38,130 @@ from galdual.exactmat import ModMatrix, _nullspace_mod, _rank_mod, closure
 
 @dataclass(frozen=True)
 class IntertwinerSpace:
-    """Basis of {X : X*g = g'*X for every supplied pair (g, g')}."""
+    """Basis of {X : X*g = g'*X for every supplied pair (g, g')}, 4x4 mod l."""
 
     ell: int
-    n: int
     basis: tuple
 
 
 def intertwiner_space(pairs: Sequence[tuple]) -> IntertwinerSpace:
-    """Solve the intertwining system over F_l, intersected over all pairs.
-
-    Each pair contributes n^2 linear equations in the n^2 unknown entries
-    of X; the returned basis is echelonized and every element is verified
-    against every pair by substitution.
-    """
+    """intertwiner_basis on 4x4 ModMatrix pairs: an echelonized basis, each
+    element verified against every pair by substitution."""
     pairs = list(pairs)
     if not pairs:
         raise ValueError("no pairs supplied; the ambient dimension is undetermined")
     ell = pairs[0][0].ell
-    n = pairs[0][0].n
-    for g, g2 in pairs:
-        if g.ell != ell or g2.ell != ell:
-            raise ValueError("all pairs must share one prime modulus")
-        if g.n != n or g2.n != n:
-            raise ValueError("all pairs must share one matrix size")
-    rows = []
-    for g, g2 in pairs:
-        ge, g2e = g.entries, g2.entries
-        for i in range(n):
-            for j in range(n):
-                row = [0] * (n * n)
-                for k in range(n):
-                    row[i * n + k] = (row[i * n + k] + ge[k][j]) % ell
-                    row[k * n + j] = (row[k * n + j] - g2e[i][k]) % ell
-                rows.append(row)
-    basis = []
-    for vec in _nullspace_mod(rows, n * n, ell):
-        x = ModMatrix.from_rows(
-            [vec[i * n : (i + 1) * n] for i in range(n)], ell
-        )
-        for g, g2 in pairs:
-            if x.mul(g) != g2.mul(x):
-                raise AssertionError("nullspace vector fails the intertwining identity")
-        basis.append(x)
-    return IntertwinerSpace(ell, n, tuple(basis))
-
-
-def projective_points(ell: int, n: int = 4):
-    """All normalized line representatives of F_l^n, first nonzero entry 1."""
-    for lead in range(n):
-        for tail in itertools.product(range(ell), repeat=n - lead - 1):
-            yield (0,) * lead + (1,) + tail
+    if any(m.ell != ell or m.n != 4 for pair in pairs for m in pair):
+        raise ValueError("all pairs must be 4x4 matrices over one prime modulus")
+    basis = intertwiner_basis(ell, [(g.packed(), g2.packed()) for g, g2 in pairs])
+    return IntertwinerSpace(ell, tuple(ModMatrix.from_packed(x, ell) for x in basis))
 
 
 def representations_equivalent(space: IntertwinerSpace):
-    """Search a solved intertwiner space for an invertible change of basis.
+    """(True, X) with an invertible X in the span of a solved intertwiner
+    space, or (False, None): invertible_line, so False is a proof."""
+    x = invertible_line(space.ell, [b.packed() for b in space.basis])
+    return (False, None) if x is None else (True, ModMatrix.from_packed(x, space.ell))
 
-    Returns (True, X) with an invertible X in the span, or (False, None).
-    intertwiner_space verified every basis element against every pair, so
-    every X in the span intertwines them too.  Scaling X by a unit keeps
-    invertibility, so one walk over the (l^dim - 1)/(l - 1) lines of the
-    span decides the question and a False verdict is a proof.  Raises
-    ValueError up front when the span has more than 10^7 lines.
+
+def projective_points(ell: int):
+    """All normalized line representatives of F_l^4, first nonzero entry 1."""
+    for lead in range(4):
+        for tail in itertools.product(range(ell), repeat=3 - lead):
+            yield (0,) * lead + (1,) + tail
+
+
+@functools.cache
+def _field_ops(ell: int) -> tuple:
+    """``(sub, mul, invertible)`` on packed 4x4 matrices mod l: the field-wise
+    u - c*v of packed ints of any length, the product and the unit-determinant
+    test.  At l = 2 they are XOR, f2_mul and f2_inv; at an odd l they go
+    through the residues, 16 fields at a time."""
+    if ell == 2:
+        return (lambda u, c, v: u ^ v), f2_mul, (lambda x: f2_inv(x) is not None)
+    block = 16 * field_width(ell)
+
+    def sub(u, c, v):
+        out = shift = 0
+        while u or v:
+            flat = [(x - c * y) % ell for x, y in zip(unpack_flat(u, ell), unpack_flat(v, ell))]
+            out |= pack_flat(flat, ell) << shift
+            u, v, shift = u >> block, v >> block, shift + block
+        return out
+
+    def mul(a, b):
+        return ModMatrix.from_packed(a, ell).mul(ModMatrix.from_packed(b, ell)).packed()
+
+    def invertible(x):
+        return _rank_mod(ModMatrix.from_packed(x, ell).entries, 4, ell) == 4
+
+    return sub, mul, invertible
+
+
+def intertwiner_basis(ell: int, pairs: Sequence[tuple]) -> tuple:
+    """Basis of {X : X*g = g2*X for every packed pair (g, g2)} mod l, packed.
+
+    Each unit matrix E_ij (flat position 4i + j) is mapped to
+    E_ij*g - g2*E_ij, one packed 4x4 per pair side by side, and the images
+    are eliminated on their leading field while the combination of units
+    that built each one is tracked.  A combination whose image reduces to 0
+    is a solution with coefficient 1 on its unit and 0 on every other such
+    unit: the solutions span the (16 - rank)-dimensional solution space,
+    echelonized.  Each is verified against every pair by substitution.
     """
-    ell, n, basis = space.ell, space.n, space.basis
+    sub, mul, _ = _field_ops(ell)
+    width = field_width(ell)
+    row, column = (1 << 4 * width) - 1, position_mask((0, 4, 8, 12), ell)
+    pivots = {}  # leading field of a reduced image -> (image, combination, 1 / lead)
+    basis = []
+    for b in range(16):
+        i, j = divmod(b, 4)
+        rows = columns = 0
+        for n, (g, g2) in enumerate(pairs):
+            # E_ij * g is row j of g moved to row i; g2 * E_ij is column i
+            # of g2 moved to column j; pair n starts at field 16n
+            rows |= (g >> 4 * width * j & row) << width * (4 * i + 16 * n)
+            columns |= (g2 >> width * i & column) << width * (j + 16 * n)
+        image, combo = sub(rows, 1, columns), 1 << width * b
+        while image:
+            lead = (image.bit_length() - 1) // width
+            c = image >> width * lead
+            if lead not in pivots:
+                pivots[lead] = (image, combo, pow(c, -1, ell))
+                break
+            p_image, p_combo, p_inv = pivots[lead]
+            c = c * p_inv % ell
+            image, combo = sub(image, c, p_image), sub(combo, c, p_combo)
+        else:
+            basis.append(combo)
+    if any(mul(x, g) != mul(g2, x) for x in basis for g, g2 in pairs):
+        raise AssertionError("kernel combination fails the intertwining identity")
+    return tuple(basis)
+
+
+def invertible_line(ell: int, basis: Sequence[int]) -> Optional[int]:
+    """An invertible element of the span of the packed ``basis`` mod l, or None.
+
+    One running sum is tried after each addition.  Level k adds basis[k] to
+    it, then steps through the other l^k - 1 combinations of basis[:k] in the
+    modular l-ary Gray code: step s adds basis[t], t the l-adic valuation of
+    s.  So level k tries each of the l^k lines whose last nonzero coefficient
+    is a 1 on basis[k] once, every line of the span is tried, and as scaling
+    keeps invertibility None is a proof.  Raises ValueError up front when the
+    span has more than 10^7 lines.
+    """
     dim = len(basis)
     if (ell**dim - 1) // (ell - 1) > 10**7:
-        raise ValueError(
-            f"intertwiner span of dimension {dim} mod {ell} has more than 10^7 lines"
-        )
-    flats = [tuple(v for row in b.entries for v in row) for b in basis]
-    for coeffs in projective_points(ell, dim):
-        flat = [0] * (n * n)
-        for c, bf in zip(coeffs, flats):
-            if c:
-                for idx in range(n * n):
-                    flat[idx] = (flat[idx] + c * bf[idx]) % ell
-        rows = [flat[i * n : (i + 1) * n] for i in range(n)]
-        if _rank_mod(rows, n, ell) == n:
-            return True, ModMatrix.from_rows(rows, ell)
-    return False, None
+        raise ValueError(f"intertwiner span of dimension {dim} mod {ell} has more than 10^7 lines")
+    sub, _, invertible = _field_ops(ell)
+    x, ruler = 0, []  # ruler: the l-adic valuations of 1, ..., l^k - 1
+    for k in range(dim):
+        for t in (k, *ruler):
+            x = sub(x, ell - 1, basis[t])
+            if invertible(x):
+                return x
+        ruler = ([*ruler, k] * ell)[:-1]
+    return None
 
 
 # -- packed GL4(F2) utilities -----------------------------------------------------
@@ -202,62 +254,6 @@ def _gl4_table() -> tuple:
                         | (s[8] if 8 in s else s[8 ^ r0] | 1) << 12
                     )
     return elements, inverses
-
-
-def _f2_intertwiner_basis(pairs: Sequence[tuple]) -> tuple:
-    """Basis of {X : X*g = g2*X for every packed pair (g, g2)}, packed.
-
-    Each unit matrix E_ij (bit 4i + j) is mapped to E_ij*g ^ g2*E_ij, one
-    16-bit field per pair, and the images are XOR-eliminated while the
-    combination of units that built each one is tracked.  A combination
-    whose image reduces to 0 is a solution; its highest unit is the one
-    being reduced, so the solutions found are independent and span the
-    (16 - rank)-dimensional solution space.  Every basis element is
-    verified against every pair by substitution.
-    """
-    pivots = {}  # leading bit of a reduced image -> (image, combination)
-    basis = []
-    for b in range(16):
-        i, j = divmod(b, 4)
-        image = 0
-        for shift, (g, g2) in enumerate(pairs):
-            # E_ij * g is row j of g moved to row i; g2 * E_ij is column i
-            # of g2 moved to column j
-            term = (((g >> 4 * j) & 15) << 4 * i) ^ (((g2 >> i) & 0x1111) << j)
-            image |= term << (16 * shift)
-        combo = 1 << b
-        while image:
-            lead = image.bit_length()
-            if lead not in pivots:
-                pivots[lead] = (image, combo)
-                break
-            image ^= pivots[lead][0]
-            combo ^= pivots[lead][1]
-        else:
-            basis.append(combo)
-    for x in basis:
-        for g, g2 in pairs:
-            if f2_mul(x, g) != f2_mul(g2, x):
-                raise AssertionError("kernel combination fails the intertwining identity")
-    return tuple(basis)
-
-
-def f2_intertwiner(pairs: Sequence[tuple]) -> Optional[int]:
-    """An invertible packed X with X*g = g2*X on every packed pair, or None.
-
-    Every element of the span of _f2_intertwiner_basis intertwines the
-    pairs.  Over F_2 each nonzero vector of the span is its own line, so the
-    Gray-code walk over all 2^dim - 1 nonzero combinations (one XOR per
-    step) tries every candidate once, and None is a proof that no
-    invertible intertwiner exists.
-    """
-    basis = _f2_intertwiner_basis(pairs)
-    x = 0
-    for step in range(1, 1 << len(basis)):
-        x ^= basis[(step & -step).bit_length() - 1]
-        if f2_inv(x) is not None:
-            return x
-    return None
 
 
 @functools.cache

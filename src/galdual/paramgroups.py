@@ -251,9 +251,6 @@ def _conjugator_data(ell: int):
 # blocks, in the order the record kernel names them f0 ... f7
 _FAMILY_SUPPORT = UPPER_LEFT + LOWER_RIGHT
 
-# the lower-left 2x2 block, where no glued element has a term
-_LOWER_LEFT = LOWER_LEFT
-
 # the other flats where the folded image is zero (A[1][0], B[1][1], D[0][1]),
 # and the flats where the contragredient is therefore zero
 _TRIANGULAR_ZEROS = (4, 7, 11)
@@ -286,7 +283,7 @@ def _kernel_terms(ell: int):
     mq_inv, mq_l, n_pol, mlam_l = _conjugator_data(ell)
     glue = _sparse_terms(mq_inv, mq_l, _FAMILY_SUPPORT)
     live = sorted({out for out, _, _ in glue})
-    if not set(live).isdisjoint(_LOWER_LEFT):
+    if not set(live).isdisjoint(LOWER_LEFT):
         raise ArithmeticError(f"glued elements at l={ell} are not block upper triangular")
     return glue, live, _sparse_terms(n_pol, mlam_l, live)
 
@@ -720,7 +717,7 @@ def matches_image_shape(m: ModMatrix) -> bool:
         return False
     e = m.entries
     return (
-        not any(e[pos // 4][pos % 4] for pos in _LOWER_LEFT + _TRIANGULAR_ZEROS)
+        not any(e[pos // 4][pos % 4] for pos in LOWER_LEFT + _TRIANGULAR_ZEROS)
         and e[0][0] == e[2][2]
         and e[1][1] == e[3][3]
         and e[0][0] % m.ell != 0

@@ -47,6 +47,7 @@ from galdual.lattice import (
 )
 from galdual.paramgroups import (
     TWISTS,
+    _check_twist,
     glued_polarization,
     gluing_kernel,
     image_rho_A,
@@ -519,8 +520,7 @@ def _validate_params(check_id: str, ell, twist):
                 f"{check_id} supports ell in {spec.ells}, not {ell}"
             )
     if twist is not None:
-        if twist not in TWISTS:
-            raise ValueError(f"unknown twist: {twist!r}")
+        _check_twist(twist)
         if not spec.twists:
             raise ValueError(f"{check_id} takes no twist parameter")
         if twist not in spec.twists:

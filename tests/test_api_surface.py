@@ -75,8 +75,6 @@ SHARED_FIELD_READERS = {
     "ImageGroup.ell": "src/galdual/verifier.py:_orbit_count",
     "LAdicMatrix.entries": "src/galdual/exactmat.py:LAdicMatrix.det",
     "ModMatrix.entries": "src/galdual/exactmat.py:ModMatrix.mul",
-    "IntertwinerSpace.n": "src/galdual/groupengine.py:representations_equivalent",
-    "KernelSpec.n": "src/galdual/lattice.py:change_basis_from_kernel",
     "StructureInvariants.order": "src/galdual/verifier.py:_check_census_576",
     "SubgroupClassRecord.order": "src/galdual/formstab.py:format_census",
 }

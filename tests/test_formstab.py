@@ -33,17 +33,16 @@ from galdual.formstab import (
     subgroup_conjugacy_classes,
 )
 from galdual.groupengine import (
-    _f2_intertwiner_basis,
     _f2_small_generating_set,
-    f2_intertwiner,
     f2_inv,
     f2_mul,
     f2_transpose,
     gl4_elements,
-    intertwiner_space,
+    intertwiner_basis,
+    invertible_line,
     matrix_subgroups_conjugate,
-    representations_equivalent,
 )
+from oracles import assert_matches_reference
 
 
 def mod2(rows):
@@ -548,17 +547,13 @@ def test_census_evidence_tally():
 
 
 def test_packed_intertwiner_matches_the_generic_solver_on_every_class():
-    # the census's packed solve against intertwiner_space and the line walk
-    # of representations_equivalent, on the unpacked generator pairs
+    # the census's packed solve against the reference solver of the tests,
+    # on the same generator pairs
     for rec in stabilizer_class_list():
         gens = _f2_small_generating_set(rec.representative) or [_IDENT]
         pairs = [(g, f2_transpose(f2_inv(g))) for g in gens]
-        space = intertwiner_space(
-            [(ModMatrix.from_packed(g, 2), ModMatrix.from_packed(g2, 2)) for g, g2 in pairs]
-        )
-        assert len(_f2_intertwiner_basis(pairs)) == len(space.basis)
-        verdict, _ = representations_equivalent(space)
-        assert (f2_intertwiner(pairs) is not None) is verdict
+        basis = intertwiner_basis(2, pairs)
+        assert_matches_reference(2, pairs, basis, invertible_line(2, basis))
 
 
 def test_census_from_chain_generators_matches_the_small_generating_sets():
@@ -607,7 +602,7 @@ def test_census_searches_no_generating_set(monkeypatch):
 def test_census_rejects_a_witness_that_does_not_conjugate(monkeypatch):
     # the identity is invertible but maps no transvection group of the
     # Klein group onto its transpose
-    monkeypatch.setattr(formstab, "f2_intertwiner", lambda pairs: _IDENT)
+    monkeypatch.setattr(formstab, "invertible_line", lambda ell, basis: _IDENT)
     records = subgroup_conjugacy_classes(klein_group())
     with pytest.raises(AssertionError, match="does not conjugate"):
         contragredient_census(records, glued_pairing_mod2())

@@ -22,17 +22,17 @@ from galdual.groupengine import (
     _IDENT,
     IntertwinerSpace,
     _eigenvalue,
-    _f2_intertwiner_basis,
     _f2_small_generating_set,
     _gl4_table,
     common_stable_lines,
-    f2_intertwiner,
     f2_inv,
     f2_mul,
     f2_transpose,
     fixed_vectors,
     gl4_elements,
+    intertwiner_basis,
     intertwiner_space,
+    invertible_line,
     matrix_subgroups_conjugate,
     projective_points,
     representations_equivalent,
@@ -52,7 +52,7 @@ from galdual.verifier import (
     _orbit_count,
     run_check,
 )
-from oracles import mod_inv
+from oracles import assert_matches_reference, mod_inv
 
 
 def mod(rows, ell):
@@ -165,6 +165,8 @@ def test_intertwiner_rejects_mixed_primes():
         intertwiner_space(
             [(ModMatrix.identity(4, 3), ModMatrix.identity(4, 5))]
         )
+    with pytest.raises(ValueError, match="4x4"):
+        intertwiner_space([(ModMatrix.identity(3, 3), ModMatrix.identity(3, 3))])
 
 
 def test_intertwiner_rejects_empty():
@@ -209,13 +211,74 @@ def test_representations_equivalent_refuses_a_span_past_ten_million_lines():
         representations_equivalent(intertwiner_space([(ident, ident)]))
 
 
+# a plane of 4x4 matrices mod l with exactly one invertible line: over F_2
+# the span of E00 and diag(0, 1, 1, 1) holds only I, and over F_3 that of
+# diag(1, 1, 0, 0) and diag(0, 2, 1, 1) holds only diag(2, 1, 1, 1) and its
+# double
+_ONE_INVERTIBLE_LINE = {
+    2: ((1, 0, 0, 0), (0, 1, 1, 1), (1, 1, 1, 1)),
+    3: ((1, 1, 0, 0), (0, 2, 1, 1), (2, 1, 1, 1)),
+}
+
+
 def test_span_walk_reaches_lines_with_a_leading_zero():
-    # Over F_2 the span of (E00, I) has three lines, E00, I and E00 + I; only
-    # I is invertible, and its coefficient on E00 is 0.
-    ident = ModMatrix.identity(4, 2)
-    e00 = mod([[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]], 2)
-    verdict, witness = representations_equivalent(IntertwinerSpace(2, 4, (e00, ident)))
-    assert verdict is True and witness == ident
+    # Every basis of the plane puts the invertible line at every place of
+    # the walk: the last line, and the lines whose coefficient on the first
+    # basis vector is 0, among them.  The bases whose walk misses it are
+    # collected, so a failure names each prime it happens at.
+    missed = []
+    for ell, diagonals in _ONE_INVERTIBLE_LINE.items():
+        p, q, target = diagonals
+        multiples = {_diag([c * v for v in target], ell).packed() for c in range(1, ell)}
+        for m in itertools.product(range(ell), repeat=4):
+            if (m[0] * m[3] - m[1] * m[2]) % ell == 0:
+                continue
+            basis = tuple(_diag([a * u + b * v for u, v in zip(p, q)], ell) for a, b in (m[:2], m[2:]))
+            witness = invertible_line(ell, [b.packed() for b in basis])
+            verdict, x = representations_equivalent(IntertwinerSpace(ell, basis))
+            if witness not in multiples or not verdict or x.packed() != witness:
+                missed.append((ell, m))
+    assert missed == []
+
+
+def _diag(values, ell):
+    return mod([[v if i == j else 0 for j in range(4)] for i, v in enumerate(values)], ell)
+
+
+@pytest.mark.parametrize("ell", [2, 3, 5, 7])
+def test_packed_intertwiner_matches_the_reference_on_paired_generators(ell):
+    pairs = [(g.packed(), h.packed()) for g, h in paired_generators(ell)]
+    basis = intertwiner_basis(ell, pairs)
+    assert_matches_reference(ell, pairs, basis, invertible_line(ell, basis))
+
+
+def _block_swap(ell):
+    """The permutation matrix S of the block swap: row i of S is e_s(i)."""
+    s = verifier._BLOCK_SWAP
+    return mod([[int(j == s[i]) for j in range(4)] for i in range(4)], ell)
+
+
+@pytest.mark.parametrize("ell", [2, 3, 5, 7])
+def test_positive_controls_find_an_invertible_intertwiner(ell):
+    # pairs (g, X g X^-1) on the surface generators: X intertwines them, so
+    # the solver must return some invertible intertwiner, for X the identity,
+    # a seeded invertible matrix and the block swap
+    gens = _sides(ell)[0]
+    for x in (
+        ModMatrix.identity(4, ell),
+        _random_invertible(random.Random(ell), ell),
+        _block_swap(ell),
+    ):
+        x_inv = mod_inv(x)
+        pairs = [(g, x.mul(g).mul(x_inv)) for g in gens]
+        witness = invertible_line(
+            ell, intertwiner_basis(ell, [(g.packed(), h.packed()) for g, h in pairs])
+        )
+        assert witness is not None
+        w = ModMatrix.from_packed(witness, ell)
+        mod_inv(w)  # raises SingularMatrixError on a singular witness
+        for g, h in pairs:
+            assert w.mul(g) == h.mul(w)
 
 
 # -- packed F2 utilities ----------------------------------------------------------
@@ -395,8 +458,8 @@ def test_packed_span_of_e00_has_no_invertible_element():
     # diag(1, A) against diag(1, A^-T): only the trivial summands meet
     gens = [_embed_gl3(a) for a in _GL3_GENERATORS]
     pairs = [(g, f2_transpose(f2_inv(g))) for g in gens]
-    assert _f2_intertwiner_basis(pairs) == (_E00,)
-    assert f2_intertwiner(pairs) is None
+    assert intertwiner_basis(2, pairs) == (_E00,)
+    assert invertible_line(2, (_E00,)) is None
     space = intertwiner_space(
         [(ModMatrix.from_packed(g, 2), ModMatrix.from_packed(g2, 2)) for g, g2 in pairs]
     )
@@ -406,11 +469,11 @@ def test_packed_span_of_e00_has_no_invertible_element():
 def test_packed_span_of_e00_and_identity_yields_the_identity():
     # the commutant of diag(1, GL3(F_2)) is spanned by E00 and I - E00
     pairs = [(g, g) for g in (_embed_gl3(a) for a in _GL3_GENERATORS)]
-    basis = _f2_intertwiner_basis(pairs)
+    basis = intertwiner_basis(2, pairs)
     assert len(basis) == 2 and {basis[0], basis[1], basis[0] ^ basis[1]} == {
         _E00, _IDENT, _IDENT ^ _E00
     }
-    assert f2_intertwiner(pairs) == _IDENT
+    assert invertible_line(2, basis) == _IDENT
 
 
 def test_packed_intertwiner_finds_a_constructed_conjugator():
@@ -420,16 +483,16 @@ def test_packed_intertwiner_finds_a_constructed_conjugator():
         x = rng.choice(gl4_elements())
         xi = f2_inv(x)
         pairs = [(g, f2_mul(f2_mul(x, g), xi)) for g in gens]
-        witness = f2_intertwiner(pairs)
+        witness = invertible_line(2, intertwiner_basis(2, pairs))
         assert f2_inv(witness) is not None
         for g, g2 in pairs:
             assert f2_mul(witness, g) == f2_mul(g2, witness)
 
 
 def test_packed_identity_pairs_leave_the_full_space():
-    basis = _f2_intertwiner_basis([(_IDENT, _IDENT)])
+    basis = intertwiner_basis(2, [(_IDENT, _IDENT)])
     assert sorted(basis) == [1 << b for b in range(16)]
-    assert f2_intertwiner([(_IDENT, _IDENT)]) is not None
+    assert invertible_line(2, basis) is not None
 
 
 # -- matrix subgroup conjugacy ------------------------------------------------------

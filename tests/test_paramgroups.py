@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from galdual import paramgroups
 from galdual.exactmat import (
+    LOWER_LEFT,
     LAdicMatrix,
     ModMatrix,
     field_width,
@@ -28,7 +29,6 @@ from galdual.exactmat import (
 from galdual.lattice import conjugate_by
 from galdual.paramgroups import (
     _FAMILY_SUPPORT,
-    _LOWER_LEFT,
     TWISTS,
     ImageGroup,
     ParamPoint,
@@ -849,7 +849,7 @@ def test_contragredient_flat_raises_on_a_singular_element(ell):
         _record_kernel(ell).sample(lambda k: -1, 1, False)
 
 
-@pytest.mark.parametrize("pos", _LOWER_LEFT)
+@pytest.mark.parametrize("pos", LOWER_LEFT)
 def test_contragredient_flat_rejects_a_lower_left_entry(pos, patched_conjugators):
     """A gluing that reaches the lower-left block is refused before any
     record is built: the block inverse would be wrong on its output."""
@@ -1007,7 +1007,7 @@ def test_sparse_terms_counts(ell):
     never reaches flat 7 either."""
     _, _, n_pol, mlam_l = _conjugator_data(ell)
     glue, live, isogeny = _kernel_terms(ell)
-    upper = [pos for pos in range(16) if pos not in _LOWER_LEFT]
+    upper = [pos for pos in range(16) if pos not in LOWER_LEFT]
     assert len(glue) == 12
     assert len(_sparse_terms(n_pol, mlam_l, upper)) == 27
     assert live == [pos for pos in upper if pos != 7]
@@ -1019,7 +1019,7 @@ def test_glue_has_no_lower_left_terms(ell):
     """Every glued element is block upper triangular, which the contragredient needs."""
     mq_inv, mq_l, _, _ = _conjugator_data(ell)
     outputs = {out for out, _, _ in _sparse_terms(mq_inv, mq_l, _FAMILY_SUPPORT)}
-    assert outputs.isdisjoint(_LOWER_LEFT)
+    assert outputs.isdisjoint(LOWER_LEFT)
 
 
 @settings(max_examples=300, deadline=None)
