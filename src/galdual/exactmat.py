@@ -23,11 +23,11 @@ provided.
 A 4x4 matrix over F_l has one packed form, an int whose field of
 w = (l - 1).bit_length() bits at bit (4i + j) * w holds entry (i, j), flat
 position 4i + j.  ``field_width``, ``pack_flat``, ``unpack_flat`` and
-``position_mask`` define it, and ``UPPER_LEFT``, ``UPPER_RIGHT``, ``LOWER_LEFT``
-and ``LOWER_RIGHT`` name its 2x2 blocks; ``ModMatrix.packed`` and
-``from_packed`` convert.
-At l = 2 it is the 16-bit layout that groupengine's GL4(F_2) kernels compute
-on, and paramgroups keeps its image groups and records in it at every l.
+``position_mask`` define it, ``check_packed`` refuses any other value,
+``UPPER_LEFT``, ``UPPER_RIGHT``, ``LOWER_LEFT`` and ``LOWER_RIGHT`` name its
+2x2 blocks, and ``ModMatrix.packed`` and ``from_packed`` convert.  At l = 2
+it is the 16-bit layout of groupengine's GL4(F_2) kernels; at every l the
+records, the image groups and every groupengine matrix are in it.
 
 The module also owns the plain-text matrix format used by the command line
 tool and by golden files: rows separated by ``;``, entries by ``,``, each
@@ -397,9 +397,9 @@ class ModMatrix:
 
     @staticmethod
     def from_packed(packed: int, ell: int) -> "ModMatrix":
-        """The 4x4 matrix mod l that ``packed`` holds; a field holding l or
-        more raises ExactMatError."""
-        flat = unpack_flat(packed, ell)
+        """The 4x4 matrix mod l that ``packed`` holds; what check_packed
+        refuses raises ExactMatError."""
+        flat = unpack_flat(check_packed(packed, ell), ell)
         return ModMatrix(ell, (flat[0:4], flat[4:8], flat[8:12], flat[12:16]))
 
 
@@ -426,6 +426,18 @@ def unpack_flat(packed: int, ell: int) -> tuple:
     width = field_width(ell)
     mask = (1 << width) - 1
     return tuple([packed >> shift & mask for shift in range(0, 16 * width, width)])
+
+
+def check_packed(packed, ell: int) -> int:
+    """``packed`` if it is a packed 4x4 matrix mod l, an int of 16 fields that
+    each hold a residue; anything else raises ExactMatError naming the value.
+    At l = 2 every field is a residue, so only the range is tested."""
+    width = field_width(ell)
+    if not (isinstance(packed, int) and 0 <= packed < 1 << 16 * width) or (
+        ell != 1 << width and max(unpack_flat(packed, ell)) >= ell
+    ):
+        raise ExactMatError(f"not a packed 4x4 matrix of residues mod {ell}: {packed!r}")
+    return packed
 
 
 def position_mask(positions, ell: int) -> int:

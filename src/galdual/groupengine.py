@@ -1,10 +1,13 @@
 """Generic finite-group machinery over small prime fields.
 
-Linear-representation equivalence by one intertwiner solver on packed
-pairs at every l, which thm-main and the mod-2 census share, packed GL4(F_2)
+Every matrix here is a 4x4 matrix mod l in exactmat's packed int, the form
+the family records hold it in.  Linear-representation equivalence is one
+intertwiner solver, intertwiner_basis, and one span walk, invertible_line,
+at every l, which thm-main and the mod-2 census share; then packed GL4(F_2)
 with subgroup conjugacy inside it, stable-line analysis and fixed-vector
-dimensions.  Everything here is exhaustive or certifying: a negative
-equivalence verdict is backed by a walk of every line of the intertwiner span.
+dimensions.  The public entry points refuse what check_packed refuses.
+Everything here is exhaustive or certifying: a negative equivalence verdict
+is backed by a walk of every line of the intertwiner span.
 
 GL4(F_l) acts faithfully on the l^4 vectors of F_l^4, so the permutation
 modules of a matrix group are read off its matrices: g fixes
@@ -24,7 +27,10 @@ from typing import Optional, Sequence
 
 from galdual.exactmat import (
     ModMatrix,
+    _int_det,
     _rank_mod,
+    check_packed,
+    check_prime,
     closure,
     field_width,
     pack_flat,
@@ -36,32 +42,10 @@ from galdual.exactmat import (
 # -- intertwiner spaces ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IntertwinerSpace:
-    """Basis of {X : X*g = g'*X for every supplied pair (g, g')}, 4x4 mod l."""
-
-    ell: int
-    basis: tuple
-
-
-def intertwiner_space(pairs: Sequence[tuple]) -> IntertwinerSpace:
-    """intertwiner_basis on 4x4 ModMatrix pairs: an echelonized basis, each
-    element verified against every pair by substitution."""
-    pairs = list(pairs)
-    if not pairs:
-        raise ValueError("no pairs supplied; the ambient dimension is undetermined")
-    ell = pairs[0][0].ell
-    if any(m.ell != ell or m.n != 4 for pair in pairs for m in pair):
-        raise ValueError("all pairs must be 4x4 matrices over one prime modulus")
-    basis = intertwiner_basis(ell, [(g.packed(), g2.packed()) for g, g2 in pairs])
-    return IntertwinerSpace(ell, tuple(ModMatrix.from_packed(x, ell) for x in basis))
-
-
-def representations_equivalent(space: IntertwinerSpace):
-    """(True, X) with an invertible X in the span of a solved intertwiner
-    space, or (False, None): invertible_line, so False is a proof."""
-    x = invertible_line(space.ell, [b.packed() for b in space.basis])
-    return (False, None) if x is None else (True, ModMatrix.from_packed(x, space.ell))
+def _checked(ell: int, matrices) -> list:
+    """``matrices`` as a list, after check_prime on l and check_packed on each."""
+    check_prime(ell)
+    return [check_packed(m, ell) for m in matrices]
 
 
 def projective_points(ell: int):
@@ -75,8 +59,9 @@ def projective_points(ell: int):
 def _field_ops(ell: int) -> tuple:
     """``(sub, mul, invertible)`` on packed 4x4 matrices mod l: the field-wise
     u - c*v of packed ints of any length, the product and the unit-determinant
-    test.  At l = 2 they are XOR, f2_mul and f2_inv; at an odd l they go
-    through the residues, 16 fields at a time."""
+    test.  At l = 2 they are XOR, f2_mul and f2_inv; at an odd l they work
+    on the unpacked residues, 16 fields at a time, and the test reduces the
+    integer determinant of the residues mod l."""
     if ell == 2:
         return (lambda u, c, v: u ^ v), f2_mul, (lambda x: f2_inv(x) is not None)
     block = 16 * field_width(ell)
@@ -90,10 +75,15 @@ def _field_ops(ell: int) -> tuple:
         return out
 
     def mul(a, b):
-        return ModMatrix.from_packed(a, ell).mul(ModMatrix.from_packed(b, ell)).packed()
+        x, y = unpack_flat(a, ell), unpack_flat(b, ell)
+        return pack_flat([
+            (x[i] * y[j] + x[i + 1] * y[j + 4] + x[i + 2] * y[j + 8] + x[i + 3] * y[j + 12]) % ell
+            for i in (0, 4, 8, 12) for j in range(4)
+        ], ell)
 
     def invertible(x):
-        return _rank_mod(ModMatrix.from_packed(x, ell).entries, 4, ell) == 4
+        flat = unpack_flat(x, ell)
+        return _int_det([flat[0:4], flat[4:8], flat[8:12], flat[12:16]]) % ell != 0
 
     return sub, mul, invertible
 
@@ -108,7 +98,11 @@ def intertwiner_basis(ell: int, pairs: Sequence[tuple]) -> tuple:
     is a solution with coefficient 1 on its unit and 0 on every other such
     unit: the solutions span the (16 - rank)-dimensional solution space,
     echelonized.  Each is verified against every pair by substitution.
+    With no pairs every 4x4 matrix intertwines: the basis is the 16 units.
+    Raises ExactMatError on a matrix that check_packed refuses.
     """
+    check_prime(ell)
+    pairs = [(check_packed(g, ell), check_packed(g2, ell)) for g, g2 in pairs]
     sub, mul, _ = _field_ops(ell)
     width = field_width(ell)
     row, column = (1 << 4 * width) - 1, position_mask((0, 4, 8, 12), ell)
@@ -148,8 +142,10 @@ def invertible_line(ell: int, basis: Sequence[int]) -> Optional[int]:
     s.  So level k tries each of the l^k lines whose last nonzero coefficient
     is a 1 on basis[k] once, every line of the span is tried, and as scaling
     keeps invertibility None is a proof.  Raises ValueError up front when the
-    span has more than 10^7 lines.
+    span has more than 10^7 lines, and ExactMatError on a basis element that
+    check_packed refuses.
     """
+    basis = _checked(ell, basis)
     dim = len(basis)
     if (ell**dim - 1) // (ell - 1) > 10**7:
         raise ValueError(f"intertwiner span of dimension {dim} mod {ell} has more than 10^7 lines")
@@ -317,44 +313,38 @@ class StableLine:
     """A projective point fixed by the whole group, with its character.
 
     The line is the normalized spanning vector (first nonzero coordinate 1);
-    character pairs each group generator with its eigenvalue on the line.
+    character pairs each packed generator with its eigenvalue on the line.
     """
 
     line: tuple
     character: tuple
 
 
-def _eigenvalue(m: ModMatrix, v):
-    """The scalar s with m v = s v over F_l, or None when m moves the line."""
-    e, ell = m.entries, m.ell
-    w = [sum(e[i][j] * v[j] for j in range(len(v))) % ell for i in range(m.n)]
+def _eigenvalue(flat, v, ell: int):
+    """The scalar s with m v = s v over F_l for a flat 4x4 m, or None if m moves v."""
+    w = [sum(flat[4 * i + j] * v[j] for j in range(4)) % ell for i in range(4)]
     s = w[next(i for i, x in enumerate(v) if x)]
     return s if all(x == (s * u) % ell for x, u in zip(w, v)) else None
 
 
-def _check_generators(ell: int, generators) -> list:
-    gens = list(generators)
-    for g in gens:
-        if g.ell != ell or g.n != 4:
-            raise ValueError(f"generators must be 4x4 matrices mod {ell}")
-    return gens
-
-
-def common_stable_lines(ell: int, generators: Sequence[ModMatrix]) -> tuple:
-    """All lines of F_l^4 stable under every generator, with their characters.
+def common_stable_lines(ell: int, generators: Sequence[int]) -> tuple:
+    """All lines of F_l^4 stable under every packed generator, with their
+    characters.
 
     Stability under the generators suffices: the stabilizer of a line is a
     subgroup.  With no generators every one of the (l^4 - 1)/(l - 1) lines
-    is stable.  A line is dropped at the first generator that moves it, so
-    the character is built only for the lines every generator keeps.
-    Raises ValueError on a generator that is not 4x4 mod l.
+    is stable.  Each generator is unpacked once, and a line is dropped at
+    the first generator that moves it, so the character is built only for
+    the lines every generator keeps.  Raises ExactMatError on a generator
+    that check_packed refuses.
     """
-    gens = _check_generators(ell, generators)
+    gens = _checked(ell, generators)
+    flats = [unpack_flat(g, ell) for g in gens]
     out = []
     for v in projective_points(ell):
         character = []
-        for g in gens:
-            s = _eigenvalue(g, v)
+        for g, flat in zip(gens, flats):
+            s = _eigenvalue(flat, v, ell)
             if s is None:
                 break
             character.append((g, s))
@@ -363,11 +353,12 @@ def common_stable_lines(ell: int, generators: Sequence[ModMatrix]) -> tuple:
     return tuple(out)
 
 
-def fixed_vectors(ell: int, generators: Sequence[ModMatrix]) -> int:
-    """Dimension of the vectors of F_l^4 fixed by every generator."""
+def fixed_vectors(ell: int, generators: Sequence[int]) -> int:
+    """Dimension of the vectors of F_l^4 fixed by every packed generator;
+    raises ExactMatError on a generator that check_packed refuses."""
     rows = [
-        [(v - (1 if i == j else 0)) % ell for j, v in enumerate(row)]
-        for g in _check_generators(ell, generators)
-        for i, row in enumerate(g.entries)
+        [(flat[4 * i + j] - (i == j)) % ell for j in range(4)]
+        for flat in (unpack_flat(g, ell) for g in _checked(ell, generators))
+        for i in range(4)
     ]
     return 4 - _rank_mod(rows, 4, ell)

@@ -610,16 +610,12 @@ class ImageGroup:
     """A finite subgroup of GL4(F_l) with the generators it was built from.
 
     Every element is enumerated and stored packed (exactmat's format),
-    sorted; ``elements`` materializes them as ModMatrix values on first use.
+    sorted; groupengine and the verifier read the packed ints directly.
     """
 
     ell: int
     packed_elements: tuple
     packed_generators: tuple
-
-    @functools.cached_property
-    def elements(self) -> tuple:
-        return tuple(ModMatrix.from_packed(p, self.ell) for p in self.packed_elements)
 
     @property
     def order(self) -> int:
@@ -699,10 +695,10 @@ def image_rho_Adual_contragredient(ell: int, twist: str = "generic") -> ImageGro
 
 
 def paired_generators(ell: int, twist: str = "generic") -> tuple:
-    """Simultaneous pairs for the canonical generator points, each record
-    checked for dual-route agreement."""
+    """Packed ``(image, dual_contragredient)`` pairs for the canonical
+    generator points, each record checked for dual-route agreement."""
     return tuple(
-        (ModMatrix.from_packed(r.image, ell), ModMatrix.from_packed(r.dual_contragredient, ell))
+        (r.image, r.dual_contragredient)
         for r in _routes_checked(_generator_records(ell, twist), ell, twist)
     )
 

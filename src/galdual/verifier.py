@@ -24,6 +24,7 @@ from galdual.exactmat import (
     UPPER_LEFT,
     UPPER_RIGHT,
     LAdicMatrix,
+    ModMatrix,
     check_prime,
     closure,
     format_matrix,
@@ -32,11 +33,18 @@ from galdual.exactmat import (
     smith_normal_form,
     unpack_flat,
 )
+from galdual.formstab import (
+    glued_form_stabilizer,
+    glued_pairing_mod2,
+    stabilizer_census,
+    stabilizer_class_list,
+    structure_invariants,
+)
 from galdual.groupengine import (
     common_stable_lines,
     fixed_vectors,
-    intertwiner_space,
-    representations_equivalent,
+    intertwiner_basis,
+    invertible_line,
 )
 from galdual.lattice import (
     KernelSpec,
@@ -205,18 +213,18 @@ def _check_dual_route_agreement(ells, twists):
 def _check_thm_main(ells, twists):
     counts = {}
     for ell in ells:
-        space = intertwiner_space(paired_generators(ell))
-        equivalent, witness = representations_equivalent(space)
-        dim = len(space.basis)
+        basis = intertwiner_basis(ell, paired_generators(ell))
+        witness = invertible_line(ell, basis)
+        dim = len(basis)
         counts[f"l{ell}_intertwiner_dim"] = dim
-        counts[f"l{ell}_invertible_found"] = int(equivalent)
+        counts[f"l{ell}_invertible_found"] = int(witness is not None)
         if dim != constants.INTERTWINER_DIMENSIONS[ell]:
             raise _CheckFailed(
                 f"l={ell}: intertwiner dimension {dim}", counts
             )
-        if equivalent:
+        if witness is not None:
             raise _CheckFailed(
-                f"l={ell}: invertible intertwiner {format_matrix(witness)}", counts
+                f"l={ell}: invertible intertwiner {unpack_flat(witness, ell)}", counts
             )
     return counts, None
 
@@ -235,10 +243,10 @@ def _check_stable_lines(ells, twists):
         if len(dual) != 1 or dual[0].line != (0, 0, 1, 0):
             raise _CheckFailed(f"l={ell}: dual lines {[s.line for s in dual]}", counts)
         for g, val in surface[0].character:
-            if val != shape_parameters(g)[0]:
+            if val != shape_parameters(ModMatrix.from_packed(g, ell))[0]:
                 raise _CheckFailed(f"l={ell}: surface character is not a", counts)
         for g, val in dual[0].character:
-            if val != g.entries[2][2]:
+            if val != unpack_flat(g, ell)[10]:  # entry (2, 2)
                 raise _CheckFailed(f"l={ell}: dual character is not d", counts)
         parts.append(f"l={ell} surface (1,0,0,0) dual (0,0,1,0)")
     return counts, "; ".join(parts)
@@ -307,7 +315,7 @@ def _check_perm_conj(ells, twists):
 
 def _fixed_point_counts(group) -> tuple:
     """The permutation character on F_l^4: g fixes l^dim ker(g - 1) vectors."""
-    return tuple(group.ell ** fixed_vectors(group.ell, [g]) for g in group.elements)
+    return tuple(group.ell ** fixed_vectors(group.ell, [g]) for g in group.packed_elements)
 
 
 @functools.cache
@@ -402,12 +410,6 @@ def _check_fixed_points(ells, twists):
 
 
 def _check_census_576(ells, twists):
-    from galdual.formstab import (
-        glued_form_stabilizer,
-        glued_pairing_mod2,
-        structure_invariants,
-    )
-
     si = structure_invariants(glued_form_stabilizer(), form=glued_pairing_mod2())
     se = si.split_extension
     counts = {
@@ -431,8 +433,6 @@ def _check_census_576(ells, twists):
 
 
 def _check_census_128(ells, twists):
-    from galdual.formstab import stabilizer_class_list
-
     records = stabilizer_class_list()
     total = sum(r.class_size for r in records)
     counts = {"classes": len(records), "total_subgroups": total}
@@ -444,8 +444,6 @@ def _check_census_128(ells, twists):
 
 
 def _check_census_78_52(ells, twists):
-    from galdual.formstab import stabilizer_census
-
     census = stabilizer_census()
     non_self_dual = [r for r in census.records if not r.self_dual_as_rep]
     counts = {

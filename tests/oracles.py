@@ -30,6 +30,11 @@ def charpoly_rows(rows: Sequence[Sequence[int]], p: int) -> tuple:
     return tuple(coeffs)
 
 
+def unpacked(group) -> tuple:
+    """The packed elements of an ImageGroup as ModMatrix values, in order."""
+    return tuple(ModMatrix.from_packed(p, group.ell) for p in group.packed_elements)
+
+
 def mod_inv(m: ModMatrix) -> ModMatrix:
     """The inverse of a square matrix mod l, adj * det^-1 for its residues
     as integers; raises SingularMatrixError(determinant=0) when l divides

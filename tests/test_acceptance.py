@@ -20,7 +20,7 @@ from galdual.groupengine import (
     _IDENT,
     f2_mul,
     gl4_elements,
-    intertwiner_space,
+    intertwiner_basis,
 )
 from galdual.lattice import (
     KernelSpec,
@@ -42,6 +42,7 @@ from galdual.verifier import (
     _orbit_count,
     run_check,
 )
+from oracles import unpacked
 
 PRIMES = (2, 3, 5, 7)
 
@@ -156,8 +157,8 @@ def test_criterion_4_shapes_and_orders():
         surface = image_rho_A(ell, twist)
         dual = image_rho_Adual_contragredient(ell, twist)
         assert surface.order == order == constants.IMAGE_GROUP_ORDERS[(ell, twist)]
-        got_a = {tuple(tuple(r) for r in m.entries) for m in surface.elements}
-        got_d = {tuple(tuple(r) for r in m.entries) for m in dual.elements}
+        got_a = {m.entries for m in unpacked(surface)}
+        got_d = {m.entries for m in unpacked(dual)}
         assert got_a == _every_shape_matrix(ell, twist, "A")
         assert got_d == _every_shape_matrix(ell, twist, "Adual")
 
@@ -237,7 +238,7 @@ def test_criterion_9_property_batteries():
 
     # closure: products of random elements stay in the enumerated group
     started = time.monotonic()
-    elements = image_rho_A(3, "generic").elements
+    elements = unpacked(image_rho_A(3, "generic"))
     members = set(elements)
     cases = 0
     for _ in range(150):
@@ -284,14 +285,13 @@ def test_criterion_9_property_batteries():
     started = time.monotonic()
     cases = 0
     def sample_pairs(count, seed):
-        return [
-            (ModMatrix.from_packed(r.image, 3), ModMatrix.from_packed(r.dual_contragredient, 3))
-            for r in sample_records(3, "generic", count, seed)
-        ]
+        return [(r.image, r.dual_contragredient) for r in sample_records(3, "generic", count, seed)]
 
-    space = intertwiner_space(sample_pairs(25, "acceptance-basis"))
+    basis = intertwiner_basis(3, sample_pairs(25, "acceptance-basis"))
+    basis = [ModMatrix.from_packed(b, 3) for b in basis]
     for g, h in sample_pairs(120, "acceptance-pairs"):
-        for b in space.basis:
+        g, h = ModMatrix.from_packed(g, 3), ModMatrix.from_packed(h, 3)
+        for b in basis:
             assert b.mul(g) == h.mul(b), format_matrix(b)
         cases += 1
     _battery("intertwiner substitution", cases, started)

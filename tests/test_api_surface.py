@@ -70,7 +70,6 @@ SHARED_FIELD_READERS = {
     "ParamPoint.ell": "src/galdual/paramgroups.py:_record",
     "LAdicMatrix.ell": "src/galdual/exactmat.py:LAdicMatrix.inv",
     "ModMatrix.ell": "src/galdual/exactmat.py:ModMatrix.mul",
-    "IntertwinerSpace.ell": "src/galdual/groupengine.py:representations_equivalent",
     "KernelSpec.ell": "src/galdual/lattice.py:change_basis_from_kernel",
     "ImageGroup.ell": "src/galdual/verifier.py:_orbit_count",
     "LAdicMatrix.entries": "src/galdual/exactmat.py:LAdicMatrix.det",

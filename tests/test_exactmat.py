@@ -394,6 +394,11 @@ def test_from_packed_refuses_a_field_that_is_not_a_residue():
     assert ModMatrix.from_packed(2, 3) == ModMatrix(3, ((2, 0, 0, 0),) + ((0,) * 4,) * 3)
     with pytest.raises(ExactMatError, match="residues"):
         ModMatrix.from_packed(3, 3)
+    # a negative or too wide int is refused by name, not read as some matrix
+    for bad, ell in ((-1, 2), (1 << 16, 2), ((1 << 32) | 5, 3)):
+        with pytest.raises(ExactMatError, match=f"residues mod {ell}: {bad}$"):
+            ModMatrix.from_packed(bad, ell)
+    assert ModMatrix.from_packed(0xFFFF, 2).entries == ((1,) * 4,) * 4
 
 
 @pytest.mark.parametrize("bad", [2.7, Fraction(1, 2), "4"])

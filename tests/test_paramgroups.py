@@ -21,6 +21,7 @@ from galdual.exactmat import (
     LOWER_LEFT,
     LAdicMatrix,
     ModMatrix,
+    check_packed,
     field_width,
     is_prime,
     pack_flat,
@@ -61,7 +62,7 @@ from galdual.paramgroups import (
     slab_records,
 )
 from galdual.verifier import run_check
-from oracles import charpoly_rows, mod_inv
+from oracles import charpoly_rows, mod_inv, unpacked
 
 PRIMES = [2, 3, 5, 7]
 
@@ -507,7 +508,7 @@ def test_shape_requires_matching_diagonal_pairs():
 def test_every_shape_matrix_is_attained_l3():
     """Surjectivity: the image is exactly the set of shape matrices."""
     group = image_rho_A(3)
-    members = set(group.elements)
+    members = set(unpacked(group))
     count = 0
     for a in (1, 2):
         for d in (1, 2):
@@ -598,7 +599,7 @@ def test_canonical_generators_generate(ell, twist, order):
     gens = [image_element(p) for _, p in canonical_generator_points(ell, twist)]
     closed = _closure(gens)
     assert len(closed) == order
-    assert closed <= set(image_rho_A(ell, twist).elements)
+    assert closed <= set(unpacked(image_rho_A(ell, twist)))
 
 
 @pytest.mark.parametrize("ell,twist", [(3, "generic"), (3, "trivial")])
@@ -647,10 +648,11 @@ def test_canonical_generator_counts():
 # -- ImageGroup API ----------------------------------------------------------------
 
 
-def test_image_group_materializes_elements():
+def test_image_group_holds_packed_elements():
     g = image_rho_A(2)
-    assert len(g.elements) == 32
-    assert all(isinstance(m, ModMatrix) and m.ell == 2 for m in g.elements)
+    assert len(g.packed_elements) == g.order == 32
+    assert list(g.packed_elements) == sorted(set(g.packed_elements))
+    assert all(check_packed(p, 2) == p for p in g.packed_elements + g.packed_generators)
     assert len(g.packed_generators) == 5
 
 
@@ -702,13 +704,13 @@ def test_pack_loses_a_residue_of_eight_or_more(case):
 
 
 def test_image_group_generators_match_points_at_seven():
-    generators = tuple(m for m, _ in paired_generators(7))
+    generators = tuple(ModMatrix.from_packed(m, 7) for m, _ in paired_generators(7))
     expected = tuple(image_element(p) for _, p in canonical_generator_points(7))
     assert generators == expected
 
 
 def test_image_group_membership():
-    members = set(image_rho_A(3).elements)
+    members = set(unpacked(image_rho_A(3)))
     assert ModMatrix.identity(4, 3) in members
     off_shape = ModMatrix.from_rows(
         [[1, 0, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], 3
@@ -736,7 +738,8 @@ def test_paired_group_size_and_projection(ell, twist):
 def test_paired_generators_satisfy_functional_dual():
     for ell in PRIMES:
         for m, dm in paired_generators(ell):
-            assert expected_dual_of(m).entries == dm.entries
+            m = ModMatrix.from_packed(m, ell)
+            assert expected_dual_of(m).entries == ModMatrix.from_packed(dm, ell).entries
 
 
 def test_sample_paired_elements_deterministic():
