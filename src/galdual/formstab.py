@@ -27,6 +27,7 @@ import itertools
 import math
 import operator
 from array import array
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -346,45 +347,43 @@ class SubgroupClassRecord:
 def _group_tables(elems: list, index: dict) -> tuple:
     """Tables of a packed group on the positions of its elements in ``elems``.
 
-    Returns (mul, conj, gens): mul[g][x] is the position of g x, conj[g][x]
-    that of g x g^-1, and gens lists the positions of a generating set.
-    Rows are 16-bit arrays.
+    Returns (mul, inv, conj): mul[g][x] is the position of g x and inv[g]
+    that of g^-1; conj maps the position s of each element of a generating
+    set to its conjugation row, conj[s][x] the position of s x s^-1.  Rows
+    are 16-bit arrays.
 
-    Only the generators' rows are computed by matrix products.  Both
-    g -> mul[g] and g -> conj[g] are homomorphisms into permutations of the
-    positions, so every other row is composed from them inside the act of
-    one exactmat.closure walk, the first time g s is reached:
-    row(g s)[x] = row(g)[row(s)[x]].  Each composition is one C-level
+    Only the generators' rows are computed by matrix products.  g -> mul[g]
+    is a homomorphism into permutations of the positions, so every other
+    product row is composed from them inside the act of one
+    exactmat.closure walk, the first time g s is reached:
+    mul[g s][x] = mul[g][mul[s][x]].  Each composition is one C-level
     gather: the generator's row is turned once into an
-    ``operator.itemgetter`` over its positions, which applied to row(g)
-    returns row(g)[row(s)[0]], row(g)[row(s)[1]], ... as a tuple that goes
+    ``operator.itemgetter`` over its positions, which applied to mul[g]
+    returns mul[g][mul[s][0]], mul[g][mul[s][1]], ... as a tuple that goes
     straight into a new array.  A group of order 1 has no generators, so
     every getter takes at least two positions and returns a tuple, not a
-    scalar.  The elements must form a group (see _require_group).
+    scalar.  Conjugation by any other g is read off mul and inv as
+    mul[mul[g][x]][inv[g]], so no other conjugation row is built.  The
+    elements must form a group (see _require_group).
     """
-    gen_rows = []
+    gen_rows, conj = [], {}
     for s in _f2_small_generating_set(frozenset(elems)):
         si = f2_inv(s)
-        gen_rows.append((
-            index[s],
-            operator.itemgetter(*[index[f2_mul(s, x)] for x in elems]),
-            operator.itemgetter(*[index[f2_mul(f2_mul(s, x), si)] for x in elems]),
-        ))
-    e0 = index[_IDENT]
+        gen_rows.append((index[s], operator.itemgetter(*[index[f2_mul(s, x)] for x in elems])))
+        conj[index[s]] = array("H", [index[f2_mul(f2_mul(s, x), si)] for x in elems])
     mul = [None] * len(elems)
-    conj = [None] * len(elems)
-    mul[e0] = conj[e0] = array("H", range(len(elems)))
+    mul[index[_IDENT]] = array("H", range(len(elems)))
 
     def compose(g, gen):
-        s, take, take_conj = gen
+        s, take = gen
         gs = mul[g][s]
         if mul[gs] is None:
             mul[gs] = array("H", take(mul[g]))
-            conj[gs] = array("H", take_conj(conj[g]))
         return gs
 
-    closure([e0], gen_rows, compose)
-    return mul, conj, [s for s, _, _ in gen_rows]
+    closure([index[_IDENT]], gen_rows, compose)
+    inv = array("H", [index[f2_inv(x)] for x in elems])
+    return mul, inv, conj
 
 
 def subgroup_conjugacy_classes(elements: frozenset) -> list:
@@ -395,14 +394,14 @@ def subgroup_conjugacy_classes(elements: frozenset) -> list:
     coset generators x of prime order in N(H)/H reaches every class.  Since
     x normalizes H, the extension H<x> is the closure of H under right
     multiplication by x, and the order of xH is |H<x>| / |H|.  New
-    subgroups are deduplicated by registering their whole conjugation orbit.
+    subgroups are deduplicated by registering their whole conjugation
+    orbit, the closure of H under the generators' conjugation rows.
 
-    N(H) is read off the conjugation table: g normalizes H exactly when it
-    conjugates each generator x of H into H.  For each x the entries
-    conj[g][x] are gathered only at the candidates g left by the generators
-    before it, and filtered by membership in H with itertools.compress, so
-    the normalizer comes out as ascending positions without a Python-level
-    loop over G.  Orbit size times normalizer size must equal |G|.
+    N(H) is read off the product table: g normalizes H exactly when it
+    conjugates each generator x of H into H, that is when
+    mul[mul[g][x]][inv[g]] lies in H.  Each generator filters only the
+    candidates left by the generators before it.  Orbit size times
+    normalizer size must equal |G|.
 
     Each record keeps the chain x_1, ..., x_k of coset generators that
     built its representative as ``chain_generators``.  Raises ValueError
@@ -415,18 +414,17 @@ def subgroup_conjugacy_classes(elements: frozenset) -> list:
         raise ValueError("group order over budget for subgroup enumeration")
     _require_group(elements)
     index = {g: i for i, g in enumerate(elems)}
-    mul, conj, gens = _group_tables(elems, index)
+    mul, inv, conj = _group_tables(elems, index)
     e0 = index[_IDENT]
 
     registry: dict = {}
     classes: list = []  # (representative, class_size, normalizer, generators of the representative)
 
     def register(h: frozenset, hgens: tuple):
-        orbit = closure([h], gens, lambda hg, s: frozenset(map(conj[s].__getitem__, hg)))
+        orbit = closure([h], conj, lambda hg, s: frozenset(map(conj[s].__getitem__, hg)))
         normalizer = range(n)
         for x in hgens:
-            images = map(operator.itemgetter(x), map(conj.__getitem__, normalizer))
-            normalizer = list(itertools.compress(normalizer, map(h.__contains__, images)))
+            normalizer = [g for g in normalizer if mul[mul[g][x]][inv[g]] in h]
         for hg in orbit:
             registry[hg] = len(classes)
         if len(orbit) * len(normalizer) != n:
@@ -463,9 +461,15 @@ def subgroup_conjugacy_classes(elements: frozenset) -> list:
 # -- the contragredient census --------------------------------------------------
 
 
+@functools.cache
+def _contragredient(x: int) -> int:
+    """(x^-1)^T of a packed invertible matrix, computed once per element."""
+    return f2_transpose(f2_inv(x))
+
+
 def contragredient_subgroup(h: frozenset) -> frozenset:
     """Image of a packed subgroup under h -> (h^-1)^T."""
-    return frozenset(f2_transpose(f2_inv(x)) for x in h)
+    return frozenset(map(_contragredient, h))
 
 
 # Kinds of evidence for image_conjugate_to_dual, cheapest first.
@@ -515,26 +519,39 @@ def _vector_images(x: int) -> tuple:
     return tuple(images)
 
 
+@functools.cache
+def _kernel_masks(x: int) -> tuple:
+    """(images, ker, im) for a packed matrix x, computed once per element:
+    the images (x - 1)v of the sixteen column vectors v, and the 16-bit
+    masks of ker(x - 1) and im(x - 1), bit v set when v lies in the space."""
+    images = _vector_images(x ^ _IDENT)
+    ker = sum(1 << v for v, w in enumerate(images) if not w)
+    return images, ker, sum(1 << w for w in set(images))
+
+
 def duality_signature(h, generators) -> tuple:
     """Sorted (dim W, |ker H -> GL(W)|, |ker H -> GL(V/W)|) over the
     H-invariant proper nonzero subspaces W of V = F_2^4.
 
     W is H-invariant when ``generators``, a generating set of H, map it
-    into itself, so only they are tested; the kernel orders count every
-    element.  A conjugacy invariant of H inside GL4(F_2);
-    contragredient_census explains how it compares with dual_signature.
+    into itself, that is when (g - 1)v lies in W for each generator g and
+    each basis vector v of W, so only they are tested.  The kernel orders
+    count every element, through the (ker, im) masks of x - 1 that
+    _kernel_masks keeps per element: x acts trivially on W exactly when
+    W lies in ker(x - 1), and on V/W exactly when im(x - 1) lies in W.
+    The elements are tallied by their mask pair, so each subspace reads
+    one count per distinct pair.  A conjugacy invariant of H inside
+    GL4(F_2); contragredient_census explains how it compares with
+    dual_signature.
     """
-    images = [_vector_images(x) for x in h]
-    gen_images = [_vector_images(x) for x in generators]
-    standard_basis = (1, 2, 4, 8)
+    pairs = Counter(_kernel_masks(x)[1:] for x in h).items()
+    gen_images = [_kernel_masks(g)[0] for g in generators]
     sig = []
     for dim, mask, basis in _f2_subspaces():
         if any(not (mask >> im[v]) & 1 for im in gen_images for v in basis):
             continue
-        kernel_w = sum(all(im[v] == v for v in basis) for im in images)
-        kernel_q = sum(
-            all((mask >> (im[e] ^ e)) & 1 for e in standard_basis) for im in images
-        )
+        kernel_w = sum(c for (ker, _), c in pairs if not mask & ~ker)
+        kernel_q = sum(c for (_, im), c in pairs if not im & ~mask)
         sig.append((dim, kernel_w, kernel_q))
     return tuple(sorted(sig))
 
@@ -558,6 +575,7 @@ def contragredient_census(classes, j: AlternatingForm) -> CensusResult:
 
     The generators are the class record's ``chain_generators``, found once
     by subgroup_conjugacy_classes, so no generating set is searched here.
+    The class {I} has none, and the identity is its witness.
     Intertwining and invariance of a subspace hold for H once they hold
     for a generating set; every check that counts or re-checks elements
     still runs over all of H.
@@ -595,9 +613,12 @@ def contragredient_census(classes, j: AlternatingForm) -> CensusResult:
     for rec in classes:
         h = rec.representative
         dual = contragredient_subgroup(h)
-        gens = rec.chain_generators or (_IDENT,)
-        pairs = [(g, f2_transpose(f2_inv(g))) for g in gens]
-        witness = invertible_line(2, intertwiner_basis(2, pairs))
+        gens = rec.chain_generators
+        if gens:
+            pairs = [(g, _contragredient(g)) for g in gens]
+            witness = invertible_line(2, intertwiner_basis(2, pairs))
+        else:  # {I}: the identity intertwines it with itself
+            witness = _IDENT
         equivalent = witness is not None
         if equivalent:
             xi = f2_inv(witness)

@@ -22,10 +22,12 @@ import functools
 import itertools
 import random
 from array import array
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from galdual.exactmat import (
+    ExactMatError,
     ModMatrix,
     _int_det,
     _rank_mod,
@@ -42,10 +44,18 @@ from galdual.exactmat import (
 # -- intertwiner spaces ---------------------------------------------------------
 
 
-def _checked(ell: int, matrices) -> list:
+def _listed(values, name: str) -> list:
+    """``values`` as a list; ExactMatError naming ``name`` when it is not
+    iterable, such as one bare matrix passed where a list belongs."""
+    if not isinstance(values, Iterable):
+        raise ExactMatError(f"{name} must be a list, not {values!r}")
+    return list(values)
+
+
+def _checked(ell: int, matrices, name: str) -> list:
     """``matrices`` as a list, after check_prime on l and check_packed on each."""
     check_prime(ell)
-    return [check_packed(m, ell) for m in matrices]
+    return [check_packed(m, ell) for m in _listed(matrices, name)]
 
 
 def projective_points(ell: int):
@@ -59,11 +69,22 @@ def projective_points(ell: int):
 def _field_ops(ell: int) -> tuple:
     """``(sub, mul, invertible)`` on packed 4x4 matrices mod l: the field-wise
     u - c*v of packed ints of any length, the product and the unit-determinant
-    test.  At l = 2 they are XOR, f2_mul and f2_inv; at an odd l they work
-    on the unpacked residues, 16 fields at a time, and the test reduces the
-    integer determinant of the residues mod l."""
+    test.  At l = 2 they are XOR, f2_mul and a table-free test: the rows a,
+    b, c, d (nibbles) are independent exactly when none of their 15 nonzero
+    XOR combinations vanishes, so no GL4(F_2) table is built.  At an odd l
+    they work on the unpacked residues, 16 fields at a time, and the test
+    reduces the integer determinant of the residues mod l."""
     if ell == 2:
-        return (lambda u, c, v: u ^ v), f2_mul, (lambda x: f2_inv(x) is not None)
+
+        def f2_invertible(x):
+            a, b, c, d = x & 15, x >> 4 & 15, x >> 8 & 15, x >> 12
+            ab, cd = a ^ b, c ^ d
+            return bool(
+                a and b and ab and c and a ^ c and b ^ c and ab ^ c and d and a ^ d
+                and b ^ d and ab ^ d and cd and a ^ cd and b ^ cd and ab ^ cd
+            )
+
+        return (lambda u, c, v: u ^ v), f2_mul, f2_invertible
     block = 16 * field_width(ell)
 
     def sub(u, c, v):
@@ -99,9 +120,14 @@ def intertwiner_basis(ell: int, pairs: Sequence[tuple]) -> tuple:
     unit: the solutions span the (16 - rank)-dimensional solution space,
     echelonized.  Each is verified against every pair by substitution.
     With no pairs every 4x4 matrix intertwines: the basis is the 16 units.
-    Raises ExactMatError on a matrix that check_packed refuses.
+    Raises ExactMatError on a matrix that check_packed refuses, on pairs
+    that are no list and on a pair that is no 2-tuple.
     """
     check_prime(ell)
+    pairs = _listed(pairs, "pairs")
+    for n, pair in enumerate(pairs):
+        if not (isinstance(pair, tuple) and len(pair) == 2):
+            raise ExactMatError(f"pairs[{n}] is not a 2-tuple (g, g2): {pair!r}")
     pairs = [(check_packed(g, ell), check_packed(g2, ell)) for g, g2 in pairs]
     sub, mul, _ = _field_ops(ell)
     width = field_width(ell)
@@ -142,10 +168,10 @@ def invertible_line(ell: int, basis: Sequence[int]) -> Optional[int]:
     s.  So level k tries each of the l^k lines whose last nonzero coefficient
     is a 1 on basis[k] once, every line of the span is tried, and as scaling
     keeps invertibility None is a proof.  Raises ValueError up front when the
-    span has more than 10^7 lines, and ExactMatError on a basis element that
-    check_packed refuses.
+    span has more than 10^7 lines, and ExactMatError on a basis that is no
+    list or holds an element that check_packed refuses.
     """
-    basis = _checked(ell, basis)
+    basis = _checked(ell, basis, "basis")
     dim = len(basis)
     if (ell**dim - 1) // (ell - 1) > 10**7:
         raise ValueError(f"intertwiner span of dimension {dim} mod {ell} has more than 10^7 lines")
@@ -335,10 +361,10 @@ def common_stable_lines(ell: int, generators: Sequence[int]) -> tuple:
     subgroup.  With no generators every one of the (l^4 - 1)/(l - 1) lines
     is stable.  Each generator is unpacked once, and a line is dropped at
     the first generator that moves it, so the character is built only for
-    the lines every generator keeps.  Raises ExactMatError on a generator
-    that check_packed refuses.
+    the lines every generator keeps.  Raises ExactMatError on generators
+    that are no list and on a generator that check_packed refuses.
     """
-    gens = _checked(ell, generators)
+    gens = _checked(ell, generators, "generators")
     flats = [unpack_flat(g, ell) for g in gens]
     out = []
     for v in projective_points(ell):
@@ -355,10 +381,11 @@ def common_stable_lines(ell: int, generators: Sequence[int]) -> tuple:
 
 def fixed_vectors(ell: int, generators: Sequence[int]) -> int:
     """Dimension of the vectors of F_l^4 fixed by every packed generator;
-    raises ExactMatError on a generator that check_packed refuses."""
+    raises ExactMatError on generators that are no list and on a generator
+    that check_packed refuses."""
     rows = [
         [(flat[4 * i + j] - (i == j)) % ell for j in range(4)]
-        for flat in (unpack_flat(g, ell) for g in _checked(ell, generators))
+        for flat in (unpack_flat(g, ell) for g in _checked(ell, generators, "generators"))
         for i in range(4)
     ]
     return 4 - _rank_mod(rows, 4, ell)

@@ -106,3 +106,25 @@ def assert_matches_reference(ell: int, packed_pairs, basis, witness) -> None:
         flat = [v for row in x.entries for v in row]
         assert _rank_mod(flats + [flat], 16, ell) == len(basis)
     assert (witness is None) is (reference_invertible_line(reference, ell) is None)
+
+
+def reference_duality_signature(h, generators) -> tuple:
+    """formstab.duality_signature computed element by element: the images
+    of all sixteen vectors under every element of H, with subspace
+    invariance tested on ``generators`` and both kernel orders counted
+    by testing each element's images on each subspace."""
+    from galdual.formstab import _f2_subspaces, _vector_images
+
+    images = [_vector_images(x) for x in h]
+    gen_images = [_vector_images(x) for x in generators]
+    standard_basis = (1, 2, 4, 8)
+    sig = []
+    for dim, mask, basis in _f2_subspaces():
+        if any(not (mask >> im[v]) & 1 for im in gen_images for v in basis):
+            continue
+        kernel_w = sum(all(im[v] == v for v in basis) for im in images)
+        kernel_q = sum(
+            all((mask >> (im[e] ^ e)) & 1 for e in standard_basis) for im in images
+        )
+        sig.append((dim, kernel_w, kernel_q))
+    return tuple(sorted(sig))

@@ -42,7 +42,7 @@ from galdual.groupengine import (
     invertible_line,
     matrix_subgroups_conjugate,
 )
-from oracles import assert_matches_reference
+from oracles import assert_matches_reference, reference_duality_signature
 
 
 def mod2(rows):
@@ -434,13 +434,19 @@ def test_enumeration_rejects_a_singular_element():
 def test_group_tables_match_f2_arithmetic(builder):
     elems = sorted(builder())
     index = {g: i for i, g in enumerate(elems)}
-    mul, conj, gens = _group_tables(elems, index)
-    assert all(row.typecode == "H" for row in mul + conj)  # 16-bit rows, not tuples
+    mul, inv, conj = _group_tables(elems, index)
+    # 16-bit rows, not tuples: every product row, conjugation rows for the
+    # generators only
+    assert all(row.typecode == "H" for row in [*mul, inv, *conj.values()])
+    assert len(mul) == len(elems)
+    assert [elems[s] for s in conj] == list(_f2_small_generating_set(frozenset(elems)))
     for i, g in enumerate(elems):
-        gi = f2_inv(g)
         assert [elems[k] for k in mul[i]] == [f2_mul(g, x) for x in elems]
-        assert [elems[k] for k in conj[i]] == [f2_mul(f2_mul(g, x), gi) for x in elems]
-    assert closure([_IDENT], [elems[s] for s in gens], f2_mul, len(elems)) == frozenset(elems)
+        assert elems[inv[i]] == f2_inv(g)
+    for s, row in conj.items():
+        g, gi = elems[s], f2_inv(elems[s])
+        assert [elems[k] for k in row] == [f2_mul(f2_mul(g, x), gi) for x in elems]
+    assert closure([_IDENT], [elems[s] for s in conj], f2_mul, len(elems)) == frozenset(elems)
 
 
 @pytest.mark.parametrize("builder", TABLE_GROUPS)
@@ -606,6 +612,25 @@ def test_census_rejects_a_witness_that_does_not_conjugate(monkeypatch):
     records = subgroup_conjugacy_classes(klein_group())
     with pytest.raises(AssertionError, match="does not conjugate"):
         contragredient_census(records, glued_pairing_mod2())
+
+
+def test_duality_signature_matches_the_per_element_reference():
+    # the (ker, im) mask tally against the signature computed element by
+    # element, on every class and on its contragredient
+    for rec in stabilizer_class_list():
+        for h in (rec.representative, contragredient_subgroup(rec.representative)):
+            gens = _f2_small_generating_set(h)
+            assert duality_signature(h, gens) == reference_duality_signature(h, gens)
+
+
+def test_census_gives_the_trivial_class_the_identity_as_witness(monkeypatch):
+    # {I} has no chain generators: no intertwiner is solved for it
+    monkeypatch.setattr(formstab, "intertwiner_basis", None)
+    trivial = subgroup_conjugacy_classes(trivial_group())
+    result = contragredient_census(trivial, glued_pairing_mod2())
+    (rec,) = result.records
+    assert rec.self_dual_as_rep and rec.image_conjugate_to_dual
+    assert rec.conjugacy_evidence == "witness"
 
 
 def test_duality_signature_of_the_trivial_group_lists_every_subspace():

@@ -24,6 +24,7 @@ from galdual.groupengine import (
     _IDENT,
     _eigenvalue,
     _f2_small_generating_set,
+    _field_ops,
     _gl4_table,
     common_stable_lines,
     f2_inv,
@@ -214,6 +215,47 @@ def test_packed_entry_points_refuse_malformed_matrices(ell):
         for call in calls:
             with pytest.raises(ExactMatError, match=f"mod {ell}: {re.escape(repr(bad))}$"):
                 call()
+
+
+# one bare matrix, as a ModMatrix or as a packed int, where a list belongs
+_BARE = (ModMatrix.identity(4, 3), ModMatrix.identity(4, 3).packed())
+
+
+def test_intertwiner_basis_refuses_bare_matrices_and_malformed_pairs():
+    ident = ModMatrix.identity(4, 3).packed()
+    for bare in _BARE:
+        with pytest.raises(ExactMatError, match="^pairs must be a list"):
+            intertwiner_basis(3, bare)
+    # a matrix, a triple and a list where a pair belongs, and one bare pair
+    for pairs in ([_BARE[0]], [(ident, ident, ident)], [[ident, ident]], (ident, ident)):
+        with pytest.raises(ExactMatError, match=r"^pairs\[0\] is not a 2-tuple"):
+            intertwiner_basis(3, pairs)
+
+
+def test_invertible_line_refuses_a_bare_matrix():
+    for bare in _BARE:
+        with pytest.raises(ExactMatError, match="^basis must be a list"):
+            invertible_line(3, bare)
+
+
+def test_common_stable_lines_refuses_a_bare_matrix():
+    for bare in _BARE:
+        with pytest.raises(ExactMatError, match="^generators must be a list"):
+            common_stable_lines(3, bare)
+
+
+def test_fixed_vectors_refuses_a_bare_matrix():
+    for bare in _BARE:
+        with pytest.raises(ExactMatError, match="^generators must be a list"):
+            fixed_vectors(3, bare)
+
+
+def test_l2_invertibility_test_matches_f2_inv_and_builds_no_table():
+    invertible = _field_ops(2)[2]
+    assert all(invertible(x) == (f2_inv(x) is not None) for x in range(1 << 16))
+    _gl4_table.cache_clear()
+    assert run_check("thm-main-rep-nonisomorphic").status == "pass"
+    assert _gl4_table.cache_info().currsize == 0
 
 
 # -- representation equivalence ------------------------------------------------------
