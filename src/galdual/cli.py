@@ -9,7 +9,7 @@ import sys
 import time
 from typing import Optional
 
-from galdual.exactmat import ModMatrix, format_matrix, parse_ladic
+from galdual.exactmat import format_matrix, format_packed, parse_ladic
 from galdual.lattice import (
     change_basis_from_kernel,
     change_basis_from_transformation,
@@ -136,9 +136,7 @@ def _cmd_verify_all(args) -> int:
 def _cmd_dump_group(args) -> int:
     build = image_rho_A if args.side == "A" else image_rho_Adual_contragredient
     group = build(args.ell, args.twist)
-    lines = sorted(
-        format_matrix(ModMatrix.from_packed(p, group.ell)) for p in group.packed_elements
-    )
+    lines = sorted(format_packed(p, group.ell) for p in group.packed_elements)
     sys.stdout.write("\n".join(lines) + "\n")
     return 0
 

@@ -8,8 +8,8 @@ It is the package's one home for linear algebra, with one routine per kind:
 ``LAdicMatrix`` inverts with, and ``_echelon_mod`` for residue rows over F_l.
 A Z[1/l] matrix is stored as its integer rows R over one power l^k, and
 every product, determinant, inverse and Smith form works on R and k
-directly, so no arithmetic runs on fractions.  Two matrix kinds are
-provided.
+directly, so no arithmetic runs on fractions.  Each matrix kind has one
+encoding.
 
 ``LAdicMatrix``
     Entries are rationals whose denominator is a power of a fixed prime l,
@@ -17,23 +17,23 @@ provided.
     This is the right coefficient ring for lattice change-of-basis
     matrices of l-power isogenies.
 
-``ModMatrix``
-    Entries are residues mod l.  Used for the l-torsion representations.
-
-A 4x4 matrix over F_l has one packed form, an int whose field of
-w = (l - 1).bit_length() bits at bit (4i + j) * w holds entry (i, j), flat
-position 4i + j.  ``field_width``, ``pack_flat``, ``unpack_flat`` and
-``position_mask`` define it, ``check_packed`` refuses any other value,
-``UPPER_LEFT``, ``UPPER_RIGHT``, ``LOWER_LEFT`` and ``LOWER_RIGHT`` name its
-2x2 blocks, and ``ModMatrix.packed`` and ``from_packed`` convert.  At l = 2
-it is the 16-bit layout of groupengine's GL4(F_2) kernels; at every l the
-records, the image groups and every groupengine matrix are in it.
+packed 4x4 matrices mod l
+    The l-torsion representations.  A 4x4 matrix over F_l is an int whose
+    field of w = (l - 1).bit_length() bits at bit (4i + j) * w holds entry
+    (i, j), flat position 4i + j.  ``field_width``, ``pack_flat``,
+    ``unpack_flat`` and ``position_mask`` define it, ``check_packed``
+    refuses any other value, and ``UPPER_LEFT``, ``UPPER_RIGHT``,
+    ``LOWER_LEFT`` and ``LOWER_RIGHT`` name its 2x2 blocks.
+    ``LAdicMatrix.reduce_mod`` produces it.  At l = 2 it is the 16-bit
+    layout of groupengine's GL4(F_2) kernels; at every l the records, the
+    image groups, the F_2 forms and every groupengine matrix are in it.
 
 The module also owns the plain-text matrix format used by the command line
 tool and by golden files: rows separated by ``;``, entries by ``,``, each
 entry either an integer ``n`` or ``n/l^k`` (the letter ``l`` is symbolic, the
-actual prime is supplied when parsing), and the breadth-first ``closure``
-that the group and lattice modules share.
+actual prime is supplied when parsing), written by ``format_matrix`` and
+``format_packed``, and the breadth-first ``closure`` that the group and
+lattice modules share.
 """
 
 from __future__ import annotations
@@ -310,8 +310,10 @@ class LAdicMatrix:
             ell, tuple(tuple(a // u for a in row) for row in adj), v - k
         )
 
-    def reduce_mod(self) -> "ModMatrix":
-        """Reduce an integral-at-l matrix mod l."""
+    def reduce_mod(self) -> int:
+        """Reduce a 4x4 matrix integral at l mod l, to its packed form."""
+        if self.n != 4:
+            raise DimensionMismatchError("only 4x4 matrices have a packed form")
         ell, den = self.ell, self.ell**self.k
         for i, row in enumerate(self.entries):
             for j, x in enumerate(row):
@@ -322,85 +324,7 @@ class LAdicMatrix:
                         f"{num}/{ell}^{e}, not integral at {ell}",
                         position=(i, j),
                     )
-        return ModMatrix.from_rows(self.entries, ell)
-
-
-def _integer_rows(rows) -> tuple:
-    """The rows as tuples of ints; ExactMatError names a non-integer entry."""
-    try:
-        return tuple(tuple(map(operator.index, row)) for row in rows)
-    except TypeError:
-        bad = next(v for row in rows for v in row if not hasattr(v, "__index__"))
-        raise ExactMatError(f"entry {bad!r} is not an integer") from None
-
-
-@dataclass(frozen=True)
-class ModMatrix:
-    """Square matrix over F_l, entries stored as residues mod l."""
-
-    ell: int
-    entries: tuple
-
-    def __post_init__(self):
-        ell = check_prime(self.ell)
-        n = len(self.entries)
-        if n == 0 or any(len(row) != n for row in self.entries):
-            raise DimensionMismatchError("matrix must be square and nonempty")
-        rows = _integer_rows(self.entries)
-        if any(not (0 <= v < ell) for row in rows for v in row):
-            raise ExactMatError("entries must be residues mod l")
-        object.__setattr__(self, "entries", rows)
-
-    @property
-    def n(self) -> int:
-        return len(self.entries)
-
-    @staticmethod
-    def from_rows(rows: Sequence[Sequence[int]], ell: int) -> "ModMatrix":
-        """Reduce integer rows mod l; any other entry raises ExactMatError,
-        as the constructor does."""
-        return ModMatrix(
-            ell, tuple(tuple(v % ell for v in row) for row in _integer_rows(rows))
-        )
-
-    @staticmethod
-    def identity(n: int, ell: int) -> "ModMatrix":
-        return ModMatrix.from_rows(
-            [[1 if i == j else 0 for j in range(n)] for i in range(n)], ell
-        )
-
-    def transpose(self) -> "ModMatrix":
-        return ModMatrix(self.ell, tuple(zip(*self.entries)))
-
-    def mul(self, other: "ModMatrix") -> "ModMatrix":
-        if (
-            not isinstance(other, ModMatrix)
-            or other.ell != self.ell
-            or other.n != self.n
-        ):
-            raise DimensionMismatchError("operands must live in the same ring")
-        ell = self.ell
-        bt = list(zip(*other.entries))
-        return ModMatrix(
-            ell,
-            tuple(
-                tuple(sum(x * y for x, y in zip(row, col)) % ell for col in bt)
-                for row in self.entries
-            ),
-        )
-
-    def packed(self) -> int:
-        """This 4x4 matrix in the packed format (see the module docstring)."""
-        if self.n != 4:
-            raise DimensionMismatchError("only 4x4 matrices have a packed form")
-        return pack_flat([v for row in self.entries for v in row], self.ell)
-
-    @staticmethod
-    def from_packed(packed: int, ell: int) -> "ModMatrix":
-        """The 4x4 matrix mod l that ``packed`` holds; what check_packed
-        refuses raises ExactMatError."""
-        flat = unpack_flat(check_packed(packed, ell), ell)
-        return ModMatrix(ell, (flat[0:4], flat[4:8], flat[8:12], flat[12:16]))
+        return pack_flat([x % ell for row in self.entries for x in row], ell)
 
 
 # -- the packed 4x4 format ------------------------------------------------------
@@ -668,16 +592,23 @@ def format_entry(x: int, k: int, ell: int) -> str:
     return f"{num}/l^{e}" if e > 0 else str(num)
 
 
-def format_matrix(mat) -> str:
-    """Render either matrix kind in the row ';' / entry ',' text format."""
-    if isinstance(mat, LAdicMatrix):
-        return ";".join(
-            ",".join(format_entry(x, mat.k, mat.ell) for x in row)
-            for row in mat.entries
-        )
-    if isinstance(mat, ModMatrix):
-        return ";".join(",".join(str(v) for v in row) for row in mat.entries)
-    raise ExactMatError(f"cannot format {type(mat).__name__}")
+def format_matrix(mat: LAdicMatrix) -> str:
+    """Render a Z[1/l] matrix in the row ';' / entry ',' text format."""
+    if not isinstance(mat, LAdicMatrix):
+        raise ExactMatError(f"cannot format {type(mat).__name__}")
+    return ";".join(
+        ",".join(format_entry(x, mat.k, mat.ell) for x in row) for row in mat.entries
+    )
+
+
+_PACKED_TEXT = ";".join([",".join(["{}"] * 4)] * 4)
+
+
+def format_packed(packed: int, ell: int) -> str:
+    """Render a packed 4x4 matrix mod l in the same text format, its
+    residues as plain integers; what check_packed refuses raises
+    ExactMatError."""
+    return _PACKED_TEXT.format(*unpack_flat(check_packed(packed, ell), ell))
 
 
 def parse_ladic(text: str, ell: int) -> LAdicMatrix:

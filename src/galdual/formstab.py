@@ -37,13 +37,15 @@ from galdual.exactmat import (
     UPPER_LEFT,
     UPPER_RIGHT,
     ClosureCapError,
-    ModMatrix,
     _nullspace_mod,
     _rank_mod,
+    check_packed,
     closure,
-    format_matrix,
+    format_packed,
     is_prime,
+    pack_flat,
     position_mask,
+    unpack_flat,
 )
 from galdual.groupengine import (
     _IDENT,
@@ -61,26 +63,25 @@ from galdual.paramgroups import glued_polarization, product_principal_polarizati
 
 @dataclass(frozen=True)
 class AlternatingForm:
-    """An alternating bilinear form on F_2^4.
+    """An alternating bilinear form on F_2^4, its matrix a packed 4x4 mod 2.
 
-    Over F_2 alternating means zero diagonal and symmetric.
+    Over F_2 alternating means zero diagonal and symmetric.  What
+    check_packed refuses raises ExactMatError.
     """
 
-    matrix: ModMatrix
+    matrix: int
 
     def __post_init__(self):
-        m = self.matrix
-        if m.ell != 2 or m.n != 4:
-            raise ValueError("form must be a 4x4 matrix over F_2")
-        e = m.entries
-        if any(e[i][i] for i in range(4)):
+        m = check_packed(self.matrix, 2)
+        if m & _IDENT:  # the bits of the diagonal
             raise ValueError("alternating form needs a zero diagonal")
-        if m != m.transpose():
+        if f2_transpose(m) != m:
             raise ValueError("alternating form over F_2 must be symmetric")
 
     def radical_basis(self) -> tuple:
         """Echelonized basis of {v : J(v, .) = 0}."""
-        return tuple(_nullspace_mod([list(r) for r in self.matrix.entries], 4, 2))
+        e = unpack_flat(self.matrix, 2)
+        return tuple(_nullspace_mod([e[0:4], e[4:8], e[8:12], e[12:16]], 4, 2))
 
 
 @functools.cache
@@ -98,19 +99,16 @@ def principal_pairing_mod2() -> AlternatingForm:
 
 def alternating_forms() -> tuple:
     """All 64 alternating forms on F_2^4 (six free entries above the diagonal)."""
-    out = []
-    positions = [(i, j) for i in range(4) for j in range(i + 1, 4)]
-    for bits in itertools.product((0, 1), repeat=6):
-        rows = [[0] * 4 for _ in range(4)]
-        for (i, j), b in zip(positions, bits):
-            rows[i][j] = rows[j][i] = b
-        out.append(AlternatingForm(ModMatrix.from_rows(rows, 2)))
-    return tuple(out)
+    pairs = [position_mask((4 * i + j, 4 * j + i), 2) for i in range(4) for j in range(i + 1, 4)]
+    return tuple(
+        AlternatingForm(sum(itertools.compress(pairs, bits)))
+        for bits in itertools.product((0, 1), repeat=6)
+    )
 
 
 def form_orbit(j: AlternatingForm) -> frozenset:
     """Packed congruence orbit {g^T J g : g in GL4(F_2)}."""
-    jp = j.matrix.packed()
+    jp = j.matrix
     return frozenset(
         f2_mul(f2_mul(f2_transpose(g), jp), g) for g in gl4_elements()
     )
@@ -130,7 +128,7 @@ def similitude_stabilizer(j: AlternatingForm) -> frozenset:
     the 20160 invertible matrices, while the walk visits only the column
     prefixes that pass them.
     """
-    jp = j.matrix.packed()
+    jp = j.matrix
     images = _vector_images(jp)
     # agree[u][b]: the nonzero column vectors v with u^T J v = b
     agree = [(set(), set()) for _ in range(16)]
@@ -226,7 +224,7 @@ def radical_split_extension(elements: frozenset, form: AlternatingForm) -> Split
             break
         if _rank_mod(basis + [list(cand)], 4, 2) > len(basis):
             basis.append(list(cand))
-    p = ModMatrix.from_rows(basis, 2).transpose().packed()
+    p = f2_transpose(pack_flat([v for row in basis for v in row], 2))
     p_inv = f2_inv(p)
 
     # in the basis (radical, complement) every element is block upper
@@ -662,7 +660,7 @@ def format_census(result: CensusResult) -> str:
     blocks = []
     for rec in result.records:
         gens = sorted(
-            format_matrix(ModMatrix.from_packed(g, 2))
+            format_packed(g, 2)
             for g in (_f2_small_generating_set(rec.representative) or [_IDENT])
         )
         head = (

@@ -28,7 +28,6 @@ from typing import Optional, Sequence
 
 from galdual.exactmat import (
     ExactMatError,
-    ModMatrix,
     _int_det,
     _rank_mod,
     check_packed,
@@ -189,9 +188,10 @@ def invertible_line(ell: int, basis: Sequence[int]) -> Optional[int]:
 # -- packed GL4(F2) utilities -----------------------------------------------------
 
 # A 4x4 matrix over F_2 is in exactmat's packed format: at l = 2 a 16-bit
-# int whose bit 4*i + j holds entry (i, j) (ModMatrix.packed, from_packed).
+# int whose bit 4*i + j holds entry (i, j).  The identity is the mask of the
+# diagonal, since every field is one bit wide.
 
-_IDENT = ModMatrix.identity(4, 2).packed()
+_IDENT = position_mask((0, 5, 10, 15), 2)
 
 
 def f2_mul(a: int, b: int) -> int:

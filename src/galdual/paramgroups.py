@@ -72,12 +72,15 @@ from galdual.exactmat import (
     LOWER_RIGHT,
     UPPER_LEFT,
     LAdicMatrix,
-    ModMatrix,
+    check_packed,
     check_prime,
     closure,
     field_width,
+    pack_flat,
+    position_mask,
     unpack_flat,
 )
+from galdual.groupengine import _field_ops
 from galdual.lattice import (
     KernelSpec,
     change_basis_from_kernel,
@@ -706,35 +709,24 @@ def paired_generators(ell: int, twist: str = "generic") -> tuple:
 # -- closed-form shapes ---------------------------------------------------------------
 
 
-def matches_image_shape(m: ModMatrix) -> bool:
-    """Shape of the glued-surface image: zeros at seven fixed positions,
-    equal (1,1)/(3,3) and (2,2)/(4,4) unit entries."""
-    if m.n != 4:
-        return False
-    e = m.entries
+def matches_image_shape(packed: int, ell: int) -> bool:
+    """Shape of the glued-surface image on a packed 4x4 mod l: zeros at
+    seven fixed positions, equal (1,1)/(3,3) and (2,2)/(4,4) unit entries.
+    What check_packed refuses raises ExactMatError."""
+    e = unpack_flat(check_packed(packed, ell), ell)
     return (
-        not any(e[pos // 4][pos % 4] for pos in LOWER_LEFT + _TRIANGULAR_ZEROS)
-        and e[0][0] == e[2][2]
-        and e[1][1] == e[3][3]
-        and e[0][0] % m.ell != 0
-        and e[1][1] % m.ell != 0
+        not packed & position_mask(LOWER_LEFT + _TRIANGULAR_ZEROS, ell)
+        and e[0] == e[10] != 0
+        and e[5] == e[15] != 0
     )
 
 
-def shape_parameters(m: ModMatrix):
-    """Read (a, d, b1, u, b2, w1, w2) off a glued-surface image matrix."""
-    if not matches_image_shape(m):
+def shape_parameters(packed: int, ell: int):
+    """Read (a, d, b1, u, b2, w1, w2) off a packed glued-surface image matrix."""
+    if not matches_image_shape(packed, ell):
         raise ValueError("matrix does not match the image shape")
-    e, ell = m.entries, m.ell
-    return (
-        e[0][0],
-        e[1][1],
-        e[0][1],
-        e[0][2],
-        (-e[0][3]) % ell,
-        e[1][2],
-        e[3][2],
-    )
+    e = unpack_flat(packed, ell)
+    return (e[0], e[5], e[1], e[2], -e[3] % ell, e[6], e[14])
 
 
 # -- word factorization over the canonical generators -----------------------------------
@@ -749,8 +741,8 @@ def _dlog(ell: int, base: int, value: int) -> int:
     raise ValueError(f"{value} is not a power of {base} mod {ell}")
 
 
-def generator_word(m: ModMatrix, twist: str = "generic"):
-    """Factor an image-shape matrix as a word in the canonical generators.
+def generator_word(packed: int, ell: int, twist: str = "generic"):
+    """Factor a packed image-shape matrix as a word in the canonical generators.
 
     Returns a list of (name, exponent) pairs; multiplying the named
     generator images in order reproduces the matrix exactly.  Existence of
@@ -758,8 +750,7 @@ def generator_word(m: ModMatrix, twist: str = "generic"):
     points a generating set.
     """
     _check_twist(twist)
-    a, d, b1, u, b2, w1, w2 = shape_parameters(m)
-    ell = m.ell
+    a, d, b1, u, b2, w1, w2 = shape_parameters(packed, ell)
     if twist == "trivial" and a != 1:
         raise ValueError("trivial-twist image must have a = 1")
     r = _primitive_root(ell)
@@ -777,15 +768,13 @@ def generator_word(m: ModMatrix, twist: str = "generic"):
     return [(name, e) for name, e in word if e]
 
 
-def evaluate_word(word, ell: int, twist: str = "generic") -> ModMatrix:
-    """Multiply out a generator word (for tests certifying generation)."""
-    gens = {
-        name: ModMatrix.from_packed(_record(p).image, ell)
-        for name, p in canonical_generator_points(ell, twist)
-    }
-    acc = ModMatrix.identity(4, ell)
+def evaluate_word(word, ell: int, twist: str = "generic") -> int:
+    """Multiply out a generator word to a packed matrix (for tests
+    certifying generation)."""
+    mul = _field_ops(ell)[1]
+    gens = {name: _record(p).image for name, p in canonical_generator_points(ell, twist)}
+    acc = pack_flat([int(pos % 5 == 0) for pos in range(16)], ell)  # the identity
     for name, exp in word:
-        g = gens[name]
         for _ in range(exp):
-            acc = acc.mul(g)
+            acc = mul(acc, gens[name])
     return acc

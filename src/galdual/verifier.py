@@ -24,7 +24,6 @@ from galdual.exactmat import (
     UPPER_LEFT,
     UPPER_RIGHT,
     LAdicMatrix,
-    ModMatrix,
     check_prime,
     closure,
     format_matrix,
@@ -243,7 +242,7 @@ def _check_stable_lines(ells, twists):
         if len(dual) != 1 or dual[0].line != (0, 0, 1, 0):
             raise _CheckFailed(f"l={ell}: dual lines {[s.line for s in dual]}", counts)
         for g, val in surface[0].character:
-            if val != shape_parameters(ModMatrix.from_packed(g, ell))[0]:
+            if val != shape_parameters(g, ell)[0]:
                 raise _CheckFailed(f"l={ell}: surface character is not a", counts)
         for g, val in dual[0].character:
             if val != unpack_flat(g, ell)[10]:  # entry (2, 2)

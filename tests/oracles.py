@@ -1,17 +1,108 @@
 """Reference computations the tests check galdual against."""
 
 import itertools
+import operator
+from dataclasses import dataclass
 from typing import Sequence
 
 from galdual.exactmat import (
-    ModMatrix,
+    DimensionMismatchError,
+    ExactMatError,
     SingularMatrixError,
     _int_det,
     _nullspace_mod,
     _rank_mod,
+    check_packed,
+    check_prime,
     int_adj,
+    pack_flat,
     unpack_flat,
 )
+
+
+def _integer_rows(rows) -> tuple:
+    """The rows as tuples of ints; ExactMatError names a non-integer entry."""
+    try:
+        return tuple(tuple(map(operator.index, row)) for row in rows)
+    except TypeError:
+        bad = next(v for row in rows for v in row if not hasattr(v, "__index__"))
+        raise ExactMatError(f"entry {bad!r} is not an integer") from None
+
+
+@dataclass(frozen=True)
+class ModMatrix:
+    """Square matrix over F_l, entries stored as residues mod l: the row
+    reference the packed 4x4 matrices of galdual are checked against."""
+
+    ell: int
+    entries: tuple
+
+    def __post_init__(self):
+        ell = check_prime(self.ell)
+        n = len(self.entries)
+        if n == 0 or any(len(row) != n for row in self.entries):
+            raise DimensionMismatchError("matrix must be square and nonempty")
+        rows = _integer_rows(self.entries)
+        if any(not (0 <= v < ell) for row in rows for v in row):
+            raise ExactMatError("entries must be residues mod l")
+        object.__setattr__(self, "entries", rows)
+
+    @property
+    def n(self) -> int:
+        return len(self.entries)
+
+    @staticmethod
+    def from_rows(rows: Sequence[Sequence[int]], ell: int) -> "ModMatrix":
+        """Reduce integer rows mod l; any other entry raises ExactMatError,
+        as the constructor does."""
+        return ModMatrix(
+            ell, tuple(tuple(v % ell for v in row) for row in _integer_rows(rows))
+        )
+
+    @staticmethod
+    def identity(n: int, ell: int) -> "ModMatrix":
+        return ModMatrix.from_rows(
+            [[1 if i == j else 0 for j in range(n)] for i in range(n)], ell
+        )
+
+    def transpose(self) -> "ModMatrix":
+        return ModMatrix(self.ell, tuple(zip(*self.entries)))
+
+    def mul(self, other: "ModMatrix") -> "ModMatrix":
+        if (
+            not isinstance(other, ModMatrix)
+            or other.ell != self.ell
+            or other.n != self.n
+        ):
+            raise DimensionMismatchError("operands must live in the same ring")
+        ell = self.ell
+        bt = list(zip(*other.entries))
+        return ModMatrix(
+            ell,
+            tuple(
+                tuple(sum(x * y for x, y in zip(row, col)) % ell for col in bt)
+                for row in self.entries
+            ),
+        )
+
+    def packed(self) -> int:
+        """This 4x4 matrix in exactmat's packed format."""
+        if self.n != 4:
+            raise DimensionMismatchError("only 4x4 matrices have a packed form")
+        return pack_flat([v for row in self.entries for v in row], self.ell)
+
+    @staticmethod
+    def from_packed(packed: int, ell: int) -> "ModMatrix":
+        """The 4x4 matrix mod l that ``packed`` holds; what check_packed
+        refuses raises ExactMatError."""
+        flat = unpack_flat(check_packed(packed, ell), ell)
+        return ModMatrix(ell, (flat[0:4], flat[4:8], flat[8:12], flat[12:16]))
+
+
+def row_text(m: ModMatrix) -> str:
+    """The rows of ``m`` joined by ';', their entries by ',': the text
+    format_packed prints for its packed form."""
+    return ";".join(",".join(str(v) for v in row) for row in m.entries)
 
 
 def charpoly_rows(rows: Sequence[Sequence[int]], p: int) -> tuple:

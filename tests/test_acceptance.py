@@ -11,9 +11,8 @@ from galdual import constants
 from galdual.exactmat import (
     ClosureCapError,
     LAdicMatrix,
-    ModMatrix,
     closure,
-    format_matrix,
+    format_packed,
     smith_normal_form,
 )
 from galdual.groupengine import (
@@ -42,7 +41,7 @@ from galdual.verifier import (
     _orbit_count,
     run_check,
 )
-from oracles import unpacked
+from oracles import ModMatrix, unpacked
 
 PRIMES = (2, 3, 5, 7)
 
@@ -292,7 +291,7 @@ def test_criterion_9_property_batteries():
     for g, h in sample_pairs(120, "acceptance-pairs"):
         g, h = ModMatrix.from_packed(g, 3), ModMatrix.from_packed(h, 3)
         for b in basis:
-            assert b.mul(g) == h.mul(b), format_matrix(b)
+            assert b.mul(g) == h.mul(b), format_packed(b.packed(), 3)
         cases += 1
     _battery("intertwiner substitution", cases, started)
 

@@ -24,9 +24,12 @@ listed in SHARED_FIELD_READERS, with a function that reads it; the guard
 fails on a shared field that is not listed, on a stale entry and on a
 listed function that does not read the field.
 
-The library computes exactly, so a last guard rejects floating point in
+The library computes exactly, so a guard rejects floating point in
 src/galdual: float and complex literals, calls of ``float`` and true
-division, ``/`` and ``/=``.
+division, ``/`` and ``/=``.  A 4x4 matrix mod l has one encoding, the
+packed int, so a last guard rejects any ``Name`` or ``Attribute`` node
+``ModMatrix`` in src/galdual; that row class lives in tests/oracles.py as
+the tests' reference.
 """
 
 import ast
@@ -69,11 +72,8 @@ SHARED_FIELD_READERS = {
     "PointRecord.d": "perfbench/workloads.py:_check_records",
     "ParamPoint.ell": "src/galdual/paramgroups.py:_record",
     "LAdicMatrix.ell": "src/galdual/exactmat.py:LAdicMatrix.inv",
-    "ModMatrix.ell": "src/galdual/exactmat.py:ModMatrix.mul",
     "KernelSpec.ell": "src/galdual/lattice.py:change_basis_from_kernel",
     "ImageGroup.ell": "src/galdual/verifier.py:_orbit_count",
-    "LAdicMatrix.entries": "src/galdual/exactmat.py:LAdicMatrix.det",
-    "ModMatrix.entries": "src/galdual/exactmat.py:ModMatrix.mul",
     "StructureInvariants.order": "src/galdual/verifier.py:_check_census_576",
     "SubgroupClassRecord.order": "src/galdual/formstab.py:format_census",
 }
@@ -263,6 +263,16 @@ def _floating_point() -> list:
     return found
 
 
+def _second_matrix_encoding() -> list:
+    """Name and Attribute nodes in src/galdual that refer to ModMatrix."""
+    return [
+        f"{path.name}:{line} {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name, line in _references(_parse(path))
+        if name == "ModMatrix"
+    ]
+
+
 def test_every_definition_has_a_caller_outside_the_tests():
     assert _uncalled() == []
 
@@ -296,3 +306,7 @@ def test_keepers_are_still_defined():
 
 def test_the_library_uses_no_floating_point():
     assert _floating_point() == []
+
+
+def test_the_library_has_no_second_matrix_encoding():
+    assert _second_matrix_encoding() == []

@@ -12,9 +12,8 @@ import pytest
 
 from galdual import verifier
 from galdual.cli import _build_parser, main
-from galdual.exactmat import format_matrix
 from galdual.paramgroups import image_rho_A, image_rho_Adual_contragredient
-from oracles import unpacked
+from oracles import row_text, unpacked
 
 
 def test_no_arguments_is_a_usage_error():
@@ -144,7 +143,7 @@ def test_dump_group_is_sorted_and_complete(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 32
     assert lines == sorted(lines)
-    expected = sorted(format_matrix(m) for m in unpacked(image_rho_A(2, "generic")))
+    expected = sorted(row_text(m) for m in unpacked(image_rho_A(2, "generic")))
     assert lines == expected
 
 
@@ -152,15 +151,15 @@ def test_dump_group_dual_side_and_twist(capsys):
     assert main(["dump-group", "--ell", "2", "--side", "Adual", "--twist", "trivial"]) == 0
     lines = capsys.readouterr().out.splitlines()
     expected = sorted(
-        format_matrix(m)
+        row_text(m)
         for m in unpacked(image_rho_Adual_contragredient(2, "trivial"))
     )
     assert lines == expected
 
 
 # sha256 of the `galdual dump-group` output at each (l, side, twist); the CI
-# smoke job checks (3, A, generic) and (3, Adual, trivial) on the installed
-# package too.
+# smoke job checks (3, A, generic), (3, Adual, trivial) and (5, Adual,
+# generic) on the installed package too.
 DUMP_GROUP_SHA256 = {
     (2, "A", "generic"): "f343e368561c0e5b388481a933389b98b0b4ce45ed876b85a865e75ffe3caf09",
     (2, "A", "trivial"): "f343e368561c0e5b388481a933389b98b0b4ce45ed876b85a865e75ffe3caf09",
@@ -170,6 +169,7 @@ DUMP_GROUP_SHA256 = {
     (3, "A", "trivial"): "a8e76440d9738096ccbd46cebc5aa50df552f488d4bf221808e603ca74d22fd5",
     (3, "Adual", "generic"): "3643d97c7fcfc632d5f1d6110f12c9876d4cb210469edf7e00b6801743915405",
     (3, "Adual", "trivial"): "110658c4d0881b92338e0a89de0427ee7c54395dd97841841f45258e83847fc3",
+    (5, "Adual", "generic"): "9c2c19ef2988cccc9b7678a5a7c0ec1b1d86cee641fffdefd17238bfc93293ea",
 }
 
 

@@ -15,13 +15,14 @@ from galdual.exactmat import (
     DimensionMismatchError,
     ExactMatError,
     LAdicMatrix,
-    ModMatrix,
     NonIntegralEntryError,
     SingularMatrixError,
     UnrepresentableEntryError,
+    check_packed,
     check_prime,
     closure,
     format_matrix,
+    format_packed,
     int_adj,
     is_prime,
     lval,
@@ -30,7 +31,7 @@ from galdual.exactmat import (
     smith_normal_form,
 )
 from galdual.lattice import locally_contains_standard
-from oracles import charpoly_rows, mod_inv
+from oracles import ModMatrix, charpoly_rows, mod_inv, row_text
 
 PRIMES = [2, 3, 5, 7]
 
@@ -351,20 +352,27 @@ def test_scale_rejects_a_float_in_a_pair():
 
 
 def test_reduce_mod_requires_integrality():
-    m = ladic([[1, (1, 1)], [0, 1]], 3)
+    m = ladic([[1, 0, 0, 0], [0, 1, 0, (2, 1)], [0, 0, 1, 0], [0, 0, 0, 1]], 3)
     with pytest.raises(NonIntegralEntryError) as exc:
         m.reduce_mod()
-    assert exc.value.position == (0, 1)
-    assert "row 1, column 2" in str(exc.value)
+    assert exc.value.position == (1, 3)
+    assert "row 2, column 4 is 2/3^1" in str(exc.value)
 
 
 def test_reduce_mod_values():
-    m = ladic([[7, -1], [10, 3]], 3)
+    m = ladic([[7, -1, 0, 3], [10, 3, 1, 0], [0, 0, -4, 2], [5, 0, 0, 1]], 3)
     r = m.reduce_mod()
-    assert r == ModMatrix(3, ((1, 2), (1, 0)))
+    assert r == ModMatrix(3, ((1, 2, 0, 0), (1, 0, 1, 0), (0, 0, 2, 2), (2, 0, 0, 1))).packed()
+    # the packed form is each residue in its own 2-bit field
+    assert r == 0b01_00_00_10_10_10_00_00_00_01_00_01_00_00_10_01
 
 
-# -- ModMatrix ---------------------------------------------------------------
+def test_reduce_mod_refuses_a_non_4x4_matrix():
+    with pytest.raises(DimensionMismatchError, match="4x4"):
+        ladic([[7, -1], [10, 3]], 3).reduce_mod()
+
+
+# -- ModMatrix, the tests' row reference, and the packed format ------------------
 
 
 def test_mod_inverse_singular():
@@ -389,16 +397,20 @@ def test_block_masks_at_two_are_the_sixteen_bit_masks():
     assert position_mask(LOWER_RIGHT, 2) == 0xCC00
 
 
-def test_from_packed_refuses_a_field_that_is_not_a_residue():
+def test_check_packed_refuses_a_field_that_is_not_a_residue():
     # at l = 3 each entry takes 2 bits, and the field value 3 is not a residue
-    assert ModMatrix.from_packed(2, 3) == ModMatrix(3, ((2, 0, 0, 0),) + ((0,) * 4,) * 3)
-    with pytest.raises(ExactMatError, match="residues"):
-        ModMatrix.from_packed(3, 3)
-    # a negative or too wide int is refused by name, not read as some matrix
-    for bad, ell in ((-1, 2), (1 << 16, 2), ((1 << 32) | 5, 3)):
+    assert check_packed(2, 3) == 2
+    with pytest.raises(ExactMatError, match="residues mod 3: 3$"):
+        check_packed(3, 3)
+    with pytest.raises(ExactMatError, match="residues mod 5"):
+        check_packed(5 << 3 * 15, 5)  # the last field holds 5
+    # a negative or too wide int, or no int, is refused by name, not read
+    # as some matrix
+    for bad, ell in ((-1, 2), (1 << 16, 2), ((1 << 32) | 5, 3), (1.0, 2)):
         with pytest.raises(ExactMatError, match=f"residues mod {ell}: {bad}$"):
-            ModMatrix.from_packed(bad, ell)
-    assert ModMatrix.from_packed(0xFFFF, 2).entries == ((1,) * 4,) * 4
+            check_packed(bad, ell)
+    assert check_packed(0xFFFF, 2) == 0xFFFF
+    assert check_packed(6 << 45, 7) == 6 << 45  # 6 in the last 3-bit field
 
 
 @pytest.mark.parametrize("bad", [2.7, Fraction(1, 2), "4"])
@@ -786,9 +798,23 @@ def test_format_round_trip_ladic():
 
 
 def test_format_round_trip_mod():
-    m = ModMatrix.from_rows([[1, 2], [3, 4]], 5)
-    assert format_matrix(m) == "1,2;3,4"
-    assert parse_ladic("1,2;3,4", 5).reduce_mod() == m
+    m = ModMatrix.from_rows([[1, 2, 0, 4], [3, 4, 1, 0], [0, 0, 2, 0], [4, 3, 2, 1]], 5)
+    text = format_packed(m.packed(), 5)
+    assert text == "1,2,0,4;3,4,1,0;0,0,2,0;4,3,2,1"
+    assert parse_ladic(text, 5).reduce_mod() == m.packed()
+    assert format_packed(0x8421, 2) == "1,0,0,0;0,1,0,0;0,0,1,0;0,0,0,1"
+    with pytest.raises(ExactMatError, match="residues mod 3"):
+        format_packed(m.packed(), 3)  # too wide at l = 3
+    with pytest.raises(ExactMatError, match="cannot format ModMatrix"):
+        format_matrix(m)
+
+
+@given(st.sampled_from(PRIMES + [11]), st.data())
+@settings(max_examples=200, deadline=None)
+def test_format_packed_matches_the_row_text(ell, data):
+    flat = data.draw(st.lists(st.integers(0, ell - 1), min_size=16, max_size=16))
+    m = ModMatrix.from_rows([flat[0:4], flat[4:8], flat[8:12], flat[12:16]], ell)
+    assert format_packed(m.packed(), ell) == row_text(m)
 
 
 def test_parse_rejects_garbage():

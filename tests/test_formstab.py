@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from galdual import constants, formstab, groupengine
-from galdual.exactmat import ModMatrix, _rank_mod, closure
+from galdual.exactmat import ExactMatError, _rank_mod, closure
 from galdual.formstab import (
     _group_tables,
     _IDENT,
@@ -42,7 +42,7 @@ from galdual.groupengine import (
     invertible_line,
     matrix_subgroups_conjugate,
 )
-from oracles import assert_matches_reference, reference_duality_signature
+from oracles import ModMatrix, assert_matches_reference, reference_duality_signature
 
 
 def mod2(rows):
@@ -50,11 +50,11 @@ def mod2(rows):
 
 
 def zero_form():
-    return AlternatingForm(mod2([[0] * 4 for _ in range(4)]))
+    return AlternatingForm(0)
 
 
 def _rank(form):
-    return _rank_mod([list(r) for r in form.matrix.entries], 4, 2)
+    return _rank_mod(ModMatrix.from_packed(form.matrix, 2).entries, 4, 2)
 
 
 def packed_group(*gen_rows):
@@ -119,7 +119,9 @@ TABLE_GROUPS = [
 
 def test_glued_pairing_golden():
     j = glued_pairing_mod2()
-    assert j.matrix.entries == ((0, 0, 0, 0), (0, 0, 1, 0), (0, 1, 0, 1), (0, 0, 1, 0))
+    assert ModMatrix.from_packed(j.matrix, 2).entries == (
+        (0, 0, 0, 0), (0, 0, 1, 0), (0, 1, 0, 1), (0, 0, 1, 0)
+    )
     assert _rank(j) == 2
     assert j.radical_basis() == ((1, 0, 0, 0), (0, 1, 0, 1))
 
@@ -130,22 +132,28 @@ def test_principal_pairing_nondegenerate():
 
 
 def test_form_rejects_nonzero_diagonal():
-    with pytest.raises(ValueError, match="diagonal"):
-        AlternatingForm(
-            mod2([[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
-        )
+    # a symmetric packed form with one diagonal entry set, at each of the four
+    symmetric = mod2([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]).packed()
+    for i in range(4):
+        with pytest.raises(ValueError, match="diagonal"):
+            AlternatingForm(symmetric | 1 << 5 * i)
 
 
 def test_form_rejects_asymmetric():
-    with pytest.raises(ValueError, match="symmetric"):
-        AlternatingForm(
-            mod2([[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
-        )
+    for rows in (
+        [[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
+        [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0]],
+    ):
+        with pytest.raises(ValueError, match="symmetric"):
+            AlternatingForm(mod2(rows).packed())
 
 
 def test_form_rejects_other_modulus():
-    with pytest.raises(ValueError, match="F_2"):
-        AlternatingForm(ModMatrix.from_rows([[0] * 4] * 4, 3))
+    # a negative int, a packed matrix mod 3 (too wide at l = 2) and no int
+    # at all, here the mod-3 zero matrix as rows: none is a form over F_2
+    for bad in (-1, 1 << 16, ModMatrix.from_rows([[0] * 4] * 4, 3)):
+        with pytest.raises(ExactMatError, match="residues mod 2"):
+            AlternatingForm(bad)
 
 
 def test_sixty_four_forms_by_rank():
@@ -159,13 +167,13 @@ def test_sixty_four_forms_by_rank():
 
 def test_glued_form_orbit_is_every_degenerate_nonzero_form():
     orbit = form_orbit(glued_pairing_mod2())
-    rank2 = {f.matrix.packed() for f in alternating_forms() if _rank(f) == 2}
+    rank2 = {f.matrix for f in alternating_forms() if _rank(f) == 2}
     assert orbit == rank2
 
 
 def test_nondegenerate_orbit_is_every_rank_four_form():
     orbit = form_orbit(principal_pairing_mod2())
-    rank4 = {f.matrix.packed() for f in alternating_forms() if _rank(f) == 4}
+    rank4 = {f.matrix for f in alternating_forms() if _rank(f) == 4}
     assert orbit == rank4
 
 
@@ -187,7 +195,7 @@ def test_similitude_stabilizer_matches_the_filter_over_gl4_on_every_form():
     for m in range(1, 64):
         low = m & -m
         forms[m] = forms[m ^ low] ^ units[low.bit_length() - 1]
-    assert sorted(forms) == sorted(f.matrix.packed() for f in alternating_forms())
+    assert sorted(forms) == sorted(f.matrix for f in alternating_forms())
     stabilizers = [set() for _ in forms]
     orbits = [set() for _ in forms]
     for g in gl4_elements():
@@ -202,7 +210,7 @@ def test_similitude_stabilizer_matches_the_filter_over_gl4_on_every_form():
             if image == forms[m]:
                 stabilizers[m].add(g)
     for form in alternating_forms():
-        m = forms.index(form.matrix.packed())
+        m = forms.index(form.matrix)
         assert similitude_stabilizer(form) == stabilizers[m]
         assert len(orbits[m]) * len(stabilizers[m]) == constants.GL4_F2_ORDER
     assert {len(found) for found in stabilizers} == {
@@ -212,7 +220,7 @@ def test_similitude_stabilizer_matches_the_filter_over_gl4_on_every_form():
 
 def test_stabilizer_preserves_form_by_matrix_arithmetic():
     """Re-verify membership with plain ModMatrix products."""
-    j = glued_pairing_mod2().matrix
+    j = ModMatrix.from_packed(glued_pairing_mod2().matrix, 2)
     sample = sorted(glued_form_stabilizer())[::17]
     for g in sample:
         m = ModMatrix.from_packed(g, 2)
@@ -232,7 +240,7 @@ def test_stabilizer_is_a_group():
 def test_nonmember_moves_form():
     from galdual.groupengine import f2_transpose, gl4_elements
 
-    j = glued_pairing_mod2().matrix.packed()
+    j = glued_pairing_mod2().matrix
     stab = glued_form_stabilizer()
     outside = next(g for g in gl4_elements() if g not in stab)
     assert f2_mul(f2_mul(f2_transpose(outside), j), outside) != j
@@ -688,7 +696,7 @@ def test_property_stabilizer_closed_and_form_preserving(seed):
 
     rng = random.Random(seed)
     stab = sorted(glued_form_stabilizer())
-    j = glued_pairing_mod2().matrix
+    j = ModMatrix.from_packed(glued_pairing_mod2().matrix, 2)
     g, h = rng.choice(stab), rng.choice(stab)
     prod = f2_mul(g, h)
     assert prod in glued_form_stabilizer()

@@ -13,7 +13,6 @@ from galdual import constants, verifier
 from galdual.exactmat import (
     ClosureCapError,
     ExactMatError,
-    ModMatrix,
     SingularMatrixError,
     closure,
     field_width,
@@ -52,7 +51,7 @@ from galdual.verifier import (
     _orbit_count,
     run_check,
 )
-from oracles import assert_matches_reference, mod_inv, unpacked
+from oracles import ModMatrix, assert_matches_reference, mod_inv, unpacked
 
 
 def mod(rows, ell):
@@ -919,7 +918,7 @@ def test_unique_stable_line_surface_side(ell):
     assert len(lines) == 1
     assert lines[0].line == (1, 0, 0, 0)
     for g, val in lines[0].character:
-        assert val == shape_parameters(ModMatrix.from_packed(g, ell))[0]
+        assert val == shape_parameters(g, ell)[0]
 
 
 @pytest.mark.parametrize("ell", [3, 5, 7])
@@ -959,7 +958,7 @@ def test_character_product_is_similitude_scalar():
         line_a = common_stable_lines(ell, surface)[0]
         line_d = common_stable_lines(ell, dual)[0]
         for m, md in _pairs(sample_records(ell, "generic", 40, seed=ell)):
-            a, d, *_ = shape_parameters(ModMatrix.from_packed(m, ell))
+            a, d, *_ = shape_parameters(m, ell)
             product = _eigenvalue(unpack_flat(m, ell), line_a.line, ell) * _eigenvalue(
                 unpack_flat(md, ell), line_d.line, ell
             )

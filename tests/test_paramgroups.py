@@ -19,8 +19,8 @@ from hypothesis import given, settings, strategies as st
 from galdual import paramgroups
 from galdual.exactmat import (
     LOWER_LEFT,
+    ExactMatError,
     LAdicMatrix,
-    ModMatrix,
     check_packed,
     field_width,
     is_prime,
@@ -62,7 +62,7 @@ from galdual.paramgroups import (
     slab_records,
 )
 from galdual.verifier import run_check
-from oracles import charpoly_rows, mod_inv, unpacked
+from oracles import ModMatrix, charpoly_rows, mod_inv, unpacked
 
 PRIMES = [2, 3, 5, 7]
 
@@ -124,8 +124,8 @@ def expected_dual_of(m: ModMatrix) -> ModMatrix:
     reflection of the image parameters.  Serves as an independent oracle
     for both dual routes.
     """
-    a, d, b1, u, b2, w1, w2 = shape_parameters(m)
     ell = m.ell
+    a, d, b1, u, b2, w1, w2 = shape_parameters(m.packed(), ell)
     t = (pow(a, -1, ell) * (b1 * w1 - b2 * w2 - d * u)) % ell
     rows = [
         [d, 0, 0, 0],
@@ -356,9 +356,9 @@ def test_flat_routes_match_lattice_route_full(ell, twist):
     for p in slab_points(ell, twist):
         lifted = lift_element(p)
         glued_exact = conjugate_by(mq, lifted)
-        assert glued_exact.reduce_mod().entries == image_element(p).entries
+        assert glued_exact.reduce_mod() == _record(p).image
         dual_exact = conjugate_by(mlam, glued_exact)
-        assert dual_exact.reduce_mod().entries == dual_element_isogeny(p).entries
+        assert dual_exact.reduce_mod() == _record(p).dual_isogeny
 
 
 @pytest.mark.parametrize("ell", [5, 7])
@@ -369,9 +369,9 @@ def test_flat_routes_match_lattice_route_sampled(ell):
     for _ in range(120):
         p = random_param_point(rng, ell)
         glued_exact = conjugate_by(mq, lift_element(p))
-        assert glued_exact.reduce_mod().entries == image_element(p).entries
+        assert glued_exact.reduce_mod() == _record(p).image
         dual_exact = conjugate_by(mlam, glued_exact)
-        assert dual_exact.reduce_mod().entries == dual_element_isogeny(p).entries
+        assert dual_exact.reduce_mod() == _record(p).dual_isogeny
 
 
 # -- enumeration orders -------------------------------------------------------
@@ -472,11 +472,10 @@ def test_dual_group_orders_match(ell, twist):
 @pytest.mark.parametrize("ell,twist", [(2, "generic"), (3, "generic"), (3, "trivial")])
 def test_shapes_hold_on_full_slab(ell, twist):
     for r in slab_records(ell, twist):
-        m = ModMatrix.from_packed(r.image, ell)
         dm = ModMatrix.from_packed(r.dual_isogeny, ell)
-        assert matches_image_shape(m)
+        assert matches_image_shape(r.image, ell)
         assert matches_dual_shape(dm)
-        a, d, *_ = shape_parameters(m)
+        a, d, *_ = shape_parameters(r.image, ell)
         assert (a, d) == (r.a, r.d)
 
 
@@ -484,7 +483,7 @@ def test_shape_rejects_wrong_zero_pattern():
     bad = ModMatrix.from_rows(
         [[1, 0, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], 3
     )
-    assert not matches_image_shape(bad)
+    assert not matches_image_shape(bad.packed(), 3)
     ok_dual = ModMatrix.from_rows(
         [[1, 0, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], 3
     )
@@ -495,14 +494,25 @@ def test_shape_requires_unit_diagonal():
     m = ModMatrix.from_rows(
         [[0, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1]], 3
     )
-    assert not matches_image_shape(m)
+    assert not matches_image_shape(m.packed(), 3)
 
 
 def test_shape_requires_matching_diagonal_pairs():
     m = ModMatrix.from_rows(
         [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 2, 0], [0, 0, 0, 1]], 3
     )
-    assert not matches_image_shape(m)
+    assert not matches_image_shape(m.packed(), 3)
+
+
+def test_shape_refuses_what_check_packed_refuses():
+    # a negative int, a field holding 3 at l = 3, a packed matrix mod 3 read
+    # at l = 2 (too wide), and a ModMatrix in place of its packed int
+    for bad, ell in ((-1, 3), (3, 3), (ModMatrix.identity(4, 3).packed(), 2),
+                     (ModMatrix.identity(4, 3), 3)):
+        with pytest.raises(ExactMatError, match=f"residues mod {ell}"):
+            matches_image_shape(bad, ell)
+        with pytest.raises(ExactMatError, match=f"residues mod {ell}"):
+            shape_parameters(bad, ell)
 
 
 def test_every_shape_matrix_is_attained_l3():
@@ -602,12 +612,11 @@ def test_canonical_generators_generate(ell, twist, order):
     assert closed <= set(unpacked(image_rho_A(ell, twist)))
 
 
-@pytest.mark.parametrize("ell,twist", [(3, "generic"), (3, "trivial")])
+@pytest.mark.parametrize("ell,twist", [(2, "generic"), (3, "generic"), (3, "trivial")])
 def test_generator_word_round_trip_full(ell, twist):
     for r in slab_records(ell, twist):
-        m = ModMatrix.from_packed(r.image, ell)
-        word = generator_word(m, twist)
-        assert evaluate_word(word, ell, twist).entries == m.entries
+        word = generator_word(r.image, ell, twist)
+        assert evaluate_word(word, ell, twist) == r.image
 
 
 def test_generator_word_round_trip_sampled_l5_l7():
@@ -615,9 +624,8 @@ def test_generator_word_round_trip_sampled_l5_l7():
     too large to enumerate in a test."""
     for ell in (5, 7):
         for r in sample_records(ell, "generic", 100, seed=200 + ell):
-            m = ModMatrix.from_packed(r.image, ell)
-            word = generator_word(m)
-            assert evaluate_word(word, ell).entries == m.entries
+            word = generator_word(r.image, ell)
+            assert evaluate_word(word, ell) == r.image
 
 
 def test_generator_word_respects_trivial_twist():
@@ -625,7 +633,7 @@ def test_generator_word_respects_trivial_twist():
         [[2, 0, 0, 0], [0, 1, 0, 0], [0, 0, 2, 0], [0, 0, 0, 1]], 3
     )
     with pytest.raises(ValueError, match="trivial-twist"):
-        generator_word(m, "trivial")
+        generator_word(m.packed(), 3, "trivial")
 
 
 def test_generator_word_refuses_an_unknown_twist():
@@ -633,9 +641,9 @@ def test_generator_word_refuses_an_unknown_twist():
     m = ModMatrix.from_rows(
         [[2, 0, 0, 0], [0, 1, 0, 0], [0, 0, 2, 0], [0, 0, 0, 1]], 3
     )
-    assert generator_word(m) == [("torus_a", 1)]
+    assert generator_word(m.packed(), 3) == [("torus_a", 1)]
     with pytest.raises(ValueError, match="unknown twist 'weird'"):
-        generator_word(m, "weird")
+        generator_word(m.packed(), 3, "weird")
 
 
 def test_canonical_generator_counts():
@@ -781,7 +789,7 @@ def test_property_shapes_and_agreement(p):
     m = image_element(p)
     di = dual_element_isogeny(p)
     dc = ModMatrix.from_packed(_record(p).dual_contragredient, p.ell)
-    assert matches_image_shape(m)
+    assert matches_image_shape(m.packed(), p.ell)
     assert matches_dual_shape(di)
     assert di.entries == dc.entries
     assert expected_dual_of(m).entries == di.entries
@@ -790,7 +798,7 @@ def test_property_shapes_and_agreement(p):
 @settings(max_examples=150, deadline=None)
 @given(param_points())
 def test_property_shape_parameters_match_point(p):
-    a, d, b1, u, b2, w1, w2 = shape_parameters(image_element(p))
+    a, d, b1, u, b2, w1, w2 = shape_parameters(_record(p).image, p.ell)
     assert (a, d) == (p.a % p.ell, p.d % p.ell)
     assert (b1, b2, w1, w2) == (p.b1, p.b2, p.w1, p.w2)
     assert u == (p.x1 - p.x2) % p.ell
@@ -807,7 +815,7 @@ def test_property_image_is_multiplicative_on_pairs(p, q):
     mq = gluing_change_of_basis(p.ell)
     lhs = conjugate_by(mq, prod).reduce_mod()
     rhs = image_element(p).mul(image_element(q))
-    assert lhs.entries == rhs.entries
+    assert lhs == rhs.packed()
 
 
 # -- the record kernel: errors ----------------------------------------------------
