@@ -2,10 +2,10 @@
 
 Everything here is exact: matrices are immutable tuples of Python integers
 (arbitrary precision), so there is no overflow and no floating point anywhere.
-It is the package's one home for linear algebra, with one routine per kind:
-``_int_det`` (Bareiss elimination) for the determinant of ``LAdicMatrix``,
-``int_adj`` (fraction-free Gauss-Jordan) for integer rows, which
-``LAdicMatrix`` inverts with, and ``_echelon_mod`` for residue rows over F_l.
+It holds one routine per kind: ``_int_det`` (Bareiss elimination) for the
+determinant of ``LAdicMatrix``, and ``int_adj`` (fraction-free Gauss-Jordan)
+for integer rows, which ``LAdicMatrix`` inverts with.  Over F_l it defines
+the packed format; the one row reduction on it is groupengine's ``_kernel``.
 A Z[1/l] matrix is stored as its integer rows R over one power l^k, and
 every product, determinant, inverse and Smith form works on R and k
 directly, so no arithmetic runs on fractions.  Each matrix kind has one
@@ -38,6 +38,7 @@ lattice modules share.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -352,16 +353,29 @@ def unpack_flat(packed: int, ell: int) -> tuple:
     return tuple([packed >> shift & mask for shift in range(0, 16 * width, width)])
 
 
+@functools.cache
+def _residue_test(ell: int) -> tuple:
+    """``(even, bias, carry)`` for check_packed at l: the bits of the even
+    fields, 2^w - l in each even field and the lowest bit of each odd field."""
+    width = field_width(ell)
+    ones = sum(1 << 2 * width * k for k in range(8))
+    return ones * ((1 << width) - 1), ones * ((1 << width) - ell), ones << width
+
+
 def check_packed(packed, ell: int) -> int:
     """``packed`` if it is a packed 4x4 matrix mod l, an int of 16 fields that
     each hold a residue; anything else raises ExactMatError naming the value.
-    At l = 2 every field is a residue, so only the range is tested."""
+
+    The fields are tested without unpacking: the even fields, and then the
+    odd ones shifted onto them, each with the empty field above it as room
+    for a carry, are added 2^w - l in every field, so a field carries
+    exactly when it holds l or more."""
     width = field_width(ell)
-    if not (isinstance(packed, int) and 0 <= packed < 1 << 16 * width) or (
-        ell != 1 << width and max(unpack_flat(packed, ell)) >= ell
-    ):
-        raise ExactMatError(f"not a packed 4x4 matrix of residues mod {ell}: {packed!r}")
-    return packed
+    if isinstance(packed, int) and 0 <= packed < 1 << 16 * width:
+        even, bias, carry = _residue_test(ell)
+        if not ((packed & even) + bias | (packed >> width & even) + bias) & carry:
+            return packed
+    raise ExactMatError(f"not a packed 4x4 matrix of residues mod {ell}: {packed!r}")
 
 
 def position_mask(positions, ell: int) -> int:
@@ -437,51 +451,6 @@ def int_adj(rows) -> tuple:
                 ]
         prev = p
     return sign * prev, [[sign * x for x in row[n:]] for row in a]
-
-
-# -- row reduction over F_l ---------------------------------------------------
-
-
-def _echelon_mod(rows, ncols: int, ell: int):
-    """Row-reduce over F_l; returns (reduced rows, pivot column list)."""
-    mat = [list(r) for r in rows]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(mat)) if mat[i][c] % ell), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = pow(mat[r][c], -1, ell)
-        mat[r] = [(v * inv) % ell for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] % ell:
-                f = mat[i][c]
-                mat[i] = [(v - f * w) % ell for v, w in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return mat[:r], pivots
-
-
-def _rank_mod(rows, ncols: int, ell: int) -> int:
-    return len(_echelon_mod(rows, ncols, ell)[1])
-
-
-def _nullspace_mod(rows, ncols: int, ell: int):
-    """Echelonized basis of the right nullspace: one vector per free column,
-    with value 1 there and 0 at the other free columns."""
-    reduced, pivots = _echelon_mod(rows, ncols, ell)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [0] * ncols
-        v[f] = 1
-        for row, p in zip(reduced, pivots):
-            v[p] = (-row[f]) % ell
-        basis.append(tuple(v))
-    return basis
 
 
 # -- Smith normal form, l-valuations only -----------------------------------

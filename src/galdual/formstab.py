@@ -37,19 +37,17 @@ from galdual.exactmat import (
     UPPER_LEFT,
     UPPER_RIGHT,
     ClosureCapError,
-    _nullspace_mod,
-    _rank_mod,
     check_packed,
     closure,
     format_packed,
     is_prime,
     pack_flat,
     position_mask,
-    unpack_flat,
 )
 from galdual.groupengine import (
     _IDENT,
     _f2_small_generating_set,
+    _kernel,
     f2_inv,
     f2_mul,
     f2_transpose,
@@ -79,9 +77,10 @@ class AlternatingForm:
             raise ValueError("alternating form over F_2 must be symmetric")
 
     def radical_basis(self) -> tuple:
-        """Echelonized basis of {v : J(v, .) = 0}."""
-        e = unpack_flat(self.matrix, 2)
-        return tuple(_nullspace_mod([e[0:4], e[4:8], e[8:12], e[12:16]], 4, 2))
+        """Echelonized basis of {v : J(v, .) = 0}: the kernel of J's rows,
+        which are its columns, J being symmetric."""
+        rows = [self.matrix >> 4 * i & 15 for i in range(4)]
+        return tuple(tuple(c >> k & 1 for k in range(4)) for c in _kernel(2, rows))
 
 
 @functools.cache
@@ -218,13 +217,13 @@ def radical_split_extension(elements: frozenset, form: AlternatingForm) -> Split
     radical = form.radical_basis()
     if len(radical) != 2:
         raise ValueError("form radical is not 2-dimensional")
-    basis = [list(v) for v in radical]
-    for cand in ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)):
-        if len(basis) == 4:
-            break
-        if _rank_mod(basis + [list(cand)], 4, 2) > len(basis):
-            basis.append(list(cand))
-    p = f2_transpose(pack_flat([v for row in basis for v in row], 2))
+    # the radical completed by the unit vectors outside the span of the
+    # vectors before them: a vector in that span has a kernel combination
+    # whose top field is its own
+    vectors = [pack_flat(v, 2) for v in radical] + [1, 2, 4, 8]
+    redundant = {c.bit_length() - 1 for c in _kernel(2, vectors)}
+    basis = [v for b, v in enumerate(vectors) if b not in redundant]
+    p = f2_transpose(sum(v << 4 * i for i, v in enumerate(basis)))
     p_inv = f2_inv(p)
 
     # in the basis (radical, complement) every element is block upper

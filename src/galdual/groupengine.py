@@ -1,9 +1,12 @@
 """Generic finite-group machinery over small prime fields.
 
 Every matrix here is a 4x4 matrix mod l in exactmat's packed int, the form
-the family records hold it in.  Linear-representation equivalence is one
-intertwiner solver, intertwiner_basis, and one span walk, invertible_line,
-at every l, which thm-main and the mod-2 census share; then packed GL4(F_2)
+the family records hold it in.  The package's one row reduction over F_l,
+_kernel, works on packed ints: the intertwiner solver, fixed_vectors, the
+odd-l invertibility test and formstab's radical of the mod-2 pairing all
+call it.  Linear-representation equivalence is one intertwiner solver,
+intertwiner_basis, and one span walk, invertible_line, at every l, which
+thm-main and the mod-2 census share; then packed GL4(F_2)
 with subgroup conjugacy inside it, stable-line analysis and fixed-vector
 dimensions.  The public entry points refuse what check_packed refuses.
 Everything here is exhaustive or certifying: a negative equivalence verdict
@@ -28,8 +31,6 @@ from typing import Optional, Sequence
 
 from galdual.exactmat import (
     ExactMatError,
-    _int_det,
-    _rank_mod,
     check_packed,
     check_prime,
     closure,
@@ -71,8 +72,9 @@ def _field_ops(ell: int) -> tuple:
     test.  At l = 2 they are XOR, f2_mul and a table-free test: the rows a,
     b, c, d (nibbles) are independent exactly when none of their 15 nonzero
     XOR combinations vanishes, so no GL4(F_2) table is built.  At an odd l
-    they work on the unpacked residues, 16 fields at a time, and the test
-    reduces the integer determinant of the residues mod l."""
+    sub walks the fields of v, one at a time, and passes the fields of u
+    above them through unchanged; mul works on the unpacked residues; and
+    the test asks _kernel whether the four rows have a trivial kernel."""
     if ell == 2:
 
         def f2_invertible(x):
@@ -84,15 +86,15 @@ def _field_ops(ell: int) -> tuple:
             )
 
         return (lambda u, c, v: u ^ v), f2_mul, f2_invertible
-    block = 16 * field_width(ell)
+    width = field_width(ell)
+    field, row = (1 << width) - 1, (1 << 4 * width) - 1
 
     def sub(u, c, v):
         out = shift = 0
-        while u or v:
-            flat = [(x - c * y) % ell for x, y in zip(unpack_flat(u, ell), unpack_flat(v, ell))]
-            out |= pack_flat(flat, ell) << shift
-            u, v, shift = u >> block, v >> block, shift + block
-        return out
+        while v:
+            out |= ((u & field) - c * (v & field)) % ell << shift
+            u, v, shift = u >> width, v >> width, shift + width
+        return out | u << shift
 
     def mul(a, b):
         x, y = unpack_flat(a, ell), unpack_flat(b, ell)
@@ -102,46 +104,31 @@ def _field_ops(ell: int) -> tuple:
         ], ell)
 
     def invertible(x):
-        flat = unpack_flat(x, ell)
-        return _int_det([flat[0:4], flat[4:8], flat[8:12], flat[12:16]]) % ell != 0
+        return not _kernel(ell, [x >> 4 * width * i & row for i in range(4)])
 
     return sub, mul, invertible
 
 
-def intertwiner_basis(ell: int, pairs: Sequence[tuple]) -> tuple:
-    """Basis of {X : X*g = g2*X for every packed pair (g, g2)} mod l, packed.
+def _kernel(ell: int, images: Sequence[int]) -> list:
+    """The echelonized kernel of the packed ``images`` mod l: the packed
+    combinations c, coefficient c_b in field b, with sum of c_b * images[b]
+    equal to 0.  This is the one row reduction over F_l of the package.
 
-    Each unit matrix E_ij (flat position 4i + j) is mapped to
-    E_ij*g - g2*E_ij, one packed 4x4 per pair side by side, and the images
-    are eliminated on their leading field while the combination of units
-    that built each one is tracked.  A combination whose image reduces to 0
-    is a solution with coefficient 1 on its unit and 0 on every other such
-    unit: the solutions span the (16 - rank)-dimensional solution space,
-    echelonized.  Each is verified against every pair by substitution.
-    With no pairs every 4x4 matrix intertwines: the basis is the 16 units.
-    Raises ExactMatError on a matrix that check_packed refuses, on pairs
-    that are no list and on a pair that is no 2-tuple.
+    Each image is eliminated on its leading field against the images before
+    it while the combination that built it is tracked.  Image b reduces to 0
+    exactly when it lies in the span of the ones before it, and then its
+    combination has coefficient 1 on b, its top field, and 0 on every other
+    such b: the combinations are the echelonized basis of the kernel, and
+    the images span a space of dimension len(images) - len(kernel).  The
+    images may be packed ints of any length, the combinations have
+    len(images) fields.
     """
-    check_prime(ell)
-    pairs = _listed(pairs, "pairs")
-    for n, pair in enumerate(pairs):
-        if not (isinstance(pair, tuple) and len(pair) == 2):
-            raise ExactMatError(f"pairs[{n}] is not a 2-tuple (g, g2): {pair!r}")
-    pairs = [(check_packed(g, ell), check_packed(g2, ell)) for g, g2 in pairs]
-    sub, mul, _ = _field_ops(ell)
+    sub = _field_ops(ell)[0]
     width = field_width(ell)
-    row, column = (1 << 4 * width) - 1, position_mask((0, 4, 8, 12), ell)
     pivots = {}  # leading field of a reduced image -> (image, combination, 1 / lead)
-    basis = []
-    for b in range(16):
-        i, j = divmod(b, 4)
-        rows = columns = 0
-        for n, (g, g2) in enumerate(pairs):
-            # E_ij * g is row j of g moved to row i; g2 * E_ij is column i
-            # of g2 moved to column j; pair n starts at field 16n
-            rows |= (g >> 4 * width * j & row) << width * (4 * i + 16 * n)
-            columns |= (g2 >> width * i & column) << width * (j + 16 * n)
-        image, combo = sub(rows, 1, columns), 1 << width * b
+    kernel = []
+    for b, image in enumerate(images):
+        combo = 1 << width * b
         while image:
             lead = (image.bit_length() - 1) // width
             c = image >> width * lead
@@ -152,10 +139,45 @@ def intertwiner_basis(ell: int, pairs: Sequence[tuple]) -> tuple:
             c = c * p_inv % ell
             image, combo = sub(image, c, p_image), sub(combo, c, p_combo)
         else:
-            basis.append(combo)
+            kernel.append(combo)
+    return kernel
+
+
+def intertwiner_basis(ell: int, pairs: Sequence[tuple]) -> tuple:
+    """Basis of {X : X*g = g2*X for every packed pair (g, g2)} mod l, packed.
+
+    Each unit matrix E_ij (flat position 4i + j) is mapped to
+    E_ij*g - g2*E_ij, one packed 4x4 per pair side by side, and the
+    solutions are the kernel of these 16 images, as _kernel echelonizes it:
+    a packed combination of units is a packed 4x4.  Each is verified
+    against every pair by substitution.  With no pairs every 4x4 matrix
+    intertwines: the basis is the 16 units.  Raises ExactMatError on a
+    matrix that check_packed refuses, on pairs that are no list and on a
+    pair that is no 2-tuple.
+    """
+    check_prime(ell)
+    pairs = _listed(pairs, "pairs")
+    for n, pair in enumerate(pairs):
+        if not (isinstance(pair, tuple) and len(pair) == 2):
+            raise ExactMatError(f"pairs[{n}] is not a 2-tuple (g, g2): {pair!r}")
+    pairs = [(check_packed(g, ell), check_packed(g2, ell)) for g, g2 in pairs]
+    sub, mul, _ = _field_ops(ell)
+    width = field_width(ell)
+    row, column = (1 << 4 * width) - 1, position_mask((0, 4, 8, 12), ell)
+    images = []
+    for b in range(16):
+        i, j = divmod(b, 4)
+        rows = columns = 0
+        for n, (g, g2) in enumerate(pairs):
+            # E_ij * g is row j of g moved to row i; g2 * E_ij is column i
+            # of g2 moved to column j; pair n starts at field 16n
+            rows |= (g >> 4 * width * j & row) << width * (4 * i + 16 * n)
+            columns |= (g2 >> width * i & column) << width * (j + 16 * n)
+        images.append(sub(rows, 1, columns))
+    basis = tuple(_kernel(ell, images))
     if any(mul(x, g) != mul(g2, x) for x in basis for g, g2 in pairs):
         raise AssertionError("kernel combination fails the intertwining identity")
-    return tuple(basis)
+    return basis
 
 
 def invertible_line(ell: int, basis: Sequence[int]) -> Optional[int]:
@@ -380,12 +402,15 @@ def common_stable_lines(ell: int, generators: Sequence[int]) -> tuple:
 
 
 def fixed_vectors(ell: int, generators: Sequence[int]) -> int:
-    """Dimension of the vectors of F_l^4 fixed by every packed generator;
-    raises ExactMatError on generators that are no list and on a generator
-    that check_packed refuses."""
-    rows = [
-        [(flat[4 * i + j] - (i == j)) % ell for j in range(4)]
-        for flat in (unpack_flat(g, ell) for g in _checked(ell, generators, "generators"))
-        for i in range(4)
-    ]
-    return 4 - _rank_mod(rows, 4, ell)
+    """Dimension of the vectors of F_l^4 fixed by every packed generator:
+    4 minus the rank of the stacked rows of g - I, which is the kernel of
+    the four columns of the stacked g - I.  Raises ExactMatError on
+    generators that are no list and on a generator that check_packed
+    refuses."""
+    gens = _checked(ell, generators, "generators")
+    sub = _field_ops(ell)[0]
+    width = field_width(ell)
+    ident = pack_flat([1, 0, 0, 0, 0] * 3 + [1], ell)
+    moved = sum(sub(g, 1, ident) << 16 * width * n for n, g in enumerate(gens))
+    column = position_mask(range(0, 16 * len(gens), 4), ell)
+    return len(_kernel(ell, [moved >> width * j & column for j in range(4)]))

@@ -10,14 +10,58 @@ from galdual.exactmat import (
     ExactMatError,
     SingularMatrixError,
     _int_det,
-    _nullspace_mod,
-    _rank_mod,
     check_packed,
     check_prime,
     int_adj,
     pack_flat,
     unpack_flat,
 )
+
+
+# Row reduction over F_l on list rows of residues, the reference for the
+# packed groupengine._kernel.
+
+
+def _echelon_mod(rows, ncols: int, ell: int):
+    """Row-reduce over F_l; returns (reduced rows, pivot column list)."""
+    mat = [list(r) for r in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(mat)) if mat[i][c] % ell), None)
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        inv = pow(mat[r][c], -1, ell)
+        mat[r] = [(v * inv) % ell for v in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c] % ell:
+                f = mat[i][c]
+                mat[i] = [(v - f * w) % ell for v, w in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    return mat[:r], pivots
+
+
+def _rank_mod(rows, ncols: int, ell: int) -> int:
+    return len(_echelon_mod(rows, ncols, ell)[1])
+
+
+def _nullspace_mod(rows, ncols: int, ell: int):
+    """Echelonized basis of the right nullspace: one vector per free column,
+    with value 1 there and 0 at the other free columns."""
+    reduced, pivots = _echelon_mod(rows, ncols, ell)
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for f in free:
+        v = [0] * ncols
+        v[f] = 1
+        for row, p in zip(reduced, pivots):
+            v[p] = (-row[f]) % ell
+        basis.append(tuple(v))
+    return basis
 
 
 def _integer_rows(rows) -> tuple:

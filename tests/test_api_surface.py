@@ -27,9 +27,15 @@ listed function that does not read the field.
 The library computes exactly, so a guard rejects floating point in
 src/galdual: float and complex literals, calls of ``float`` and true
 division, ``/`` and ``/=``.  A 4x4 matrix mod l has one encoding, the
-packed int, so a last guard rejects any ``Name`` or ``Attribute`` node
+packed int, so a guard rejects any ``Name`` or ``Attribute`` node
 ``ModMatrix`` in src/galdual; that row class lives in tests/oracles.py as
-the tests' reference.
+the tests' reference.  Likewise the library has one row reduction over F_l,
+groupengine's packed ``_kernel``: a guard rejects the list-row routines
+``_echelon_mod``, ``_rank_mod`` and ``_nullspace_mod`` in src/galdual under
+any name node, definition or import, since they live in tests/oracles.py
+too.  A last guard rejects a name that a src/galdual module imports and
+never reads (``__init__.py`` reads what its ``__all__`` lists), the import a
+refactor leaves behind.
 """
 
 import ast
@@ -273,6 +279,46 @@ def _second_matrix_encoding() -> list:
     ]
 
 
+LIST_ROW_REDUCTIONS = {"_echelon_mod", "_rank_mod", "_nullspace_mod"}
+
+
+def _list_row_reductions() -> list:
+    """Name, Attribute, definition and import nodes in src/galdual that
+    name a list-row reduction."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.alias):
+                names = {node.name.rpartition(".")[2], node.asname}
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = {node.name}
+            else:
+                names = {getattr(node, "id", None), getattr(node, "attr", None)}
+            if names & LIST_ROW_REDUCTIONS:
+                found.append(f"{path.name}:{getattr(node, 'lineno', '?')} {ast.unparse(node)}")
+    return found
+
+
+def _unread_imports() -> list:
+    """Names a src/galdual module imports but never reads as a ``Name``
+    (``__future__`` features aside; ``__init__.py`` reads its ``__all__``)."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = _parse(path)
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        if path.name == "__init__.py":
+            read |= set(galdual.__all__)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.partition(".")[0]
+                    if bound not in read:
+                        found.append(f"{path.name}:{node.lineno} {bound}")
+    return found
+
+
 def test_every_definition_has_a_caller_outside_the_tests():
     assert _uncalled() == []
 
@@ -310,3 +356,11 @@ def test_the_library_uses_no_floating_point():
 
 def test_the_library_has_no_second_matrix_encoding():
     assert _second_matrix_encoding() == []
+
+
+def test_the_library_has_one_row_reduction_over_f_l():
+    assert _list_row_reductions() == []
+
+
+def test_every_import_is_read():
+    assert _unread_imports() == []

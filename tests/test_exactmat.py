@@ -1,4 +1,5 @@
 import itertools
+import random
 import re
 from fractions import Fraction
 
@@ -21,14 +22,17 @@ from galdual.exactmat import (
     check_packed,
     check_prime,
     closure,
+    field_width,
     format_matrix,
     format_packed,
     int_adj,
     is_prime,
     lval,
+    pack_flat,
     parse_ladic,
     position_mask,
     smith_normal_form,
+    unpack_flat,
 )
 from galdual.lattice import locally_contains_standard
 from oracles import ModMatrix, charpoly_rows, mod_inv, row_text
@@ -411,6 +415,29 @@ def test_check_packed_refuses_a_field_that_is_not_a_residue():
             check_packed(bad, ell)
     assert check_packed(0xFFFF, 2) == 0xFFFF
     assert check_packed(6 << 45, 7) == 6 << 45  # 6 in the last 3-bit field
+
+
+@pytest.mark.parametrize("ell", [3, 5, 7])
+def test_check_packed_refuses_every_non_residue_in_every_field(ell):
+    width = field_width(ell)
+    top = pack_flat([ell - 1] * 16, ell)
+    assert check_packed(top, ell) == top
+    for pos in range(16):
+        for value in range(ell, 1 << width):
+            # alone, and among fields that all hold the largest residue
+            for rest in (0, top & ~(((1 << width) - 1) << width * pos)):
+                bad = rest | value << width * pos
+                with pytest.raises(ExactMatError, match=f"residues mod {ell}: {bad}$"):
+                    check_packed(bad, ell)
+    # on random ints of 16 fields it agrees with a field-by-field reading
+    rng = random.Random(ell)
+    for _ in range(2000):
+        packed = rng.getrandbits(16 * width)
+        if max(unpack_flat(packed, ell)) < ell:
+            assert check_packed(packed, ell) == packed
+        else:
+            with pytest.raises(ExactMatError):
+                check_packed(packed, ell)
 
 
 @pytest.mark.parametrize("bad", [2.7, Fraction(1, 2), "4"])

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from galdual import constants, formstab, groupengine
-from galdual.exactmat import ExactMatError, _rank_mod, closure
+from galdual.exactmat import ExactMatError, closure
 from galdual.formstab import (
     _group_tables,
     _IDENT,
@@ -42,7 +42,13 @@ from galdual.groupengine import (
     invertible_line,
     matrix_subgroups_conjugate,
 )
-from oracles import ModMatrix, assert_matches_reference, reference_duality_signature
+from oracles import (
+    ModMatrix,
+    _nullspace_mod,
+    _rank_mod,
+    assert_matches_reference,
+    reference_duality_signature,
+)
 
 
 def mod2(rows):
@@ -162,6 +168,10 @@ def test_sixty_four_forms_by_rank():
     by_rank = {}
     for f in forms:
         by_rank[_rank(f)] = by_rank.get(_rank(f), 0) + 1
+        # the packed radical is the reference nullspace, echelonized alike
+        rows = ModMatrix.from_packed(f.matrix, 2).entries
+        assert f.radical_basis() == tuple(_nullspace_mod(rows, 4, 2))
+        assert len(f.radical_basis()) == 4 - _rank(f)
     assert by_rank == {0: 1, 2: 35, 4: 28}
 
 

@@ -14,6 +14,7 @@ from galdual.exactmat import (
     ClosureCapError,
     ExactMatError,
     SingularMatrixError,
+    _int_det,
     closure,
     field_width,
     pack_flat,
@@ -51,7 +52,7 @@ from galdual.verifier import (
     _orbit_count,
     run_check,
 )
-from oracles import ModMatrix, assert_matches_reference, mod_inv, unpacked
+from oracles import ModMatrix, _rank_mod, assert_matches_reference, mod_inv, unpacked
 
 
 def mod(rows, ell):
@@ -255,6 +256,54 @@ def test_l2_invertibility_test_matches_f2_inv_and_builds_no_table():
     _gl4_table.cache_clear()
     assert run_check("thm-main-rep-nonisomorphic").status == "pass"
     assert _gl4_table.cache_info().currsize == 0
+
+
+def _random_packed(rng, ell, rank=4, diagonal=0):
+    """A packed 4x4 mod l: ``diagonal`` times I plus a random 4 x rank times
+    rank x 4 product, so below rank 4 that product is always singular."""
+    left = [[rng.randrange(ell) for _ in range(rank)] for _ in range(4)]
+    right = [[rng.randrange(ell) for _ in range(4)] for _ in range(rank)]
+    return pack_flat([
+        (sum(left[i][k] * right[k][j] for k in range(rank)) + diagonal * (i == j)) % ell
+        for i in range(4) for j in range(4)
+    ], ell)
+
+
+@pytest.mark.parametrize("ell", [3, 5, 7])
+def test_odd_invertibility_test_matches_the_determinant(ell):
+    invertible = _field_ops(ell)[2]
+    rng = random.Random(ell)
+    for n in range(400):
+        x = _random_packed(rng, ell, rank=n % 5)
+        assert invertible(x) == (_int_det(ModMatrix.from_packed(x, ell).entries) % ell != 0)
+
+
+@pytest.mark.parametrize("ell", [3, 5, 7])
+def test_odd_sub_matches_a_field_by_field_reference(ell):
+    sub = _field_ops(ell)[0]
+    width = field_width(ell)
+    rng = random.Random(ell)
+
+    def operand(fields):
+        # residues in every field, the top one nonzero
+        values = [rng.randrange(ell) for _ in range(fields)]
+        if values:
+            values[-1] = rng.randrange(1, ell)
+        return sum(v << width * k for k, v in enumerate(values))
+
+    def fields(x, count):
+        return [x >> width * k & ((1 << width) - 1) for k in range(count)]
+
+    sizes = (0, 1, 4, 16, 17, 112)
+    for nu, nv in itertools.product(sizes, repeat=2):
+        u, v = operand(nu), operand(nv)
+        for c in range(ell):
+            n = max(nu, nv)
+            expected = sum(
+                (x - c * y) % ell << width * k
+                for k, (x, y) in enumerate(zip(fields(u, n), fields(v, n)))
+            )
+            assert sub(u, c, v) == expected
 
 
 # -- representation equivalence ------------------------------------------------------
@@ -684,8 +733,6 @@ def test_character_of_identity_is_degree():
 def test_character_equals_ell_power_nullity():
     """The fixed-point counts read off the matrices equal those of the point
     maps and l^nullity(g - 1), element by element."""
-    from galdual.exactmat import _rank_mod
-
     for ell, twist in ((2, "generic"), (3, "generic"), (3, "trivial")):
         for builder in (image_rho_A, image_rho_Adual_contragredient):
             group = builder(ell, twist)
@@ -696,6 +743,30 @@ def test_character_equals_ell_power_nullity():
                     for i, row in enumerate(g.entries)
                 ]
                 assert count == ell ** (4 - _rank_mod(rows, 4, ell))
+
+
+def _moved_rows(g, ell):
+    """The rows of g - I mod l for a packed g, as lists."""
+    entries = ModMatrix.from_packed(g, ell).entries
+    return [[(v - (i == j)) % ell for j, v in enumerate(row)] for i, row in enumerate(entries)]
+
+
+@pytest.mark.parametrize("ell", [2, 3, 5, 7])
+def test_fixed_vectors_of_several_matrices_match_the_stacked_rank(ell):
+    """fixed_vectors on lists of two or three packed matrices, singular ones
+    among them, is 4 minus the reference rank of the stacked rows of g - I.
+    Each g is I plus a matrix of random rank, so every dimension occurs."""
+    rng = random.Random(ell)
+    dims = set()
+    for n in range(300):
+        gens = [_random_packed(rng, ell, rng.randrange(5), diagonal=1) for _ in range(2 + n % 2)]
+        if n % 7 == 0:
+            gens[0] = _random_packed(rng, ell, rank=rng.randrange(4))  # singular
+        rows = [row for g in gens for row in _moved_rows(g, ell)]
+        dim = fixed_vectors(ell, gens)
+        assert dim == 4 - _rank_mod(rows, 4, ell)
+        dims.add(dim)
+    assert dims == {0, 1, 2, 3, 4}
 
 
 def _multiset(counts):
